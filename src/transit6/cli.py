@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -142,6 +143,8 @@ def _summary_rows(summaries: Sequence[FlowSummary]) -> list[dict]:
 
 
 def _run_scenario(scenario: Scenario, args) -> tuple[list, list[str]]:
+    if args.horizon is not None and not math.isfinite(args.horizon):
+        raise ValueError(f"--horizon must be a finite number, got {args.horizon!r}")
     trace: list[str] = []
     horizon = args.horizon if args.horizon is not None else scenario.horizon
     records = run_simulation(

@@ -33,6 +33,7 @@ syntax, addresses and prefixes their usual notations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
@@ -259,6 +260,10 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
             raise ScenarioValidationError(
                 f"horizon is not a number: {raw.scenario['horizon']!r}"
             ) from None
+        if not math.isfinite(horizon) or horizon < 0:
+            raise ScenarioValidationError(
+                f"horizon must be a finite, non-negative number, got {raw.scenario['horizon']!r}"
+            )
 
     nodes: dict[str, Node] = {}
     links: list[Link] = []

@@ -3,10 +3,14 @@
 The engine moves real wire bytes between nodes. Every hop re-parses the
 frame, applies the node's forwarding rules (family filter, local delivery,
 hop decrement, longest-prefix routing, tunnel entry and exit) and re-emits
-exact bytes. Events sit in a heap ordered by (time, seq) where seq is a
-monotonically increasing insertion counter, so identical inputs always yield
-identical outputs. A packet never aborts the run: whatever happens to it is
-recorded as data on its MetricsRecord.
+exact bytes. Routes and addresses never change during a run, so each run
+builds one ``ForwardingState`` per node: the node's address sets, and a memo
+per family that remembers the route (or the lack of one) chosen for each
+destination, so a node resolves a destination once per run. Events sit in a
+heap ordered by (time, seq) where seq is a monotonically increasing insertion
+counter, so identical inputs always yield identical outputs. A packet never
+aborts the run: whatever happens to it, including a tunnel that would send it
+back to its own entry point, is recorded as data on its MetricsRecord.
 
 Timing model per hop: a node that forwards a frame spends its
 ``processing_delay``, then the frame waits for the outgoing link direction to
@@ -18,6 +22,7 @@ moment the last bit arrives; the receiving host adds nothing.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -159,9 +164,10 @@ class DropReason(Enum):
     NO_ENDPOINT = "no-endpoint"
     HOST_NOT_ROUTER = "host-not-router"
     HORIZON_EXPIRED = "horizon-expired"
+    TUNNEL_LOOP = "tunnel-loop"
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
     """Everything the simulator knows about one injected packet."""
 
@@ -222,11 +228,45 @@ def node_v6_addresses(node: Node) -> set[Ipv6Address]:
     return addrs
 
 
+@dataclass(slots=True)
+class ForwardingState:
+    """What forwarding at one node can reuse for a whole run.
+
+    The address sets hold the raw ``octets`` of the node's addresses. Each
+    route memo maps a destination's ``octets`` to the entry ``route_lookup``
+    chose for it, or to None when no route matches, so misses are cached too.
+    Only valid while the node's addresses and routes stay as they were.
+    """
+
+    v4_addresses: frozenset[bytes]
+    v6_addresses: frozenset[bytes]
+    v4_routes: dict[bytes, Optional[RouteEntry4]] = field(default_factory=dict)
+    v6_routes: dict[bytes, Optional[RouteEntry6]] = field(default_factory=dict)
+
+
+def forwarding_state(node: Node) -> ForwardingState:
+    """A fresh ForwardingState for ``node``, with empty route memos."""
+    return ForwardingState(
+        frozenset(a.octets for a in node_v4_addresses(node)),
+        frozenset(a.octets for a in node_v6_addresses(node)),
+    )
+
+
+_UNRESOLVED = object()
+
+
 def _drop(reason: DropReason) -> ForwardResult:
     return ForwardResult(ForwardAction.DROP, drop_reason=reason)
 
 
-def forward(node: Node, frame: bytes, in_if: Optional[str], now: float) -> ForwardResult:
+def forward(
+    node: Node,
+    frame: bytes,
+    in_if: Optional[str],
+    now: float,
+    *,
+    state: Optional[ForwardingState] = None,
+) -> ForwardResult:
     """Decide what ``node`` does with ``frame``.
 
     ``in_if`` is the interface the frame arrived on, or None for a frame the
@@ -237,7 +277,14 @@ def forward(node: Node, frame: bytes, in_if: Optional[str], now: float) -> Forwa
     locally originated IPv4 frame, so intermediate IPv4 hops only ever touch
     the outer header. The reverse happens on decapsulation, which re-enters
     forwarding as an arriving IPv6 frame and is decremented there once.
+    A tunnel whose remote endpoint is one of the node's own IPv4 addresses
+    would hand the frame straight back to the node; it is dropped instead.
+
+    ``state`` is the node's ForwardingState for the run; without one, a
+    fresh state is built for this call.
     """
+    if state is None:
+        state = forwarding_state(node)
     path = dual_stack_dispatch(frame)
     if path is PathKind.V4_PATH and node.kind is NodeKind.IPV6_ONLY:
         return _drop(DropReason.WRONG_FAMILY)
@@ -246,12 +293,12 @@ def forward(node: Node, frame: bytes, in_if: Optional[str], now: float) -> Forwa
 
     p = parse_frame(frame)
 
-    if p.frame_kind is FrameKind.V6_IN_V4 and p.outer_v4.dst in node_v4_addresses(node):
+    if p.frame_kind is FrameKind.V6_IN_V4 and p.outer_v4.dst.octets in state.v4_addresses:
         inner = decapsulate_6in4(p)
-        return forward(node, frame_packet(inner), in_if, now)
-    if p.frame_kind is FrameKind.V4 and p.outer_v4.dst in node_v4_addresses(node):
+        return forward(node, frame_packet(inner), in_if, now, state=state)
+    if p.frame_kind is FrameKind.V4 and p.outer_v4.dst.octets in state.v4_addresses:
         return ForwardResult(ForwardAction.DELIVER, packet=p)
-    if p.frame_kind is FrameKind.V6 and p.v6.dst in node_v6_addresses(node):
+    if p.frame_kind is FrameKind.V6 and p.v6.dst.octets in state.v6_addresses:
         return ForwardResult(ForwardAction.DELIVER, packet=p)
 
     if node.role is Role.HOST and in_if is not None:
@@ -274,12 +321,19 @@ def forward(node: Node, frame: bytes, in_if: Optional[str], now: float) -> Forwa
     if p.frame_kind is FrameKind.V6:
         dst: Union[Ipv4Address, Ipv6Address] = p.v6.dst
         routes: Sequence[RouteEntry] = node.v6_routes
+        memo: dict = state.v6_routes
     else:
         dst = p.outer_v4.dst
         routes = node.v4_routes
-    try:
-        entry = route_lookup(routes, dst)
-    except NoRouteError:
+        memo = state.v4_routes
+    entry = memo.get(dst.octets, _UNRESOLVED)
+    if entry is _UNRESOLVED:
+        try:
+            entry = route_lookup(routes, dst)
+        except NoRouteError:
+            entry = None
+        memo[dst.octets] = entry
+    if entry is None:
         return _drop(DropReason.NO_ROUTE)
 
     if entry.out_if in node.tunnels:
@@ -291,8 +345,10 @@ def forward(node: Node, frame: bytes, in_if: Optional[str], now: float) -> Forwa
             remote = resolve_tunnel_endpoint(cfg, dst)
         except NoEndpointError:
             return _drop(DropReason.NO_ENDPOINT)
+        if remote.octets in state.v4_addresses:
+            return _drop(DropReason.TUNNEL_LOOP)
         encapsulated = encapsulate_6in4(p, cfg.local_v4, remote, ttl=p.v6.hop_limit)
-        return forward(node, frame_packet(encapsulated), None, now)
+        return forward(node, frame_packet(encapsulated), None, now, state=state)
 
     return ForwardResult(ForwardAction.FORWARD, out_if=entry.out_if, frame=frame_packet(p))
 
@@ -304,6 +360,8 @@ def validate_topology(topology: Topology) -> None:
         if node.id in seen_nodes:
             raise InvalidTopologyError(f"duplicate node id {node.id!r}")
         seen_nodes.add(node.id)
+        if not math.isfinite(node.processing_delay):
+            raise InvalidTopologyError(f"{node.id}: processing_delay must be finite")
         if node.processing_delay < 0:
             raise InvalidTopologyError(f"{node.id}: negative processing_delay")
         if_names: set[str] = set()
@@ -352,6 +410,9 @@ def validate_topology(topology: Topology) -> None:
         if link.id in link_ids:
             raise InvalidTopologyError(f"duplicate link id {link.id!r}")
         link_ids.add(link.id)
+        for key in ("bandwidth", "propagation_delay"):
+            if not math.isfinite(getattr(link, key)):
+                raise InvalidTopologyError(f"link {link.id}: {key} must be finite")
         if link.bandwidth <= 0:
             raise InvalidTopologyError(f"link {link.id}: bandwidth must be positive")
         if link.propagation_delay < 0:
@@ -411,6 +472,9 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: payload_bytes over 65475")
         if flow.count < 1:
             raise InvalidTrafficError(f"{flow.flow_id}: count must be at least 1")
+        for key in ("gap", "start", "jitter"):
+            if not math.isfinite(getattr(flow, key)):
+                raise InvalidTrafficError(f"{flow.flow_id}: {key} must be finite")
         if flow.gap < 0 or flow.start < 0:
             raise InvalidTrafficError(f"{flow.flow_id}: negative start or gap")
         if not 1 <= flow.hop_limit <= 255:
@@ -426,7 +490,7 @@ class _Action(Enum):
     ARRIVE = "arrive"
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     time: float
     seq: int
@@ -451,6 +515,7 @@ class _Engine:
         self.traffic = list(traffic)
         self.trace = trace
         self.rng = random.Random(seed)
+        self.states = {n.id: forwarding_state(n) for n in topology.nodes}
         self.port_map: dict[tuple[str, str], tuple[Link, str, str]] = {}
         for link in topology.links:
             self.port_map[link.a] = (link, link.b[0], link.b[1])
@@ -460,6 +525,9 @@ class _Engine:
         self.next_packet_id = 0
         self.records: dict[int, MetricsRecord] = {}
         self.link_free: dict[tuple[str, str], float] = {}
+        # One shared (link id, frame size) tuple per distinct hop, so records
+        # do not each hold their own copy.
+        self.hops: dict[tuple[str, int], tuple[str, int]] = {}
 
     def schedule(self, ev: SimEvent) -> None:
         heapq.heappush(self.heap, (ev.time, ev.seq, ev))
@@ -533,7 +601,7 @@ class _Engine:
             send_time=ev.time,
         )
         node = self.nodes[flow.src]
-        res = forward(node, self._flow_frame(flow), None, ev.time)
+        res = forward(node, self._flow_frame(flow), None, ev.time, state=self.states[flow.src])
         self.apply_forward(node, res, packet_id, ev.time)
 
     def on_processing_done(self, ev: SimEvent) -> None:
@@ -557,7 +625,8 @@ class _Engine:
 
     def on_transmit(self, ev: SimEvent) -> None:
         link, peer_id, peer_if = self.port_map[(ev.node_id, ev.port)]
-        self.records[ev.packet_id].wire_bytes_per_hop.append((link.id, len(ev.frame)))
+        hop = (link.id, len(ev.frame))
+        self.records[ev.packet_id].wire_bytes_per_hop.append(self.hops.setdefault(hop, hop))
         if self.trace is not None:
             self.trace.append(
                 f"{ev.time!r} {link.id} {ev.node_id}->{peer_id} pkt={ev.packet_id} {ev.frame.hex()}"
@@ -576,7 +645,7 @@ class _Engine:
 
     def on_arrive(self, ev: SimEvent) -> None:
         node = self.nodes[ev.node_id]
-        res = forward(node, ev.frame, ev.port, ev.time)
+        res = forward(node, ev.frame, ev.port, ev.time, state=self.states[ev.node_id])
         self.apply_forward(node, res, ev.packet_id, ev.time)
 
     def run(self, horizon: Optional[float]) -> list[MetricsRecord]:
@@ -616,6 +685,8 @@ def run_simulation(
     """
     validate_topology(topology)
     validate_traffic(topology, traffic)
+    if horizon is not None and not math.isfinite(horizon):
+        raise InvalidTrafficError("horizon must be finite")
     if horizon is not None and horizon < 0:
         raise InvalidTrafficError("horizon must not be negative")
     engine = _Engine(topology, traffic, seed, trace)

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,19 @@ from transit6.codec import (
     Packet,
     frame_packet,
 )
-from transit6.scenario_io import serialize_model
+from transit6.scenario_io import load_text, serialize_model
 from transit6.scenarios import build_scenario_6to4
+from transit6.simcore import DropReason, run_simulation
 from transit6.transition import encapsulate_6in4
 
 A4 = Ipv4Address.parse
 A6 = Ipv6Address.parse
+
+DATA = Path(__file__).parent / "data"
+
+# SHA-256 of `transit6 compare 6to4 dualstack -f json-lines`. These bytes are
+# the project's output invariant: change them only on purpose.
+COMPARE_SHA256 = "873b27207f53d32a9b285f3e26ce5764abf704666cb7a83420b9ee779020c8ff"
 
 SUMMARY_HEADER = (
     "flow,injected,delivered,dropped,mean_delay_s,min_delay_s,max_delay_s,"
@@ -182,6 +191,46 @@ def test_run_horizon_cuts_deliveries(capsys):
     assert row["dropped"] == row["injected"] > 0
 
 
+@pytest.mark.parametrize(
+    "override, needle",
+    [
+        ("link.r1-r2.bandwidth=nan", "bandwidth must be finite"),
+        ("link.r1-r2.bandwidth=inf", "bandwidth must be finite"),
+        ("link.r1-r2.propagation_delay=nan", "propagation_delay must be finite"),
+        ("node.R1.processing_delay=inf", "processing_delay must be finite"),
+        ("flow.h1-to-h2.gap=nan", "gap must be finite"),
+        ("flow.h1-to-h2.start=inf", "start must be finite"),
+        ("flow.h1-to-h2.jitter=nan", "jitter must be finite"),
+        ("horizon=nan", "horizon must be a finite"),
+        ("horizon=inf", "horizon must be a finite"),
+    ],
+)
+def test_run_rejects_non_finite_override(override, needle, capsys):
+    assert main(["run", "6to4", "--override", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_rejects_non_finite_horizon_option(value, capsys):
+    assert main(["run", "6to4", f"--horizon={value}"]) == 2
+    assert "--horizon must be a finite number" in capsys.readouterr().err
+
+
+def test_run_tunnel_loop_scenario_drops_instead_of_crashing(capsys):
+    path = DATA / "6to4-tunnel-loop.scenario"
+    assert main(["run", str(path), "-f", "json-lines"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["injected"] == row["dropped"] == 3
+    assert row["delivered"] == 0
+    scenario = load_text(path.read_text(encoding="utf-8"))
+    records = run_simulation(scenario.topology, scenario.traffic, scenario.horizon)
+    assert [r.drop_reason for r in records] == [DropReason.TUNNEL_LOOP] * 3
+    # R1 drops each frame before it reaches the IPv4 core.
+    assert all(r.wire_bytes_per_hop == [("h1-r1", 1040)] for r in records)
+
+
 def test_run_trace_file(tmp_path, capsys):
     path = tmp_path / "frames.log"
     assert main(["run", "6to4", "--trace", str(path)]) == 0
@@ -210,6 +259,12 @@ def test_compare_output_values(capsys):
     assert 0.0 < row["delay_delta_s"] < 1e-4
     assert 0.0 < row["goodput_ratio"] < 1.0
     assert abs(row["overhead_ratio"] - (4200 / 4000) / (4160 / 4000)) <= 1e-12
+
+
+def test_compare_output_bytes_are_pinned(capsys):
+    assert main(["compare", "6to4", "dualstack", "-f", "json-lines"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COMPARE_SHA256
 
 
 def test_compare_is_deterministic(capsys):

@@ -137,6 +137,12 @@ def test_validation_bad_horizon():
         load_text("horizon = soon\n" + MINIMAL)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_validation_horizon_must_be_finite_and_non_negative(value):
+    with pytest.raises(ScenarioValidationError, match="horizon must be a finite, non-negative number"):
+        load_text(f"horizon = {value}\n" + MINIMAL)
+
+
 def test_validation_section_before_node():
     with pytest.raises(ScenarioValidationError, match="not been declared"):
         load_text("[interface ghost eth0]\nv6 = 2001::1\n" + MINIMAL)
