@@ -13,7 +13,7 @@ IPv4 tunnel endpoint from a destination address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .codec import Ipv4Address, Ipv6Address
@@ -44,12 +44,18 @@ class Ipv4Prefix:
 
     address: Ipv4Address
     length: int
+    # The top ``length`` bits of the address as an int, so matching converts
+    # only the address being looked up.
+    network: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.length <= 32:
             raise AddressingError(f"IPv4 prefix length out of range: {self.length}")
-        if self.address.to_int() & _host_mask(32, self.length):
+        value = int.from_bytes(self.address.octets, "big")
+        network = value >> (32 - self.length)
+        if network << (32 - self.length) != value:
             raise AddressingError(f"host bits set below /{self.length}: {self.address}")
+        object.__setattr__(self, "network", network)
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Prefix":
@@ -66,12 +72,17 @@ class Ipv6Prefix:
 
     address: Ipv6Address
     length: int
+    # As for Ipv4Prefix.network.
+    network: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.length <= 128:
             raise AddressingError(f"IPv6 prefix length out of range: {self.length}")
-        if self.address.to_int() & _host_mask(128, self.length):
+        value = int.from_bytes(self.address.octets, "big")
+        network = value >> (128 - self.length)
+        if network << (128 - self.length) != value:
             raise AddressingError(f"host bits set below /{self.length}: {self.address}")
+        object.__setattr__(self, "network", network)
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Prefix":
@@ -89,19 +100,12 @@ def _split_prefix(text: str) -> tuple[str, int]:
     return addr, int(length)
 
 
-def _host_mask(width: int, length: int) -> int:
-    return (1 << (width - length)) - 1
-
-
 def prefix_matches(prefix: Union[Ipv4Prefix, Ipv6Prefix], addr: Union[Ipv4Address, Ipv6Address]) -> bool:
     """True iff the top ``prefix.length`` bits of ``addr`` equal the prefix's."""
     if isinstance(prefix, Ipv4Prefix) != isinstance(addr, Ipv4Address):
         raise FamilyMismatchError(f"cannot match {prefix} against {addr}")
     width = 32 if isinstance(prefix, Ipv4Prefix) else 128
-    if prefix.length == 0:
-        return True
-    shift = width - prefix.length
-    return addr.to_int() >> shift == prefix.address.to_int() >> shift
+    return addr.to_int() >> (width - prefix.length) == prefix.network
 
 
 def derive_6to4_prefix(v4: Ipv4Address) -> Ipv6Prefix:

@@ -142,6 +142,14 @@ def _summary_rows(summaries: Sequence[FlowSummary]) -> list[dict]:
     ]
 
 
+def _report_drops(summaries: Sequence[FlowSummary], prefix: str = "") -> None:
+    """One stderr line per flow that dropped packets, with counts by reason."""
+    for s in summaries:
+        if s.dropped_count:
+            reasons = ", ".join(f"{k} {v}" for k, v in sorted(s.drop_reasons.items()))
+            print(f"{prefix}{s.flow_id}: dropped {s.dropped_count} ({reasons})", file=sys.stderr)
+
+
 def _run_scenario(scenario: Scenario, args) -> tuple[list, list[str]]:
     if args.horizon is not None and not math.isfinite(args.horizon):
         raise ValueError(f"--horizon must be a finite number, got {args.horizon!r}")
@@ -163,7 +171,9 @@ def _cmd_run(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in trace)
-    _emit_rows(_summary_rows(summarize(records)), args.format, sys.stdout)
+    summaries = summarize(records)
+    _report_drops(summaries)
+    _emit_rows(_summary_rows(summaries), args.format, sys.stdout)
     return 0
 
 
@@ -176,7 +186,10 @@ def _cmd_compare(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.writelines(f"a {line}\n" for line in trace_a)
             fh.writelines(f"b {line}\n" for line in trace_b)
-    report = compare_scenarios(summarize(records_a), summarize(records_b))
+    summaries_a, summaries_b = summarize(records_a), summarize(records_b)
+    _report_drops(summaries_a, "a ")
+    _report_drops(summaries_b, "b ")
+    report = compare_scenarios(summaries_a, summaries_b)
     rows = [
         {
             "flow": r.flow_id,

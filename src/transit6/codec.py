@@ -109,9 +109,7 @@ def internet_checksum(data: bytes) -> int:
     """One's-complement 16-bit checksum over ``data`` (odd tail zero-padded)."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
@@ -408,45 +406,77 @@ def frame_packet(p: Packet, recompute_checksum: bool = False) -> bytes:
     )
 
 
+def check_frame(data: bytes) -> FrameKind:
+    """Run every structural check ``parse_frame`` makes, without decoding.
+
+    Raises the same CodecError subclasses that ``parse_frame(data)`` would,
+    and otherwise returns the frame's kind. Fields that need no check
+    (addresses, ttl, checksum) are not read.
+    """
+    n = len(data)
+    if n < 1:
+        raise TooShortError("empty buffer")
+    version = data[0] >> 4
+    if version == 6:
+        _check_ipv6_frame(data, 0)
+        return FrameKind.V6
+    if version != 4:
+        raise BadVersionError(f"unknown IP version nibble {version}")
+    ihl = data[0] & 0x0F
+    if ihl < 5:
+        raise BadIhlError(f"ihl {ihl} below minimum 5")
+    hlen = ihl * 4
+    if n < hlen:
+        raise TooShortError(f"need {hlen} header bytes, have {n}")
+    total_length = data[2] << 8 | data[3]
+    if n != total_length:
+        raise LengthMismatchError(f"buffer {n} bytes, outer total_length {total_length}")
+    if data[9] != PROTO_IPV6_IN_IPV4:
+        return FrameKind.V4
+    if n == hlen:
+        raise TooShortError("empty buffer")
+    inner_version = data[hlen] >> 4
+    if inner_version != 6:
+        raise BadVersionError(f"expected version 6, got {inner_version}")
+    _check_ipv6_frame(data, hlen, "inner ")
+    return FrameKind.V6_IN_V4
+
+
+def _check_ipv6_frame(data: bytes, start: int, label: str = "") -> None:
+    """Length checks for the IPv6 frame at ``data[start:]`` (version checked)."""
+    n = len(data) - start
+    if n < IPV6_HEADER_LEN:
+        raise TooShortError(f"need {IPV6_HEADER_LEN} header bytes, have {n}")
+    payload_length = data[start + 4] << 8 | data[start + 5]
+    if payload_length != n - IPV6_HEADER_LEN:
+        raise LengthMismatchError(
+            f"{label}payload_length {payload_length} != payload {n - IPV6_HEADER_LEN}"
+        )
+
+
 def parse_frame(data: bytes, packet_id: int = 0) -> Packet:
     """Decode a whole frame, recognizing 6in4 by outer protocol 41.
 
     The buffer must contain exactly the frame: declared lengths are checked
     against ``len(data)`` and any disagreement raises LengthMismatchError.
+    ``check_frame`` makes every structural check; this only decodes.
     """
-    if len(data) < 1:
-        raise TooShortError("empty buffer")
-    version = data[0] >> 4
-    if version == 4:
-        outer = parse_ipv4_header(data)
-        if len(data) != outer.total_length:
-            raise LengthMismatchError(
-                f"buffer {len(data)} bytes, outer total_length {outer.total_length}"
-            )
-        rest = data[outer.header_len() :]
-        if outer.protocol == PROTO_IPV6_IN_IPV4:
-            inner = parse_ipv6_header(rest)
-            payload = rest[IPV6_HEADER_LEN:]
-            if inner.payload_length != len(payload):
-                raise LengthMismatchError(
-                    f"inner payload_length {inner.payload_length} != {len(payload)}"
-                )
-            return Packet(
-                frame_kind=FrameKind.V6_IN_V4,
-                outer_v4=outer,
-                v6=inner,
-                payload=payload,
-                packet_id=packet_id,
-            )
+    kind = check_frame(data)
+    if kind is FrameKind.V6:
         return Packet(
-            frame_kind=FrameKind.V4, outer_v4=outer, payload=rest, packet_id=packet_id
+            frame_kind=kind,
+            v6=parse_ipv6_header(data),
+            payload=data[IPV6_HEADER_LEN:],
+            packet_id=packet_id,
         )
-    if version == 6:
-        h = parse_ipv6_header(data)
-        payload = data[IPV6_HEADER_LEN:]
-        if h.payload_length != len(payload):
-            raise LengthMismatchError(
-                f"payload_length {h.payload_length} != payload {len(payload)}"
-            )
-        return Packet(frame_kind=FrameKind.V6, v6=h, payload=payload, packet_id=packet_id)
-    raise BadVersionError(f"unknown IP version nibble {version}")
+    outer = parse_ipv4_header(data)
+    rest = data[outer.header_len() :]
+    if kind is FrameKind.V6_IN_V4:
+        return Packet(
+            frame_kind=kind,
+            outer_v4=outer,
+            v6=parse_ipv6_header(rest),
+            payload=rest[IPV6_HEADER_LEN:],
+            packet_id=packet_id,
+        )
+    return Packet(frame_kind=kind, outer_v4=outer, payload=rest, packet_id=packet_id)

@@ -46,6 +46,19 @@ class FlowSummary:
     payload_bytes_by_link: dict[str, int] = field(default_factory=dict)
 
 
+def _sum_in_order(values: Sequence[float]) -> float:
+    """Left-to-right float sum, rounding after every addition.
+
+    Python 3.12 made ``sum()`` over floats use compensated summation, which
+    changes the last bits of a result; this loop gives the same bytes on
+    every supported version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def summarize(
     records: Sequence[MetricsRecord], interval: Optional[float] = None
 ) -> list[FlowSummary]:
@@ -79,12 +92,12 @@ def summarize(
         if delivered:
             delivered.sort(key=lambda r: (r.send_time, r.packet_id))
             delays = [r.receive_time - r.send_time for r in delivered]
-            s.mean_delay = sum(delays) / len(delays)
+            s.mean_delay = _sum_in_order(delays) / len(delays)
             s.min_delay = min(delays)
             s.max_delay = max(delays)
             if len(delays) >= 2:
                 diffs = [abs(b - a) for a, b in zip(delays, delays[1:])]
-                s.jitter = sum(diffs) / len(diffs)
+                s.jitter = _sum_in_order(diffs) / len(diffs)
             duration = interval
             if duration is None:
                 duration = max(r.receive_time for r in delivered) - min(

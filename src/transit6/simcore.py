@@ -1,16 +1,19 @@
 """Deterministic discrete-event simulation of frames crossing a topology.
 
-The engine moves real wire bytes between nodes. Every hop re-parses the
-frame, applies the node's forwarding rules (family filter, local delivery,
-hop decrement, longest-prefix routing, tunnel entry and exit) and re-emits
-exact bytes. Routes and addresses never change during a run, so each run
-builds one ``ForwardingState`` per node: the node's address sets, and a memo
-per family that remembers the route (or the lack of one) chosen for each
-destination, so a node resolves a destination once per run. Events sit in a
-heap ordered by (time, seq) where seq is a monotonically increasing insertion
-counter, so identical inputs always yield identical outputs. A packet never
-aborts the run: whatever happens to it, including a tunnel that would send it
-back to its own entry point, is recorded as data on its MetricsRecord.
+The engine moves real wire bytes between nodes. Every hop checks the
+frame's structure as ``parse_frame`` would, applies the node's forwarding
+rules (family filter, local delivery, hop decrement, longest-prefix routing,
+tunnel entry and exit) and edits the bytes it must: the hop count and the
+IPv4 checksum, or a 6in4 outer header added or stripped. Frames are never
+decoded into header objects on the way. Routes and addresses never change
+during a run, so each run builds one ``ForwardingState`` per node: the
+node's address sets, and a memo per family that remembers the route (or the
+lack of one) chosen for each destination, so a node resolves a destination
+once per run. Events sit in a heap ordered by (time, seq) where seq is a
+monotonically increasing insertion counter, so identical inputs always yield
+identical outputs. A packet never aborts the run: whatever happens to it,
+including a tunnel that would send it back to its own entry point, is
+recorded as data on its MetricsRecord.
 
 Timing model per hop: a node that forwards a frame spends its
 ``processing_delay``, then the frame waits for the outgoing link direction to
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .addressing import Ipv4Prefix, Ipv6Prefix, prefix_matches
+from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
 from .codec import (
     FrameKind,
     Ipv4Address,
@@ -36,9 +39,10 @@ from .codec import (
     Ipv6Address,
     Ipv6Header,
     Packet,
+    check_frame,
     frame_packet,
+    internet_checksum,
     ipv4_header_checksum,
-    parse_frame,
 )
 from .transition import (
     NoEndpointError,
@@ -186,12 +190,21 @@ RouteEntry = Union[RouteEntry4, RouteEntry6]
 
 
 def route_lookup(routes: Sequence[RouteEntry], dst: Union[Ipv4Address, Ipv6Address]) -> RouteEntry:
-    """Longest-prefix match over ``routes``; first entry wins equal lengths."""
+    """Longest-prefix match over ``routes``; first entry wins equal lengths.
+
+    Raises FamilyMismatchError if any entry's prefix is of the other family.
+    """
+    value = dst.to_int()
+    family = Ipv4Prefix if isinstance(dst, Ipv4Address) else Ipv6Prefix
+    width = 32 if family is Ipv4Prefix else 128
     best: Optional[RouteEntry] = None
+    best_length = -1
     for entry in routes:
-        if prefix_matches(entry.prefix, dst):
-            if best is None or entry.prefix.length > best.prefix.length:
-                best = entry
+        prefix = entry.prefix
+        if type(prefix) is not family:
+            raise FamilyMismatchError(f"cannot match {prefix} against {dst}")
+        if value >> (width - prefix.length) == prefix.network and prefix.length > best_length:
+            best, best_length = entry, prefix.length
     if best is None:
         raise NoRouteError(f"no route for {dst}")
     return best
@@ -205,15 +218,17 @@ class ForwardAction(Enum):
 
 @dataclass
 class ForwardResult:
+    """What a node does with a frame: the frame it sends on or delivers."""
+
     action: ForwardAction
     out_if: Optional[str] = None
     frame: bytes = b""
     drop_reason: Optional[DropReason] = None
-    packet: Optional[Packet] = None
 
 
-_V6_UNSPECIFIED = Ipv6Address(bytes(16))
-_V6_LOOPBACK = Ipv6Address(bytes(15) + b"\x01")
+# Destinations an automatic-compatible tunnel must not derive an endpoint
+# from: :: and ::1 would give 0.0.0.0 and 0.0.0.1.
+_V6_NO_ENDPOINT = (bytes(16), bytes(15) + b"\x01")
 
 
 def node_v4_addresses(node: Node) -> set[Ipv4Address]:
@@ -259,11 +274,25 @@ def _drop(reason: DropReason) -> ForwardResult:
     return ForwardResult(ForwardAction.DROP, drop_reason=reason)
 
 
+def _decrement_ttl(frame: bytes) -> bytes:
+    """``frame`` (IPv4, ttl >= 1) with one less ttl and a recomputed checksum.
+
+    The checksum is computed afresh over the whole header, options included,
+    so a header that arrived with a bad checksum leaves with a good one.
+    """
+    out = bytearray(frame)
+    out[8] -= 1
+    out[10] = out[11] = 0
+    checksum = internet_checksum(out[: (out[0] & 0x0F) * 4])
+    out[10] = checksum >> 8
+    out[11] = checksum & 0xFF
+    return bytes(out)
+
+
 def forward(
     node: Node,
     frame: bytes,
     in_if: Optional[str],
-    now: float,
     *,
     state: Optional[ForwardingState] = None,
 ) -> ForwardResult:
@@ -280,6 +309,11 @@ def forward(
     A tunnel whose remote endpoint is one of the node's own IPv4 addresses
     would hand the frame straight back to the node; it is dropped instead.
 
+    A malformed frame raises what ``dual_stack_dispatch`` or ``parse_frame``
+    would raise for it, and a 6in4 frame for this node whose outer checksum
+    fails raises BadChecksumError. A delivered result carries the delivered
+    frame (the inner frame after decapsulation).
+
     ``state`` is the node's ForwardingState for the run; without one, a
     fresh state is built for this call.
     """
@@ -291,15 +325,17 @@ def forward(
     if path is PathKind.V6_PATH and node.kind is NodeKind.IPV4_ONLY:
         return _drop(DropReason.WRONG_FAMILY)
 
-    p = parse_frame(frame)
-
-    if p.frame_kind is FrameKind.V6_IN_V4 and p.outer_v4.dst.octets in state.v4_addresses:
-        inner = decapsulate_6in4(p)
-        return forward(node, frame_packet(inner), in_if, now, state=state)
-    if p.frame_kind is FrameKind.V4 and p.outer_v4.dst.octets in state.v4_addresses:
-        return ForwardResult(ForwardAction.DELIVER, packet=p)
-    if p.frame_kind is FrameKind.V6 and p.v6.dst.octets in state.v6_addresses:
-        return ForwardResult(ForwardAction.DELIVER, packet=p)
+    kind = check_frame(frame)
+    if kind is FrameKind.V6:
+        dst = frame[24:40]
+        if dst in state.v6_addresses:
+            return ForwardResult(ForwardAction.DELIVER, frame=frame)
+    else:
+        dst = frame[16:20]
+        if dst in state.v4_addresses:
+            if kind is FrameKind.V6_IN_V4:
+                return forward(node, decapsulate_6in4(frame), in_if, state=state)
+            return ForwardResult(ForwardAction.DELIVER, frame=frame)
 
     if node.role is Role.HOST and in_if is not None:
         # Hosts never forward traffic that is not addressed to them, but a
@@ -307,50 +343,45 @@ def forward(
         return _drop(DropReason.HOST_NOT_ROUTER)
 
     if in_if is not None:
-        if p.frame_kind is FrameKind.V6:
-            if p.v6.hop_limit <= 1:
+        if kind is FrameKind.V6:
+            hop_limit = frame[7]
+            if hop_limit <= 1:
                 return _drop(DropReason.TTL_EXPIRED)
-            p = replace(p, v6=replace(p.v6, hop_limit=p.v6.hop_limit - 1))
+            frame = frame[:7] + bytes((hop_limit - 1,)) + frame[8:]
         else:
-            if p.outer_v4.ttl <= 1:
+            if frame[8] <= 1:
                 return _drop(DropReason.TTL_EXPIRED)
-            h = replace(p.outer_v4, ttl=p.outer_v4.ttl - 1)
-            h = replace(h, checksum=ipv4_header_checksum(h))
-            p = replace(p, outer_v4=h)
+            frame = _decrement_ttl(frame)
 
-    if p.frame_kind is FrameKind.V6:
-        dst: Union[Ipv4Address, Ipv6Address] = p.v6.dst
-        routes: Sequence[RouteEntry] = node.v6_routes
-        memo: dict = state.v6_routes
-    else:
-        dst = p.outer_v4.dst
-        routes = node.v4_routes
-        memo = state.v4_routes
-    entry = memo.get(dst.octets, _UNRESOLVED)
+    memo: dict = state.v6_routes if kind is FrameKind.V6 else state.v4_routes
+    entry = memo.get(dst, _UNRESOLVED)
     if entry is _UNRESOLVED:
         try:
-            entry = route_lookup(routes, dst)
+            if kind is FrameKind.V6:
+                entry = route_lookup(node.v6_routes, Ipv6Address(dst))
+            else:
+                entry = route_lookup(node.v4_routes, Ipv4Address(dst))
         except NoRouteError:
             entry = None
-        memo[dst.octets] = entry
+        memo[dst] = entry
     if entry is None:
         return _drop(DropReason.NO_ROUTE)
 
     if entry.out_if in node.tunnels:
         # Topology validation guarantees only v6 routes reference tunnels.
         cfg = node.tunnels[entry.out_if]
-        if cfg.kind is TunnelKind.AUTOMATIC_COMPATIBLE and dst in (_V6_UNSPECIFIED, _V6_LOOPBACK):
+        if cfg.kind is TunnelKind.AUTOMATIC_COMPATIBLE and dst in _V6_NO_ENDPOINT:
             return _drop(DropReason.NO_ENDPOINT)
         try:
-            remote = resolve_tunnel_endpoint(cfg, dst)
+            remote = resolve_tunnel_endpoint(cfg, Ipv6Address(dst))
         except NoEndpointError:
             return _drop(DropReason.NO_ENDPOINT)
         if remote.octets in state.v4_addresses:
             return _drop(DropReason.TUNNEL_LOOP)
-        encapsulated = encapsulate_6in4(p, cfg.local_v4, remote, ttl=p.v6.hop_limit)
-        return forward(node, frame_packet(encapsulated), None, now, state=state)
+        encapsulated = encapsulate_6in4(frame, cfg.local_v4, remote, ttl=frame[7])
+        return forward(node, encapsulated, None, state=state)
 
-    return ForwardResult(ForwardAction.FORWARD, out_if=entry.out_if, frame=frame_packet(p))
+    return ForwardResult(ForwardAction.FORWARD, out_if=entry.out_if, frame=frame)
 
 
 def validate_topology(topology: Topology) -> None:
@@ -528,6 +559,8 @@ class _Engine:
         # One shared (link id, frame size) tuple per distinct hop, so records
         # do not each hold their own copy.
         self.hops: dict[tuple[str, int], tuple[str, int]] = {}
+        # Every packet of a flow leaves its source with the same bytes.
+        self.flow_frames = [self._flow_frame(flow) for flow in self.traffic]
 
     def schedule(self, ev: SimEvent) -> None:
         heapq.heappush(self.heap, (ev.time, ev.seq, ev))
@@ -601,7 +634,7 @@ class _Engine:
             send_time=ev.time,
         )
         node = self.nodes[flow.src]
-        res = forward(node, self._flow_frame(flow), None, ev.time, state=self.states[flow.src])
+        res = forward(node, self.flow_frames[ev.flow_index], None, state=self.states[flow.src])
         self.apply_forward(node, res, packet_id, ev.time)
 
     def on_processing_done(self, ev: SimEvent) -> None:
@@ -645,7 +678,7 @@ class _Engine:
 
     def on_arrive(self, ev: SimEvent) -> None:
         node = self.nodes[ev.node_id]
-        res = forward(node, ev.frame, ev.port, ev.time, state=self.states[ev.node_id])
+        res = forward(node, ev.frame, ev.port, state=self.states[ev.node_id])
         self.apply_forward(node, res, ev.packet_id, ev.time)
 
     def run(self, horizon: Optional[float]) -> list[MetricsRecord]:

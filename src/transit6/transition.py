@@ -2,7 +2,8 @@
 
 Encapsulation wraps a native IPv6 frame in an IPv4 header with protocol 41 so
 it can cross IPv4-only infrastructure; decapsulation strips that header after
-checking it. Dispatch picks the protocol path a dual-stack node uses, from the
+checking it. Both take and return wire bytes, since forwarding works on the
+frames themselves. Dispatch picks the protocol path a dual-stack node uses, from the
 version nibble of the first byte alone. Translation rewrites a packet from one
 family to the other using an explicit address map with an embedded-address
 fallback.
@@ -10,6 +11,7 @@ fallback.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -22,17 +24,20 @@ from .addressing import (
     make_ipv4_compatible,
 )
 from .codec import (
+    IPV4_HEADER_LEN,
     IPV6_HEADER_LEN,
     PROTO_IPV6_IN_IPV4,
     FrameKind,
+    InvalidHeaderError,
     Ipv4Address,
     Ipv4Header,
     Ipv6Address,
     Ipv6Header,
     Packet,
     TooShortError,
+    check_frame,
+    internet_checksum,
     ipv4_header_checksum,
-    serialize_ipv4_header,
     verify_ipv4_checksum,
 )
 
@@ -113,57 +118,68 @@ def dual_stack_dispatch(frame: bytes) -> PathKind:
     raise UnknownVersionError(f"version nibble {version} is neither 4 nor 6")
 
 
+# Outer header: ver/ihl, dscp/ecn, total length | id, flags/frag | ttl,
+# protocol, checksum | src | dst.
+_OUTER_HEADER = struct.Struct("!BBHHHBBH4s4s")
+
+
+def _outer_header(total_length: int, ttl: int, checksum: int, src: bytes, dst: bytes) -> bytes:
+    return _OUTER_HEADER.pack(
+        0x45, 0, total_length, 0, 0, ttl, PROTO_IPV6_IN_IPV4, checksum, src, dst
+    )
+
+
 def encapsulate_6in4(
-    inner: Packet, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl: int
-) -> Packet:
-    """Wrap a native IPv6 packet in an IPv4 header with protocol 41.
+    inner: bytes, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl: int
+) -> bytes:
+    """Wrap a native IPv6 frame in an IPv4 header with protocol 41.
 
-    The outer header is minimal (ihl 5, no options), carries the given ttl,
-    and gets a valid checksum. Encapsulation adds exactly 20 bytes to the
-    frame. The inner header and payload are not touched.
+    The outer header is minimal (ihl 5, no options, identification and flags
+    zero), carries the given ttl, and gets a valid checksum (RFC 4213 3.5).
+    Encapsulation adds exactly 20 bytes in front of the frame, which is not
+    touched. ``inner`` must be a well-formed IPv6 frame; one whose outer
+    total_length would not fit in 16 bits is rejected.
     """
-    if inner.frame_kind is not FrameKind.V6 or inner.v6 is None:
-        raise InvalidInnerError(f"can only encapsulate native V6 frames, got {inner.frame_kind}")
-    outer = Ipv4Header(
-        src=src_v4,
-        dst=dst_v4,
-        total_length=20 + IPV6_HEADER_LEN + len(inner.payload),
-        ttl=ttl,
-        protocol=PROTO_IPV6_IN_IPV4,
-    )
-    outer = replace(outer, checksum=ipv4_header_checksum(outer))
-    return Packet(
-        frame_kind=FrameKind.V6_IN_V4,
-        outer_v4=outer,
-        v6=inner.v6,
-        payload=inner.payload,
-        packet_id=inner.packet_id,
-    )
+    if not inner or inner[0] >> 4 != 6:
+        raise InvalidInnerError("can only encapsulate native IPv6 frames")
+    check_frame(inner)
+    total_length = IPV4_HEADER_LEN + len(inner)
+    if total_length > 0xFFFF:
+        raise InvalidHeaderError(f"total_length out of range: {total_length}")
+    if not 0 <= ttl <= 0xFF:
+        raise InvalidHeaderError(f"ttl out of range: {ttl}")
+    src, dst = src_v4.octets, dst_v4.octets
+    checksum = internet_checksum(_outer_header(total_length, ttl, 0, src, dst))
+    return _outer_header(total_length, ttl, checksum, src, dst) + inner
 
 
-def decapsulate_6in4(p: Packet) -> Packet:
+def decapsulate_6in4(frame: bytes) -> bytes:
     """Strip the outer IPv4 header from a 6in4 frame, checking it first.
 
-    The outer checksum must verify and the outer total_length must account
-    for exactly the inner header plus payload.
+    The frame must be IPv4 with protocol 41 and its outer checksum must
+    verify. The outer total_length must cover exactly the frame, and what
+    follows the ``ihl * 4`` header bytes must be a well-formed IPv6 frame,
+    which is returned.
     """
-    if p.frame_kind is not FrameKind.V6_IN_V4 or p.outer_v4 is None or p.v6 is None:
-        raise NotTunneledError(f"frame kind {p.frame_kind} is not an encapsulation")
-    if p.outer_v4.protocol != PROTO_IPV6_IN_IPV4:
-        raise NotTunneledError(f"outer protocol {p.outer_v4.protocol} is not 41")
-    if not verify_ipv4_checksum(serialize_ipv4_header(p.outer_v4)):
+    n = len(frame)
+    if n < IPV4_HEADER_LEN or frame[0] >> 4 != 4 or frame[9] != PROTO_IPV6_IN_IPV4:
+        raise NotTunneledError("frame is not IPv4 with protocol 41")
+    hlen = (frame[0] & 0x0F) * 4
+    if not IPV4_HEADER_LEN <= hlen <= n:
+        raise NotTunneledError(f"outer header of {hlen} bytes does not fit a {n}-byte frame")
+    if not verify_ipv4_checksum(frame[:hlen]):
         raise BadChecksumError("outer IPv4 checksum does not verify")
-    expect = p.outer_v4.header_len() + IPV6_HEADER_LEN + len(p.payload)
-    if p.outer_v4.total_length != expect:
-        raise NotTunneledError(
-            f"outer total_length {p.outer_v4.total_length}, expected {expect}"
-        )
-    return Packet(
-        frame_kind=FrameKind.V6,
-        v6=p.v6,
-        payload=p.payload,
-        packet_id=p.packet_id,
-    )
+    total_length = frame[2] << 8 | frame[3]
+    if total_length != n:
+        raise NotTunneledError(f"outer total_length {total_length}, expected {n}")
+    inner = frame[hlen:]
+    if (
+        len(inner) < IPV6_HEADER_LEN
+        or inner[0] >> 4 != 6
+        or (inner[4] << 8 | inner[5]) != len(inner) - IPV6_HEADER_LEN
+    ):
+        raise NotTunneledError("outer header does not carry a well-formed IPv6 frame")
+    return inner
 
 
 def resolve_tunnel_endpoint(cfg: TunnelConfig, dst: Ipv6Address) -> Ipv4Address:

@@ -17,6 +17,7 @@ from transit6.codec import (
     Ipv6Header,
     Packet,
     frame_packet,
+    parse_frame,
 )
 from transit6.scenario_io import load_text, serialize_model
 from transit6.scenarios import build_scenario_6to4
@@ -73,8 +74,8 @@ def test_derive_rejects_unknown_kind(capsys):
 
 
 def test_decode_encapsulated_frame(capsys):
-    tunneled = encapsulate_6in4(_inner_packet(), A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
-    assert main(["decode", frame_packet(tunneled).hex()]) == 0
+    tunneled = encapsulate_6in4(frame_packet(_inner_packet()), A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
+    assert main(["decode", tunneled.hex()]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "frame: v6-in-v4"
     assert lines[1] == (
@@ -98,7 +99,9 @@ def test_decode_native_v6_frame(capsys):
 
 
 def test_decode_reports_bad_checksum(capsys):
-    tunneled = encapsulate_6in4(_inner_packet(), A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
+    tunneled = parse_frame(
+        encapsulate_6in4(frame_packet(_inner_packet()), A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
+    )
     corrupted = replace(tunneled, outer_v4=replace(tunneled.outer_v4,
                                                    checksum=tunneled.outer_v4.checksum ^ 1))
     assert main(["decode", frame_packet(corrupted).hex()]) == 0
@@ -229,6 +232,24 @@ def test_run_tunnel_loop_scenario_drops_instead_of_crashing(capsys):
     assert [r.drop_reason for r in records] == [DropReason.TUNNEL_LOOP] * 3
     # R1 drops each frame before it reaches the IPv4 core.
     assert all(r.wire_bytes_per_hop == [("h1-r1", 1040)] for r in records)
+
+
+def test_run_and_compare_report_drop_reasons_on_stderr(capsys):
+    path = str(DATA / "6to4-tunnel-loop.scenario")
+    assert main(["run", path, "-f", "json-lines"]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == "h1-to-h2: dropped 3 (tunnel-loop 3)\n"
+    # Stdout is what it would be without the report.
+    assert json.loads(quiet.out)["dropped"] == 3
+
+    assert main(["compare", path, "6to4", "--horizon", "0.004"]) == 0
+    assert capsys.readouterr().err == (
+        "a h1-to-h2: dropped 3 (tunnel-loop 3)\n"
+        "b h1-to-h2: dropped 5 (horizon-expired 5)\n"
+    )
+    # Flows that dropped nothing print nothing.
+    assert main(["run", "6to4"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_trace_file(tmp_path, capsys):

@@ -31,6 +31,17 @@ HAND_RECORDS = [
 ]
 
 
+def test_delay_sums_round_after_every_addition():
+    # Compensated summation (sum() over floats since Python 3.12) gives 0.6
+    # here; adding left to right gives 0.6000000000000001 on every version.
+    records = [_rec(i, recv=d) for i, d in enumerate([0.1, 0.2, 0.3])]
+    delays = [r.receive_time - r.send_time for r in records]
+    (s,) = summarize(records)
+    assert s.mean_delay == ((delays[0] + delays[1]) + delays[2]) / 3
+    diffs = [abs(b - a) for a, b in zip(delays, delays[1:])]
+    assert s.jitter == (diffs[0] + diffs[1]) / 2
+
+
 def test_summary_counts_and_delays():
     (s,) = summarize(HAND_RECORDS)
     assert s.flow_id == "f"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from transit6.addressing import Ipv4Prefix, Ipv6Prefix
+from transit6.addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
 from transit6.codec import (
     FrameKind,
     Ipv4Address,
@@ -126,6 +126,15 @@ def test_route_lookup_empty_table():
         route_lookup([], A6("::1"))
 
 
+def test_route_lookup_rejects_a_table_of_the_other_family():
+    with pytest.raises(FamilyMismatchError):
+        route_lookup([RouteEntry4(P4("0.0.0.0/0"), "eth0")], A6("::1"))
+    # Any stray entry is an error, even behind one that matches.
+    mixed = [RouteEntry6(P6("::/0"), "eth0"), RouteEntry4(P4("10.0.0.0/8"), "eth1")]
+    with pytest.raises(FamilyMismatchError):
+        route_lookup(mixed, A6("2001::1"))
+
+
 # ------------------------------------------------------------------ forward()
 
 
@@ -161,13 +170,13 @@ def test_forward_drops_wrong_family():
     v4only = Node("n", NodeKind.IPV4_ONLY, Role.ROUTER,
                   interfaces=[Interface("eth0", v4=A4("10.0.0.1"))],
                   v4_routes=[RouteEntry4(P4("0.0.0.0/0"), "eth0")])
-    res = forward(v4only, _v6_frame("2001::1", "2001::2"), "eth0", 0.0)
+    res = forward(v4only, _v6_frame("2001::1", "2001::2"), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.WRONG_FAMILY)
 
     v6only = Node("n", NodeKind.IPV6_ONLY, Role.ROUTER,
                   interfaces=[Interface("eth0", v6=[A6("2001::1")])],
                   v6_routes=[RouteEntry6(P6("::/0"), "eth0")])
-    res = forward(v6only, _v4_frame("10.0.0.1", "10.0.0.2"), "eth0", 0.0)
+    res = forward(v6only, _v4_frame("10.0.0.1", "10.0.0.2"), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.WRONG_FAMILY)
     # An encapsulated frame is an IPv4 frame on the wire.
     inner = _v6_frame("2001::1", "2001::2")
@@ -177,7 +186,7 @@ def test_forward_drops_wrong_family():
     outer = replace(outer, checksum=ipv4_header_checksum(outer))
     res = forward(v6only, frame_packet(
         Packet(FrameKind.V6_IN_V4, payload=bytes(8),
-               outer_v4=outer, v6=parse_frame(inner).v6)), "eth0", 0.0)
+               outer_v4=outer, v6=parse_frame(inner).v6)), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.WRONG_FAMILY)
 
 
@@ -186,16 +195,16 @@ def test_forward_local_delivery_v6():
                 interfaces=[Interface("eth0", v6=[A6("2001::2")])],
                 v6_routes=[RouteEntry6(P6("::/0"), "eth0")])
     # hop_limit 1 still delivers: local delivery happens before the decrement.
-    res = forward(host, _v6_frame("2001::1", "2001::2", hop_limit=1), "eth0", 0.0)
+    res = forward(host, _v6_frame("2001::1", "2001::2", hop_limit=1), "eth0")
     assert res.action is ForwardAction.DELIVER
-    assert res.packet.v6.hop_limit == 1
+    assert parse_frame(res.frame).v6.hop_limit == 1
 
 
 def test_forward_local_delivery_v4():
     host = Node("h", NodeKind.IPV4_ONLY, Role.HOST,
                 interfaces=[Interface("eth0", v4=A4("10.0.0.2"))],
                 v4_routes=[RouteEntry4(P4("0.0.0.0/0"), "eth0")])
-    res = forward(host, _v4_frame("10.0.0.1", "10.0.0.2", ttl=1), "eth0", 0.0)
+    res = forward(host, _v4_frame("10.0.0.1", "10.0.0.2", ttl=1), "eth0")
     assert res.action is ForwardAction.DELIVER
 
 
@@ -203,7 +212,7 @@ def test_forward_local_delivery_on_tunnel_address():
     cfg = TunnelConfig(TunnelKind.CONFIGURED, A4("10.0.0.1"), remote_v4=A4("10.0.1.2"),
                        tunnel_if_addr=A6("2001:7::7"))
     node = _dual_router(tunnels={"tun0": cfg})
-    res = forward(node, _v6_frame("2001::1", "2001:7::7"), "eth0", 0.0)
+    res = forward(node, _v6_frame("2001::1", "2001:7::7"), "eth0")
     assert res.action is ForwardAction.DELIVER
 
 
@@ -211,7 +220,7 @@ def test_forward_host_does_not_route_others_traffic():
     host = Node("h", NodeKind.IPV6_ONLY, Role.HOST,
                 interfaces=[Interface("eth0", v6=[A6("2001::2")])],
                 v6_routes=[RouteEntry6(P6("::/0"), "eth0")])
-    res = forward(host, _v6_frame("2001::1", "2001::9"), "eth0", 0.0)
+    res = forward(host, _v6_frame("2001::1", "2001::9"), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.HOST_NOT_ROUTER)
 
 
@@ -219,7 +228,7 @@ def test_forward_host_routes_its_own_packets():
     host = Node("h", NodeKind.IPV6_ONLY, Role.HOST,
                 interfaces=[Interface("eth0", v6=[A6("2001::2")])],
                 v6_routes=[RouteEntry6(P6("::/0"), "eth0")])
-    res = forward(host, _v6_frame("2001::2", "2001::9", hop_limit=64), None, 0.0)
+    res = forward(host, _v6_frame("2001::2", "2001::9", hop_limit=64), None)
     assert (res.action, res.out_if) == (ForwardAction.FORWARD, "eth0")
     # Origination spends no hop.
     assert parse_frame(res.frame).v6.hop_limit == 64
@@ -227,32 +236,32 @@ def test_forward_host_routes_its_own_packets():
 
 def test_forward_router_decrements_hop_limit():
     node = _dual_router()
-    res = forward(node, _v6_frame("2001::1", "2001:ff::9", hop_limit=5), "eth0", 0.0)
+    res = forward(node, _v6_frame("2001::1", "2001:ff::9", hop_limit=5), "eth0")
     assert (res.action, res.out_if) == (ForwardAction.FORWARD, "eth1")
     assert parse_frame(res.frame).v6.hop_limit == 4
 
 
 def test_forward_router_expires_hop_limit():
     node = _dual_router()
-    res = forward(node, _v6_frame("2001::1", "2001:ff::9", hop_limit=1), "eth0", 0.0)
+    res = forward(node, _v6_frame("2001::1", "2001:ff::9", hop_limit=1), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.TTL_EXPIRED)
 
 
 def test_forward_router_decrements_ttl_and_recomputes_checksum():
     node = _dual_router()
-    res = forward(node, _v4_frame("10.0.0.9", "10.9.0.9", ttl=5), "eth0", 0.0)
+    res = forward(node, _v4_frame("10.0.0.9", "10.9.0.9", ttl=5), "eth0")
     assert res.action is ForwardAction.FORWARD
     out = parse_frame(res.frame)
     assert out.outer_v4.ttl == 4
     assert verify_ipv4_checksum(res.frame[:20])
 
-    res = forward(node, _v4_frame("10.0.0.9", "10.9.0.9", ttl=1), "eth0", 0.0)
+    res = forward(node, _v4_frame("10.0.0.9", "10.9.0.9", ttl=1), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.TTL_EXPIRED)
 
 
 def test_forward_no_route():
     node = _dual_router(v6_routes=[RouteEntry6(P6("2001:a::/32"), "eth0")])
-    res = forward(node, _v6_frame("2001:a::9", "2001:ff::9"), "eth0", 0.0)
+    res = forward(node, _v6_frame("2001:a::9", "2001:ff::9"), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.NO_ROUTE)
 
 
@@ -263,7 +272,7 @@ def test_forward_tunnel_entry_configured():
         v6_routes=[RouteEntry6(P6("2001:ff::/32"), "tun0")],
         v4_routes=[RouteEntry4(P4("0.0.0.0/0"), "eth1")],
     )
-    res = forward(node, _v6_frame("2001:a::9", "2001:ff::9", hop_limit=64), "eth0", 0.0)
+    res = forward(node, _v6_frame("2001:a::9", "2001:ff::9", hop_limit=64), "eth0")
     assert (res.action, res.out_if) == (ForwardAction.FORWARD, "eth1")
     out = parse_frame(res.frame)
     assert out.frame_kind is FrameKind.V6_IN_V4
@@ -281,7 +290,7 @@ def test_forward_tunnel_entry_6to4_derives_endpoint():
         tunnels={"tun0": cfg},
         v6_routes=[RouteEntry6(P6("2002::/16"), "tun0")],
     )
-    res = forward(node, _v6_frame("2002:a00:1::9", "2002:a0a:1703::9"), "eth0", 0.0)
+    res = forward(node, _v6_frame("2002:a00:1::9", "2002:a0a:1703::9"), "eth0")
     assert res.action is ForwardAction.FORWARD
     assert parse_frame(res.frame).outer_v4.dst == A4("10.10.23.3")
 
@@ -292,11 +301,11 @@ def test_forward_tunnel_entry_compatible_guards():
         tunnels={"tun0": cfg},
         v6_routes=[RouteEntry6(P6("::/0"), "tun0")],
     )
-    res = forward(node, _v6_frame("::a00:1", "::a0a:1703"), "eth0", 0.0)
+    res = forward(node, _v6_frame("::a00:1", "::a0a:1703"), "eth0")
     assert res.action is ForwardAction.FORWARD
     assert parse_frame(res.frame).outer_v4.dst == A4("10.10.23.3")
     for dst in ("::", "::1"):
-        res = forward(node, _v6_frame("::a00:1", dst), "eth0", 0.0)
+        res = forward(node, _v6_frame("::a00:1", dst), "eth0")
         assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.NO_ENDPOINT)
 
 
@@ -306,7 +315,7 @@ def test_forward_tunnel_no_endpoint():
         tunnels={"tun0": cfg},
         v6_routes=[RouteEntry6(P6("::/0"), "tun0")],
     )
-    res = forward(node, _v6_frame("2002:a00:1::9", "2001::9"), "eth0", 0.0)
+    res = forward(node, _v6_frame("2002:a00:1::9", "2001::9"), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.NO_ENDPOINT)
 
 
@@ -317,8 +326,8 @@ def test_forward_decapsulates_at_endpoint_and_keeps_forwarding():
                                  payload_length=8, next_header=58, hop_limit=63))
     from transit6.transition import encapsulate_6in4
 
-    tunneled = encapsulate_6in4(inner, A4("10.9.9.9"), A4("10.0.0.1"), ttl=60)
-    res = forward(node, frame_packet(tunneled), "eth0", 0.0)
+    tunneled = encapsulate_6in4(frame_packet(inner), A4("10.9.9.9"), A4("10.0.0.1"), ttl=60)
+    res = forward(node, tunneled, "eth0")
     assert (res.action, res.out_if) == (ForwardAction.FORWARD, "eth1")
     out = parse_frame(res.frame)
     assert out.frame_kind is FrameKind.V6
@@ -333,10 +342,10 @@ def test_forward_decapsulates_then_delivers_locally():
                                  payload_length=8, next_header=58, hop_limit=7))
     from transit6.transition import encapsulate_6in4
 
-    tunneled = encapsulate_6in4(inner, A4("10.9.9.9"), A4("10.0.0.1"), ttl=9)
-    res = forward(node, frame_packet(tunneled), "eth0", 0.0)
+    tunneled = encapsulate_6in4(frame_packet(inner), A4("10.9.9.9"), A4("10.0.0.1"), ttl=9)
+    res = forward(node, tunneled, "eth0")
     assert res.action is ForwardAction.DELIVER
-    assert res.packet.v6.hop_limit == 7
+    assert parse_frame(res.frame).v6.hop_limit == 7
 
 
 def test_forward_drops_tunnel_toward_own_address():
@@ -345,11 +354,11 @@ def test_forward_drops_tunnel_toward_own_address():
     cfg = TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.0.0.1"))
     node = _dual_router(tunnels={"tun0": cfg}, v6_routes=[RouteEntry6(P6("2002::/16"), "tun0")])
     for in_if in ("eth0", None):
-        res = forward(node, _v6_frame("2001:a::9", "2002:a00:1::4"), in_if, 0.0)
+        res = forward(node, _v6_frame("2001:a::9", "2002:a00:1::4"), in_if)
         assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.TUNNEL_LOOP)
     configured = TunnelConfig(TunnelKind.CONFIGURED, A4("10.0.0.1"), remote_v4=A4("10.0.1.1"))
     node = _dual_router(tunnels={"tun0": configured}, v6_routes=[RouteEntry6(P6("::/0"), "tun0")])
-    res = forward(node, _v6_frame("2001:a::9", "2001:ff::9"), "eth0", 0.0)
+    res = forward(node, _v6_frame("2001:a::9", "2001:ff::9"), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.TUNNEL_LOOP)
 
 
@@ -428,15 +437,13 @@ def test_shared_forwarding_state_matches_fresh_state(monkeypatch):
                 frame = _v6_frame("2001:7::7", str(rng.choice(v6_pool)), hop_limit=hop_limit)
             if kind == 2:
                 outer_dst = rng.choice(v4_pool)
-                frame = frame_packet(
-                    encapsulate_6in4(parse_frame(frame), A4("10.7.7.7"), outer_dst, ttl=hop_limit)
-                )
+                frame = encapsulate_6in4(frame, A4("10.7.7.7"), outer_dst, ttl=hop_limit)
             in_if = rng.choice(["eth0", None])
             before = len(lookups)
-            expected = forward(node, frame, in_if, 0.0)
+            expected = forward(node, frame, in_if)
             fresh_lookups += len(lookups) - before
             before = len(lookups)
-            assert forward(node, frame, in_if, 0.0, state=shared) == expected
+            assert forward(node, frame, in_if, state=shared) == expected
             shared_lookups += len(lookups) - before
             outcomes.add((expected.action, expected.drop_reason))
         # Each destination was looked up once, misses included, then served

@@ -13,6 +13,8 @@ from transit6.codec import (
     TooShortError,
     frame_packet,
     ipv4_header_checksum,
+    parse_frame,
+    serialize_ipv4_header,
     serialize_ipv6_header,
     verify_ipv4_checksum,
 )
@@ -75,15 +77,16 @@ GOLDEN_OUTER_BYTES = bytes.fromhex("45000044000000003f29447a0a0a0c010a0a1703")
 
 
 def test_encapsulation_golden_bytes():
-    encapsulated = encapsulate_6in4(GOLDEN_INNER, A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
-    wire = frame_packet(encapsulated)
+    wire = encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
     assert wire[:20] == GOLDEN_OUTER_BYTES
     assert wire[20:] == frame_packet(GOLDEN_INNER)
     assert len(wire) == len(frame_packet(GOLDEN_INNER)) + 20
 
 
 def test_encapsulation_outer_fields():
-    p = encapsulate_6in4(GOLDEN_INNER, A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
+    p = parse_frame(
+        encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("10.10.12.1"), A4("10.10.23.3"), ttl=63)
+    )
     outer = p.outer_v4
     assert outer.protocol == 41
     assert outer.ihl == 5
@@ -115,13 +118,12 @@ def test_encap_decap_identity_randomized():
         inner = _random_inner(rng)
         src, dst = Ipv4Address(rng.randbytes(4)), Ipv4Address(rng.randbytes(4))
         ttl = rng.randrange(1, 256)
-        encapsulated = encapsulate_6in4(inner, src, dst, ttl)
-        wire = frame_packet(encapsulated)
+        wire = encapsulate_6in4(frame_packet(inner), src, dst, ttl)
         assert len(wire) == 60 + len(inner.payload)
         assert wire[9] == 41
         assert verify_ipv4_checksum(wire[:20])
         assert wire[20:] == frame_packet(inner)
-        back = decapsulate_6in4(encapsulated)
+        back = parse_frame(decapsulate_6in4(wire), packet_id=inner.packet_id)
         assert back == inner
         assert frame_packet(back) == frame_packet(inner)
 
@@ -132,38 +134,38 @@ def test_encapsulate_rejects_non_v6_frames():
         outer_v4=Ipv4Header(src=A4("1.1.1.1"), dst=A4("2.2.2.2"), total_length=20),
     )
     with pytest.raises(InvalidInnerError):
-        encapsulate_6in4(v4, A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
-    nested = encapsulate_6in4(GOLDEN_INNER, A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
+        encapsulate_6in4(frame_packet(v4), A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
+    nested = encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
     with pytest.raises(InvalidInnerError):
         encapsulate_6in4(nested, A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
 
 
 def test_decapsulate_rejects_plain_frames():
     with pytest.raises(NotTunneledError):
-        decapsulate_6in4(GOLDEN_INNER)
+        decapsulate_6in4(frame_packet(GOLDEN_INNER))
 
 
 def test_decapsulate_rejects_wrong_protocol():
-    good = encapsulate_6in4(GOLDEN_INNER, A4("1.1.1.1"), A4("2.2.2.2"), ttl=64)
+    good = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=64))
     outer = replace(good.outer_v4, protocol=40)
     outer = replace(outer, checksum=ipv4_header_checksum(outer))
     with pytest.raises(NotTunneledError):
-        decapsulate_6in4(replace(good, outer_v4=outer))
+        decapsulate_6in4(serialize_ipv4_header(outer) + frame_packet(GOLDEN_INNER))
 
 
 def test_decapsulate_rejects_corrupt_checksum():
-    good = encapsulate_6in4(GOLDEN_INNER, A4("1.1.1.1"), A4("2.2.2.2"), ttl=64)
+    good = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=64))
     bad = replace(good, outer_v4=replace(good.outer_v4, checksum=good.outer_v4.checksum ^ 1))
     with pytest.raises(BadChecksumError):
-        decapsulate_6in4(bad)
+        decapsulate_6in4(frame_packet(bad))
 
 
 def test_decapsulate_rejects_inconsistent_length():
-    good = encapsulate_6in4(GOLDEN_INNER, A4("1.1.1.1"), A4("2.2.2.2"), ttl=64)
+    good = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=64))
     outer = replace(good.outer_v4, total_length=good.outer_v4.total_length + 8)
     outer = replace(outer, checksum=ipv4_header_checksum(outer))
     with pytest.raises(NotTunneledError):
-        decapsulate_6in4(replace(good, outer_v4=outer))
+        decapsulate_6in4(serialize_ipv4_header(outer) + frame_packet(GOLDEN_INNER))
 
 
 def test_tunnel_config_rules():
@@ -307,7 +309,7 @@ def test_translate_rejects_wrong_kinds():
     )
     with pytest.raises(InvalidInnerError):
         translate_v6_to_v4(v4, TranslationMap())
-    nested = encapsulate_6in4(GOLDEN_INNER, A4("1.1.1.1"), A4("2.2.2.2"), ttl=5)
+    nested = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=5))
     with pytest.raises(InvalidInnerError):
         translate_v6_to_v4(nested, TranslationMap())
 
@@ -317,5 +319,7 @@ def test_serialize_inner_unchanged_by_encapsulation():
     rng = random.Random(72)
     for _ in range(100):
         inner = _random_inner(rng)
-        p = encapsulate_6in4(inner, Ipv4Address(rng.randbytes(4)), Ipv4Address(rng.randbytes(4)), 7)
+        p = parse_frame(
+            encapsulate_6in4(frame_packet(inner), Ipv4Address(rng.randbytes(4)), Ipv4Address(rng.randbytes(4)), 7)
+        )
         assert serialize_ipv6_header(p.v6) == serialize_ipv6_header(inner.v6)
