@@ -62,12 +62,14 @@ class Ipv4Address:
         parts = text.strip().split(".")
         if len(parts) != 4:
             raise ValueError(f"bad IPv4 address {text!r}")
-        vals = []
         for p in parts:
-            if not p.isdigit() or (len(p) > 1 and p[0] == "0") or int(p) > 255:
+            if not p.isdigit() or (len(p) > 1 and p[0] == "0"):
                 raise ValueError(f"bad IPv4 address {text!r}")
-            vals.append(int(p))
-        return cls(bytes(vals))
+        try:
+            octets = bytes(map(int, parts))
+        except ValueError:  # an octet over 255
+            raise ValueError(f"bad IPv4 address {text!r}") from None
+        return cls(octets)
 
     def to_int(self) -> int:
         return int.from_bytes(self.octets, "big")

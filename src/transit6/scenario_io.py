@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Collection, Optional, Sequence, TypeVar, Union
 
 from .addressing import Ipv4Prefix, Ipv6Prefix
 from .codec import Ipv4Address, Ipv6Address
@@ -78,8 +78,8 @@ _SECTION_ARGC = {
     "flow": 1,
 }
 
-# Keys that may repeat within a section, collecting into a list.
-_LIST_KEYS = {("interface", "v6")}
+# Keys that may repeat within a section, collecting into a list, by kind.
+_LIST_KEYS = {"interface": frozenset({"v6"})}
 
 
 @dataclass
@@ -103,11 +103,17 @@ def parse_text(text: str) -> RawScenario:
     """Parse scenario text into its raw sections, preserving order."""
     raw = RawScenario()
     current: Optional[RawSection] = None
+    # Where the next key = value line goes, and which of its keys may repeat.
+    entries: dict = raw.scenario
+    list_keys: Collection[str] = ()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped:
             continue
-        if stripped.startswith("["):
+        first = stripped[0]
+        if first == "#":
+            continue
+        if first == "[":
             if not stripped.endswith("]"):
                 raise ScenarioParseError(f"line {lineno}: unterminated section header")
             parts = stripped[1:-1].split()
@@ -124,8 +130,10 @@ def parse_text(text: str) -> RawScenario:
                 raise ScenarioParseError(
                     f"line {lineno}: [{kind}] takes {argc} argument(s), got {len(args)}"
                 )
-            current = RawSection(kind=kind, args=args, line=lineno)
+            current = RawSection(kind, args, lineno)
             raw.sections.append(current)
+            entries = current.entries
+            list_keys = _LIST_KEYS.get(kind, ())
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
@@ -135,19 +143,16 @@ def parse_text(text: str) -> RawScenario:
         key, value = key.strip(), value.strip()
         if not key:
             raise ScenarioParseError(f"line {lineno}: empty key")
-        if current is None:
-            if key in raw.scenario:
+        if key in list_keys:
+            entries.setdefault(key, []).append(value)
+        elif key in entries:
+            if current is None:
                 raise ScenarioParseError(f"line {lineno}: duplicate scenario key {key!r}")
-            raw.scenario[key] = value
-        elif (current.kind, key) in _LIST_KEYS:
-            current.entries.setdefault(key, [])
-            current.entries[key].append(value)  # type: ignore[union-attr]
+            raise ScenarioParseError(
+                f"line {lineno}: duplicate key {key!r} in {current.label()}"
+            )
         else:
-            if key in current.entries:
-                raise ScenarioParseError(
-                    f"line {lineno}: duplicate key {key!r} in {current.label()}"
-                )
-            current.entries[key] = value
+            entries[key] = value
     return raw
 
 
@@ -182,7 +187,7 @@ def apply_overrides(raw: RawScenario, overrides: Sequence[str]) -> None:
             raise ScenarioValidationError(
                 f"override path {path.strip()!r} matches {len(matches)} sections, need exactly 1"
             )
-        if (kind, key) in _LIST_KEYS:
+        if key in _LIST_KEYS.get(kind, ()):
             matches[0].entries[key] = [value]
         else:
             matches[0].entries[key] = value
@@ -199,11 +204,11 @@ def _take(
     default: Optional[T] = None,
     required: bool = False,
 ) -> Optional[T]:
-    if key not in sec.entries:
+    value = sec.entries.get(key)
+    if value is None:
         if required:
             raise ScenarioValidationError(f"{sec.label()}: missing required key {key!r}")
         return default
-    value = sec.entries[key]
     assert isinstance(value, str)
     try:
         return convert(value)
@@ -213,9 +218,9 @@ def _take(
         ) from None
 
 
-def _check_keys(sec: RawSection, allowed: set[str]) -> None:
-    unknown = set(sec.entries) - allowed
-    if unknown:
+def _check_keys(sec: RawSection, allowed: frozenset[str]) -> None:
+    if not allowed.issuperset(sec.entries):
+        unknown = set(sec.entries) - allowed
         raise ScenarioValidationError(
             f"{sec.label()}: unknown key(s) {sorted(unknown)}, allowed: {sorted(allowed)}"
         )
@@ -242,6 +247,21 @@ def _enum_conv(enum_cls, what: str):
             raise ValueError(f"expected one of: {valid}") from None
 
     return conv
+
+
+_NODE_KIND = _enum_conv(NodeKind, "node kind")
+_ROLE = _enum_conv(Role, "role")
+_TUNNEL_KIND = _enum_conv(TunnelKind, "tunnel kind")
+
+# The keys each section kind accepts.
+_NODE_KEYS = frozenset({"kind", "role", "processing_delay"})
+_INTERFACE_KEYS = frozenset({"v4", "v6"})
+_ROUTE_KEYS = frozenset({"prefix", "out_if", "next_hop"})
+_TUNNEL_KEYS = frozenset({"kind", "local_v4", "remote_v4", "v6"})
+_LINK_KEYS = frozenset({"a", "b", "bandwidth", "propagation_delay", "mtu"})
+_FLOW_KEYS = frozenset(
+    {"src", "dst", "family", "payload_bytes", "count", "gap", "start", "hop_limit", "jitter"}
+)
 
 
 def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
@@ -282,16 +302,16 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
             node_id = sec.args[0]
             if node_id in nodes:
                 raise ScenarioValidationError(f"{sec.label()}: duplicate node {node_id!r}")
-            _check_keys(sec, {"kind", "role", "processing_delay"})
+            _check_keys(sec, _NODE_KEYS)
             nodes[node_id] = Node(
                 id=node_id,
-                kind=_take(sec, "kind", _enum_conv(NodeKind, "node kind"), "node kind", required=True),
-                role=_take(sec, "role", _enum_conv(Role, "role"), "role", required=True),
+                kind=_take(sec, "kind", _NODE_KIND, "node kind", required=True),
+                role=_take(sec, "role", _ROLE, "role", required=True),
                 processing_delay=_take(sec, "processing_delay", float, "number", default=0.0),
             )
         elif sec.kind == "interface":
             node = node_for(sec)
-            _check_keys(sec, {"v4", "v6"})
+            _check_keys(sec, _INTERFACE_KEYS)
             v6_raw = sec.entries.get("v6", [])
             if isinstance(v6_raw, str):
                 v6_raw = [v6_raw]
@@ -308,7 +328,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
             )
         elif sec.kind == "route4":
             node = node_for(sec)
-            _check_keys(sec, {"prefix", "out_if", "next_hop"})
+            _check_keys(sec, _ROUTE_KEYS)
             node.v4_routes.append(
                 RouteEntry4(
                     prefix=_take(sec, "prefix", Ipv4Prefix.parse, "IPv4 prefix", required=True),
@@ -318,7 +338,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
             )
         elif sec.kind == "route6":
             node = node_for(sec)
-            _check_keys(sec, {"prefix", "out_if", "next_hop"})
+            _check_keys(sec, _ROUTE_KEYS)
             node.v6_routes.append(
                 RouteEntry6(
                     prefix=_take(sec, "prefix", Ipv6Prefix.parse, "IPv6 prefix", required=True),
@@ -328,7 +348,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
             )
         elif sec.kind == "tunnel":
             node = node_for(sec)
-            _check_keys(sec, {"kind", "local_v4", "remote_v4", "v6"})
+            _check_keys(sec, _TUNNEL_KEYS)
             tunnel_name = sec.args[1]
             if tunnel_name in node.tunnels:
                 raise ScenarioValidationError(
@@ -336,7 +356,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                 )
             try:
                 node.tunnels[tunnel_name] = TunnelConfig(
-                    kind=_take(sec, "kind", _enum_conv(TunnelKind, "tunnel kind"), "tunnel kind", required=True),
+                    kind=_take(sec, "kind", _TUNNEL_KIND, "tunnel kind", required=True),
                     local_v4=_take(sec, "local_v4", Ipv4Address.parse, "IPv4 address", required=True),
                     remote_v4=_take(sec, "remote_v4", Ipv4Address.parse, "IPv4 address"),
                     tunnel_if_addr=_take(sec, "v6", Ipv6Address.parse, "IPv6 address"),
@@ -346,7 +366,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                     raise
                 raise ScenarioValidationError(f"{sec.label()}: {exc}") from None
         elif sec.kind == "link":
-            _check_keys(sec, {"a", "b", "bandwidth", "propagation_delay", "mtu"})
+            _check_keys(sec, _LINK_KEYS)
             links.append(
                 Link(
                     id=sec.args[0],
@@ -358,10 +378,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                 )
             )
         elif sec.kind == "flow":
-            _check_keys(
-                sec,
-                {"src", "dst", "family", "payload_bytes", "count", "gap", "start", "hop_limit", "jitter"},
-            )
+            _check_keys(sec, _FLOW_KEYS)
             flows.append(
                 TrafficSpec(
                     flow_id=sec.args[0],

@@ -9,11 +9,21 @@ decoded into header objects on the way. Routes and addresses never change
 during a run, so each run builds one ``ForwardingState`` per node: the
 node's address sets, and a memo per family that remembers the route (or the
 lack of one) chosen for each destination, so a node resolves a destination
-once per run. Events sit in a heap ordered by (time, seq) where seq is a
-monotonically increasing insertion counter, so identical inputs always yield
-identical outputs. A packet never aborts the run: whatever happens to it,
-including a tunnel that would send it back to its own entry point, is
-recorded as data on its MetricsRecord.
+once per run.
+
+Events are plain tuples on a heap ordered by (time, seq), and seqs are
+unique, so identical inputs always yield identical outputs. Send times are
+drawn up front, flow by flow, and each send keeps the seq it would have if
+every send were put on the heap before the first event: its position in that
+draw order. Every other event counts its seq up from the number of sends.
+Each flow has one pending send on the heap, its earliest unsent one by
+(time, seq), and the next goes on when that one comes off. So the heap holds
+the packets in flight, not every packet of the run, and events come off it
+in the same order as with all sends queued up front.
+
+A packet never aborts the run: whatever happens to it, including a tunnel
+that would send it back to its own entry point, is recorded as data on its
+MetricsRecord.
 
 Timing model per hop: a node that forwards a frame spends its
 ``processing_delay``, then the frame waits for the outgoing link direction to
@@ -27,6 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -378,7 +389,10 @@ def forward(
             return _drop(DropReason.NO_ENDPOINT)
         if remote.octets in state.v4_addresses:
             return _drop(DropReason.TUNNEL_LOOP)
-        encapsulated = encapsulate_6in4(frame, cfg.local_v4, remote, ttl=frame[7])
+        # check_frame found a native IPv6 frame above; do not check it again.
+        encapsulated = encapsulate_6in4(
+            frame, cfg.local_v4, remote, ttl=frame[7], inner_checked=True
+        )
         return forward(node, encapsulated, None, state=state)
 
     return ForwardResult(ForwardAction.FORWARD, out_if=entry.out_if, frame=frame)
@@ -514,24 +528,45 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: jitter must be in [0, 1)")
 
 
-class _Action(Enum):
-    TRAFFIC_SEND = "traffic-send"
-    PROCESSING_DONE = "processing-done"
-    TRANSMIT = "transmit"
-    ARRIVE = "arrive"
+# Event kinds, in the order a hop goes through them. A heap entry is the
+# tuple (time, seq, kind, a, b, frame, packet_id), where a and b are
+#   _SEND:        flow index, position in the flow's send order
+#   _PROCESSED:   outgoing _Port, None
+#   _TRANSMIT:    outgoing _Port, None
+#   _ARRIVE:      receiving _Site, interface the frame arrived on
+# Seqs are unique, so entries never compare past the seq.
+_SEND, _PROCESSED, _TRANSMIT, _ARRIVE = range(4)
 
 
 @dataclass(slots=True)
-class SimEvent:
-    time: float
-    seq: int
-    action: _Action
-    node_id: str = ""
-    port: str = ""
-    frame: bytes = b""
-    packet_id: int = -1
-    flow_index: int = -1
-    flow_seq: int = -1
+class _Site:
+    """A node with what the engine needs of it for the run."""
+
+    node: Node
+    state: ForwardingState
+    processing_delay: float
+    ports: dict[str, "_Port"] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class _Port:
+    """One direction of a link: the node and interface a frame leaves by."""
+
+    link_id: str
+    node_id: str
+    mtu: int
+    bandwidth: float
+    propagation_delay: float
+    # Index of the peer's _Site; a reference would make sites and ports a
+    # cycle that outlives the run until the garbage collector finds it.
+    peer: int
+    peer_id: str
+    peer_if: str
+    # Index of this direction's "idle from" time in the engine's list.
+    queue: int
+    # One shared (link id, frame size) tuple per distinct hop, so records do
+    # not each hold their own copy; both directions of a link share it.
+    hops: dict[int, tuple[str, int]]
 
 
 class _Engine:
@@ -542,164 +577,180 @@ class _Engine:
         seed: int,
         trace: Optional[list[str]],
     ) -> None:
-        self.nodes = {n.id: n for n in topology.nodes}
-        self.traffic = list(traffic)
         self.trace = trace
-        self.rng = random.Random(seed)
-        self.states = {n.id: forwarding_state(n) for n in topology.nodes}
-        self.port_map: dict[tuple[str, str], tuple[Link, str, str]] = {}
+        self.sites = sites = [
+            _Site(n, forwarding_state(n), n.processing_delay) for n in topology.nodes
+        ]
+        index = {n.id: i for i, n in enumerate(topology.nodes)}
+        # A FIFO per (link, sending node): a link whose two ends sit on one
+        # node has a single queue.
+        queues: dict[tuple[str, str], int] = {}
         for link in topology.links:
-            self.port_map[link.a] = (link, link.b[0], link.b[1])
-            self.port_map[link.b] = (link, link.a[0], link.a[1])
-        self.heap: list[tuple[float, int, SimEvent]] = []
-        self.seq = 0
-        self.next_packet_id = 0
-        self.records: dict[int, MetricsRecord] = {}
-        self.link_free: dict[tuple[str, str], float] = {}
-        # One shared (link id, frame size) tuple per distinct hop, so records
-        # do not each hold their own copy.
-        self.hops: dict[tuple[str, int], tuple[str, int]] = {}
-        # Every packet of a flow leaves its source with the same bytes.
-        self.flow_frames = [self._flow_frame(flow) for flow in self.traffic]
+            hops: dict[int, tuple[str, int]] = {}
+            for (node_id, if_name), (peer_id, peer_if) in ((link.a, link.b), (link.b, link.a)):
+                sites[index[node_id]].ports[if_name] = _Port(
+                    link.id,
+                    node_id,
+                    link.mtu,
+                    link.bandwidth,
+                    link.propagation_delay,
+                    index[peer_id],
+                    peer_id,
+                    peer_if,
+                    queues.setdefault((link.id, node_id), len(queues)),
+                    hops,
+                )
+        self.queue_count = len(queues)
 
-    def schedule(self, ev: SimEvent) -> None:
-        heapq.heappush(self.heap, (ev.time, ev.seq, ev))
-
-    def new_event(self, time: float, action: _Action, **kw) -> SimEvent:
-        ev = SimEvent(time=time, seq=self.seq, action=action, **kw)
-        self.seq += 1
-        return ev
-
-    def prime(self) -> None:
-        for fi, flow in enumerate(self.traffic):
+        # Send times are drawn flow by flow, one uniform draw per jittered
+        # send. Send k in that order has seq k, so sends order among
+        # themselves as if all were queued before the first event; every
+        # other event counts its seq up from the number of sends.
+        rng = random.Random(seed)
+        self.send_times = times = array("d")
+        self.flows = []
+        for flow in traffic:
+            base = len(times)
+            in_order = True
             for i in range(flow.count):
                 t = flow.start + i * flow.gap
                 if flow.jitter > 0:
-                    t += self.rng.uniform(0.0, flow.jitter * flow.gap)
-                self.schedule(
-                    self.new_event(t, _Action.TRAFFIC_SEND, flow_index=fi, flow_seq=i)
-                )
-
-    def _flow_frame(self, flow: TrafficSpec) -> bytes:
-        payload = bytes(flow.payload_bytes)
-        src_node = self.nodes[flow.src]
-        dst_node = self.nodes[flow.dst]
-        if flow.family == "v6":
-            h6 = Ipv6Header(
-                src=_primary_address(src_node, "v6"),
-                dst=_primary_address(dst_node, "v6"),
-                payload_length=len(payload),
-                next_header=58,
-                hop_limit=flow.hop_limit,
-            )
-            return frame_packet(Packet(FrameKind.V6, payload=payload, v6=h6))
-        h4 = Ipv4Header(
-            src=_primary_address(src_node, "v4"),
-            dst=_primary_address(dst_node, "v4"),
-            total_length=20 + len(payload),
-            ttl=flow.hop_limit,
-            protocol=1,
-        )
-        h4 = replace(h4, checksum=ipv4_header_checksum(h4))
-        return frame_packet(Packet(FrameKind.V4, payload=payload, outer_v4=h4))
-
-    def apply_forward(self, node: Node, res: ForwardResult, packet_id: int, now: float) -> None:
-        rec = self.records[packet_id]
-        if res.action is ForwardAction.DELIVER:
-            rec.receive_time = now
-        elif res.action is ForwardAction.DROP:
-            rec.drop_reason = res.drop_reason
-        else:
-            self.schedule(
-                self.new_event(
-                    now + node.processing_delay,
-                    _Action.PROCESSING_DONE,
-                    node_id=node.id,
-                    port=res.out_if or "",
-                    frame=res.frame,
-                    packet_id=packet_id,
+                    t += rng.uniform(0.0, flow.jitter * flow.gap)
+                if i and t < times[-1]:
+                    in_order = False
+                times.append(t)
+            order = range(base, len(times))
+            if not in_order:
+                # Rounding let a later send be drawn before an earlier one;
+                # the heap pops a flow's sends by (time, seq), so must we.
+                order = sorted(order, key=times.__getitem__)
+            src = sites[index[flow.src]]
+            dst = sites[index[flow.dst]]
+            self.flows.append(
+                (
+                    flow.flow_id,
+                    flow.src,
+                    flow.dst,
+                    flow.payload_bytes,
+                    src,
+                    # Every packet of a flow leaves its source with the same bytes.
+                    _flow_frame(src.node, dst.node, flow),
+                    order,
                 )
             )
-
-    def on_traffic_send(self, ev: SimEvent) -> None:
-        flow = self.traffic[ev.flow_index]
-        packet_id = self.next_packet_id
-        self.next_packet_id += 1
-        self.records[packet_id] = MetricsRecord(
-            packet_id=packet_id,
-            flow_id=flow.flow_id,
-            src_node=flow.src,
-            dst_node=flow.dst,
-            payload_bytes=flow.payload_bytes,
-            send_time=ev.time,
-        )
-        node = self.nodes[flow.src]
-        res = forward(node, self.flow_frames[ev.flow_index], None, state=self.states[flow.src])
-        self.apply_forward(node, res, packet_id, ev.time)
-
-    def on_processing_done(self, ev: SimEvent) -> None:
-        link, _, _ = self.port_map[(ev.node_id, ev.port)]
-        if len(ev.frame) > link.mtu:
-            self.records[ev.packet_id].drop_reason = DropReason.MTU_EXCEEDED
-            return
-        key = (link.id, ev.node_id)
-        start = max(ev.time, self.link_free.get(key, 0.0))
-        self.link_free[key] = start + len(ev.frame) * 8 / link.bandwidth
-        self.schedule(
-            self.new_event(
-                start,
-                _Action.TRANSMIT,
-                node_id=ev.node_id,
-                port=ev.port,
-                frame=ev.frame,
-                packet_id=ev.packet_id,
-            )
-        )
-
-    def on_transmit(self, ev: SimEvent) -> None:
-        link, peer_id, peer_if = self.port_map[(ev.node_id, ev.port)]
-        hop = (link.id, len(ev.frame))
-        self.records[ev.packet_id].wire_bytes_per_hop.append(self.hops.setdefault(hop, hop))
-        if self.trace is not None:
-            self.trace.append(
-                f"{ev.time!r} {link.id} {ev.node_id}->{peer_id} pkt={ev.packet_id} {ev.frame.hex()}"
-            )
-        arrival = ev.time + len(ev.frame) * 8 / link.bandwidth + link.propagation_delay
-        self.schedule(
-            self.new_event(
-                arrival,
-                _Action.ARRIVE,
-                node_id=peer_id,
-                port=peer_if,
-                frame=ev.frame,
-                packet_id=ev.packet_id,
-            )
-        )
-
-    def on_arrive(self, ev: SimEvent) -> None:
-        node = self.nodes[ev.node_id]
-        res = forward(node, ev.frame, ev.port, state=self.states[ev.node_id])
-        self.apply_forward(node, res, ev.packet_id, ev.time)
 
     def run(self, horizon: Optional[float]) -> list[MetricsRecord]:
-        self.prime()
-        handlers = {
-            _Action.TRAFFIC_SEND: self.on_traffic_send,
-            _Action.PROCESSING_DONE: self.on_processing_done,
-            _Action.TRANSMIT: self.on_transmit,
-            _Action.ARRIVE: self.on_arrive,
-        }
-        while self.heap:
-            if horizon is not None and self.heap[0][0] > horizon:
+        # Read once per run, from the module, so a caller can substitute them.
+        push = heapq.heappush
+        pop = heapq.heappop
+        fwd = forward
+        FORWARD, DELIVER = ForwardAction.FORWARD, ForwardAction.DELIVER
+        MTU_EXCEEDED = DropReason.MTU_EXCEEDED
+        trace = self.trace
+        times = self.send_times
+        flows = self.flows
+        sites = self.sites
+        idle = [0.0] * self.queue_count
+        records: list[MetricsRecord] = []
+        limit = math.inf if horizon is None else horizon
+
+        # One pending send per flow: a flow's next send goes on the heap when
+        # its previous one comes off.
+        heap: list[tuple] = []
+        for fi, flow in enumerate(flows):
+            k = flow[6][0]
+            push(heap, (times[k], k, _SEND, fi, 0, None, -1))
+        seq = len(times)
+
+        while heap:
+            if heap[0][0] > limit:
                 break
-            _, _, ev = heapq.heappop(self.heap)
-            handlers[ev.action](ev)
+            now, _, kind, a, b, frame, packet_id = pop(heap)
+            if kind == _PROCESSED:
+                nbytes = len(frame)
+                if nbytes > a.mtu:
+                    records[packet_id].drop_reason = MTU_EXCEEDED
+                    continue
+                free = idle[a.queue]
+                start = free if free > now else now
+                idle[a.queue] = start + nbytes * 8 / a.bandwidth
+                push(heap, (start, seq, _TRANSMIT, a, None, frame, packet_id))
+                seq += 1
+                continue
+            if kind == _TRANSMIT:
+                nbytes = len(frame)
+                hop = a.hops.get(nbytes)
+                if hop is None:
+                    hop = a.hops[nbytes] = (a.link_id, nbytes)
+                records[packet_id].wire_bytes_per_hop.append(hop)
+                if trace is not None:
+                    trace.append(
+                        f"{now!r} {a.link_id} {a.node_id}->{a.peer_id} pkt={packet_id} {frame.hex()}"
+                    )
+                arrival = now + nbytes * 8 / a.bandwidth + a.propagation_delay
+                push(heap, (arrival, seq, _ARRIVE, sites[a.peer], a.peer_if, frame, packet_id))
+                seq += 1
+                continue
+            if kind == _SEND:
+                flow_id, src, dst, payload_bytes, site, frame, order = flows[a]
+                packet_id = len(records)
+                records.append(MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now))
+                b += 1
+                if b < len(order):
+                    k = order[b]
+                    push(heap, (times[k], k, _SEND, a, b, None, -1))
+                in_if = None
+            else:
+                site, in_if = a, b
+            res = fwd(site.node, frame, in_if, state=site.state)
+            action = res.action
+            if action is FORWARD:
+                push(
+                    heap,
+                    (
+                        now + site.processing_delay,
+                        seq,
+                        _PROCESSED,
+                        site.ports[res.out_if],
+                        None,
+                        res.frame,
+                        packet_id,
+                    ),
+                )
+                seq += 1
+            elif action is DELIVER:
+                records[packet_id].receive_time = now
+            else:
+                records[packet_id].drop_reason = res.drop_reason
+
         # A horizon can stop the run with frames mid-flight; close their
         # records so every injected packet terminates exactly once.
-        for rec in self.records.values():
+        for rec in records:
             if rec.receive_time is None and rec.drop_reason is None:
                 rec.drop_reason = DropReason.HORIZON_EXPIRED
-        return list(self.records.values())
+        return records
+
+
+def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:
+    payload = bytes(flow.payload_bytes)
+    if flow.family == "v6":
+        h6 = Ipv6Header(
+            src=_primary_address(src_node, "v6"),
+            dst=_primary_address(dst_node, "v6"),
+            payload_length=len(payload),
+            next_header=58,
+            hop_limit=flow.hop_limit,
+        )
+        return frame_packet(Packet(FrameKind.V6, payload=payload, v6=h6))
+    h4 = Ipv4Header(
+        src=_primary_address(src_node, "v4"),
+        dst=_primary_address(dst_node, "v4"),
+        total_length=20 + len(payload),
+        ttl=flow.hop_limit,
+        protocol=1,
+    )
+    h4 = replace(h4, checksum=ipv4_header_checksum(h4))
+    return frame_packet(Packet(FrameKind.V4, payload=payload, outer_v4=h4))
 
 
 def run_simulation(

@@ -1,3 +1,5 @@
+import heapq
+import math
 import random
 from dataclasses import replace
 
@@ -16,6 +18,8 @@ from transit6.codec import (
     parse_frame,
     verify_ipv4_checksum,
 )
+from transit6 import simcore, transition
+from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import (
     DropReason,
     ForwardAction,
@@ -629,6 +633,91 @@ def test_trace_lists_every_transmission():
     hops = sum(len(r.wire_bytes_per_hop) for r in records)
     assert len(trace) == hops == 6
     assert all("pkt=" in line for line in trace)
+
+
+def test_tunnel_entry_checks_each_frame_once(monkeypatch):
+    # On the built-in 6to4 each packet passes seven forward() calls, and
+    # each checks its frame once; encapsulation does not check it again.
+    calls = 0
+    real_check_frame = simcore.check_frame
+
+    def counting(frame):
+        nonlocal calls
+        calls += 1
+        return real_check_frame(frame)
+
+    monkeypatch.setattr(simcore, "check_frame", counting)
+    monkeypatch.setattr(transition, "check_frame", counting)
+    s = build_scenario_6to4()
+    records = run_simulation(s.topology, s.traffic)
+    assert all(r.receive_time is not None for r in records)
+    assert calls == 7 * len(records) == 70
+
+
+class _CountingHeapq:
+    """Stands in for the heapq module: counts pops and the heap's peak."""
+
+    def __init__(self):
+        self.pops = 0
+        self.peak = 0
+
+    def heappush(self, heap, item):
+        heapq.heappush(heap, item)
+        self.peak = max(self.peak, len(heap))
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
+    # The engine reads heapq and forward from the module when a run starts,
+    # so a substitute sees every event and every forwarding decision.
+    real_forward = simcore.forward
+    forward_calls = 0
+
+    def counting_forward(*args, **kwargs):
+        nonlocal forward_calls
+        forward_calls += 1
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(simcore, "forward", counting_forward)
+    peaks = []
+    for count in (200, 2000):
+        shim = _CountingHeapq()
+        monkeypatch.setattr(simcore, "heapq", shim)
+        forward_calls = 0
+        s = build_scenario_6to4(count=count)
+        records = run_simulation(s.topology, s.traffic)
+        assert len(records) == count
+        assert all(r.receive_time is not None for r in records)
+        assert forward_calls == 7 * count
+        # One send, then processing, transmission and arrival on four links.
+        assert shim.pops == 13 * count
+        peaks.append(shim.peak)
+    # Ten times the packets, the same few frames in flight at once.
+    assert peaks[0] == peaks[1] < 10
+
+
+def test_mtu_drop_versus_horizon_at_a_router():
+    # A frame too big for its next link is dropped when the router has
+    # finished processing it, not when it arrives: a horizon that falls
+    # between the two expires it instead.
+    s = build_scenario_dualstack(count=1)
+    next(link for link in s.topology.links if link.id == "r1-r2").mtu = 1000
+    arrive_r1 = (0.0 + 1040 * 8 / 100e6) + 1e-3
+    processed = arrive_r1 + 50e-6
+    cases = [
+        (arrive_r1, DropReason.HORIZON_EXPIRED),
+        (math.nextafter(processed, 0.0), DropReason.HORIZON_EXPIRED),
+        (processed, DropReason.MTU_EXCEEDED),
+        (processed + 1.0, DropReason.MTU_EXCEEDED),
+    ]
+    for horizon, reason in cases:
+        (rec,) = run_simulation(s.topology, s.traffic, horizon=horizon)
+        assert rec.drop_reason is reason, horizon
+        assert rec.receive_time is None
+        assert rec.wire_bytes_per_hop == [("h1-r1", 1040)]
 
 
 # -------------------------------------------------------------- validation

@@ -5,6 +5,7 @@ import pytest
 
 from transit6.codec import (
     FrameKind,
+    InvalidHeaderError,
     Ipv4Address,
     Ipv4Header,
     Ipv6Address,
@@ -18,6 +19,7 @@ from transit6.codec import (
     serialize_ipv6_header,
     verify_ipv4_checksum,
 )
+from transit6 import transition
 from transit6.transition import (
     BadChecksumError,
     BadConfigError,
@@ -138,6 +140,22 @@ def test_encapsulate_rejects_non_v6_frames():
     nested = encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
     with pytest.raises(InvalidInnerError):
         encapsulate_6in4(nested, A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
+
+
+def test_encapsulate_inner_checked_skips_only_the_structural_checks(monkeypatch):
+    inner = frame_packet(GOLDEN_INNER)
+    src, dst = A4("10.10.12.1"), A4("10.10.23.3")
+    calls = []
+    monkeypatch.setattr(transition, "check_frame", lambda frame: calls.append(frame))
+    wire = encapsulate_6in4(inner, src, dst, ttl=63, inner_checked=True)
+    assert calls == []
+    assert wire == encapsulate_6in4(inner, src, dst, ttl=63)
+    assert calls == [inner]
+    with pytest.raises(InvalidHeaderError, match="ttl out of range"):
+        encapsulate_6in4(inner, src, dst, ttl=256, inner_checked=True)
+    big = serialize_ipv6_header(replace(GOLDEN_INNER.v6, payload_length=65476)) + bytes(65476)
+    with pytest.raises(InvalidHeaderError, match="total_length out of range"):
+        encapsulate_6in4(big, src, dst, ttl=64, inner_checked=True)
 
 
 def test_decapsulate_rejects_plain_frames():
