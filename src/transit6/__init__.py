@@ -1,11 +1,13 @@
 """Deterministic simulation of IPv6 traffic crossing IPv4 infrastructure.
 
-The package stacks up in layers: ``codec`` holds the bit-exact IPv4/IPv6
-header formats, ``addressing`` the tunnel address derivations, ``transition``
-the mechanisms themselves (6in4 encapsulation, dual-stack dispatch, stateless
-translation), ``simcore`` the event engine and forwarding rules,
-``scenarios`` the two built-in topologies, ``metrics`` the per-flow
-summaries, and ``cli`` the command line front end.
+The package studies the two mechanisms of RFC 4213, dual stack and 6in4
+tunnelling. It stacks up in layers: ``codec`` holds the bit-exact IPv4/IPv6
+header formats, ``addressing`` the routing prefixes and tunnel address
+derivations, ``transition`` the mechanisms themselves (6in4 encapsulation and
+dual-stack dispatch), ``simcore`` the event engine and forwarding rules,
+``scenario_io`` the scenario file format, ``scenarios`` the builders of the
+two built-in topologies, ``metrics`` the per-flow summaries, and ``cli`` the
+command line front end.
 """
 
 from .addressing import (
@@ -20,7 +22,6 @@ from .addressing import (
     extract_6to4_ipv4,
     extract_compatible_ipv4,
     make_ipv4_compatible,
-    prefix_matches,
 )
 from .codec import (
     BadIhlError,
@@ -62,7 +63,7 @@ from .scenario_io import (
     parse_text,
     serialize_model,
 )
-from .scenarios import SCENARIO_TEXTS, build_scenario_6to4, build_scenario_dualstack
+from .scenarios import build_scenario_6to4, build_scenario_dualstack
 from .simcore import (
     DropReason,
     Interface,
@@ -89,17 +90,13 @@ from .transition import (
     NoEndpointError,
     NotTunneledError,
     PathKind,
-    TranslationMap,
     TunnelConfig,
     TunnelKind,
     UnknownVersionError,
-    UnmappableAddressError,
     decapsulate_6in4,
     dual_stack_dispatch,
     encapsulate_6in4,
     resolve_tunnel_endpoint,
-    translate_v4_to_v6,
-    translate_v6_to_v4,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Address derivations for the tunneling mechanisms, plus prefix matching.
+"""Routing prefixes and the address derivations of the tunneling mechanisms.
 
 The derivations embed an IPv4 address into well-known IPv6 layouts:
 
@@ -14,7 +14,6 @@ IPv4 tunnel endpoint from a destination address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 from .codec import Ipv4Address, Ipv6Address
 
@@ -44,8 +43,8 @@ class Ipv4Prefix:
 
     address: Ipv4Address
     length: int
-    # The top ``length`` bits of the address as an int, so matching converts
-    # only the address being looked up.
+    # The top ``length`` bits of the address as an int, so ``route_lookup``
+    # converts only the address being looked up.
     network: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,14 +97,6 @@ def _split_prefix(text: str) -> tuple[str, int]:
     if not sep or not length.isdigit():
         raise AddressingError(f"prefix must look like addr/len: {text!r}")
     return addr, int(length)
-
-
-def prefix_matches(prefix: Union[Ipv4Prefix, Ipv6Prefix], addr: Union[Ipv4Address, Ipv6Address]) -> bool:
-    """True iff the top ``prefix.length`` bits of ``addr`` equal the prefix's."""
-    if isinstance(prefix, Ipv4Prefix) != isinstance(addr, Ipv4Address):
-        raise FamilyMismatchError(f"cannot match {prefix} against {addr}")
-    width = 32 if isinstance(prefix, Ipv4Prefix) else 128
-    return addr.to_int() >> (width - prefix.length) == prefix.network
 
 
 def derive_6to4_prefix(v4: Ipv4Address) -> Ipv6Prefix:

@@ -30,8 +30,8 @@ from .codec import (
     verify_ipv4_checksum,
 )
 from .metrics import FlowSummary, compare_scenarios, summarize
-from .scenario_io import load_text
-from .scenarios import SCENARIO_TEXTS
+from .scenario_io import load_text, serialize_model
+from .scenarios import build_scenario_6to4, build_scenario_dualstack
 from .simcore import Scenario, run_simulation
 
 FORMATS = ("table", "csv", "json-lines")
@@ -84,11 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BUILTINS = {"6to4": build_scenario_6to4, "dualstack": build_scenario_dualstack}
+
+
 def _load_scenario(source: str, overrides: Sequence[str]) -> Scenario:
-    if source in SCENARIO_TEXTS:
-        return load_text(SCENARIO_TEXTS[source], default_name=source, overrides=overrides)
+    # A built-in goes through its scenario text too, so overrides edit it
+    # exactly as they edit a file.
+    if source in _BUILTINS:
+        text = serialize_model(_BUILTINS[source]())
+        return load_text(text, default_name=source, overrides=overrides)
     if not os.path.exists(source):
-        builtins = ", ".join(sorted(SCENARIO_TEXTS))
+        builtins = ", ".join(sorted(_BUILTINS))
         raise FileNotFoundError(
             f"{source!r} is neither a built-in scenario ({builtins}) nor a file"
         )

@@ -336,19 +336,16 @@ class FrameKind(Enum):
 
 @dataclass(frozen=True)
 class Packet:
-    """One frame as it travels a link, plus simulator bookkeeping.
+    """One frame decoded into its headers and payload.
 
     ``frame_kind`` says what the bytes look like on the wire: native IPv4,
     native IPv6, or an IPv6 packet encapsulated in IPv4 (outer protocol 41).
-    ``packet_id`` exists only for the simulator's records and is never
-    serialized.
     """
 
     frame_kind: FrameKind
     payload: bytes = b""
     outer_v4: Optional[Ipv4Header] = None
     v6: Optional[Ipv6Header] = None
-    packet_id: int = 0
 
 
 def _check_frame_shape(p: Packet) -> None:
@@ -456,7 +453,7 @@ def _check_ipv6_frame(data: bytes, start: int, label: str = "") -> None:
         )
 
 
-def parse_frame(data: bytes, packet_id: int = 0) -> Packet:
+def parse_frame(data: bytes) -> Packet:
     """Decode a whole frame, recognizing 6in4 by outer protocol 41.
 
     The buffer must contain exactly the frame: declared lengths are checked
@@ -469,7 +466,6 @@ def parse_frame(data: bytes, packet_id: int = 0) -> Packet:
             frame_kind=kind,
             v6=parse_ipv6_header(data),
             payload=data[IPV6_HEADER_LEN:],
-            packet_id=packet_id,
         )
     outer = parse_ipv4_header(data)
     rest = data[outer.header_len() :]
@@ -479,6 +475,5 @@ def parse_frame(data: bytes, packet_id: int = 0) -> Packet:
             outer_v4=outer,
             v6=parse_ipv6_header(rest),
             payload=rest[IPV6_HEADER_LEN:],
-            packet_id=packet_id,
         )
-    return Packet(frame_kind=kind, outer_v4=outer, payload=rest, packet_id=packet_id)
+    return Packet(frame_kind=kind, outer_v4=outer, payload=rest)

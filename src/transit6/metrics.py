@@ -8,8 +8,8 @@ overhead ratio divides wire bytes by payload bytes over every link crossing,
 so a flow of P-byte payloads carried in H-byte headers reports (P+H)/P no
 matter how many hops it takes.
 
-The measurement interval defaults to first send to last delivery within the
-flow; pass ``interval`` to summarize over a fixed duration instead.
+The measurement interval runs from the flow's first send to its last
+delivery.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .simcore import MetricsRecord
 
 
 class MetricsError(ValueError):
-    pass
+    """Base class for metrics errors."""
 
 
 class FlowMismatchError(MetricsError):
@@ -59,16 +59,11 @@ def _sum_in_order(values: Sequence[float]) -> float:
     return total
 
 
-def summarize(
-    records: Sequence[MetricsRecord], interval: Optional[float] = None
-) -> list[FlowSummary]:
+def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
     """Aggregate per-packet records into one summary per flow.
 
-    Flows appear in first-seen order. ``interval`` (seconds) must be positive
-    when given.
+    Flows appear in first-seen order.
     """
-    if interval is not None and interval <= 0:
-        raise MetricsError(f"interval must be positive, got {interval!r}")
     by_flow: dict[str, list[MetricsRecord]] = {}
     for rec in records:
         by_flow.setdefault(rec.flow_id, []).append(rec)
@@ -98,11 +93,9 @@ def summarize(
             if len(delays) >= 2:
                 diffs = [abs(b - a) for a, b in zip(delays, delays[1:])]
                 s.jitter = _sum_in_order(diffs) / len(diffs)
-            duration = interval
-            if duration is None:
-                duration = max(r.receive_time for r in delivered) - min(
-                    r.send_time for r in delivered
-                )
+            duration = max(r.receive_time for r in delivered) - min(
+                r.send_time for r in delivered
+            )
             if duration > 0:
                 s.goodput_bps = sum(r.payload_bytes for r in delivered) * 8 / duration
                 if s.wire_bytes_by_link:

@@ -15,7 +15,10 @@ Section kinds and their arguments:
 * ``[interface <node> <name>]`` with optional ``v4`` (one address) and ``v6``
   (repeat the ``v6 =`` line for more than one address).
 * ``[route4 <node>]`` / ``[route6 <node>]`` with ``prefix``, ``out_if`` and
-  optional ``next_hop``. ``out_if`` may name a tunnel (route6 only).
+  optional ``next_hop``. ``out_if`` may name a tunnel (route6 only). Every
+  link is point-to-point, so ``out_if`` alone picks the next hop:
+  ``next_hop`` must be a valid address of the route's family, then is
+  ignored.
 * ``[tunnel <node> <name>]`` with ``kind`` (configured | automatic-compatible
   | 6to4), ``local_v4``, optional ``remote_v4`` (configured kind only) and
   optional ``v6`` (the tunnel interface address).
@@ -333,9 +336,10 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                 RouteEntry4(
                     prefix=_take(sec, "prefix", Ipv4Prefix.parse, "IPv4 prefix", required=True),
                     out_if=_take(sec, "out_if", str, "interface name", required=True),
-                    next_hop=_take(sec, "next_hop", Ipv4Address.parse, "IPv4 address"),
                 )
             )
+            # Checked, then ignored: every link is point-to-point.
+            _take(sec, "next_hop", Ipv4Address.parse, "IPv4 address")
         elif sec.kind == "route6":
             node = node_for(sec)
             _check_keys(sec, _ROUTE_KEYS)
@@ -343,9 +347,9 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                 RouteEntry6(
                     prefix=_take(sec, "prefix", Ipv6Prefix.parse, "IPv6 prefix", required=True),
                     out_if=_take(sec, "out_if", str, "interface name", required=True),
-                    next_hop=_take(sec, "next_hop", Ipv6Address.parse, "IPv6 address"),
                 )
             )
+            _take(sec, "next_hop", Ipv6Address.parse, "IPv6 address")
         elif sec.kind == "tunnel":
             node = node_for(sec)
             _check_keys(sec, _TUNNEL_KEYS)
@@ -442,15 +446,11 @@ def serialize_model(scenario: Scenario) -> str:
             out.append(f"[route4 {_emit_name(node.id)}]")
             out.append(f"prefix = {r4.prefix}")
             out.append(f"out_if = {_emit_name(r4.out_if)}")
-            if r4.next_hop is not None:
-                out.append(f"next_hop = {r4.next_hop}")
         for r6 in node.v6_routes:
             out.append("")
             out.append(f"[route6 {_emit_name(node.id)}]")
             out.append(f"prefix = {r6.prefix}")
             out.append(f"out_if = {_emit_name(r6.out_if)}")
-            if r6.next_hop is not None:
-                out.append(f"next_hop = {r6.next_hop}")
         for tunnel_name, cfg in node.tunnels.items():
             out.append("")
             out.append(f"[tunnel {_emit_name(node.id)} {_emit_name(tunnel_name)}]")

@@ -7,9 +7,9 @@ tunnel between their IPv4 addresses; in the dual-stack scenario the middle
 router forwards IPv6 natively. Link identifiers match between the two so
 per-link measurements can be compared directly.
 
-The same scenarios exist twice: as programmatic builders (the functions
-below) and as scenario files embedded in ``SCENARIO_TEXTS`` for the command
-line. A test pins the two representations to each other.
+The builders below are the only source of both scenarios. The command line
+serves its built-ins from them through ``serialize_model``, so a built-in
+reads exactly like the scenario file a user would write for it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ V4_R3 = Ipv4Address.parse("10.10.23.3")
 def _v4_routes_r1() -> list[RouteEntry4]:
     return [
         RouteEntry4(Ipv4Prefix.parse("10.10.12.0/24"), "fa0"),
-        RouteEntry4(Ipv4Prefix.parse("10.10.23.0/24"), "fa0", next_hop=V4_R2_LEFT),
+        RouteEntry4(Ipv4Prefix.parse("10.10.23.0/24"), "fa0"),
     ]
 
 
@@ -53,7 +53,7 @@ def _v4_routes_r2() -> list[RouteEntry4]:
 def _v4_routes_r3() -> list[RouteEntry4]:
     return [
         RouteEntry4(Ipv4Prefix.parse("10.10.23.0/24"), "fa0"),
-        RouteEntry4(Ipv4Prefix.parse("10.10.12.0/24"), "fa0", next_hop=V4_R2_RIGHT),
+        RouteEntry4(Ipv4Prefix.parse("10.10.12.0/24"), "fa0"),
     ]
 
 
@@ -269,317 +269,3 @@ def build_scenario_dualstack(
         topology=topology,
         traffic=[_flow(payload_bytes, count, gap, hop_limit)],
     )
-
-
-SCENARIO_6TO4_TEXT = """\
-# IPv6 hosts reach each other across an IPv4-only middle router through a
-# 6in4 tunnel between the edge routers' IPv4 addresses.
-name = 6to4
-
-[node H1]
-kind = ipv6-only
-role = host
-processing_delay = 0.0
-
-[interface H1 eth0]
-v6 = 2001::3
-
-[route6 H1]
-prefix = ::/0
-out_if = eth0
-
-[node R1]
-kind = dual-stack
-role = router
-processing_delay = 50e-6
-
-[interface R1 eth0]
-v6 = 2001::1
-
-[interface R1 fa0]
-v4 = 10.10.12.1
-
-[route4 R1]
-prefix = 10.10.12.0/24
-out_if = fa0
-
-[route4 R1]
-prefix = 10.10.23.0/24
-out_if = fa0
-next_hop = 10.10.12.2
-
-[route6 R1]
-prefix = 2001::3/128
-out_if = eth0
-
-[route6 R1]
-prefix = 2001::4/128
-out_if = tun0
-
-[tunnel R1 tun0]
-kind = configured
-local_v4 = 10.10.12.1
-remote_v4 = 10.10.23.3
-v6 = 2001::7
-
-[node R2]
-kind = ipv4-only
-role = router
-processing_delay = 50e-6
-
-[interface R2 fa0]
-v4 = 10.10.12.2
-
-[interface R2 fa1]
-v4 = 10.10.23.2
-
-[route4 R2]
-prefix = 10.10.12.0/24
-out_if = fa0
-
-[route4 R2]
-prefix = 10.10.23.0/24
-out_if = fa1
-
-[node R3]
-kind = dual-stack
-role = router
-processing_delay = 50e-6
-
-[interface R3 fa0]
-v4 = 10.10.23.3
-
-[interface R3 eth0]
-v6 = 2001::2
-
-[route4 R3]
-prefix = 10.10.23.0/24
-out_if = fa0
-
-[route4 R3]
-prefix = 10.10.12.0/24
-out_if = fa0
-next_hop = 10.10.23.2
-
-[route6 R3]
-prefix = 2001::4/128
-out_if = eth0
-
-[route6 R3]
-prefix = 2001::3/128
-out_if = tun0
-
-[tunnel R3 tun0]
-kind = configured
-local_v4 = 10.10.23.3
-remote_v4 = 10.10.12.1
-v6 = 2001::8
-
-[node H2]
-kind = ipv6-only
-role = host
-processing_delay = 0.0
-
-[interface H2 eth0]
-v6 = 2001::4
-
-[route6 H2]
-prefix = ::/0
-out_if = eth0
-
-[link h1-r1]
-a = H1:eth0
-b = R1:eth0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[link r1-r2]
-a = R1:fa0
-b = R2:fa0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[link r2-r3]
-a = R2:fa1
-b = R3:fa0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[link r3-h2]
-a = R3:eth0
-b = H2:eth0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[flow h1-to-h2]
-src = H1
-dst = H2
-family = v6
-payload_bytes = 1000
-count = 10
-gap = 0.001
-start = 0.0
-hop_limit = 64
-jitter = 0.0
-"""
-
-SCENARIO_DUALSTACK_TEXT = """\
-# The same topology with every router dual stack, so IPv6 crosses the middle
-# natively and no tunnel exists.
-name = dualstack
-
-[node H1]
-kind = ipv6-only
-role = host
-processing_delay = 0.0
-
-[interface H1 eth0]
-v6 = 2001::3
-
-[route6 H1]
-prefix = ::/0
-out_if = eth0
-
-[node R1]
-kind = dual-stack
-role = router
-processing_delay = 50e-6
-
-[interface R1 eth0]
-v6 = 2001::1
-
-[interface R1 fa0]
-v4 = 10.10.12.1
-
-[route4 R1]
-prefix = 10.10.12.0/24
-out_if = fa0
-
-[route4 R1]
-prefix = 10.10.23.0/24
-out_if = fa0
-next_hop = 10.10.12.2
-
-[route6 R1]
-prefix = 2001::3/128
-out_if = eth0
-
-[route6 R1]
-prefix = 2001::4/128
-out_if = fa0
-
-[node R2]
-kind = dual-stack
-role = router
-processing_delay = 50e-6
-
-[interface R2 fa0]
-v4 = 10.10.12.2
-
-[interface R2 fa1]
-v4 = 10.10.23.2
-
-[route4 R2]
-prefix = 10.10.12.0/24
-out_if = fa0
-
-[route4 R2]
-prefix = 10.10.23.0/24
-out_if = fa1
-
-[route6 R2]
-prefix = 2001::3/128
-out_if = fa0
-
-[route6 R2]
-prefix = 2001::4/128
-out_if = fa1
-
-[node R3]
-kind = dual-stack
-role = router
-processing_delay = 50e-6
-
-[interface R3 fa0]
-v4 = 10.10.23.3
-
-[interface R3 eth0]
-v6 = 2001::2
-
-[route4 R3]
-prefix = 10.10.23.0/24
-out_if = fa0
-
-[route4 R3]
-prefix = 10.10.12.0/24
-out_if = fa0
-next_hop = 10.10.23.2
-
-[route6 R3]
-prefix = 2001::4/128
-out_if = eth0
-
-[route6 R3]
-prefix = 2001::3/128
-out_if = fa0
-
-[node H2]
-kind = ipv6-only
-role = host
-processing_delay = 0.0
-
-[interface H2 eth0]
-v6 = 2001::4
-
-[route6 H2]
-prefix = ::/0
-out_if = eth0
-
-[link h1-r1]
-a = H1:eth0
-b = R1:eth0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[link r1-r2]
-a = R1:fa0
-b = R2:fa0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[link r2-r3]
-a = R2:fa1
-b = R3:fa0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[link r3-h2]
-a = R3:eth0
-b = H2:eth0
-bandwidth = 100e6
-propagation_delay = 0.001
-mtu = 1500
-
-[flow h1-to-h2]
-src = H1
-dst = H2
-family = v6
-payload_bytes = 1000
-count = 10
-gap = 0.001
-start = 0.0
-hop_limit = 64
-jitter = 0.0
-"""
-
-SCENARIO_TEXTS = {
-    "6to4": SCENARIO_6TO4_TEXT,
-    "dualstack": SCENARIO_DUALSTACK_TEXT,
-}

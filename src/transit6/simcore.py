@@ -105,14 +105,12 @@ class Interface:
 class RouteEntry4:
     prefix: Ipv4Prefix
     out_if: str
-    next_hop: Optional[Ipv4Address] = None
 
 
 @dataclass
 class RouteEntry6:
     prefix: Ipv6Prefix
     out_if: str
-    next_hop: Optional[Ipv6Address] = None
 
 
 @dataclass

@@ -1,18 +1,17 @@
-"""Transition mechanisms: 6in4 encapsulation, dual-stack dispatch, translation.
+"""Transition mechanisms: 6in4 encapsulation and dual-stack dispatch.
 
-Encapsulation wraps a native IPv6 frame in an IPv4 header with protocol 41 so
-it can cross IPv4-only infrastructure; decapsulation strips that header after
-checking it. Both take and return wire bytes, since forwarding works on the
-frames themselves. Dispatch picks the protocol path a dual-stack node uses, from the
-version nibble of the first byte alone. Translation rewrites a packet from one
-family to the other using an explicit address map with an embedded-address
-fallback.
+These are the two mechanisms of RFC 4213. Encapsulation wraps a native IPv6
+frame in an IPv4 header with protocol 41 so it can cross IPv4-only
+infrastructure; decapsulation strips that header after checking it. Both take
+and return wire bytes, since forwarding works on the frames themselves.
+Dispatch picks the protocol path a dual-stack node uses, from the version
+nibble of the first byte alone.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -21,29 +20,23 @@ from .addressing import (
     NotCompatibleError,
     extract_6to4_ipv4,
     extract_compatible_ipv4,
-    make_ipv4_compatible,
 )
 from .codec import (
     IPV4_HEADER_LEN,
     IPV6_HEADER_LEN,
     PROTO_IPV6_IN_IPV4,
-    FrameKind,
     InvalidHeaderError,
     Ipv4Address,
-    Ipv4Header,
     Ipv6Address,
-    Ipv6Header,
-    Packet,
     TooShortError,
     check_frame,
     internet_checksum,
-    ipv4_header_checksum,
     verify_ipv4_checksum,
 )
 
 
 class TransitionError(ValueError):
-    """Base class for tunneling and translation errors."""
+    """Base class for tunneling errors."""
 
 
 class InvalidInnerError(TransitionError):
@@ -66,12 +59,8 @@ class NoEndpointError(TransitionError):
     """No IPv4 tunnel endpoint can be determined for the destination."""
 
 
-class UnmappableAddressError(TransitionError):
-    """Translation cannot resolve an address in the target family."""
-
-
 class BadConfigError(TransitionError):
-    """Tunnel or translation configuration violates its own rules."""
+    """Tunnel configuration violates its own rules."""
 
 
 class TunnelKind(Enum):
@@ -207,77 +196,3 @@ def resolve_tunnel_endpoint(cfg: TunnelConfig, dst: Ipv6Address) -> Ipv4Address:
     except Not6to4Error as exc:
         raise NoEndpointError(str(exc)) from None
 
-
-@dataclass(frozen=True)
-class TranslationMap:
-    """Bijective IPv4/IPv6 address pairs for stateless translation.
-
-    Addresses not covered by a pair fall back to the ::/96 embedding: a v6
-    destination like ::a.b.c.d translates to a.b.c.d and back.
-    """
-
-    pairs: tuple[tuple[Ipv4Address, Ipv6Address], ...] = ()
-
-    def __post_init__(self) -> None:
-        v4s = [p[0] for p in self.pairs]
-        v6s = [p[1] for p in self.pairs]
-        if len(set(v4s)) != len(v4s) or len(set(v6s)) != len(v6s):
-            raise BadConfigError("translation map must be bijective")
-
-    def to_v4(self, addr: Ipv6Address) -> Ipv4Address:
-        for v4, v6 in self.pairs:
-            if v6 == addr:
-                return v4
-        try:
-            return extract_compatible_ipv4(addr)
-        except NotCompatibleError:
-            raise UnmappableAddressError(f"no IPv4 mapping for {addr}") from None
-
-    def to_v6(self, addr: Ipv4Address) -> Ipv6Address:
-        for v4, v6 in self.pairs:
-            if v4 == addr:
-                return v6
-        return make_ipv4_compatible(addr)
-
-
-def translate_v6_to_v4(p: Packet, tmap: TranslationMap) -> Packet:
-    """Rewrite a native IPv6 packet as IPv4, payload untouched.
-
-    hop_limit becomes ttl, traffic_class becomes dscp_ecn, next_header
-    becomes protocol. The new header is minimal, gets identification 0 with
-    the don't-fragment flag, and a freshly computed checksum.
-    """
-    if p.frame_kind is not FrameKind.V6 or p.v6 is None:
-        raise InvalidInnerError(f"can only translate native V6 frames, got {p.frame_kind}")
-    h = Ipv4Header(
-        src=tmap.to_v4(p.v6.src),
-        dst=tmap.to_v4(p.v6.dst),
-        dscp_ecn=p.v6.traffic_class,
-        total_length=20 + len(p.payload),
-        identification=0,
-        flags=0b010,
-        ttl=p.v6.hop_limit,
-        protocol=p.v6.next_header,
-    )
-    h = replace(h, checksum=ipv4_header_checksum(h))
-    return Packet(frame_kind=FrameKind.V4, outer_v4=h, payload=p.payload, packet_id=p.packet_id)
-
-
-def translate_v4_to_v6(p: Packet, tmap: TranslationMap) -> Packet:
-    """Rewrite a native IPv4 packet as IPv6, payload untouched.
-
-    ttl becomes hop_limit, dscp_ecn becomes traffic_class, protocol becomes
-    next_header, and the flow label starts at zero.
-    """
-    if p.frame_kind is not FrameKind.V4 or p.outer_v4 is None:
-        raise InvalidInnerError(f"can only translate native V4 frames, got {p.frame_kind}")
-    h = Ipv6Header(
-        src=tmap.to_v6(p.outer_v4.src),
-        dst=tmap.to_v6(p.outer_v4.dst),
-        traffic_class=p.outer_v4.dscp_ecn,
-        flow_label=0,
-        payload_length=len(p.payload),
-        next_header=p.outer_v4.protocol,
-        hop_limit=p.outer_v4.ttl,
-    )
-    return Packet(frame_kind=FrameKind.V6, v6=h, payload=p.payload, packet_id=p.packet_id)

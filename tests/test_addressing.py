@@ -14,9 +14,9 @@ from transit6.addressing import (
     extract_6to4_ipv4,
     extract_compatible_ipv4,
     make_ipv4_compatible,
-    prefix_matches,
 )
 from transit6.codec import Ipv4Address, Ipv6Address
+from transit6.simcore import NoRouteError, RouteEntry4, RouteEntry6, route_lookup
 
 A4 = Ipv4Address.parse
 A6 = Ipv6Address.parse
@@ -124,6 +124,19 @@ def test_prefix_parse_and_str():
     for bad in ("10.0.0.0", "10.0.0.0/", "10.0.0.0/x", "/24"):
         with pytest.raises(ValueError):
             Ipv4Prefix.parse(bad)
+
+
+def prefix_matches(prefix, addr) -> bool:
+    """Whether ``route_lookup`` over a one-entry table holding ``prefix``
+    picks that entry for ``addr``: a hit returns the entry, a miss raises
+    NoRouteError. The matcher under test is the one forwarding runs."""
+    entry = (RouteEntry4 if isinstance(prefix, Ipv4Prefix) else RouteEntry6)(prefix, "if0")
+    try:
+        found = route_lookup([entry], addr)
+    except NoRouteError:
+        return False
+    assert found is entry
+    return True
 
 
 def test_prefix_matches_family_check():

@@ -2,7 +2,6 @@ import pytest
 
 from transit6.metrics import (
     FlowMismatchError,
-    MetricsError,
     compare_scenarios,
     summarize,
 )
@@ -66,16 +65,6 @@ def test_summary_rates_default_interval():
     # First send 0.0, last delivery 13.0.
     assert s.goodput_bps == 200 * 8 / 13.0
     assert s.wire_throughput_bps == 360 * 8 / 13.0
-
-
-def test_summary_rates_fixed_interval():
-    (s,) = summarize(HAND_RECORDS, interval=2.0)
-    assert s.goodput_bps == 200 * 8 / 2.0
-    assert s.wire_throughput_bps == 360 * 8 / 2.0
-    with pytest.raises(MetricsError):
-        summarize(HAND_RECORDS, interval=0.0)
-    with pytest.raises(MetricsError):
-        summarize(HAND_RECORDS, interval=-1.0)
 
 
 def test_summary_all_dropped_flow():

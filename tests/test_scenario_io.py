@@ -8,11 +8,7 @@ from transit6.scenario_io import (
     parse_text,
     serialize_model,
 )
-from transit6.scenarios import (
-    SCENARIO_TEXTS,
-    build_scenario_6to4,
-    build_scenario_dualstack,
-)
+from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import InvalidTopologyError, InvalidTrafficError
 from transit6.transition import TunnelKind
 
@@ -50,6 +46,9 @@ src = a
 dst = b
 """
 
+# The built-in 6to4 scenario as the command line reads it.
+TUNNEL_TEXT = serialize_model(build_scenario_6to4())
+
 
 def test_minimal_scenario_defaults():
     s = load_text(MINIMAL)
@@ -67,13 +66,6 @@ def test_minimal_scenario_defaults():
 def test_default_name_applies_when_absent():
     text = MINIMAL.replace("name = mini\n", "")
     assert load_text(text, default_name="fallback").name == "fallback"
-
-
-def test_builtin_texts_round_trip():
-    for key, text in SCENARIO_TEXTS.items():
-        first = load_text(text)
-        again = load_text(serialize_model(first))
-        assert again == first, key
 
 
 def test_builder_scenarios_round_trip():
@@ -186,13 +178,40 @@ def test_validation_unknown_key_in_section():
 
 
 def test_validation_tunnel_config_rules_surface():
-    text = SCENARIO_TEXTS["6to4"].replace(
+    text = TUNNEL_TEXT.replace(
         "kind = configured\nlocal_v4 = 10.10.12.1\nremote_v4 = 10.10.23.3",
         "kind = 6to4\nlocal_v4 = 10.10.12.1\nremote_v4 = 10.10.23.3",
         1,
     )
     with pytest.raises(ScenarioValidationError, match="derives its remote"):
         load_text(text)
+
+
+# One route section of each family on R1 of the built-in 6to4 scenario.
+_R1_ROUTES = {
+    "route4": "[route4 R1]\nprefix = 10.10.23.0/24\nout_if = fa0\n",
+    "route6": "[route6 R1]\nprefix = 2001::4/128\nout_if = tun0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, next_hop, valid",
+    [
+        ("route4", "10.10.12.300", False),
+        ("route6", "10.0.0.1", False),
+        ("route4", "10.10.12.2", True),
+        ("route6", "2001::2", True),
+    ],
+)
+def test_route_next_hop_is_checked_then_ignored(kind, next_hop, valid):
+    section = _R1_ROUTES[kind]
+    assert section in TUNNEL_TEXT
+    text = TUNNEL_TEXT.replace(section, f"{section}next_hop = {next_hop}\n", 1)
+    if valid:
+        assert load_text(text) == load_text(TUNNEL_TEXT)
+    else:
+        with pytest.raises(ScenarioValidationError, match=rf"\[{kind} R1\] \(line \d+\): next_hop"):
+            load_text(text)
 
 
 def test_structural_validation_still_runs():
@@ -212,7 +231,7 @@ def test_override_scenario_keys():
 
 def test_override_section_values():
     s = load_text(
-        SCENARIO_TEXTS["6to4"],
+        TUNNEL_TEXT,
         overrides=[
             "flow.h1-to-h2.payload_bytes=64",
             "link.r1-r2.bandwidth=5e7",
@@ -234,7 +253,7 @@ def test_override_list_key_replaces_list():
 
 def test_override_tunnel_section():
     s = load_text(
-        SCENARIO_TEXTS["6to4"],
+        TUNNEL_TEXT,
         overrides=["tunnel.R1.tun0.v6=2001::77"],
     )
     r1 = next(n for n in s.topology.nodes if n.id == "R1")
@@ -253,7 +272,7 @@ def test_override_tunnel_section():
 )
 def test_override_errors(override, needle):
     with pytest.raises(ScenarioValidationError, match=needle):
-        load_text(SCENARIO_TEXTS["6to4"], overrides=[override])
+        load_text(TUNNEL_TEXT, overrides=[override])
 
 
 def test_override_ambiguous_path():

@@ -1,11 +1,6 @@
 import pytest
 
-from transit6.scenario_io import load_text
-from transit6.scenarios import (
-    SCENARIO_TEXTS,
-    build_scenario_6to4,
-    build_scenario_dualstack,
-)
+from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import DropReason, TrafficSpec, run_simulation
 from transit6.transition import TunnelKind
 
@@ -26,11 +21,6 @@ def closed_form_delay(payload_bytes, tunneled, bandwidth=100e6, prop=1e-3, proc=
 
 def _run(scenario, **kw):
     return run_simulation(scenario.topology, scenario.traffic, scenario.horizon, **kw)
-
-
-def test_builders_match_embedded_texts():
-    assert load_text(SCENARIO_TEXTS["6to4"]) == build_scenario_6to4()
-    assert load_text(SCENARIO_TEXTS["dualstack"]) == build_scenario_dualstack()
 
 
 @pytest.mark.parametrize("payload", [64, 512, 1000])

@@ -27,17 +27,13 @@ from transit6.transition import (
     NoEndpointError,
     NotTunneledError,
     PathKind,
-    TranslationMap,
     TunnelConfig,
     TunnelKind,
     UnknownVersionError,
-    UnmappableAddressError,
     decapsulate_6in4,
     dual_stack_dispatch,
     encapsulate_6in4,
     resolve_tunnel_endpoint,
-    translate_v4_to_v6,
-    translate_v6_to_v4,
 )
 
 A4 = Ipv4Address.parse
@@ -111,7 +107,7 @@ def _random_inner(rng: random.Random) -> Packet:
         next_header=rng.randrange(256),
         hop_limit=rng.randrange(1, 256),
     )
-    return Packet(FrameKind.V6, payload=payload, v6=h, packet_id=rng.randrange(1 << 16))
+    return Packet(FrameKind.V6, payload=payload, v6=h)
 
 
 def test_encap_decap_identity_randomized():
@@ -125,7 +121,7 @@ def test_encap_decap_identity_randomized():
         assert wire[9] == 41
         assert verify_ipv4_checksum(wire[:20])
         assert wire[20:] == frame_packet(inner)
-        back = parse_frame(decapsulate_6in4(wire), packet_id=inner.packet_id)
+        back = parse_frame(decapsulate_6in4(wire))
         assert back == inner
         assert frame_packet(back) == frame_packet(inner)
 
@@ -217,119 +213,6 @@ def test_resolve_endpoint_6to4():
     assert resolve_tunnel_endpoint(cfg, A6("2002:a0a:1703::4")) == A4("10.10.23.3")
     with pytest.raises(NoEndpointError):
         resolve_tunnel_endpoint(cfg, A6("2001::4"))
-
-
-def test_translation_map_bijectivity():
-    a = (A4("192.0.2.1"), A6("2001:db8::1"))
-    b = (A4("192.0.2.2"), A6("2001:db8::2"))
-    TranslationMap((a, b))
-    with pytest.raises(BadConfigError):
-        TranslationMap((a, (A4("192.0.2.1"), A6("2001:db8::3"))))
-    with pytest.raises(BadConfigError):
-        TranslationMap((a, (A4("192.0.2.9"), A6("2001:db8::1"))))
-
-
-def test_translation_map_lookup_rules():
-    tmap = TranslationMap(((A4("192.0.2.1"), A6("2001:db8::1")),))
-    # Explicit pairs win in both directions.
-    assert tmap.to_v4(A6("2001:db8::1")) == A4("192.0.2.1")
-    assert tmap.to_v6(A4("192.0.2.1")) == A6("2001:db8::1")
-    # Everything else falls back to the ::/96 embedding.
-    assert tmap.to_v4(A6("::c0a8:6301")) == A4("192.168.99.1")
-    assert tmap.to_v6(A4("10.10.12.1")) == A6("::a0a:c01")
-    with pytest.raises(UnmappableAddressError):
-        tmap.to_v4(A6("2001:db8::99"))
-
-
-def test_translate_v6_to_v4_golden():
-    p = Packet(
-        FrameKind.V6,
-        payload=b"abcd",
-        v6=Ipv6Header(
-            src=A6("::c0a8:6301"),
-            dst=A6("::a0a:c01"),
-            traffic_class=7,
-            flow_label=0,
-            payload_length=4,
-            next_header=17,
-            hop_limit=9,
-        ),
-        packet_id=5,
-    )
-    out = translate_v6_to_v4(p, TranslationMap())
-    assert out.frame_kind is FrameKind.V4
-    h = out.outer_v4
-    assert h.src == A4("192.168.99.1")
-    assert h.dst == A4("10.10.12.1")
-    assert h.ttl == 9
-    assert h.dscp_ecn == 7
-    assert h.protocol == 17
-    assert h.total_length == 24
-    assert h.identification == 0
-    assert h.flags == 0b010
-    assert out.payload == b"abcd"
-    assert out.packet_id == 5
-    assert verify_ipv4_checksum(frame_packet(out)[:20])
-
-
-def test_translate_roundtrip_preserves_fields():
-    rng = random.Random(71)
-    tmap = TranslationMap()
-    for _ in range(200):
-        payload = rng.randbytes(rng.randrange(0, 100))
-        p = Packet(
-            FrameKind.V6,
-            payload=payload,
-            v6=Ipv6Header(
-                src=Ipv6Address(bytes(12) + rng.randbytes(4)),
-                dst=Ipv6Address(bytes(12) + rng.randbytes(4)),
-                traffic_class=rng.randrange(256),
-                flow_label=0,
-                payload_length=len(payload),
-                next_header=rng.randrange(256),
-                hop_limit=rng.randrange(1, 256),
-            ),
-        )
-        assert translate_v4_to_v6(translate_v6_to_v4(p, tmap), tmap) == p
-
-
-def test_translate_v4_to_v6_fields():
-    p = Packet(
-        FrameKind.V4,
-        payload=b"xy",
-        outer_v4=Ipv4Header(
-            src=A4("192.0.2.1"),
-            dst=A4("10.10.12.1"),
-            dscp_ecn=3,
-            total_length=22,
-            ttl=33,
-            protocol=6,
-        ),
-    )
-    tmap = TranslationMap(((A4("192.0.2.1"), A6("2001:db8::1")),))
-    out = translate_v4_to_v6(p, tmap)
-    assert out.frame_kind is FrameKind.V6
-    assert out.v6.src == A6("2001:db8::1")
-    assert out.v6.dst == A6("::a0a:c01")
-    assert out.v6.hop_limit == 33
-    assert out.v6.traffic_class == 3
-    assert out.v6.next_header == 6
-    assert out.v6.flow_label == 0
-    assert out.v6.payload_length == 2
-
-
-def test_translate_rejects_wrong_kinds():
-    with pytest.raises(InvalidInnerError):
-        translate_v4_to_v6(GOLDEN_INNER, TranslationMap())
-    v4 = Packet(
-        FrameKind.V4,
-        outer_v4=Ipv4Header(src=A4("1.1.1.1"), dst=A4("2.2.2.2"), total_length=20),
-    )
-    with pytest.raises(InvalidInnerError):
-        translate_v6_to_v4(v4, TranslationMap())
-    nested = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=5))
-    with pytest.raises(InvalidInnerError):
-        translate_v6_to_v4(nested, TranslationMap())
 
 
 def test_serialize_inner_unchanged_by_encapsulation():
