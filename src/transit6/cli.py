@@ -88,19 +88,23 @@ _BUILTINS = {"6to4": build_scenario_6to4, "dualstack": build_scenario_dualstack}
 
 
 def _load_scenario(source: str, overrides: Sequence[str]) -> Scenario:
-    # A built-in goes through its scenario text too, so overrides edit it
-    # exactly as they edit a file.
-    if source in _BUILTINS:
-        text = serialize_model(_BUILTINS[source]())
-        return load_text(text, default_name=source, overrides=overrides)
-    if not os.path.exists(source):
+    if source not in _BUILTINS and not os.path.exists(source):
         builtins = ", ".join(sorted(_BUILTINS))
         raise FileNotFoundError(
             f"{source!r} is neither a built-in scenario ({builtins}) nor a file"
         )
-    with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return load_text(text, default_name=os.path.basename(source), overrides=overrides)
+    try:
+        # A built-in goes through its scenario text too, so overrides edit it
+        # exactly as they edit a file.
+        if source in _BUILTINS:
+            text = serialize_model(_BUILTINS[source]())
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return load_text(text, default_name=os.path.basename(source), overrides=overrides)
+    except ValueError as exc:
+        # Name the source: compare loads two, and one override list serves both.
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _fmt_cell(value) -> str:

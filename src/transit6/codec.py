@@ -171,11 +171,13 @@ def _check_ipv4_fields(h: Ipv4Header) -> None:
         )
 
 
+# The fixed IPv4 header, options excluded: ver/ihl, dscp/ecn, total length |
+# id, flags/frag | ttl, proto, checksum | src | dst.
+_IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
+
+
 def _pack_ipv4(h: Ipv4Header, checksum: int) -> bytes:
-    # Layout: ver/ihl, dscp/ecn, total length | id, flags/frag | ttl, proto,
-    # checksum | src | dst | options.
-    return struct.pack(
-        "!BBHHHBBH4s4s",
+    return _IPV4_HEADER.pack(
         (h.version << 4) | h.ihl,
         h.dscp_ecn,
         h.total_length,
@@ -229,7 +231,7 @@ def parse_ipv4_header(data: bytes) -> Ipv4Header:
         checksum,
         src,
         dst,
-    ) = struct.unpack("!BBHHHBBH4s4s", data[:IPV4_HEADER_LEN])
+    ) = _IPV4_HEADER.unpack_from(data)
     return Ipv4Header(
         src=Ipv4Address(src),
         dst=Ipv4Address(dst),

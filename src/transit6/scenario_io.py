@@ -179,7 +179,7 @@ def apply_overrides(raw: RawScenario, overrides: Sequence[str]) -> None:
             raw.scenario[parts[0]] = value
             continue
         kind, args, key = parts[0], parts[1:-1], parts[-1]
-        if kind in ("route4", "route6"):
+        if kind in _ROUTE_FAMILIES:
             raise ScenarioValidationError(
                 "route sections cannot be addressed by overrides; edit the file"
             )
@@ -241,7 +241,7 @@ def _parse_port(sec: RawSection, key: str) -> tuple[str, str]:
     return node, if_name
 
 
-def _enum_conv(enum_cls, what: str):
+def _enum_conv(enum_cls):
     def conv(value: str):
         try:
             return enum_cls(value)
@@ -252,9 +252,9 @@ def _enum_conv(enum_cls, what: str):
     return conv
 
 
-_NODE_KIND = _enum_conv(NodeKind, "node kind")
-_ROLE = _enum_conv(Role, "role")
-_TUNNEL_KIND = _enum_conv(TunnelKind, "tunnel kind")
+_NODE_KIND = _enum_conv(NodeKind)
+_ROLE = _enum_conv(Role)
+_TUNNEL_KIND = _enum_conv(TunnelKind)
 
 # The keys each section kind accepts.
 _NODE_KEYS = frozenset({"kind", "role", "processing_delay"})
@@ -265,6 +265,15 @@ _LINK_KEYS = frozenset({"a", "b", "bandwidth", "propagation_delay", "mtu"})
 _FLOW_KEYS = frozenset(
     {"src", "dst", "family", "payload_bytes", "count", "gap", "start", "hop_limit", "jitter"}
 )
+
+# Route section kind -> the Node attribute holding its table, the entry
+# class, and the prefix and next-hop parsers with their names in messages.
+_ROUTE_FAMILIES = {
+    "route4": ("v4_routes", RouteEntry4, Ipv4Prefix.parse, "IPv4 prefix",
+               Ipv4Address.parse, "IPv4 address"),
+    "route6": ("v6_routes", RouteEntry6, Ipv6Prefix.parse, "IPv6 prefix",
+               Ipv6Address.parse, "IPv6 address"),
+}
 
 
 def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
@@ -329,27 +338,18 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                     v6=v6,
                 )
             )
-        elif sec.kind == "route4":
+        elif sec.kind in _ROUTE_FAMILIES:
+            routes, entry, parse_prefix, prefix_what, parse_hop, hop_what = _ROUTE_FAMILIES[sec.kind]
             node = node_for(sec)
             _check_keys(sec, _ROUTE_KEYS)
-            node.v4_routes.append(
-                RouteEntry4(
-                    prefix=_take(sec, "prefix", Ipv4Prefix.parse, "IPv4 prefix", required=True),
+            getattr(node, routes).append(
+                entry(
+                    prefix=_take(sec, "prefix", parse_prefix, prefix_what, required=True),
                     out_if=_take(sec, "out_if", str, "interface name", required=True),
                 )
             )
             # Checked, then ignored: every link is point-to-point.
-            _take(sec, "next_hop", Ipv4Address.parse, "IPv4 address")
-        elif sec.kind == "route6":
-            node = node_for(sec)
-            _check_keys(sec, _ROUTE_KEYS)
-            node.v6_routes.append(
-                RouteEntry6(
-                    prefix=_take(sec, "prefix", Ipv6Prefix.parse, "IPv6 prefix", required=True),
-                    out_if=_take(sec, "out_if", str, "interface name", required=True),
-                )
-            )
-            _take(sec, "next_hop", Ipv6Address.parse, "IPv6 address")
+            _take(sec, "next_hop", parse_hop, hop_what)
         elif sec.kind == "tunnel":
             node = node_for(sec)
             _check_keys(sec, _TUNNEL_KEYS)
@@ -441,16 +441,12 @@ def serialize_model(scenario: Scenario) -> str:
                 out.append(f"v4 = {iface.v4}")
             for addr in iface.v6:
                 out.append(f"v6 = {addr}")
-        for r4 in node.v4_routes:
-            out.append("")
-            out.append(f"[route4 {_emit_name(node.id)}]")
-            out.append(f"prefix = {r4.prefix}")
-            out.append(f"out_if = {_emit_name(r4.out_if)}")
-        for r6 in node.v6_routes:
-            out.append("")
-            out.append(f"[route6 {_emit_name(node.id)}]")
-            out.append(f"prefix = {r6.prefix}")
-            out.append(f"out_if = {_emit_name(r6.out_if)}")
+        for kind, (routes, *_) in _ROUTE_FAMILIES.items():
+            for route in getattr(node, routes):
+                out.append("")
+                out.append(f"[{kind} {_emit_name(node.id)}]")
+                out.append(f"prefix = {route.prefix}")
+                out.append(f"out_if = {_emit_name(route.out_if)}")
         for tunnel_name, cfg in node.tunnels.items():
             out.append("")
             out.append(f"[tunnel {_emit_name(node.id)} {_emit_name(tunnel_name)}]")

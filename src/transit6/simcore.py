@@ -59,7 +59,6 @@ from .transition import (
     NoEndpointError,
     PathKind,
     TunnelConfig,
-    TunnelKind,
     decapsulate_6in4,
     dual_stack_dispatch,
     encapsulate_6in4,
@@ -235,11 +234,6 @@ class ForwardResult:
     drop_reason: Optional[DropReason] = None
 
 
-# Destinations an automatic-compatible tunnel must not derive an endpoint
-# from: :: and ::1 would give 0.0.0.0 and 0.0.0.1.
-_V6_NO_ENDPOINT = (bytes(16), bytes(15) + b"\x01")
-
-
 def node_v4_addresses(node: Node) -> set[Ipv4Address]:
     return {i.v4 for i in node.interfaces if i.v4 is not None}
 
@@ -379,8 +373,6 @@ def forward(
     if entry.out_if in node.tunnels:
         # Topology validation guarantees only v6 routes reference tunnels.
         cfg = node.tunnels[entry.out_if]
-        if cfg.kind is TunnelKind.AUTOMATIC_COMPATIBLE and dst in _V6_NO_ENDPOINT:
-            return _drop(DropReason.NO_ENDPOINT)
         try:
             remote = resolve_tunnel_endpoint(cfg, Ipv6Address(dst))
         except NoEndpointError:
@@ -398,11 +390,11 @@ def forward(
 
 def validate_topology(topology: Topology) -> None:
     """Raise InvalidTopologyError on the first structural rule violation."""
-    seen_nodes: set[str] = set()
+    # Node id -> its interface names: the duplicate-id check here, the port check below.
+    if_names_by_node: dict[str, set[str]] = {}
     for node in topology.nodes:
-        if node.id in seen_nodes:
+        if node.id in if_names_by_node:
             raise InvalidTopologyError(f"duplicate node id {node.id!r}")
-        seen_nodes.add(node.id)
         if not math.isfinite(node.processing_delay):
             raise InvalidTopologyError(f"{node.id}: processing_delay must be finite")
         if node.processing_delay < 0:
@@ -416,15 +408,17 @@ def validate_topology(topology: Topology) -> None:
                 raise InvalidTopologyError(f"{node.id}: IPv4-only node holds IPv6 addresses")
             if node.kind is NodeKind.IPV6_ONLY and iface.v4 is not None:
                 raise InvalidTopologyError(f"{node.id}: IPv6-only node holds an IPv4 address")
+        if_names_by_node[node.id] = if_names
         if node.tunnels:
             if node.kind is not NodeKind.DUAL_STACK:
                 raise InvalidTopologyError(f"{node.id}: tunnels require a dual-stack node")
+            v4_addresses = node_v4_addresses(node)
             for name, cfg in node.tunnels.items():
                 if name in if_names:
                     raise InvalidTopologyError(
                         f"{node.id}: tunnel {name!r} clashes with an interface name"
                     )
-                if cfg.local_v4 not in node_v4_addresses(node):
+                if cfg.local_v4 not in v4_addresses:
                     raise InvalidTopologyError(
                         f"{node.id}: tunnel {name!r} local endpoint {cfg.local_v4} "
                         "is not one of the node's interface addresses"
@@ -446,7 +440,6 @@ def validate_topology(topology: Topology) -> None:
                     f"unknown interface {entry.out_if!r}"
                 )
 
-    nodes_by_id = {n.id: n for n in topology.nodes}
     used_ports: set[tuple[str, str]] = set()
     link_ids: set[str] = set()
     for link in topology.links:
@@ -465,8 +458,7 @@ def validate_topology(topology: Topology) -> None:
         if link.a == link.b:
             raise InvalidTopologyError(f"link {link.id}: both ends are the same port")
         for node_id, if_name in (link.a, link.b):
-            node = nodes_by_id.get(node_id)
-            if node is None or if_name not in {i.name for i in node.interfaces}:
+            if if_name not in if_names_by_node.get(node_id, ()):
                 raise InvalidTopologyError(
                     f"link {link.id}: no such port {node_id}:{if_name}"
                 )

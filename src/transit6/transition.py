@@ -10,7 +10,6 @@ nibble of the first byte alone.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -22,6 +21,7 @@ from .addressing import (
     extract_compatible_ipv4,
 )
 from .codec import (
+    _IPV4_HEADER,
     IPV4_HEADER_LEN,
     IPV6_HEADER_LEN,
     PROTO_IPV6_IN_IPV4,
@@ -107,13 +107,8 @@ def dual_stack_dispatch(frame: bytes) -> PathKind:
     raise UnknownVersionError(f"version nibble {version} is neither 4 nor 6")
 
 
-# Outer header: ver/ihl, dscp/ecn, total length | id, flags/frag | ttl,
-# protocol, checksum | src | dst.
-_OUTER_HEADER = struct.Struct("!BBHHHBBH4s4s")
-
-
 def _outer_header(total_length: int, ttl: int, checksum: int, src: bytes, dst: bytes) -> bytes:
-    return _OUTER_HEADER.pack(
+    return _IPV4_HEADER.pack(
         0x45, 0, total_length, 0, 0, ttl, PROTO_IPV6_IN_IPV4, checksum, src, dst
     )
 
@@ -181,12 +176,19 @@ def decapsulate_6in4(frame: bytes) -> bytes:
     return inner
 
 
+# Destinations an automatic-compatible tunnel derives no endpoint from:
+# :: and ::1 would give 0.0.0.0 and 0.0.0.1.
+_V6_NO_ENDPOINT = (bytes(16), bytes(15) + b"\x01")
+
+
 def resolve_tunnel_endpoint(cfg: TunnelConfig, dst: Ipv6Address) -> Ipv4Address:
     """IPv4 address the outer header should be sent to for ``dst``."""
     if cfg.kind is TunnelKind.CONFIGURED:
         assert cfg.remote_v4 is not None
         return cfg.remote_v4
     if cfg.kind is TunnelKind.AUTOMATIC_COMPATIBLE:
+        if dst.octets in _V6_NO_ENDPOINT:
+            raise NoEndpointError(f"{dst} names no IPv4 tunnel endpoint")
         try:
             return extract_compatible_ipv4(dst)
         except NotCompatibleError as exc:

@@ -172,7 +172,20 @@ def test_run_malformed_scenario_file(tmp_path, capsys):
     path = tmp_path / "broken.scenario"
     path.write_text("name = x\n[node oops\n", encoding="utf-8")
     assert main(["run", str(path)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "line 2" in err
+
+
+def test_compare_load_error_names_failing_side(capsys):
+    # The tunnel section exists only in 6to4, so the shared override fails on dualstack.
+    argv = ["compare", "6to4", "dualstack", "--override", "tunnel.R1.tun0.v6=2001::77"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dualstack: override path 'tunnel.R1.tun0.v6' matches 0 sections, need exactly 1\n"
+    )
 
 
 def test_run_override_changes_output(capsys):

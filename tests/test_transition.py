@@ -208,6 +208,15 @@ def test_resolve_endpoint_compatible():
         resolve_tunnel_endpoint(cfg, A6("2001::4"))
 
 
+@pytest.mark.parametrize("dst", ["::", "::1"])
+def test_resolve_endpoint_compatible_rejects_unspecified_and_loopback(dst):
+    # Embedding rules alone would give 0.0.0.0 and 0.0.0.1; neither is an endpoint.
+    cfg = TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.10.12.1"))
+    with pytest.raises(NoEndpointError):
+        resolve_tunnel_endpoint(cfg, A6(dst))
+    assert resolve_tunnel_endpoint(cfg, A6("::2")) == A4("0.0.0.2")
+
+
 def test_resolve_endpoint_6to4():
     cfg = TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.10.12.1"))
     assert resolve_tunnel_endpoint(cfg, A6("2002:a0a:1703::4")) == A4("10.10.23.3")
