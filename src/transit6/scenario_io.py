@@ -11,7 +11,7 @@ The format is line-oriented, human-editable text:
 Section kinds and their arguments:
 
 * ``[node <id>]`` with keys ``kind`` (ipv4-only | ipv6-only | dual-stack),
-  ``role`` (host | router), ``processing_delay`` (seconds, default 0).
+  ``role`` (host | router) and optional ``processing_delay`` (seconds).
 * ``[interface <node> <name>]`` with optional ``v4`` (one address) and ``v6``
   (repeat the ``v6 =`` line for more than one address).
 * ``[route4 <node>]`` / ``[route6 <node>]`` with ``prefix``, ``out_if`` and
@@ -23,22 +23,27 @@ Section kinds and their arguments:
   | 6to4), ``local_v4``, optional ``remote_v4`` (configured kind only) and
   optional ``v6`` (the tunnel interface address).
 * ``[link <id>]`` with ``a`` and ``b`` (``Node:interface`` ports) and optional
-  ``bandwidth`` (bit/s, default 100e6), ``propagation_delay`` (seconds,
-  default 0.001), ``mtu`` (bytes, default 1500).
-* ``[flow <id>]`` with ``src``, ``dst`` and optional ``family`` (v4 | v6,
-  default v6), ``payload_bytes`` (default 1000), ``count`` (default 10),
-  ``gap`` (seconds between sends, default 0.001), ``start`` (default 0),
-  ``hop_limit`` (default 64), ``jitter`` (fraction of ``gap``, default 0).
+  ``bandwidth`` (bit/s), ``propagation_delay`` (seconds), ``mtu`` (bytes).
+* ``[flow <id>]`` with ``src``, ``dst`` and optional ``family`` (v4 | v6),
+  ``payload_bytes``, ``count``, ``gap`` (seconds between sends), ``start``
+  (seconds), ``hop_limit`` and ``jitter`` (fraction of ``gap``).
 
 Values are read as text and typed per key; numbers use ordinary int/float
-syntax, addresses and prefixes their usual notations.
+syntax, addresses and prefixes their usual notations. A key left out takes
+the default of its model dataclass (``simcore.Node``, ``Interface``,
+``Link``, ``TrafficSpec``, ``transition.TunnelConfig``); those defaults are
+written down nowhere else. One table, ``_SECTIONS``, lists every section
+kind's keys, and the parser, the overrides, the model builder and the
+writer all read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Optional, Sequence, TypeVar, Union
+import re
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
+from typing import Collection, Optional, Sequence, Union
 
 from .addressing import Ipv4Prefix, Ipv6Prefix
 from .codec import Ipv4Address, Ipv6Address
@@ -71,18 +76,117 @@ class ScenarioValidationError(ScenarioError):
     """The text parses but does not describe a usable scenario."""
 
 
-_SECTION_ARGC = {
-    "node": 1,
-    "interface": 2,
-    "route4": 1,
-    "route6": 1,
-    "tunnel": 2,
-    "link": 1,
-    "flow": 1,
+def _enum_conv(enum_cls):
+    def conv(value: str):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            valid = ", ".join(e.value for e in enum_cls)
+            raise ValueError(f"expected one of: {valid}") from None
+
+    return conv
+
+
+def _port(value: str) -> tuple[str, str]:
+    node, sep, if_name = value.partition(":")
+    if not sep or not node or not if_name:
+        raise ValueError("must look like Node:interface")
+    return node, if_name
+
+
+# A name is written bare into headers and values, so it may hold no
+# whitespace and none of the characters the format gives a meaning.
+_NAME = re.compile(r"[^\s:\[\]#=]+")
+
+
+def _emit_name(token: str) -> str:
+    if not _NAME.fullmatch(token):
+        raise ScenarioValidationError(f"identifier not representable in scenario text: {token!r}")
+    return token
+
+
+def _emit_port(port: tuple[str, str]) -> str:
+    return f"{_emit_name(port[0])}:{_emit_name(port[1])}"
+
+
+_ENUM_VALUE = attrgetter("value")
+
+
+def _route_rows(parse_prefix, parse_hop, family: str) -> list:
+    return [
+        ("prefix", "prefix", parse_prefix, f"{family} prefix", str),
+        ("out_if", "out_if", str, "interface name", _emit_name),
+        # Checked, then dropped: every link is point-to-point.
+        ("next_hop", None, parse_hop, f"{family} address", None),
+    ]
+
+
+# Section kind -> (model class, header arity, rows). One row per key, in
+# write order: (key, model attribute, reader, word used in error messages,
+# writer). A row with no attribute is read, checked, then dropped; a row with
+# no writer is never written. Header arguments are not rows: build_model and
+# serialize_model pass them themselves.
+_SECTIONS = {
+    "node": (Node, 1, [
+        ("kind", "kind", _enum_conv(NodeKind), "node kind", _ENUM_VALUE),
+        ("role", "role", _enum_conv(Role), "role", _ENUM_VALUE),
+        ("processing_delay", "processing_delay", float, "number", str),
+    ]),
+    "interface": (Interface, 2, [
+        ("v4", "v4", Ipv4Address.parse, "IPv4 address", str),
+        ("v6", "v6", Ipv6Address.parse, "IPv6 address", str),
+    ]),
+    "route4": (RouteEntry4, 1, _route_rows(Ipv4Prefix.parse, Ipv4Address.parse, "IPv4")),
+    "route6": (RouteEntry6, 1, _route_rows(Ipv6Prefix.parse, Ipv6Address.parse, "IPv6")),
+    "tunnel": (TunnelConfig, 2, [
+        ("kind", "kind", _enum_conv(TunnelKind), "tunnel kind", _ENUM_VALUE),
+        ("local_v4", "local_v4", Ipv4Address.parse, "IPv4 address", str),
+        ("remote_v4", "remote_v4", Ipv4Address.parse, "IPv4 address", str),
+        ("v6", "tunnel_if_addr", Ipv6Address.parse, "IPv6 address", str),
+    ]),
+    "link": (Link, 1, [
+        ("a", "a", _port, "port", _emit_port),
+        ("b", "b", _port, "port", _emit_port),
+        ("bandwidth", "bandwidth", float, "number", str),
+        ("propagation_delay", "propagation_delay", float, "number", str),
+        ("mtu", "mtu", int, "integer", str),
+    ]),
+    "flow": (TrafficSpec, 1, [
+        ("src", "src", str, "node id", _emit_name),
+        ("dst", "dst", str, "node id", _emit_name),
+        ("family", "family", str, "family", str),
+        ("payload_bytes", "payload_bytes", int, "integer", str),
+        ("count", "count", int, "integer", str),
+        ("gap", "gap", float, "number", str),
+        ("start", "start", float, "number", str),
+        ("hop_limit", "hop_limit", int, "integer", str),
+        ("jitter", "jitter", float, "number", str),
+    ]),
 }
 
-# Keys that may repeat within a section, collecting into a list, by kind.
-_LIST_KEYS = {"interface": frozenset({"v6"})}
+# Route section kind -> the Node attribute holding that routing table.
+_ROUTE_TABLES = {"route4": "v4_routes", "route6": "v6_routes"}
+
+
+def _field_keys(cls, rows, test) -> frozenset[str]:
+    """The keys whose model field passes ``test``."""
+    model = {f.name: f for f in fields(cls)}
+    return frozenset(key for key, attr, *_ in rows if attr and test(model[attr]))
+
+
+# Section kind -> what _read needs, built once: the model class, the rows
+# without their writers, the keys the section accepts and the keys it
+# requires (those whose model field has no default).
+_READ = {
+    kind: (cls, [row[:4] for row in rows], frozenset(row[0] for row in rows),
+           _field_keys(cls, rows, lambda f: f.default is MISSING and f.default_factory is MISSING))
+    for kind, (cls, _, rows) in _SECTIONS.items()
+}
+
+# Section kind -> the keys that may repeat, collecting into a list: those
+# whose model field defaults to an empty list (interface v6).
+_LIST_KEYS = {kind: _field_keys(cls, rows, lambda f: f.default_factory is list)
+              for kind, (cls, _, rows) in _SECTIONS.items()}
 
 
 @dataclass
@@ -123,12 +227,13 @@ def parse_text(text: str) -> RawScenario:
             if not parts:
                 raise ScenarioParseError(f"line {lineno}: empty section header")
             kind, args = parts[0], parts[1:]
-            argc = _SECTION_ARGC.get(kind)
-            if argc is None:
+            spec = _SECTIONS.get(kind)
+            if spec is None:
                 raise ScenarioParseError(
                     f"line {lineno}: unknown section kind {kind!r} "
-                    f"(expected one of {sorted(_SECTION_ARGC)})"
+                    f"(expected one of {sorted(_SECTIONS)})"
                 )
+            argc = spec[1]
             if len(args) != argc:
                 raise ScenarioParseError(
                     f"line {lineno}: [{kind}] takes {argc} argument(s), got {len(args)}"
@@ -136,7 +241,7 @@ def parse_text(text: str) -> RawScenario:
             current = RawSection(kind, args, lineno)
             raw.sections.append(current)
             entries = current.entries
-            list_keys = _LIST_KEYS.get(kind, ())
+            list_keys = _LIST_KEYS[kind]
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
@@ -164,14 +269,14 @@ def apply_overrides(raw: RawScenario, overrides: Sequence[str]) -> None:
 
     A bare ``key=value`` sets a scenario-level key. Dotted paths address one
     section: ``node.R1.processing_delay=0``, ``link.r1-r2.bandwidth=1e6``,
-    ``flow.h1-to-h2.payload_bytes=64``, ``tunnel.R1.tun0.kind=6to4``. Route
+    ``flow.h1-to-h2.payload_bytes=64``, ``tunnel.R1.tun0.v6=2001::77``. Route
     sections are not addressable this way.
     """
     for text in overrides:
         path, sep, value = text.partition("=")
         if not sep:
             raise ScenarioValidationError(f"override must look like key=value: {text!r}")
-        parts = [p for p in path.strip().split(".")]
+        parts = path.strip().split(".")
         value = value.strip()
         if any(not p for p in parts):
             raise ScenarioValidationError(f"override has an empty path segment: {text!r}")
@@ -179,101 +284,56 @@ def apply_overrides(raw: RawScenario, overrides: Sequence[str]) -> None:
             raw.scenario[parts[0]] = value
             continue
         kind, args, key = parts[0], parts[1:-1], parts[-1]
-        if kind in _ROUTE_FAMILIES:
+        if kind in _ROUTE_TABLES:
             raise ScenarioValidationError(
                 "route sections cannot be addressed by overrides; edit the file"
             )
-        if kind not in _SECTION_ARGC:
+        if kind not in _SECTIONS:
             raise ScenarioValidationError(f"override names unknown section kind {kind!r}")
         matches = [s for s in raw.sections if s.kind == kind and s.args == args]
         if len(matches) != 1:
             raise ScenarioValidationError(
                 f"override path {path.strip()!r} matches {len(matches)} sections, need exactly 1"
             )
-        if key in _LIST_KEYS.get(kind, ()):
-            matches[0].entries[key] = [value]
-        else:
-            matches[0].entries[key] = value
+        matches[0].entries[key] = [value] if key in _LIST_KEYS[kind] else value
 
 
-T = TypeVar("T")
+def _read(sec: RawSection, **header_fields):
+    """Build the model object of one section from its keys and header fields.
 
-
-def _take(
-    sec: RawSection,
-    key: str,
-    convert: Callable[[str], T],
-    what: str,
-    default: Optional[T] = None,
-    required: bool = False,
-) -> Optional[T]:
-    value = sec.entries.get(key)
-    if value is None:
-        if required:
-            raise ScenarioValidationError(f"{sec.label()}: missing required key {key!r}")
-        return default
-    assert isinstance(value, str)
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ScenarioValidationError(
-            f"{sec.label()}: {key} is not a valid {what}: {value!r} ({exc})"
-        ) from None
-
-
-def _check_keys(sec: RawSection, allowed: frozenset[str]) -> None:
-    if not allowed.issuperset(sec.entries):
-        unknown = set(sec.entries) - allowed
+    A key the section leaves out is not passed, so the model's default holds.
+    """
+    cls, rows, allowed, required = _READ[sec.kind]
+    entries = sec.entries
+    if not allowed.issuperset(entries):
+        unknown = set(entries) - allowed
         raise ScenarioValidationError(
             f"{sec.label()}: unknown key(s) {sorted(unknown)}, allowed: {sorted(allowed)}"
         )
-
-
-def _parse_port(sec: RawSection, key: str) -> tuple[str, str]:
-    value = sec.entries.get(key)
-    if not isinstance(value, str):
-        raise ScenarioValidationError(f"{sec.label()}: missing required key {key!r}")
-    node, sep, if_name = value.partition(":")
-    if not sep or not node or not if_name:
-        raise ScenarioValidationError(
-            f"{sec.label()}: {key} must look like Node:interface, got {value!r}"
-        )
-    return node, if_name
-
-
-def _enum_conv(enum_cls):
-    def conv(value: str):
+    for key, attr, reader, what in rows:
+        value = entries.get(key)
+        if value is None:
+            if key in required:
+                raise ScenarioValidationError(f"{sec.label()}: missing required key {key!r}")
+            continue
+        text = value
         try:
-            return enum_cls(value)
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise ValueError(f"expected one of: {valid}") from None
-
-    return conv
-
-
-_NODE_KIND = _enum_conv(NodeKind)
-_ROLE = _enum_conv(Role)
-_TUNNEL_KIND = _enum_conv(TunnelKind)
-
-# The keys each section kind accepts.
-_NODE_KEYS = frozenset({"kind", "role", "processing_delay"})
-_INTERFACE_KEYS = frozenset({"v4", "v6"})
-_ROUTE_KEYS = frozenset({"prefix", "out_if", "next_hop"})
-_TUNNEL_KEYS = frozenset({"kind", "local_v4", "remote_v4", "v6"})
-_LINK_KEYS = frozenset({"a", "b", "bandwidth", "propagation_delay", "mtu"})
-_FLOW_KEYS = frozenset(
-    {"src", "dst", "family", "payload_bytes", "count", "gap", "start", "hop_limit", "jitter"}
-)
-
-# Route section kind -> the Node attribute holding its table, the entry
-# class, and the prefix and next-hop parsers with their names in messages.
-_ROUTE_FAMILIES = {
-    "route4": ("v4_routes", RouteEntry4, Ipv4Prefix.parse, "IPv4 prefix",
-               Ipv4Address.parse, "IPv4 address"),
-    "route6": ("v6_routes", RouteEntry6, Ipv6Prefix.parse, "IPv6 prefix",
-               Ipv6Address.parse, "IPv6 address"),
-}
+            if type(value) is str:
+                value = reader(value)
+            else:  # the one list key, interface v6: one address per line
+                value = []
+                for text in entries[key]:
+                    value.append(reader(text))
+        except ValueError as exc:
+            raise ScenarioValidationError(
+                f"{sec.label()}: {key} is not a valid {what}: {text!r} ({exc})"
+            ) from None
+        if attr:
+            header_fields[attr] = value
+    try:
+        return cls(**header_fields)
+    except ValueError as exc:  # a rule of the model itself, e.g. a tunnel's remote
+        raise ScenarioValidationError(f"{sec.label()}: {exc}") from None
 
 
 def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
@@ -300,103 +360,30 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
     nodes: dict[str, Node] = {}
     links: list[Link] = []
     flows: list[TrafficSpec] = []
-
-    def node_for(sec: RawSection) -> Node:
-        node_id = sec.args[0]
-        if node_id not in nodes:
-            raise ScenarioValidationError(
-                f"{sec.label()}: node {node_id!r} has not been declared yet"
-            )
-        return nodes[node_id]
-
     for sec in raw.sections:
-        if sec.kind == "node":
-            node_id = sec.args[0]
-            if node_id in nodes:
-                raise ScenarioValidationError(f"{sec.label()}: duplicate node {node_id!r}")
-            _check_keys(sec, _NODE_KEYS)
-            nodes[node_id] = Node(
-                id=node_id,
-                kind=_take(sec, "kind", _NODE_KIND, "node kind", required=True),
-                role=_take(sec, "role", _ROLE, "role", required=True),
-                processing_delay=_take(sec, "processing_delay", float, "number", default=0.0),
-            )
-        elif sec.kind == "interface":
-            node = node_for(sec)
-            _check_keys(sec, _INTERFACE_KEYS)
-            v6_raw = sec.entries.get("v6", [])
-            if isinstance(v6_raw, str):
-                v6_raw = [v6_raw]
-            try:
-                v6 = [Ipv6Address.parse(a) for a in v6_raw]
-            except ValueError as exc:
-                raise ScenarioValidationError(f"{sec.label()}: {exc}") from None
-            node.interfaces.append(
-                Interface(
-                    name=sec.args[1],
-                    v4=_take(sec, "v4", Ipv4Address.parse, "IPv4 address"),
-                    v6=v6,
-                )
-            )
-        elif sec.kind in _ROUTE_FAMILIES:
-            routes, entry, parse_prefix, prefix_what, parse_hop, hop_what = _ROUTE_FAMILIES[sec.kind]
-            node = node_for(sec)
-            _check_keys(sec, _ROUTE_KEYS)
-            getattr(node, routes).append(
-                entry(
-                    prefix=_take(sec, "prefix", parse_prefix, prefix_what, required=True),
-                    out_if=_take(sec, "out_if", str, "interface name", required=True),
-                )
-            )
-            # Checked, then ignored: every link is point-to-point.
-            _take(sec, "next_hop", parse_hop, hop_what)
-        elif sec.kind == "tunnel":
-            node = node_for(sec)
-            _check_keys(sec, _TUNNEL_KEYS)
-            tunnel_name = sec.args[1]
-            if tunnel_name in node.tunnels:
+        kind, args = sec.kind, sec.args
+        if kind == "node":
+            if args[0] in nodes:
+                raise ScenarioValidationError(f"{sec.label()}: duplicate node {args[0]!r}")
+            nodes[args[0]] = _read(sec, id=args[0])
+        elif kind == "link":
+            links.append(_read(sec, id=args[0]))
+        elif kind == "flow":
+            flows.append(_read(sec, flow_id=args[0]))
+        else:
+            node = nodes.get(args[0])
+            if node is None:
                 raise ScenarioValidationError(
-                    f"{sec.label()}: duplicate tunnel {tunnel_name!r}"
+                    f"{sec.label()}: node {args[0]!r} has not been declared yet"
                 )
-            try:
-                node.tunnels[tunnel_name] = TunnelConfig(
-                    kind=_take(sec, "kind", _TUNNEL_KIND, "tunnel kind", required=True),
-                    local_v4=_take(sec, "local_v4", Ipv4Address.parse, "IPv4 address", required=True),
-                    remote_v4=_take(sec, "remote_v4", Ipv4Address.parse, "IPv4 address"),
-                    tunnel_if_addr=_take(sec, "v6", Ipv6Address.parse, "IPv6 address"),
-                )
-            except ValueError as exc:
-                if isinstance(exc, ScenarioError):
-                    raise
-                raise ScenarioValidationError(f"{sec.label()}: {exc}") from None
-        elif sec.kind == "link":
-            _check_keys(sec, _LINK_KEYS)
-            links.append(
-                Link(
-                    id=sec.args[0],
-                    a=_parse_port(sec, "a"),
-                    b=_parse_port(sec, "b"),
-                    bandwidth=_take(sec, "bandwidth", float, "number", default=100e6),
-                    propagation_delay=_take(sec, "propagation_delay", float, "number", default=1e-3),
-                    mtu=_take(sec, "mtu", int, "integer", default=1500),
-                )
-            )
-        elif sec.kind == "flow":
-            _check_keys(sec, _FLOW_KEYS)
-            flows.append(
-                TrafficSpec(
-                    flow_id=sec.args[0],
-                    src=_take(sec, "src", str, "node id", required=True),
-                    dst=_take(sec, "dst", str, "node id", required=True),
-                    payload_bytes=_take(sec, "payload_bytes", int, "integer", default=1000),
-                    count=_take(sec, "count", int, "integer", default=10),
-                    gap=_take(sec, "gap", float, "number", default=1e-3),
-                    start=_take(sec, "start", float, "number", default=0.0),
-                    family=_take(sec, "family", str, "family", default="v6"),
-                    hop_limit=_take(sec, "hop_limit", int, "integer", default=64),
-                    jitter=_take(sec, "jitter", float, "number", default=0.0),
-                )
-            )
+            if kind == "interface":
+                node.interfaces.append(_read(sec, name=args[1]))
+            elif kind == "tunnel":
+                if args[1] in node.tunnels:
+                    raise ScenarioValidationError(f"{sec.label()}: duplicate tunnel {args[1]!r}")
+                node.tunnels[args[1]] = _read(sec)
+            else:
+                getattr(node, _ROUTE_TABLES[kind]).append(_read(sec))
 
     topology = Topology(nodes=list(nodes.values()), links=links)
     validate_topology(topology)
@@ -410,14 +397,15 @@ def load_text(text: str, default_name: str = "scenario", overrides: Sequence[str
     return build_model(raw, default_name=default_name)
 
 
-def _name_ok(token: str) -> bool:
-    return bool(token) and not any(c.isspace() or c in ":[]#=" for c in token)
-
-
-def _emit_name(token: str) -> str:
-    if not _name_ok(token):
-        raise ScenarioValidationError(f"identifier not representable in scenario text: {token!r}")
-    return token
+def _write(out: list[str], obj, kind: str, *header: str) -> None:
+    out.append("")
+    out.append(f"[{kind} {' '.join(map(_emit_name, header))}]")
+    for key, attr, _, _, writer in _SECTIONS[kind][2]:
+        value = getattr(obj, attr) if writer else None
+        if type(value) is list:
+            out.extend([f"{key} = {writer(item)}" for item in value])
+        elif value is not None:
+            out.append(f"{key} = {writer(value)}")
 
 
 def serialize_model(scenario: Scenario) -> str:
@@ -429,51 +417,16 @@ def serialize_model(scenario: Scenario) -> str:
     if scenario.horizon is not None:
         out.append(f"horizon = {scenario.horizon!r}")
     for node in scenario.topology.nodes:
-        out.append("")
-        out.append(f"[node {_emit_name(node.id)}]")
-        out.append(f"kind = {node.kind.value}")
-        out.append(f"role = {node.role.value}")
-        out.append(f"processing_delay = {node.processing_delay!r}")
+        _write(out, node, "node", node.id)
         for iface in node.interfaces:
-            out.append("")
-            out.append(f"[interface {_emit_name(node.id)} {_emit_name(iface.name)}]")
-            if iface.v4 is not None:
-                out.append(f"v4 = {iface.v4}")
-            for addr in iface.v6:
-                out.append(f"v6 = {addr}")
-        for kind, (routes, *_) in _ROUTE_FAMILIES.items():
+            _write(out, iface, "interface", node.id, iface.name)
+        for kind, routes in _ROUTE_TABLES.items():
             for route in getattr(node, routes):
-                out.append("")
-                out.append(f"[{kind} {_emit_name(node.id)}]")
-                out.append(f"prefix = {route.prefix}")
-                out.append(f"out_if = {_emit_name(route.out_if)}")
+                _write(out, route, kind, node.id)
         for tunnel_name, cfg in node.tunnels.items():
-            out.append("")
-            out.append(f"[tunnel {_emit_name(node.id)} {_emit_name(tunnel_name)}]")
-            out.append(f"kind = {cfg.kind.value}")
-            out.append(f"local_v4 = {cfg.local_v4}")
-            if cfg.remote_v4 is not None:
-                out.append(f"remote_v4 = {cfg.remote_v4}")
-            if cfg.tunnel_if_addr is not None:
-                out.append(f"v6 = {cfg.tunnel_if_addr}")
+            _write(out, cfg, "tunnel", node.id, tunnel_name)
     for link in scenario.topology.links:
-        out.append("")
-        out.append(f"[link {_emit_name(link.id)}]")
-        out.append(f"a = {_emit_name(link.a[0])}:{_emit_name(link.a[1])}")
-        out.append(f"b = {_emit_name(link.b[0])}:{_emit_name(link.b[1])}")
-        out.append(f"bandwidth = {link.bandwidth!r}")
-        out.append(f"propagation_delay = {link.propagation_delay!r}")
-        out.append(f"mtu = {link.mtu}")
+        _write(out, link, "link", link.id)
     for flow in scenario.traffic:
-        out.append("")
-        out.append(f"[flow {_emit_name(flow.flow_id)}]")
-        out.append(f"src = {_emit_name(flow.src)}")
-        out.append(f"dst = {_emit_name(flow.dst)}")
-        out.append(f"family = {flow.family}")
-        out.append(f"payload_bytes = {flow.payload_bytes}")
-        out.append(f"count = {flow.count}")
-        out.append(f"gap = {flow.gap!r}")
-        out.append(f"start = {flow.start!r}")
-        out.append(f"hop_limit = {flow.hop_limit}")
-        out.append(f"jitter = {flow.jitter!r}")
+        _write(out, flow, "flow", flow.flow_id)
     return "\n".join(out) + "\n"

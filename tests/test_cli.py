@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -193,6 +194,20 @@ def test_run_override_changes_output(capsys):
                  "--override", "flow.h1-to-h2.payload_bytes=64"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["overhead_ratio"] == (104 + 124 + 124 + 104) / (4 * 64)
+
+
+def _readme_override_examples() -> list[str]:
+    """The dotted ``--override`` examples README.md lists under that option."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("- `--override K=V`:", 1)[1].split("\n\n", 1)[0]
+    examples = re.findall(r"`([^`\s]+\.[^`\s]+=[^`\s]+)`", bullet)
+    assert examples, "README lists no --override examples"
+    return examples
+
+
+@pytest.mark.parametrize("override", _readme_override_examples())
+def test_readme_override_examples_run(override, capsys):
+    assert main(["run", "6to4", "--override", override]) == 0, capsys.readouterr().err
 
 
 def test_run_bad_override(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import MISSING, fields
+
 import pytest
 
 from transit6.scenario_io import (
@@ -286,3 +288,127 @@ def test_serialize_rejects_unrepresentable_names():
     scenario.name = "two words"
     with pytest.raises(ScenarioValidationError, match="not representable"):
         serialize_model(scenario)
+    # The empty name, whitespace (as str.isspace() sees it) and every
+    # character the format gives a meaning.
+    for name in ["", *(f"a{c}b" for c in " \t\n\u00a0:[]#=")]:
+        scenario.name = name
+        with pytest.raises(ScenarioValidationError, match="not representable"):
+            serialize_model(scenario)
+    scenario.name = "r1-r2_x.y~"
+    assert load_text(serialize_model(scenario)).name == "r1-r2_x.y~"
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("node", "kind"),
+        ("node", "role"),
+        ("route4", "prefix"),
+        ("route4", "out_if"),
+        ("route6", "prefix"),
+        ("route6", "out_if"),
+        ("tunnel", "kind"),
+        ("tunnel", "local_v4"),
+        ("link", "a"),
+        ("link", "b"),
+        ("flow", "src"),
+        ("flow", "dst"),
+    ],
+)
+def test_missing_required_key_names_section(kind, key):
+    # Drop the key from the first section of that kind in the 6to4 text.
+    lines = TUNNEL_TEXT.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"[{kind} "))
+    drop = next(i for i in range(start + 1, len(lines)) if lines[i].startswith(f"{key} = "))
+    assert not any(line.startswith("[") for line in lines[start + 1:drop])
+    text = "".join(lines[:drop] + lines[drop + 1:])
+    with pytest.raises(
+        ScenarioValidationError,
+        match=rf"^\[{kind} [^\]]+\] \(line {start + 1}\): missing required key '{key}'$",
+    ):
+        load_text(text)
+
+
+# Every optional field of each model object below is off its default: a
+# horizon, node processing delay, an interface with v4 and two v6 addresses,
+# v4 and v6 routes, a configured tunnel with its v6 address, a non-default
+# link and a jittered v4 flow that starts late.
+OFF_DEFAULT = """\
+name = off-default
+horizon = 2.5
+
+[node a]
+kind = dual-stack
+role = host
+processing_delay = 2.5e-05
+
+[interface a eth0]
+v4 = 10.0.0.1
+v6 = 2001::1
+v6 = 2001::11
+
+[route4 a]
+prefix = 10.0.0.0/24
+out_if = eth0
+
+[route6 a]
+prefix = ::/0
+out_if = eth0
+
+[tunnel a tun0]
+kind = configured
+local_v4 = 10.0.0.1
+remote_v4 = 10.0.0.2
+v6 = 2001::7
+
+[node b]
+kind = dual-stack
+role = host
+processing_delay = 2.5e-05
+
+[interface b eth0]
+v4 = 10.0.0.2
+v6 = 2001::2
+
+[route4 b]
+prefix = 10.0.0.0/24
+out_if = eth0
+
+[route6 b]
+prefix = ::/0
+out_if = eth0
+
+[link l]
+a = a:eth0
+b = b:eth0
+bandwidth = 10000000.0
+propagation_delay = 0.0025
+mtu = 1400
+
+[flow f]
+src = a
+dst = b
+family = v4
+payload_bytes = 200
+count = 3
+gap = 0.002
+start = 0.125
+hop_limit = 32
+jitter = 0.25
+"""
+
+
+def test_round_trip_every_field_off_its_default():
+    s = load_text(OFF_DEFAULT)
+    node = s.topology.nodes[0]
+    for obj in (s, node, node.interfaces[0], node.tunnels["tun0"], *s.topology.links, *s.traffic):
+        for f in fields(obj):
+            if f.default is not MISSING:
+                assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
+            elif f.default_factory is not MISSING:
+                assert getattr(obj, f.name) != f.default_factory(), (type(obj).__name__, f.name)
+    assert len(node.interfaces[0].v6) == 2
+    text = serialize_model(s)
+    assert text == OFF_DEFAULT
+    assert load_text(text) == s
+    assert serialize_model(load_text(text)) == text
