@@ -11,6 +11,7 @@ words.
 from __future__ import annotations
 
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -78,6 +79,9 @@ class Ipv4Address:
         return ".".join(str(b) for b in self.octets)
 
 
+_V6_TEXT_CHARS = "0123456789abcdefABCDEF:."
+
+
 @dataclass(frozen=True, order=True)
 class Ipv6Address:
     """An IPv6 address held as its sixteen raw octets.
@@ -95,8 +99,20 @@ class Ipv6Address:
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Address":
+        stripped = text.strip()
+        # inet_pton is the fast path, but only for text of ASCII hex digits,
+        # ':' and '.'; on that alphabet glibc's inet_pton and ipaddress agree
+        # (assumed of other C libraries; tests/test_codec.py checks it on the
+        # platform it runs on). All
+        # other text, and whatever inet_pton rejects, goes to ipaddress: it
+        # also takes a scope id (fe80::1%eth0), and it says what is wrong.
+        if not stripped.strip(_V6_TEXT_CHARS):
+            try:
+                return cls(socket.inet_pton(socket.AF_INET6, stripped))
+            except OSError:
+                pass
         try:
-            return cls(ipaddress.IPv6Address(text.strip()).packed)
+            return cls(ipaddress.IPv6Address(stripped).packed)
         except ipaddress.AddressValueError as exc:
             raise ValueError(f"bad IPv6 address {text!r}: {exc}") from None
 

@@ -195,9 +195,26 @@ class RawSection:
     args: list[str]
     line: int
     entries: dict[str, Union[str, list[str]]] = field(default_factory=dict)
+    # Every line of the text the section was parsed from, shared by all its
+    # sections; searched only to cite a key's line in an error.
+    source: Sequence[str] = field(default=(), repr=False, compare=False)
 
-    def label(self) -> str:
-        return f"[{' '.join([self.kind] + self.args)}] (line {self.line})"
+    def label(self, line: Optional[int] = None) -> str:
+        return f"[{' '.join([self.kind] + self.args)}] (line {line or self.line})"
+
+    def key_line(self, key: str, value: str) -> Optional[int]:
+        """The line of this section that sets ``key = value``, if one does.
+
+        None when an override set the value, or the section has no source.
+        """
+        for lineno in range(self.line + 1, len(self.source) + 1):
+            stripped = self.source[lineno - 1].strip()
+            if stripped.startswith("["):
+                break
+            k, sep, v = stripped.partition("=")
+            if sep and k.strip() == key and v.strip() == value:
+                return lineno
+        return None
 
 
 @dataclass
@@ -213,7 +230,8 @@ def parse_text(text: str) -> RawScenario:
     # Where the next key = value line goes, and which of its keys may repeat.
     entries: dict = raw.scenario
     list_keys: Collection[str] = ()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -238,7 +256,7 @@ def parse_text(text: str) -> RawScenario:
                 raise ScenarioParseError(
                     f"line {lineno}: [{kind}] takes {argc} argument(s), got {len(args)}"
                 )
-            current = RawSection(kind, args, lineno)
+            current = RawSection(kind, args, lineno, {}, lines)
             raw.sections.append(current)
             entries = current.entries
             list_keys = _LIST_KEYS[kind]
@@ -325,8 +343,9 @@ def _read(sec: RawSection, **header_fields):
                 for text in entries[key]:
                     value.append(reader(text))
         except ValueError as exc:
+            label = sec.label(sec.key_line(key, text))
             raise ScenarioValidationError(
-                f"{sec.label()}: {key} is not a valid {what}: {text!r} ({exc})"
+                f"{label}: {key} is not a valid {what}: {text!r} ({exc})"
             ) from None
         if attr:
             header_fields[attr] = value

@@ -11,6 +11,19 @@ node's address sets, and a memo per family that remembers the route (or the
 lack of one) chosen for each destination, so a node resolves a destination
 once per run.
 
+Every packet of a flow leaves its source with the same bytes, and what a
+node does with a frame depends only on the node, the frame and the interface
+it came in on. So a flow's path is fixed for the run: each run walks it once,
+calling ``forward`` once per (flow, hop), and records every hop's outgoing
+link direction, frame size, shared (link, size) tuple and trace hex, and how
+the path ends (delivered, or dropped with a reason). The event loop then only
+times packets along the compiled paths; it never touches a frame. The walk
+ends because every hop a frame arrives on spends one ttl or hop_limit, and a
+tunnel copies the inner hop_limit into the outer ttl. Precondition: a
+frame's bytes are the same for every packet of its flow. A per-packet field
+(an IPv4 identification, a sequence number in the payload) would break it,
+and paths would then have to be keyed by frame bytes instead of by flow.
+
 Events are plain tuples on a heap ordered by (time, seq), and seqs are
 unique, so identical inputs always yield identical outputs. Send times are
 drawn up front, flow by flow, and each send keeps the seq it would have if
@@ -23,7 +36,10 @@ in the same order as with all sends queued up front.
 
 A packet never aborts the run: whatever happens to it, including a tunnel
 that would send it back to its own entry point, is recorded as data on its
-MetricsRecord.
+MetricsRecord. A frame too big for its next link is dropped when the node
+has finished processing it, not when it arrives, so a horizon that falls
+between the two expires it instead. Each record holds its own list of the
+(shared) hop tuples its packet was transmitted on.
 
 Timing model per hop: a node that forwards a frame spends its
 ``processing_delay``, then the frame waits for the outgoing link direction to
@@ -519,11 +535,9 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
 
 
 # Event kinds, in the order a hop goes through them. A heap entry is the
-# tuple (time, seq, kind, a, b, frame, packet_id), where a and b are
-#   _SEND:        flow index, position in the flow's send order
-#   _PROCESSED:   outgoing _Port, None
-#   _TRANSMIT:    outgoing _Port, None
-#   _ARRIVE:      receiving _Site, interface the frame arrived on
+# tuple (time, seq, kind, flow, i, packet_id): flow indexes the run's flows,
+# and i is the send's position in its flow's send order (_SEND) or the index
+# on the flow's path of the hop the packet is on (the other three).
 # Seqs are unique, so entries never compare past the seq.
 _SEND, _PROCESSED, _TRANSMIT, _ARRIVE = range(4)
 
@@ -534,7 +548,6 @@ class _Site:
 
     node: Node
     state: ForwardingState
-    processing_delay: float
     ports: dict[str, "_Port"] = field(default_factory=dict)
 
 
@@ -554,9 +567,6 @@ class _Port:
     peer_if: str
     # Index of this direction's "idle from" time in the engine's list.
     queue: int
-    # One shared (link id, frame size) tuple per distinct hop, so records do
-    # not each hold their own copy; both directions of a link share it.
-    hops: dict[int, tuple[str, int]]
 
 
 class _Engine:
@@ -568,15 +578,12 @@ class _Engine:
         trace: Optional[list[str]],
     ) -> None:
         self.trace = trace
-        self.sites = sites = [
-            _Site(n, forwarding_state(n), n.processing_delay) for n in topology.nodes
-        ]
+        self.sites = sites = [_Site(n, forwarding_state(n)) for n in topology.nodes]
         index = {n.id: i for i, n in enumerate(topology.nodes)}
         # A FIFO per (link, sending node): a link whose two ends sit on one
         # node has a single queue.
         queues: dict[tuple[str, str], int] = {}
         for link in topology.links:
-            hops: dict[int, tuple[str, int]] = {}
             for (node_id, if_name), (peer_id, peer_if) in ((link.a, link.b), (link.b, link.a)):
                 sites[index[node_id]].ports[if_name] = _Port(
                     link.id,
@@ -588,7 +595,6 @@ class _Engine:
                     peer_id,
                     peer_if,
                     queues.setdefault((link.id, node_id), len(queues)),
-                    hops,
                 )
         self.queue_count = len(queues)
 
@@ -616,102 +622,126 @@ class _Engine:
                 order = sorted(order, key=times.__getitem__)
             src = sites[index[flow.src]]
             dst = sites[index[flow.dst]]
-            self.flows.append(
+            self.flows.append((flow, src, _flow_frame(src.node, dst.node, flow), order))
+
+    def _path(
+        self, fwd, site: _Site, frame: bytes, hops: dict
+    ) -> tuple[list[tuple], Optional[DropReason]]:
+        """Every hop a frame takes from ``site``, and how its path ends.
+
+        Each hop is (processing delay before it, queue, serialization time,
+        propagation delay, shared (link id, size) tuple, trace text), and the
+        end is None for a delivery or the drop reason. A frame too big for
+        its next link ends the path on a hop with no queue: it is dropped
+        once that node has processed it. ``hops`` shares one (link id, size)
+        tuple per distinct hop across the run's paths.
+        """
+        trace = self.trace is not None
+        sites = self.sites
+        path: list[tuple] = []
+        in_if = None
+        while True:
+            res = fwd(site.node, frame, in_if, state=site.state)
+            if res.action is not ForwardAction.FORWARD:
+                return path, res.drop_reason
+            port = site.ports[res.out_if]
+            frame = res.frame
+            nbytes = len(frame)
+            if nbytes > port.mtu:
+                path.append((site.node.processing_delay, None, None, None, None, None))
+                return path, DropReason.MTU_EXCEEDED
+            hop = hops.setdefault((port.link_id, nbytes), (port.link_id, nbytes))
+            text = (
+                (f"{port.link_id} {port.node_id}->{port.peer_id}", frame.hex()) if trace else None
+            )
+            path.append(
                 (
-                    flow.flow_id,
-                    flow.src,
-                    flow.dst,
-                    flow.payload_bytes,
-                    src,
-                    # Every packet of a flow leaves its source with the same bytes.
-                    _flow_frame(src.node, dst.node, flow),
-                    order,
+                    site.node.processing_delay,
+                    port.queue,
+                    nbytes * 8 / port.bandwidth,
+                    port.propagation_delay,
+                    hop,
+                    text,
                 )
             )
+            site, in_if = sites[port.peer], port.peer_if
 
     def run(self, horizon: Optional[float]) -> list[MetricsRecord]:
         # Read once per run, from the module, so a caller can substitute them.
         push = heapq.heappush
         pop = heapq.heappop
         fwd = forward
-        FORWARD, DELIVER = ForwardAction.FORWARD, ForwardAction.DELIVER
         MTU_EXCEEDED = DropReason.MTU_EXCEEDED
         trace = self.trace
         times = self.send_times
-        flows = self.flows
-        sites = self.sites
         idle = [0.0] * self.queue_count
         records: list[MetricsRecord] = []
         limit = math.inf if horizon is None else horizon
 
+        # Every packet of a flow leaves its source with the same bytes, so
+        # the flow's path is walked once, here, and the loop below only
+        # times packets along it.
+        hops: dict[tuple[str, int], tuple[str, int]] = {}
+        paths: list[list[tuple]] = []
+        ends: list[Optional[DropReason]] = []
+        sends = []
+        for flow, site, frame, order in self.flows:
+            path, end = self._path(fwd, site, frame, hops)
+            paths.append(path)
+            ends.append(end)
+            sends.append((flow.flow_id, flow.src, flow.dst, flow.payload_bytes, order))
+
         # One pending send per flow: a flow's next send goes on the heap when
         # its previous one comes off.
         heap: list[tuple] = []
-        for fi, flow in enumerate(flows):
-            k = flow[6][0]
-            push(heap, (times[k], k, _SEND, fi, 0, None, -1))
+        for fi, send in enumerate(sends):
+            k = send[4][0]
+            push(heap, (times[k], k, _SEND, fi, 0, -1))
         seq = len(times)
 
         while heap:
             if heap[0][0] > limit:
                 break
-            now, _, kind, a, b, frame, packet_id = pop(heap)
+            now, _, kind, a, b, packet_id = pop(heap)
             if kind == _PROCESSED:
-                nbytes = len(frame)
-                if nbytes > a.mtu:
+                hop = paths[a][b]
+                queue = hop[1]
+                if queue is None:
                     records[packet_id].drop_reason = MTU_EXCEEDED
                     continue
-                free = idle[a.queue]
+                free = idle[queue]
                 start = free if free > now else now
-                idle[a.queue] = start + nbytes * 8 / a.bandwidth
-                push(heap, (start, seq, _TRANSMIT, a, None, frame, packet_id))
+                idle[queue] = start + hop[2]
+                push(heap, (start, seq, _TRANSMIT, a, b, packet_id))
                 seq += 1
                 continue
             if kind == _TRANSMIT:
-                nbytes = len(frame)
-                hop = a.hops.get(nbytes)
-                if hop is None:
-                    hop = a.hops[nbytes] = (a.link_id, nbytes)
-                records[packet_id].wire_bytes_per_hop.append(hop)
+                hop = paths[a][b]
+                records[packet_id].wire_bytes_per_hop.append(hop[4])
                 if trace is not None:
-                    trace.append(
-                        f"{now!r} {a.link_id} {a.node_id}->{a.peer_id} pkt={packet_id} {frame.hex()}"
-                    )
-                arrival = now + nbytes * 8 / a.bandwidth + a.propagation_delay
-                push(heap, (arrival, seq, _ARRIVE, sites[a.peer], a.peer_if, frame, packet_id))
+                    head, hexed = hop[5]
+                    trace.append(f"{now!r} {head} pkt={packet_id} {hexed}")
+                push(heap, (now + hop[2] + hop[3], seq, _ARRIVE, a, b, packet_id))
                 seq += 1
                 continue
             if kind == _SEND:
-                flow_id, src, dst, payload_bytes, site, frame, order = flows[a]
+                flow_id, src, dst, payload_bytes, order = sends[a]
                 packet_id = len(records)
                 records.append(MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now))
-                b += 1
-                if b < len(order):
-                    k = order[b]
-                    push(heap, (times[k], k, _SEND, a, b, None, -1))
-                in_if = None
+                if b + 1 < len(order):
+                    k = order[b + 1]
+                    push(heap, (times[k], k, _SEND, a, b + 1, -1))
+                b = 0  # the source sends the packet's first hop
             else:
-                site, in_if = a, b
-            res = fwd(site.node, frame, in_if, state=site.state)
-            action = res.action
-            if action is FORWARD:
-                push(
-                    heap,
-                    (
-                        now + site.processing_delay,
-                        seq,
-                        _PROCESSED,
-                        site.ports[res.out_if],
-                        None,
-                        res.frame,
-                        packet_id,
-                    ),
-                )
+                b += 1  # the hop after the one the packet arrived on
+            path = paths[a]
+            if b < len(path):
+                push(heap, (now + path[b][0], seq, _PROCESSED, a, b, packet_id))
                 seq += 1
-            elif action is DELIVER:
+            elif ends[a] is None:
                 records[packet_id].receive_time = now
             else:
-                records[packet_id].drop_reason = res.drop_reason
+                records[packet_id].drop_reason = ends[a]
 
         # A horizon can stop the run with frames mid-flight; close their
         # records so every injected packet terminates exactly once.

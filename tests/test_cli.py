@@ -178,6 +178,20 @@ def test_run_malformed_scenario_file(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_run_bad_value_cites_its_line(tmp_path, capsys):
+    lines = serialize_model(build_scenario_6to4()).splitlines(keepends=True)
+    assert lines[2] == "[node H1]\n" and lines[5] == "processing_delay = 0.0\n"
+    lines[5] = "processing_delay = bogus\n"
+    path = tmp_path / "bad-value.scenario"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {path}: [node H1] (line 6): processing_delay is not a valid number: 'bogus'"
+    )
+
+
 def test_compare_load_error_names_failing_side(capsys):
     # The tunnel section exists only in 6to4, so the shared override fails on dualstack.
     argv = ["compare", "6to4", "dualstack", "--override", "tunnel.R1.tun0.v6=2001::77"]

@@ -1,3 +1,4 @@
+import ipaddress
 import random
 from dataclasses import replace
 
@@ -406,6 +407,71 @@ def test_ipv6_address_parse_format_identity_randomized():
     for _ in range(500):
         addr = Ipv6Address(rng.randbytes(16))
         assert A6(str(addr)) == addr
+
+
+def _ipaddress_parse(text):
+    """What Ipv6Address.parse did when it went through ipaddress alone."""
+    try:
+        return ipaddress.IPv6Address(text.strip()).packed
+    except ipaddress.AddressValueError as exc:
+        return f"bad IPv6 address {text!r}: {exc}"
+
+
+def _our_parse(text):
+    try:
+        return A6(text).octets
+    except ValueError as exc:
+        return str(exc)
+
+
+IPV6_EDGE_TEXTS = [
+    "::", "::1", " ::1\t", "0:0:0:0:0:0:0:0", "2001:DB8::1", "1:2:3:4:5:6:7::",
+    "::2:3:4:5:6:7:8", "1::2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:9", "1:2:3:4:5:6:7",
+    "fe80::1%eth0", "fe80::1%", "fe80::1%1%2", "%eth0", "::ffff:1.2.3.4",
+    "::ffff:1.2.3.04", "::ffff:1.2.3.256", "::ffff:1.2.3", "::1.2.3.4",
+    "1:2:3:4:5:6:1.2.3.4", "1:2:3:4:5:6:7:1.2.3.4", "1.2.3.4::", "1::2::3",
+    "12345::", "00001::", "::1\x00", "\x00", "[::1]", "::1/128", ":1::", "1::1:",
+    ":::", "", " ", " 1::2::3\n", "\u0661::", "\uff11::", "::\u0661", "g::", "::1 2", "\ud800::",
+]
+
+
+def _random_ipv6_text(rng):
+    """An address-like string: often valid, often off by one rule."""
+    groups = [
+        "".join(rng.choice("0123456789abcdefABCDEF") for _ in range(rng.choice([1, 1, 2, 4, 4, 5])))
+        for _ in range(rng.randrange(0, 10))
+    ]
+    if rng.random() < 0.3:
+        choices = [0, 1, 9, 10, 99, 255, 256, rng.randrange(256)]
+        octets = [str(rng.choice(choices)) for _ in range(4)]
+        if rng.random() < 0.2:
+            octets[rng.randrange(4)] = "0" + octets[0]
+        groups.append(".".join(octets[: rng.choice([3, 4, 4, 4, 5])]))
+    if groups and rng.random() < 0.6:
+        i = rng.randrange(len(groups) + 1)
+        groups[i:i] = [""] if 0 < i < len(groups) else ["", ""]
+    text = ":".join(groups) or "::"
+    if rng.random() < 0.15:
+        text += "%" + rng.choice(["eth0", "1", "", "%"])
+    if rng.random() < 0.25:
+        i = rng.randrange(len(text) + 1)
+        extra = rng.choice([":", ".", "g", " ", "\x00", "\u0661", "/", "[", "%"])
+        text = text[:i] + extra + text[i:]
+    return text
+
+
+def test_ipv6_parse_matches_ipaddress():
+    # The same accept/reject decision, the same octets and the same message
+    # as parsing through ipaddress alone.
+    rng = random.Random(47)
+    texts = IPV6_EDGE_TEXTS + [_random_ipv6_text(rng) for _ in range(4000)]
+    accepted = 0
+    for text in texts:
+        expected = _ipaddress_parse(text)
+        assert _our_parse(text) == expected, text
+        accepted += isinstance(expected, bytes)
+    # Both decisions are well represented.
+    assert 500 < accepted < len(texts) - 500
 
 
 def test_address_octet_count_enforced():

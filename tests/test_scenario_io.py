@@ -412,3 +412,20 @@ def test_round_trip_every_field_off_its_default():
     assert text == OFF_DEFAULT
     assert load_text(text) == s
     assert serialize_model(load_text(text)) == text
+
+
+def test_bad_value_cites_its_own_line():
+    # The second v6 line of [interface a eth0] (line 9) is line 12.
+    lines = OFF_DEFAULT.splitlines(keepends=True)
+    assert lines[8] == "[interface a eth0]\n" and lines[11] == "v6 = 2001::11\n"
+    lines[11] = "v6 = 2001::zz\n"
+    with pytest.raises(
+        ScenarioValidationError,
+        match=r"^\[interface a eth0\] \(line 12\): v6 is not a valid IPv6 address: '2001::zz' \(",
+    ):
+        load_text("".join(lines))
+    # A value set by an override has no line of its own: the header is cited.
+    with pytest.raises(ScenarioValidationError, match=r"^\[interface a eth0\] \(line 9\): v6 "):
+        load_text(OFF_DEFAULT, overrides=["interface.a.eth0.v6=2001::zz"])
+    with pytest.raises(ScenarioValidationError, match=r"^\[node a\] \(line 7\): processing_delay "):
+        load_text(OFF_DEFAULT.replace("processing_delay = 2.5e-05", "processing_delay = bogus", 1))

@@ -636,8 +636,9 @@ def test_trace_lists_every_transmission():
 
 
 def test_tunnel_entry_checks_each_frame_once(monkeypatch):
-    # On the built-in 6to4 each packet passes seven forward() calls, and
-    # each checks its frame once; encapsulation does not check it again.
+    # On the built-in 6to4 a flow's path is seven forward() calls, walked
+    # once per run whatever the packet count, and each checks its frame
+    # once; encapsulation does not check it again.
     calls = 0
     real_check_frame = simcore.check_frame
 
@@ -650,8 +651,9 @@ def test_tunnel_entry_checks_each_frame_once(monkeypatch):
     monkeypatch.setattr(transition, "check_frame", counting)
     s = build_scenario_6to4()
     records = run_simulation(s.topology, s.traffic)
+    assert len(records) == 10
     assert all(r.receive_time is not None for r in records)
-    assert calls == 7 * len(records) == 70
+    assert calls == 7 * len(s.traffic) == 7
 
 
 class _CountingHeapq:
@@ -672,7 +674,8 @@ class _CountingHeapq:
 
 def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
     # The engine reads heapq and forward from the module when a run starts,
-    # so a substitute sees every event and every forwarding decision.
+    # so a substitute sees every event and every forwarding decision: one
+    # per hop of the flow's path, however many packets take it.
     real_forward = simcore.forward
     forward_calls = 0
 
@@ -691,7 +694,7 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
         records = run_simulation(s.topology, s.traffic)
         assert len(records) == count
         assert all(r.receive_time is not None for r in records)
-        assert forward_calls == 7 * count
+        assert forward_calls == 7 * len(s.traffic) == 7
         # One send, then processing, transmission and arrival on four links.
         assert shim.pops == 13 * count
         peaks.append(shim.peak)
@@ -718,6 +721,37 @@ def test_mtu_drop_versus_horizon_at_a_router():
         assert rec.drop_reason is reason, horizon
         assert rec.receive_time is None
         assert rec.wire_bytes_per_hop == [("h1-r1", 1040)]
+
+
+def test_records_hold_their_own_hop_lists():
+    # Packets of a flow share its hop tuples, but each record's list is its
+    # own: a packet cut by the horizon holds exactly the hops it was
+    # transmitted on, and editing one record's list touches no other.
+    s = build_scenario_6to4(count=1)
+    trace: list[str] = []
+    (full,) = run_simulation(s.topology, s.traffic, trace=trace)
+    assert full.wire_bytes_per_hop == [
+        ("h1-r1", 1040), ("r1-r2", 1060), ("r2-r3", 1060), ("r3-h2", 1040),
+    ]
+    # A transmission at the horizon happens; one just after it does not.
+    for k, line in enumerate(trace):
+        sent = float(line.split()[0])
+        cases = [(sent, k + 1)] + ([(math.nextafter(sent, 0.0), k)] if sent else [])
+        for horizon, hops in cases:
+            (rec,) = run_simulation(s.topology, s.traffic, horizon=horizon)
+            assert rec.drop_reason is DropReason.HORIZON_EXPIRED
+            assert rec.wire_bytes_per_hop == full.wire_bytes_per_hop[:hops]
+
+    s = build_scenario_6to4(count=6, gap=1e-4)
+    for horizon in (None, 1.5e-3):
+        records = run_simulation(s.topology, s.traffic, horizon=horizon)
+        before = [repr(r) for r in records]
+        assert len({id(r.wire_bytes_per_hop) for r in records}) == len(records)
+        for i, rec in enumerate(records):
+            rec.wire_bytes_per_hop.append(("extra", 1))
+            assert [repr(r) for j, r in enumerate(records) if j != i] == before[:i] + before[i + 1:]
+            rec.wire_bytes_per_hop.pop()
+        assert [repr(r) for r in run_simulation(s.topology, s.traffic, horizon=horizon)] == before
 
 
 # -------------------------------------------------------------- validation
