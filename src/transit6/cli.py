@@ -95,13 +95,17 @@ def _load_scenario(source: str, overrides: Sequence[str]) -> Scenario:
         )
     try:
         # A built-in goes through its scenario text too, so overrides edit it
-        # exactly as they edit a file.
-        if source in _BUILTINS:
+        # exactly as they edit a file. Nobody sees that text, so its errors
+        # cite none of its lines.
+        builtin = source in _BUILTINS
+        if builtin:
             text = serialize_model(_BUILTINS[source]())
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return load_text(text, default_name=os.path.basename(source), overrides=overrides)
+        return load_text(
+            text, default_name=os.path.basename(source), overrides=overrides, cite_lines=not builtin
+        )
     except ValueError as exc:
         # Name the source: compare loads two, and one override list serves both.
         raise ValueError(f"{source}: {exc}") from None

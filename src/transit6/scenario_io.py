@@ -193,6 +193,7 @@ _LIST_KEYS = {kind: _field_keys(cls, rows, lambda f: f.default_factory is list)
 class RawSection:
     kind: str
     args: list[str]
+    # The header's line, or 0 for text whose lines are not to be cited.
     line: int
     entries: dict[str, Union[str, list[str]]] = field(default_factory=dict)
     # Every line of the text the section was parsed from, shared by all its
@@ -200,7 +201,9 @@ class RawSection:
     source: Sequence[str] = field(default=(), repr=False, compare=False)
 
     def label(self, line: Optional[int] = None) -> str:
-        return f"[{' '.join([self.kind] + self.args)}] (line {line or self.line})"
+        head = f"[{' '.join([self.kind] + self.args)}]"
+        line = line or self.line
+        return f"{head} (line {line})" if line else head
 
     def key_line(self, key: str, value: str) -> Optional[int]:
         """The line of this section that sets ``key = value``, if one does.
@@ -343,7 +346,13 @@ def _read(sec: RawSection, **header_fields):
                 for text in entries[key]:
                     value.append(reader(text))
         except ValueError as exc:
-            label = sec.label(sec.key_line(key, text))
+            if sec.line:
+                label = sec.label(sec.key_line(key, text))
+            else:
+                # Text whose lines are not cited is written from a valid
+                # model, so an override set the bad value: name it.
+                path = ".".join([sec.kind, *sec.args, key])
+                label = f"{sec.label()} (--override {path}={text})"
             raise ScenarioValidationError(
                 f"{label}: {key} is not a valid {what}: {text!r} ({exc})"
             ) from None
@@ -410,8 +419,23 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
     return Scenario(name=name, topology=topology, traffic=flows, horizon=horizon)
 
 
-def load_text(text: str, default_name: str = "scenario", overrides: Sequence[str] = ()) -> Scenario:
+def load_text(
+    text: str,
+    default_name: str = "scenario",
+    overrides: Sequence[str] = (),
+    *,
+    cite_lines: bool = True,
+) -> Scenario:
+    """Parse ``text``, apply ``overrides`` and build the Scenario.
+
+    ``cite_lines=False`` is for text nobody reads, such as a built-in's: its
+    errors then cite no line of it, and a bad value that an override set
+    names that override instead.
+    """
     raw = parse_text(text)
+    if not cite_lines:
+        for sec in raw.sections:
+            sec.line, sec.source = 0, ()
     apply_overrides(raw, overrides)
     return build_model(raw, default_name=default_name)
 

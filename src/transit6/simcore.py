@@ -24,15 +24,31 @@ frame's bytes are the same for every packet of its flow. A per-packet field
 (an IPv4 identification, a sequence number in the payload) would break it,
 and paths would then have to be keyed by frame bytes instead of by flow.
 
-Events are plain tuples on a heap ordered by (time, seq), and seqs are
-unique, so identical inputs always yield identical outputs. Send times are
-drawn up front, flow by flow, and each send keeps the seq it would have if
-every send were put on the heap before the first event: its position in that
-draw order. Every other event counts its seq up from the number of sends.
-Each flow has one pending send on the heap, its earliest unsent one by
-(time, seq), and the next goes on when that one comes off. So the heap holds
-the packets in flight, not every packet of the run, and events come off it
-in the same order as with all sends queued up front.
+The heap holds one entry per hop: the moment a node has processed a packet.
+When it comes off, the frame takes its link direction's FIFO slot (it starts
+at the later of now and the time the link goes idle), joins the packet's hop
+list unless the horizon has passed by then, and arrives after serialization
+and propagation; the packet is then delivered, its path ends, or its next
+hop goes on the heap at arrival plus that node's processing delay. Sends are
+entries too. Send times are drawn up front, flow by flow, and each send keeps
+its position in that draw order as its seq. Each flow has one pending send
+on the heap, its earliest unsent one by (time, seq), and the next goes on
+when that one comes off. So the heap holds the packets in flight, not every
+packet of the run.
+
+Every output is that of a heap of four event kinds (a send per packet, then
+per hop processing done, transmission start and arrival) ordered by (time,
+seq), with seqs counted up as events are pushed; ``tests/engine_oracle.py``
+is that engine. There an event's seq ranks the event that pushed it, and
+only processing done touches shared state (the FIFO), so the key reproduces
+the order of the events that push processing done. A send's key is (time,
+-1.0, seq), so sends come first at equal times; a first hop's is (time, send
+time, 0, 0.0, send seq); a later hop's is (time, arrival, 1, start of the
+previous hop, rank of that hop's entry among the hops taken off the heap).
+Keys are unique, so identical inputs always yield identical outputs. With a
+trace, each transmission's line is kept with its (start, rank) and the lines
+are sorted once at the end, into the order the transmission starts would
+come off that heap.
 
 A packet never aborts the run: whatever happens to it, including a tunnel
 that would send it back to its own entry point, is recorded as data on its
@@ -534,12 +550,15 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: jitter must be in [0, 1)")
 
 
-# Event kinds, in the order a hop goes through them. A heap entry is the
-# tuple (time, seq, kind, flow, i, packet_id): flow indexes the run's flows,
-# and i is the send's position in its flow's send order (_SEND) or the index
-# on the flow's path of the hop the packet is on (the other three).
-# Seqs are unique, so entries never compare past the seq.
-_SEND, _PROCESSED, _TRANSMIT, _ARRIVE = range(4)
+# A heap entry is (time, after, parent, start, seq, flow, i, packet_id); the
+# first five are its key. A send has packet_id -1, after -1.0, parent 0,
+# start 0.0 and its send seq, and i is its position in its flow's send order.
+# Every other entry is hop i of flow's path, due when the node has processed
+# the packet: after is when the packet reached the node, parent is 0 for the
+# source and 1 for a later node, and for a later node start and seq are when
+# the previous hop began to transmit and that hop's rank. See the module
+# docstring for why this key pops entries in the order of the four-event
+# engine. Keys are unique, so entries never compare past the seq.
 
 
 @dataclass(slots=True)
@@ -600,8 +619,7 @@ class _Engine:
 
         # Send times are drawn flow by flow, one uniform draw per jittered
         # send. Send k in that order has seq k, so sends order among
-        # themselves as if all were queued before the first event; every
-        # other event counts its seq up from the number of sends.
+        # themselves as if all were queued before the first event.
         rng = random.Random(seed)
         self.send_times = times = array("d")
         self.flows = []
@@ -696,52 +714,62 @@ class _Engine:
         heap: list[tuple] = []
         for fi, send in enumerate(sends):
             k = send[4][0]
-            push(heap, (times[k], k, _SEND, fi, 0, -1))
-        seq = len(times)
+            push(heap, (times[k], -1.0, 0, 0.0, k, fi, 0, -1))
+        # Counts the hops that began to transmit, in the order they came off.
+        rank = 0
+        # With a trace, (start, rank, line) per transmission, sorted at the end.
+        lines: Optional[list[tuple]] = None if trace is None else []
 
         while heap:
             if heap[0][0] > limit:
                 break
-            now, _, kind, a, b, packet_id = pop(heap)
-            if kind == _PROCESSED:
-                hop = paths[a][b]
-                queue = hop[1]
-                if queue is None:
-                    records[packet_id].drop_reason = MTU_EXCEEDED
-                    continue
-                free = idle[queue]
-                start = free if free > now else now
-                idle[queue] = start + hop[2]
-                push(heap, (start, seq, _TRANSMIT, a, b, packet_id))
-                seq += 1
-                continue
-            if kind == _TRANSMIT:
-                hop = paths[a][b]
-                records[packet_id].wire_bytes_per_hop.append(hop[4])
-                if trace is not None:
-                    head, hexed = hop[5]
-                    trace.append(f"{now!r} {head} pkt={packet_id} {hexed}")
-                push(heap, (now + hop[2] + hop[3], seq, _ARRIVE, a, b, packet_id))
-                seq += 1
-                continue
-            if kind == _SEND:
+            now, _, _, _, seq, a, b, packet_id = pop(heap)
+            if packet_id < 0:
+                # A send: open the packet's record, queue the flow's next send.
                 flow_id, src, dst, payload_bytes, order = sends[a]
                 packet_id = len(records)
                 records.append(MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now))
                 if b + 1 < len(order):
                     k = order[b + 1]
-                    push(heap, (times[k], k, _SEND, a, b + 1, -1))
-                b = 0  # the source sends the packet's first hop
-            else:
-                b += 1  # the hop after the one the packet arrived on
+                    push(heap, (times[k], -1.0, 0, 0.0, k, a, b + 1, -1))
+                path = paths[a]
+                if path:
+                    push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, packet_id))
+                elif ends[a] is None:
+                    records[packet_id].receive_time = now
+                else:
+                    records[packet_id].drop_reason = ends[a]
+                continue
+
+            # The node has processed the packet for hop b of its flow's path:
+            # the frame joins the link's FIFO, is sent and arrives.
             path = paths[a]
+            _, queue, ser, prop, hop, text = path[b]
+            if queue is None:
+                records[packet_id].drop_reason = MTU_EXCEEDED
+                continue
+            free = idle[queue]
+            start = free if free > now else now
+            idle[queue] = start + ser
+            if start > limit:
+                continue
+            rank += 1
+            records[packet_id].wire_bytes_per_hop.append(hop)
+            if lines is not None:
+                lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
+            arrival = start + ser + prop
+            b += 1
             if b < len(path):
-                push(heap, (now + path[b][0], seq, _PROCESSED, a, b, packet_id))
-                seq += 1
-            elif ends[a] is None:
-                records[packet_id].receive_time = now
-            else:
-                records[packet_id].drop_reason = ends[a]
+                push(heap, (arrival + path[b][0], arrival, 1, start, rank, a, b, packet_id))
+            elif arrival <= limit:
+                if ends[a] is None:
+                    records[packet_id].receive_time = arrival
+                else:
+                    records[packet_id].drop_reason = ends[a]
+
+        if lines is not None:
+            lines.sort()
+            trace.extend(line for _, _, line in lines)
 
         # A horizon can stop the run with frames mid-flight; close their
         # records so every injected packet terminates exactly once.

@@ -1,12 +1,16 @@
 """Reference engine, kept as the whole-run oracle for ``simcore``'s engine.
 
 ``reference_run`` is the event loop ``simcore`` had before it compiled each
-flow's path: every event that reaches a node calls ``simcore.forward`` on
-the frame it carries, the MTU is read off the frame at processing-done time,
-and each transmission appends its hop to the record and formats its own
-trace hex. Events and seqs are the same four kinds in the same order, so on
-any scenario the two engines must give the same records and the same trace,
-byte for byte. Validation is left to ``run_simulation``; call it first.
+flow's path and folded each hop into one event. It has four event kinds, a
+send and then, per hop, processing done, transmission start and arrival, on
+a heap ordered by (time, seq), with seqs counted up as events are pushed.
+Every event that reaches a node calls ``simcore.forward`` on the frame it
+carries, the MTU is read off the frame at processing-done time, and each
+transmission appends its hop to the record and formats its own trace hex as
+it comes off the heap. ``simcore`` keeps one entry per hop and a heap key
+built to pop in this engine's order, so on any scenario the two engines must
+give the same records and the same trace, byte for byte. Validation is left
+to ``run_simulation``; call it first.
 """
 
 from __future__ import annotations

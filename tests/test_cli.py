@@ -192,6 +192,18 @@ def test_run_bad_value_cites_its_line(tmp_path, capsys):
     )
 
 
+def test_bad_override_on_a_builtin_names_the_override(capsys):
+    # Nobody sees a built-in's scenario text, so no line of it is cited.
+    assert main(["run", "6to4", "--override", "node.R1.kind=bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: 6to4: [node R1] (--override node.R1.kind=bogus): "
+        "kind is not a valid node kind: 'bogus'"
+    )
+    assert "line" not in captured.err
+
+
 def test_compare_load_error_names_failing_side(capsys):
     # The tunnel section exists only in 6to4, so the shared override fails on dualstack.
     argv = ["compare", "6to4", "dualstack", "--override", "tunnel.R1.tun0.v6=2001::77"]

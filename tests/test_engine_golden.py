@@ -124,6 +124,61 @@ def _unordered_sends():
     return _two_hosts(), traffic, {"seed": 9}
 
 
+# 2**-10 s: with 8388608 bit/s links a 1024-byte frame takes exactly U to
+# send, so every time in the fan-in scenario is exact in binary.
+U = 2.0**-10
+
+
+def _fan_in():
+    # A and B reach R over their own links and share R's link to D. A sends
+    # a burst that queues on a-r; B takes U to process what it sends and
+    # b-r takes 2U to cross, a-r U. Three moments tie by design:
+    # - at 4U, A's third frame (queued, sent at 2U) and B's first (sent at
+    #   U) reach R together: the earlier transmission start goes first;
+    # - at 64U, A's big frame and B's frame both finish processing at their
+    #   sources, B's having been sent earlier, then start together and
+    #   reach R together at 67U: the source that had the frame first wins
+    #   both times;
+    # - at 130U, R sends its own frame as a small frame from A reaches it:
+    #   R has no processing delay, and its own frame goes first.
+    def node(node_id, role, ifaces, routes, processing_delay=0.0):
+        return Node(
+            node_id, NodeKind.IPV6_ONLY, role,
+            interfaces=[Interface(name, v6=[Ipv6Address.parse(a)]) for name, a in ifaces],
+            v6_routes=[RouteEntry6(Ipv6Prefix.parse(p), out_if) for p, out_if in routes],
+            processing_delay=processing_delay,
+        )
+
+    def link(link_id, a, b, propagation_delay):
+        return Link(link_id, a, b, bandwidth=8388608.0, propagation_delay=propagation_delay,
+                    mtu=9000)
+
+    topology = Topology(
+        nodes=[
+            node("A", Role.HOST, [("eth0", "2001:a::1")], [("::/0", "eth0")]),
+            node("B", Role.HOST, [("eth0", "2001:b::1")], [("::/0", "eth0")], processing_delay=U),
+            node("R", Role.ROUTER, [("a", "2001:a::2"), ("b", "2001:b::2"), ("d", "2001:d::2")],
+                 [("2001:a::/64", "a"), ("2001:b::/64", "b"), ("2001:d::/64", "d")]),
+            node("D", Role.HOST, [("eth0", "2001:d::1")], [("::/0", "eth0")]),
+        ],
+        links=[
+            link("a-r", ("A", "eth0"), ("R", "a"), U),
+            link("b-r", ("B", "eth0"), ("R", "b"), 2 * U),
+            link("r-d", ("R", "d"), ("D", "eth0"), U),
+        ],
+    )
+    # Payloads of 984, 2008 and 24 bytes make 1024-, 2048- and 64-byte frames.
+    traffic = [
+        TrafficSpec("a-burst", "A", "D", payload_bytes=984, count=3, gap=0.0),
+        TrafficSpec("a-big", "A", "D", payload_bytes=2008, count=1, start=64 * U),
+        TrafficSpec("a-small", "A", "D", payload_bytes=24, count=1, start=129 * U - 2.0**-14),
+        TrafficSpec("b-one", "B", "D", payload_bytes=984, count=1),
+        TrafficSpec("b-mid", "B", "D", payload_bytes=984, count=1, start=63 * U),
+        TrafficSpec("r-own", "R", "D", payload_bytes=984, count=1, start=130 * U),
+    ]
+    return topology, traffic, {}
+
+
 SCENARIOS = {
     "builtin-6to4": _builtin_6to4,
     "builtin-dualstack": _builtin_dualstack,
@@ -131,6 +186,7 @@ SCENARIOS = {
     "jittered-auto-6to4-horizon": _jittered_auto_6to4,
     "ties": _ties,
     "unordered-sends": _unordered_sends,
+    "fan-in": _fan_in,
 }
 
 # Computed with the engine that put every send on the heap before the first
@@ -142,6 +198,9 @@ DIGESTS = {
     "jittered-auto-6to4-horizon": "d4de486e36666dbf8e89c719fb223da490d419ca915d6752621eec67c25a760c",
     "ties": "ed66e6ea29532448beb505f105d8b6d9d6057149b8371cdda92124d99196e3df",
     "unordered-sends": "045269817eccf284c3df28a2366747bc616b019343cd8a5b000e275b39947df0",
+    # Computed with the engine that had four events per hop (send,
+    # processing done, transmission start, arrival).
+    "fan-in": "1d3fb1f35160bd3a6242157fc08c201f1f2a5a56556087d9bef36a65b051138d",
 }
 
 

@@ -1,13 +1,15 @@
-"""The engine against the reference engine on seeded variants of the built-ins.
+"""The engine against the reference engine on seeded variants of five-node
+chains and of a fan-in.
 
-``engine_oracle.reference_run`` calls ``forward`` on every event; the engine
-walks each flow's path once and then only times packets along it. On every
-variant below the two must give the same records and the same trace, byte
-for byte. Variants cover all three tunnel kinds, IPv6 sent at an IPv4-only
-router, jitter, equal start times, small MTUs, low hop limits, slow links
-that queue, several flows in both directions and families, and horizons
-that cut frames mid-path. Everything is drawn from a seeded stdlib
-``random``, so every run checks the same cases.
+``engine_oracle.reference_run`` has four event kinds and calls ``forward``
+on every event; the engine walks each flow's path once and then only times
+packets along it, one heap entry per hop. On every variant below
+the two must give the same records and the same trace, byte for byte.
+Variants cover all three tunnel kinds, IPv6 sent at an IPv4-only router,
+jitter, equal start times, small MTUs, low hop limits, slow links that
+queue, frames from two links meeting in one queue, several flows in both
+directions and families, and horizons that cut frames mid-path. Everything
+is drawn from a seeded stdlib ``random``, so every run checks the same cases.
 """
 
 import random
@@ -16,13 +18,28 @@ from dataclasses import replace
 
 from engine_oracle import reference_run
 
-from transit6.addressing import Ipv6Prefix
-from transit6.codec import Ipv6Address
+from transit6.addressing import Ipv4Prefix, Ipv6Prefix
+from transit6.codec import Ipv4Address, Ipv6Address
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
-from transit6.simcore import DropReason, RouteEntry6, TrafficSpec, run_simulation
+from transit6.simcore import (
+    DropReason,
+    Interface,
+    Link,
+    Node,
+    NodeKind,
+    Role,
+    RouteEntry4,
+    RouteEntry6,
+    Scenario,
+    Topology,
+    TrafficSpec,
+    run_simulation,
+)
 from transit6.transition import TunnelKind
 
+A4 = Ipv4Address.parse
 A6 = Ipv6Address.parse
+P4 = Ipv4Prefix.parse
 P6 = Ipv6Prefix.parse
 
 
@@ -47,12 +64,57 @@ def _compatible(**kw):
     return s
 
 
+def _fan_in(bandwidth, propagation_delay, mtu, processing_delay):
+    """Hosts A and B reach router R over their own links; both go on to D.
+
+    a-r runs at a quarter of the bandwidth, so A's frames queue there while
+    B's cross b-r at once, and frames from both meet in R's queue to D.
+    """
+
+    def node(node_id, role, ifaces, v4_routes, v6_routes, delay=0.0):
+        return Node(
+            node_id, NodeKind.DUAL_STACK, role,
+            interfaces=[Interface(name, v4=A4(v4), v6=[A6(v6)]) for name, v4, v6 in ifaces],
+            v4_routes=[RouteEntry4(P4(p), out_if) for p, out_if in v4_routes],
+            v6_routes=[RouteEntry6(P6(p), out_if) for p, out_if in v6_routes],
+            processing_delay=delay,
+        )
+
+    def host(node_id, subnet):
+        return node(
+            node_id, Role.HOST, [("eth0", f"10.0.{subnet}.1", f"2001:{subnet}::1")],
+            [("0.0.0.0/0", "eth0")], [("::/0", "eth0")],
+        )
+
+    def link(link_id, a, b, bits_per_s):
+        return Link(link_id, a, b, bandwidth=bits_per_s, propagation_delay=propagation_delay, mtu=mtu)
+
+    ports = ("a", "b", "d")
+    router = node(
+        "R", Role.ROUTER,
+        [(port, f"10.0.{i}.2", f"2001:{i}::2") for i, port in enumerate(ports)],
+        [(f"10.0.{i}.0/24", port) for i, port in enumerate(ports)],
+        [(f"2001:{i}::/64", port) for i, port in enumerate(ports)],
+        processing_delay,
+    )
+    topology = Topology(
+        nodes=[host("A", 0), host("B", 1), router, host("D", 2)],
+        links=[
+            link("a-r", ("A", "eth0"), ("R", "a"), bandwidth / 4),
+            link("b-r", ("B", "eth0"), ("R", "b"), bandwidth),
+            link("r-d", ("R", "d"), ("D", "eth0"), bandwidth),
+        ],
+    )
+    return Scenario("fan-in", topology, [])
+
+
 BASES = {
     "dualstack": build_scenario_dualstack,
     "configured": build_scenario_6to4,
     "6to4": lambda **kw: build_scenario_6to4(TunnelKind.AUTO_6TO4, **kw),
     "compatible": _compatible,
     "no-tunnel": lambda **kw: build_scenario_6to4(with_tunnel=False, **kw),
+    "fan-in": _fan_in,
 }
 
 
