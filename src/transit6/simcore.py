@@ -13,55 +13,56 @@ once per run.
 
 Every packet of a flow leaves its source with the same bytes, and what a
 node does with a frame depends only on the node, the frame and the interface
-it came in on. So a flow's path is fixed for the run: each run walks it once,
-calling ``forward`` once per (flow, hop), and records every hop's outgoing
-link direction, frame size, shared (link, size) tuple and trace hex, and how
-the path ends (delivered, or dropped with a reason). The event loop then only
-times packets along the compiled paths; it never touches a frame. The walk
-ends because every hop a frame arrives on spends one ttl or hop_limit, and a
+it came in on. So each run walks the path of each distinct (source, frame)
+once, calling ``forward`` once per hop; flows that send the same bytes from
+one node share it. A path records every hop's outgoing link direction, frame
+size, shared (link, size) tuple and trace hex, and how it ends (delivered,
+or dropped with a reason); timing never touches a frame. The walk ends
+because every hop a frame arrives on spends one ttl or hop_limit, and a
 tunnel copies the inner hop_limit into the outer ttl. Precondition: a
 frame's bytes are the same for every packet of its flow. A per-packet field
-(an IPv4 identification, a sequence number in the payload) would break it,
-and paths would then have to be keyed by frame bytes instead of by flow.
-
-The heap holds one entry per hop: the moment a node has processed a packet.
-When it comes off, the frame takes its link direction's FIFO slot (it starts
-at the later of now and the time the link goes idle), joins the packet's hop
-list unless the horizon has passed by then, and arrives after serialization
-and propagation; the packet is then delivered, its path ends, or its next
-hop goes on the heap at arrival plus that node's processing delay. Sends are
-entries too. Send times are drawn up front, flow by flow, and each send keeps
-its position in that draw order as its seq. Each flow has one pending send
-on the heap, its earliest unsent one by (time, seq), and the next goes on
-when that one comes off. So the heap holds the packets in flight, not every
-packet of the run.
-
-Every output is that of a heap of four event kinds (a send per packet, then
-per hop processing done, transmission start and arrival) ordered by (time,
-seq), with seqs counted up as events are pushed; ``tests/engine_oracle.py``
-is that engine. There an event's seq ranks the event that pushed it, and
-only processing done touches shared state (the FIFO), so the key reproduces
-the order of the events that push processing done. A send's key is (time,
--1.0, seq), so sends come first at equal times; a first hop's is (time, send
-time, 0, 0.0, send seq); a later hop's is (time, arrival, 1, start of the
-previous hop, rank of that hop's entry among the hops taken off the heap).
-Keys are unique, so identical inputs always yield identical outputs. With a
-trace, each transmission's line is kept with its (start, rank) and the lines
-are sorted once at the end, into the order the transmission starts would
-come off that heap.
-
-A packet never aborts the run: whatever happens to it, including a tunnel
-that would send it back to its own entry point, is recorded as data on its
-MetricsRecord. A frame too big for its next link is dropped when the node
-has finished processing it, not when it arrives, so a horizon that falls
-between the two expires it instead. Each record holds its own list of the
-(shared) hop tuples its packet was transmitted on.
+(an IPv4 identification, a sequence number in the payload) would break it.
 
 Timing model per hop: a node that forwards a frame spends its
 ``processing_delay``, then the frame waits for the outgoing link direction to
 go idle (FIFO), is serialized for ``bytes * 8 / bandwidth`` seconds and
 propagates for the link's ``propagation_delay``. Delivery is recorded at the
-moment the last bit arrives; the receiving host adds nothing.
+moment the last bit arrives; the receiving host adds nothing. Each queue
+thus follows Lindley's recursion (Lindley, "The theory of queues with a
+single server", 1952): a frame processed at ``ready`` starts at ``start =
+max(idle, ready)``, the queue is idle again at ``start + serialization``,
+and the next node has processed the frame at ``start + serialization +
+propagation + processing``.
+
+Flows whose frames wait in the same queues form a group. A group is private
+when no other group uses any of its queues and its path uses none twice.
+Its packets then reach every queue in their send order, so an untraced run
+times each of them along its whole path when its send comes off the heap.
+The heap times the rest (flows that share a queue, and every flow that
+transmits in a traced run) with one entry per hop, due when a node has
+processed the packet; the frame then takes its FIFO slot and the next hop's
+entry goes on at its arrival plus that node's processing delay. Send times
+are drawn up front, flow by flow, and each send keeps its position in that
+draw order as its seq. Each flow has one pending send on the heap, its
+earliest unsent one by (time, seq), so the heap holds the packets in flight
+and packet ids follow (send time, seq) on either path.
+
+The heap's key makes it pop in the order of a heap of four event kinds (a
+send per packet, then per hop processing done, transmission start and
+arrival) ordered by (time, seq), with seqs counted up as events are pushed;
+``tests/engine_oracle.py`` is that engine, and the README's "Library
+layout" section tabulates the key. Keys are unique, so identical inputs
+always yield identical outputs. With a trace, each transmission's line is
+kept with its (start, rank) and the lines are sorted once at the end.
+
+A packet never aborts the run: whatever happens to it, including a tunnel
+that would send it back to its own entry point, is recorded as data on its
+MetricsRecord. A frame too big for its next link is dropped when the node
+has finished processing it, not when it arrives, so a horizon that falls
+between the two expires it instead. A frame joins its packet's hop list
+only if its transmission starts by the horizon, and a packet is delivered
+only if it arrives by then. Each record holds its own list of the (shared)
+hop tuples its packet was transmitted on.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ import heapq
 import math
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -556,9 +558,8 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
 # Every other entry is hop i of flow's path, due when the node has processed
 # the packet: after is when the packet reached the node, parent is 0 for the
 # source and 1 for a later node, and for a later node start and seq are when
-# the previous hop began to transmit and that hop's rank. See the module
-# docstring for why this key pops entries in the order of the four-event
-# engine. Keys are unique, so entries never compare past the seq.
+# the previous hop began to transmit and that hop's rank among heap hops.
+# Keys are unique, so entries never compare past the seq.
 
 
 @dataclass(slots=True)
@@ -696,18 +697,35 @@ class _Engine:
         records: list[MetricsRecord] = []
         limit = math.inf if horizon is None else horizon
 
-        # Every packet of a flow leaves its source with the same bytes, so
-        # the flow's path is walked once, here, and the loop below only
-        # times packets along it.
+        # What a node does with a frame depends only on the node, the frame
+        # and where it came in, so each distinct (source, frame) is walked
+        # once, here, and the loop below only times packets along its path.
         hops: dict[tuple[str, int], tuple[str, int]] = {}
+        compiled: dict[tuple[str, bytes], tuple[list[tuple], Optional[DropReason]]] = {}
         paths: list[list[tuple]] = []
         ends: list[Optional[DropReason]] = []
         sends = []
         for flow, site, frame, order in self.flows:
-            path, end = self._path(fwd, site, frame, hops)
+            key = (flow.src, frame)
+            if key not in compiled:
+                compiled[key] = self._path(fwd, site, frame, hops)
+            path, end = compiled[key]
             paths.append(path)
             ends.append(end)
             sends.append((flow.flow_id, flow.src, flow.dst, flow.payload_bytes, order))
+
+        # Flows whose frames wait in the same queues form a group. A group is
+        # private when each of its queues occurs once in all the groups: no
+        # other group uses it and its path does not use it twice. Its packets
+        # meet at every queue in send order, so each is timed end to end when
+        # it is sent. A trace lists transmissions in the order the heap starts
+        # them, so a traced run keeps every flow that transmits on the heap.
+        groups = [tuple(hop[1] for hop in path if hop[1] is not None) for path in paths]
+        users = Counter(queue for group in set(groups) for queue in group)
+        private = [
+            all(users[queue] == 1 for queue in group) and (trace is None or not group)
+            for group in groups
+        ]
 
         # One pending send per flow: a flow's next send goes on the heap when
         # its previous one comes off.
@@ -728,17 +746,38 @@ class _Engine:
                 # A send: open the packet's record, queue the flow's next send.
                 flow_id, src, dst, payload_bytes, order = sends[a]
                 packet_id = len(records)
-                records.append(MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now))
+                rec = MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now)
+                records.append(rec)
                 if b + 1 < len(order):
                     k = order[b + 1]
                     push(heap, (times[k], -1.0, 0, 0.0, k, a, b + 1, -1))
                 path = paths[a]
-                if path:
+                if not private[a]:
                     push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, packet_id))
-                elif ends[a] is None:
-                    records[packet_id].receive_time = now
+                    continue
+                # Lindley's recursion, with the checks of the loop below in
+                # its order: ready is when the hop's node has processed it.
+                ready = now
+                for processing, queue, ser, prop, hop, _ in path:
+                    ready += processing
+                    if ready > limit:
+                        break
+                    if queue is None:
+                        rec.drop_reason = MTU_EXCEEDED
+                        break
+                    free = idle[queue]
+                    start = free if free > ready else ready
+                    idle[queue] = start + ser
+                    if start > limit:
+                        break
+                    rec.wire_bytes_per_hop.append(hop)
+                    ready = start + ser + prop
                 else:
-                    records[packet_id].drop_reason = ends[a]
+                    if ready <= limit:
+                        if ends[a] is None:
+                            rec.receive_time = ready
+                        else:
+                            rec.drop_reason = ends[a]
                 continue
 
             # The node has processed the packet for hop b of its flow's path:

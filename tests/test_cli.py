@@ -21,8 +21,8 @@ from transit6.codec import (
     parse_frame,
 )
 from transit6.scenario_io import load_text, serialize_model
-from transit6.scenarios import build_scenario_6to4
-from transit6.simcore import DropReason, run_simulation
+from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
+from transit6.simcore import DropReason, TrafficSpec, run_simulation
 from transit6.transition import encapsulate_6in4
 
 A4 = Ipv4Address.parse
@@ -314,6 +314,39 @@ def test_run_trace_file(tmp_path, capsys):
     # 10 packets, 4 links each.
     assert len(lines) == 40
     assert all("pkt=" in line for line in lines)
+
+
+def _congested_scenario_file(tmp_path) -> str:
+    # r1-r2 at 2 Mbit/s, offered more than it carries by flows in both
+    # directions and both families, cut by a horizon. R1's own flow shares
+    # R1's queue to R2 with H1's, so those two stay on the heap; H2's flow
+    # has its queues to itself.
+    s = build_scenario_dualstack()
+    next(link for link in s.topology.links if link.id == "r1-r2").bandwidth = 2e6
+    s.traffic = [
+        TrafficSpec("there", "H1", "H2", payload_bytes=500, count=40, gap=1e-3, jitter=0.5),
+        TrafficSpec("r1", "R1", "R3", payload_bytes=300, count=30, gap=2e-3, start=3e-4,
+                    family="v4", jitter=0.3),
+        TrafficSpec("back", "H2", "H1", payload_bytes=1000, count=30, gap=5e-4, jitter=0.9),
+    ]
+    s.horizon = 0.04
+    path = tmp_path / "congested.scenario"
+    path.write_text(serialize_model(s), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("scenario", ["6to4", "dualstack", "congested"])
+def test_run_output_is_the_same_with_and_without_trace(scenario, tmp_path, capsys):
+    # A traced run keeps every flow on the heap; an untraced one times flows
+    # whose queues are their own without it. Both must print the same.
+    if scenario == "congested":
+        scenario = _congested_scenario_file(tmp_path)
+    argv = ["run", scenario, "--seed", "3", "-f", "json-lines"]
+    assert main(argv) == 0
+    untraced = capsys.readouterr()
+    assert main(argv + ["--trace", str(tmp_path / "frames.log")]) == 0
+    assert capsys.readouterr() == untraced
+    assert untraced.out
 
 
 def test_compare_trace_file_prefixes_sides(tmp_path, capsys):

@@ -210,6 +210,16 @@ def test_engine_output_matches_golden_digest(name):
     assert _digest(topology, traffic, **kw) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_untraced_records_equal_traced_records(name):
+    # The digests pin traced runs, which keep every flow on the heap; an
+    # untraced run times flows whose queues are their own without it.
+    topology, traffic, kw = SCENARIOS[name]()
+    horizon, seed = kw.get("horizon"), kw.get("seed", 0)
+    traced = run_simulation(topology, traffic, horizon, seed=seed, trace=[])
+    assert repr(run_simulation(topology, traffic, horizon, seed=seed)) == repr(traced)
+
+
 def test_unordered_sends_scenario_draws_out_of_order_times():
     # The draws the engine makes for the first flow, in its order: the
     # scenario is only a test of send order if some are out of order.

@@ -1,15 +1,17 @@
 """The engine against the reference engine on seeded variants of five-node
-chains and of a fan-in.
+chains, of a fan-in and of a routing loop.
 
 ``engine_oracle.reference_run`` has four event kinds and calls ``forward``
-on every event; the engine walks each flow's path once and then only times
-packets along it, one heap entry per hop. On every variant below
-the two must give the same records and the same trace, byte for byte.
-Variants cover all three tunnel kinds, IPv6 sent at an IPv4-only router,
-jitter, equal start times, small MTUs, low hop limits, slow links that
-queue, frames from two links meeting in one queue, several flows in both
-directions and families, and horizons that cut frames mid-path. Everything
-is drawn from a seeded stdlib ``random``, so every run checks the same cases.
+on every event; the engine walks each distinct path once and then only
+times packets along it: on a heap, one entry per hop, when traced or when a
+queue is shared, and otherwise end to end as each packet is sent. On every
+variant below the two must give the same records, traced and untraced, and
+the same trace, byte for byte. Variants cover all three tunnel kinds, IPv6
+sent at an IPv4-only router, jitter, equal start times, small MTUs, low hop
+limits, slow links that queue, frames from two links meeting in one queue,
+frames that use one queue several times, several flows in both directions
+and families, and horizons that cut frames mid-path. Everything is drawn
+from a seeded stdlib ``random``, so every run checks the same cases.
 """
 
 import random
@@ -108,6 +110,24 @@ def _fan_in(bandwidth, propagation_delay, mtu, processing_delay):
     return Scenario("fan-in", topology, [])
 
 
+def _loop(**kw):
+    """The dual-stack chain with R2 routing H2's prefixes back to R1.
+
+    R1 sends them on to R2 again, so every frame for H2, and every IPv4 frame
+    for R3, crosses r1-r2 back and forth until its hop limit runs out, and
+    uses each direction's queue several times. r1-r2 runs at an eighth of
+    the bandwidth, so a packet's later rounds meet the next packets' first
+    in R1's queue.
+    """
+    s = build_scenario_dualstack(**kw)
+    r2 = s.topology.nodes[2]
+    r2.v4_routes[1] = replace(r2.v4_routes[1], out_if="fa0")
+    r2.v6_routes[1] = replace(r2.v6_routes[1], out_if="fa0")
+    r1_r2 = next(link for link in s.topology.links if link.id == "r1-r2")
+    r1_r2.bandwidth /= 8
+    return s
+
+
 BASES = {
     "dualstack": build_scenario_dualstack,
     "configured": build_scenario_6to4,
@@ -115,7 +135,12 @@ BASES = {
     "compatible": _compatible,
     "no-tunnel": lambda **kw: build_scenario_6to4(with_tunnel=False, **kw),
     "fan-in": _fan_in,
+    "loop": _loop,
 }
+
+# Frames in the loop base bounce until their hop limit runs out; this many
+# hops keep the reference engine's run short.
+LOOP_HOP_LIMIT = 9
 
 
 def _variant(rng: random.Random):
@@ -150,6 +175,8 @@ def _variant(rng: random.Random):
                 jitter=rng.choice([0.0, 0.0, 0.5, 0.9]),
             )
         )
+    if base == "loop":
+        flows = [replace(f, hop_limit=min(f.hop_limit, LOOP_HOP_LIMIT)) for f in flows]
     horizon = rng.choice([None, rng.uniform(0.0, 5e-3), rng.uniform(0.0, 0.02)])
     return base, s.topology, flows, horizon, rng.randrange(100)
 
@@ -165,6 +192,9 @@ def test_engine_matches_reference_engine():
         want = reference_run(topology, flows, horizon, seed=seed, trace=want_trace)
         assert trace == want_trace, (case, base)
         assert repr(records) == repr(want), (case, base)
+        # Untraced, flows whose queues are their own skip the heap.
+        untraced = run_simulation(topology, flows, horizon, seed=seed)
+        assert repr(untraced) == repr(want), (case, base)
         for rec in records:
             assert (rec.receive_time is None) != (rec.drop_reason is None), (case, rec)
             seen[rec.drop_reason] += 1
@@ -180,3 +210,23 @@ def test_engine_matches_reference_engine():
         DropReason.WRONG_FAMILY,
         "cut mid-path",
     } <= set(seen)
+
+
+def test_routing_loop_matches_reference_engine():
+    # One flow into the loop: each packet takes R1's queue to R2 several
+    # times before its hop limit runs out, between the first visits of the
+    # packets sent after it. Its flow is the only one, so no other group
+    # shares that queue; only the reuse keeps it off the untraced fast path.
+    s = _loop(bandwidth=10e6, propagation_delay=1e-4, mtu=1500, processing_delay=5e-5)
+    for gap in (0.0, 1e-4, 5e-4):
+        for jitter in (0.0, 0.9):
+            for horizon in (None, 5e-3, 2e-2):
+                flows = [
+                    TrafficSpec("f", "H1", "H2", payload_bytes=500, count=10, gap=gap,
+                                hop_limit=LOOP_HOP_LIMIT, jitter=jitter)
+                ]
+                want = reference_run(s.topology, flows, horizon, seed=3)
+                got = run_simulation(s.topology, flows, horizon, seed=3)
+                assert repr(got) == repr(want), (gap, jitter, horizon)
+                if horizon is None:
+                    assert all(r.wire_bytes_per_hop.count(("r1-r2", 540)) > 1 for r in got)

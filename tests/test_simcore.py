@@ -656,6 +656,32 @@ def test_tunnel_entry_checks_each_frame_once(monkeypatch):
     assert calls == 7 * len(s.traffic) == 7
 
 
+def test_flows_that_send_the_same_frame_share_one_path(monkeypatch):
+    # What a node does with a frame depends only on the node, the frame and
+    # where it came in, so flows sending the same bytes from one node share
+    # one walk; a different payload makes a different frame and its own walk.
+    calls = 0
+    real_forward = simcore.forward
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(simcore, "forward", counting)
+    s = build_scenario_6to4()
+    (flow,) = s.traffic
+    traffic = [
+        flow,
+        replace(flow, flow_id="same", start=5e-4),
+        replace(flow, flow_id="bigger", payload_bytes=1200),
+    ]
+    records = run_simulation(s.topology, traffic)
+    assert len(records) == 30
+    assert all(r.receive_time is not None for r in records)
+    assert calls == 7 * 2
+
+
 class _CountingHeapq:
     """Stands in for the heapq module: counts pops and the heap's peak."""
 
@@ -687,18 +713,24 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
     monkeypatch.setattr(simcore, "forward", counting_forward)
     peaks = []
     for count in (200, 2000):
-        shim = _CountingHeapq()
-        monkeypatch.setattr(simcore, "heapq", shim)
-        forward_calls = 0
         s = build_scenario_6to4(count=count)
-        records = run_simulation(s.topology, s.traffic)
-        assert len(records) == count
-        assert all(r.receive_time is not None for r in records)
-        assert forward_calls == 7 * len(s.traffic) == 7
-        # One send, then one entry per hop on four links: the node has
-        # processed the packet, and it is sent and arrives.
-        assert shim.pops == 5 * count
-        peaks.append(shim.peak)
+        for trace in (None, []):
+            shim = _CountingHeapq()
+            monkeypatch.setattr(simcore, "heapq", shim)
+            forward_calls = 0
+            records = run_simulation(s.topology, s.traffic, trace=trace)
+            assert len(records) == count
+            assert all(r.receive_time is not None for r in records)
+            assert forward_calls == 7 * len(s.traffic) == 7
+            # Untraced, the flow's queues are its own, so each packet is
+            # timed along its path when it is sent and only sends use the heap.
+            if trace is None:
+                assert shim.pops == count
+                continue
+            # Traced, one send, then one entry per hop on four links: the
+            # node has processed the packet, and it is sent and arrives.
+            assert shim.pops == 5 * count
+            peaks.append(shim.peak)
     # Ten times the packets, the same few frames in flight at once.
     assert peaks[0] == peaks[1] < 10
 
