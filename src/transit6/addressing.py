@@ -37,7 +37,7 @@ class FamilyMismatchError(AddressingError):
     """Prefix and address belong to different IP families."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ipv4Prefix:
     """An IPv4 routing prefix. Bits past ``length`` must be zero."""
 
@@ -48,13 +48,7 @@ class Ipv4Prefix:
     network: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
-            raise AddressingError(f"IPv4 prefix length out of range: {self.length}")
-        value = int.from_bytes(self.address.octets, "big")
-        network = value >> (32 - self.length)
-        if network << (32 - self.length) != value:
-            raise AddressingError(f"host bits set below /{self.length}: {self.address}")
-        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "network", _network(self.address, self.length, 32, "IPv4"))
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Prefix":
@@ -65,7 +59,7 @@ class Ipv4Prefix:
         return f"{self.address}/{self.length}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ipv6Prefix:
     """An IPv6 routing prefix. Bits past ``length`` must be zero."""
 
@@ -75,13 +69,7 @@ class Ipv6Prefix:
     network: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= 128:
-            raise AddressingError(f"IPv6 prefix length out of range: {self.length}")
-        value = int.from_bytes(self.address.octets, "big")
-        network = value >> (128 - self.length)
-        if network << (128 - self.length) != value:
-            raise AddressingError(f"host bits set below /{self.length}: {self.address}")
-        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "network", _network(self.address, self.length, 128, "IPv6"))
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Prefix":
@@ -92,9 +80,24 @@ class Ipv6Prefix:
         return f"{self.address}/{self.length}"
 
 
+def _network(address: Ipv4Address | Ipv6Address, length: int, width: int, family: str) -> int:
+    """The top ``length`` of ``width`` bits of ``address`` as an int.
+
+    Raises when ``length`` is out of range or a bit past it is set.
+    """
+    if not 0 <= length <= width:
+        raise AddressingError(f"{family} prefix length out of range: {length}")
+    value = int.from_bytes(address.octets, "big")
+    network = value >> (width - length)
+    if network << (width - length) != value:
+        raise AddressingError(f"host bits set below /{length}: {address}")
+    return network
+
+
 def _split_prefix(text: str) -> tuple[str, int]:
     addr, sep, length = text.strip().partition("/")
-    if not sep or not length.isdigit():
+    # isdigit alone would take non-ASCII digits such as '\u0663'.
+    if not sep or not (length.isascii() and length.isdigit()):
         raise AddressingError(f"prefix must look like addr/len: {text!r}")
     return addr, int(length)
 

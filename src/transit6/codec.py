@@ -48,7 +48,10 @@ class LengthMismatchError(CodecError):
     """Declared lengths disagree with the actual byte counts."""
 
 
-@dataclass(frozen=True, order=True)
+_V4_TEXT_CHARS = "0123456789."
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Ipv4Address:
     """An IPv4 address held as its four raw octets."""
 
@@ -60,11 +63,23 @@ class Ipv4Address:
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":
-        parts = text.strip().split(".")
+        stripped = text.strip()
+        # inet_pton is the fast path, but only for text of ASCII digits and
+        # '.', on which it and the checks below agree (tests/test_codec.py
+        # checks it on the platform it runs on); the alphabet also keeps NUL
+        # away from it. All other text, and whatever inet_pton rejects, goes
+        # to the checks, which say what is wrong.
+        if not stripped.strip(_V4_TEXT_CHARS):
+            try:
+                return cls(socket.inet_pton(socket.AF_INET, stripped))
+            except OSError:
+                pass
+        parts = stripped.split(".")
         if len(parts) != 4:
             raise ValueError(f"bad IPv4 address {text!r}")
         for p in parts:
-            if not p.isdigit() or (len(p) > 1 and p[0] == "0"):
+            # isdigit alone would take non-ASCII digits such as '\u0661'.
+            if not (p.isascii() and p.isdigit()) or (len(p) > 1 and p[0] == "0"):
                 raise ValueError(f"bad IPv4 address {text!r}")
         try:
             octets = bytes(map(int, parts))
@@ -82,7 +97,7 @@ class Ipv4Address:
 _V6_TEXT_CHARS = "0123456789abcdefABCDEF:."
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Ipv6Address:
     """An IPv6 address held as its sixteen raw octets.
 

@@ -35,6 +35,14 @@ the default of its model dataclass (``simcore.Node``, ``Interface``,
 written down nowhere else. One table, ``_SECTIONS``, lists every section
 kind's keys, and the parser, the overrides, the model builder and the
 writer all read it.
+
+Route tables are the bulk of a large file, so two paths skip work there
+without changing any result or message. ``parse_text`` checks each distinct
+header text once per parse and reuses its kind, arguments and list keys when
+the header repeats; every section still gets its own ``args`` list.
+``build_model`` builds a route section that sets exactly ``prefix`` and
+``out_if`` directly; any other route section, or one whose prefix is bad,
+goes through ``_read``, which gives the message.
 """
 
 from __future__ import annotations
@@ -189,7 +197,7 @@ _LIST_KEYS = {kind: _field_keys(cls, rows, lambda f: f.default_factory is list)
               for kind, (cls, _, rows) in _SECTIONS.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class RawSection:
     kind: str
     args: list[str]
@@ -226,6 +234,28 @@ class RawScenario:
     sections: list[RawSection] = field(default_factory=list)
 
 
+def _header(stripped: str, lineno: int) -> tuple[str, list[str], Collection[str]]:
+    """The kind, arguments and list keys of the section header ``stripped``."""
+    if not stripped.endswith("]"):
+        raise ScenarioParseError(f"line {lineno}: unterminated section header")
+    parts = stripped[1:-1].split()
+    if not parts:
+        raise ScenarioParseError(f"line {lineno}: empty section header")
+    kind, args = parts[0], parts[1:]
+    spec = _SECTIONS.get(kind)
+    if spec is None:
+        raise ScenarioParseError(
+            f"line {lineno}: unknown section kind {kind!r} "
+            f"(expected one of {sorted(_SECTIONS)})"
+        )
+    argc = spec[1]
+    if len(args) != argc:
+        raise ScenarioParseError(
+            f"line {lineno}: [{kind}] takes {argc} argument(s), got {len(args)}"
+        )
+    return kind, args, _LIST_KEYS[kind]
+
+
 def parse_text(text: str) -> RawScenario:
     """Parse scenario text into its raw sections, preserving order."""
     raw = RawScenario()
@@ -233,6 +263,9 @@ def parse_text(text: str) -> RawScenario:
     # Where the next key = value line goes, and which of its keys may repeat.
     entries: dict = raw.scenario
     list_keys: Collection[str] = ()
+    # Header text -> its kind, arguments and list keys, for headers already
+    # checked: in a large route table nearly every header repeats one.
+    headers: dict[str, tuple[str, list[str], Collection[str]]] = {}
     lines = text.splitlines()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -242,27 +275,13 @@ def parse_text(text: str) -> RawScenario:
         if first == "#":
             continue
         if first == "[":
-            if not stripped.endswith("]"):
-                raise ScenarioParseError(f"line {lineno}: unterminated section header")
-            parts = stripped[1:-1].split()
-            if not parts:
-                raise ScenarioParseError(f"line {lineno}: empty section header")
-            kind, args = parts[0], parts[1:]
-            spec = _SECTIONS.get(kind)
-            if spec is None:
-                raise ScenarioParseError(
-                    f"line {lineno}: unknown section kind {kind!r} "
-                    f"(expected one of {sorted(_SECTIONS)})"
-                )
-            argc = spec[1]
-            if len(args) != argc:
-                raise ScenarioParseError(
-                    f"line {lineno}: [{kind}] takes {argc} argument(s), got {len(args)}"
-                )
-            current = RawSection(kind, args, lineno, {}, lines)
+            header = headers.get(stripped)
+            if header is None:
+                header = headers[stripped] = _header(stripped, lineno)
+            kind, args, list_keys = header
+            current = RawSection(kind, args.copy(), lineno, {}, lines)
             raw.sections.append(current)
             entries = current.entries
-            list_keys = _LIST_KEYS[kind]
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
@@ -364,6 +383,29 @@ def _read(sec: RawSection, **header_fields):
         raise ScenarioValidationError(f"{sec.label()}: {exc}") from None
 
 
+# Route section kind -> its model class and the reader of its prefix key.
+_ROUTE_READERS = {
+    kind: (cls, {key: reader for key, _, reader, _ in rows}["prefix"])
+    for kind, (cls, rows, _, _) in _READ.items() if kind in _ROUTE_TABLES
+}
+
+
+def _read_route(sec: RawSection):
+    """A route section's entry, built directly when it sets exactly
+    ``prefix`` and ``out_if``; any other section, or a bad prefix, goes
+    through _read, which gives the message."""
+    entries = sec.entries
+    if len(entries) == 2:
+        prefix, out_if = entries.get("prefix"), entries.get("out_if")
+        if prefix is not None and out_if is not None:
+            cls, parse_prefix = _ROUTE_READERS[sec.kind]
+            try:
+                return cls(parse_prefix(prefix), out_if)
+            except ValueError:
+                pass
+    return _read(sec)
+
+
 def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
     """Turn raw sections into a validated Scenario."""
     unknown_scenario = set(raw.scenario) - {"name", "horizon"}
@@ -411,7 +453,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
                     raise ScenarioValidationError(f"{sec.label()}: duplicate tunnel {args[1]!r}")
                 node.tunnels[args[1]] = _read(sec)
             else:
-                getattr(node, _ROUTE_TABLES[kind]).append(_read(sec))
+                getattr(node, _ROUTE_TABLES[kind]).append(_read_route(sec))
 
     topology = Topology(nodes=list(nodes.values()), links=links)
     validate_topology(topology)

@@ -618,19 +618,21 @@ class _Engine:
                 )
         self.queue_count = len(queues)
 
-        # Send times are drawn flow by flow, one uniform draw per jittered
-        # send. Send k in that order has seq k, so sends order among
-        # themselves as if all were queued before the first event.
-        rng = random.Random(seed)
+        # Send times are drawn flow by flow, one draw per jittered send.
+        # Send k in that order has seq k, so sends order among themselves as
+        # if all were queued before the first event. ``b * draw()`` is the
+        # float that ``Random.uniform(0.0, b)`` returns.
+        draw = random.Random(seed).random
         self.send_times = times = array("d")
         self.flows = []
         for flow in traffic:
             base = len(times)
             in_order = True
+            spread = flow.jitter * flow.gap
             for i in range(flow.count):
                 t = flow.start + i * flow.gap
                 if flow.jitter > 0:
-                    t += rng.uniform(0.0, flow.jitter * flow.gap)
+                    t += spread * draw()
                 if i and t < times[-1]:
                     in_order = False
                 times.append(t)

@@ -126,6 +126,42 @@ def test_prefix_parse_and_str():
             Ipv4Prefix.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    [
+        (Ipv4Prefix.parse, "0.0.0.0/0", "0.0.0.0/0"),
+        (Ipv4Prefix.parse, "10.0.0.0/0", "host bits set below /0: 10.0.0.0"),
+        (Ipv4Prefix.parse, "10.1.2.3/32", "10.1.2.3/32"),
+        (Ipv4Prefix.parse, "10.1.2.3/33", "IPv4 prefix length out of range: 33"),
+        (Ipv4Prefix.parse, "10.1.2.1/24", "host bits set below /24: 10.1.2.1"),
+        (Ipv4Prefix.parse, "10.0.0.0/08", "10.0.0.0/8"),
+        (Ipv4Prefix.parse, "10.0.0.0/ 8", "prefix must look like addr/len: '10.0.0.0/ 8'"),
+        (Ipv4Prefix.parse, "10.0.0.0", "prefix must look like addr/len: '10.0.0.0'"),
+        (Ipv4Prefix.parse, "10.0.0.0/-1", "prefix must look like addr/len: '10.0.0.0/-1'"),
+        (Ipv4Prefix.parse, "10.0.0.0/\u0668", "prefix must look like addr/len: '10.0.0.0/\u0668'"),
+        (Ipv4Prefix.parse, "\u0661.0.0.0/8", "bad IPv4 address '\u0661.0.0.0'"),
+        (Ipv4Prefix.parse, "/8", "bad IPv4 address ''"),
+        (Ipv6Prefix.parse, "::/0", "::/0"),
+        (Ipv6Prefix.parse, "2001::/0", "host bits set below /0: 2001::"),
+        (Ipv6Prefix.parse, "2001::1/128", "2001::1/128"),
+        (Ipv6Prefix.parse, "2001::1/129", "IPv6 prefix length out of range: 129"),
+        (Ipv6Prefix.parse, "2001::1/64", "host bits set below /64: 2001::1"),
+        (Ipv6Prefix.parse, "2001::/016", "2001::/16"),
+        (Ipv6Prefix.parse, "2001::/ 16", "prefix must look like addr/len: '2001::/ 16'"),
+        (Ipv6Prefix.parse, "2001::", "prefix must look like addr/len: '2001::'"),
+        (Ipv6Prefix.parse, "2001:db8::/\u0663\u0662",
+         "prefix must look like addr/len: '2001:db8::/\u0663\u0662'"),
+    ],
+)
+def test_prefix_parse_edges(parse, text, expected):
+    # A prefix parses to its canonical text, or fails with the message given.
+    try:
+        got = str(parse(text))
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
+
+
 def prefix_matches(prefix, addr) -> bool:
     """Whether ``route_lookup`` over a one-entry table holding ``prefix``
     picks that entry for ``addr``: a hit returns the entry, a miss raises

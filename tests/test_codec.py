@@ -1,5 +1,6 @@
 import ipaddress
 import random
+import socket
 from dataclasses import replace
 
 import pytest
@@ -472,6 +473,69 @@ def test_ipv6_parse_matches_ipaddress():
         accepted += isinstance(expected, bytes)
     # Both decisions are well represented.
     assert 500 < accepted < len(texts) - 500
+
+
+def _ipv4_parse(text):
+    try:
+        return A4(text).octets
+    except ValueError as exc:
+        return str(exc)
+
+
+def _ipaddress_v4_decision(text):
+    try:
+        return ipaddress.IPv4Address(text.strip()).packed
+    except ipaddress.AddressValueError:
+        return None
+
+
+IPV4_EDGE_TEXTS = [
+    "0.0.0.0", "255.255.255.255", "1.2.3.4", " 1.2.3.4\t", "\n10.0.0.1 ", "01.2.3.4",
+    "1.2.3.00", "1.2.3.0", "00.0.0.0", "256.1.1.1", "1.2.3.256", "1.2.3.999", "1.2.3.1000",
+    "1.2.3", "1.2.3.4.5", "1..3.4", ".1.2.3", "1.2.3.", "....", "...", "", " ", "1.2.3.4\x00",
+    "\x001.2.3.4", "1.2\x00.3.4", "\u0661.2.3.4", "1.2.3.\u0664", "\uff11.2.3.4", "\u00b2.2.3.4",
+    "1.2.3.4/8", "1.2.3.-4", "+1.2.3.4", "1.2.3.4 5", "0x1.2.3.4", "1.2.3.4e0",
+]
+
+
+def _random_ipv4_text(rng):
+    """Text over 0123456789. only: often valid, often off by one rule."""
+    parts = []
+    for _ in range(rng.choice([3, 4, 4, 4, 4, 5])):
+        if rng.random() < 0.8:
+            parts.append(str(rng.choice([0, 1, 9, 10, 99, 100, 255, 256, 999, rng.randrange(256)])))
+        else:
+            parts.append("".join(rng.choice("0123456789") for _ in range(rng.randrange(0, 5))))
+    return ".".join(parts)
+
+
+def test_ipv4_parse_inet_pton_matches_checked_path(monkeypatch):
+    # The same accept/reject decision, the same octets and the same message
+    # with and without the inet_pton fast path, and the same decision and
+    # octets as ipaddress.
+    rng = random.Random(48)
+    texts = IPV4_EDGE_TEXTS + [_random_ipv4_text(rng) for _ in range(4000)]
+    fast = [_ipv4_parse(text) for text in texts]
+
+    def no_inet_pton(family, text):
+        raise OSError("inet_pton disabled")
+
+    monkeypatch.setattr(socket, "inet_pton", no_inet_pton)
+    checked = [_ipv4_parse(text) for text in texts]
+    accepted = 0
+    for text, got, want in zip(texts, fast, checked):
+        assert got == want, text
+        expected = _ipaddress_v4_decision(text)
+        assert (got if isinstance(got, bytes) else None) == expected, text
+        accepted += isinstance(want, bytes)
+    # Both decisions are well represented.
+    assert 500 < accepted < len(texts) - 500
+
+
+def test_ipv4_parse_rejects_non_ascii_digits():
+    for text in ("\u0661.2.3.4", "1.2.3.\u0664", "\uff11.2.3.4", "\u0661\u0662.0.0.1"):
+        with pytest.raises(ValueError, match=r"^bad IPv4 address "):
+            A4(text)
 
 
 def test_address_octet_count_enforced():

@@ -2,6 +2,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+from transit6.addressing import Ipv4Prefix, Ipv6Prefix
 from transit6.scenario_io import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -11,7 +12,7 @@ from transit6.scenario_io import (
     serialize_model,
 )
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
-from transit6.simcore import InvalidTopologyError, InvalidTrafficError
+from transit6.simcore import InvalidTopologyError, InvalidTrafficError, Role, RouteEntry4, RouteEntry6
 from transit6.transition import TunnelKind
 
 MINIMAL = """\
@@ -429,3 +430,95 @@ def test_bad_value_cites_its_own_line():
         load_text(OFF_DEFAULT, overrides=["interface.a.eth0.v6=2001::zz"])
     with pytest.raises(ScenarioValidationError, match=r"^\[node a\] \(line 7\): processing_delay "):
         load_text(OFF_DEFAULT.replace("processing_delay = 2.5e-05", "processing_delay = bogus", 1))
+
+
+def _large_route_table_text() -> str:
+    """The built-in dual-stack scenario with 256 filler routes per family
+    ahead of each router's own routes, so nearly every route header repeats."""
+    scenario = build_scenario_dualstack()
+    for node in scenario.topology.nodes:
+        if node.role is Role.ROUTER:
+            out4, out6 = node.v4_routes[0].out_if, node.v6_routes[0].out_if
+            node.v4_routes[:0] = [RouteEntry4(Ipv4Prefix.parse(f"11.{i}.0.0/16"), out4)
+                                  for i in range(256)]
+            node.v6_routes[:0] = [RouteEntry6(Ipv6Prefix.parse(f"2001:db8:{i:x}::/48"), out6)
+                                  for i in range(256)]
+    return serialize_model(scenario)
+
+
+LARGE_TABLE = _large_route_table_text()
+# R2's 101st filler route of each family; both headers have appeared 100
+# times above them.
+_V4_TARGET = "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\n"
+_V6_TARGET = "[route6 R2]\nprefix = 2001:db8:64::/48\nout_if = fa0\n"
+
+
+def test_large_route_table_round_trips():
+    assert LARGE_TABLE.count("[route4 R2]\n") == 258
+    assert LARGE_TABLE.count(_V4_TARGET) == LARGE_TABLE.count(_V6_TARGET) == 1
+    scenario = load_text(LARGE_TABLE)
+    assert len(scenario.topology.nodes[2].v6_routes) == 258
+    assert serialize_model(scenario) == LARGE_TABLE
+
+
+def test_sections_with_the_same_header_do_not_share_args():
+    raw = parse_text(LARGE_TABLE)
+    r2 = [sec for sec in raw.sections if sec.kind == "route4" and sec.args == ["R2"]]
+    assert len(r2) == 258
+    r2[100].args[0] = "R3"
+    assert [sec.args for sec in r2[:100] + r2[101:]] == [["R2"]] * 257
+
+
+# Each corruption replaces one of the target sections. The messages were
+# taken from the loader before repeated headers were memoized and route
+# sections were built directly; they must not change.
+@pytest.mark.parametrize(
+    "target, section, error, message",
+    [
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0/16\nout_if = fa0\n", ScenarioValidationError,
+         "[route4 R2] (line 2502): prefix is not a valid IPv4 prefix: '11.100.0/16'"
+         " (bad IPv4 address '11.100.0')"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0\nout_if = fa0\n", ScenarioValidationError,
+         "[route4 R2] (line 2502): prefix is not a valid IPv4 prefix: '11.100.0.0'"
+         " (prefix must look like addr/len: '11.100.0.0')"),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::1/48\nout_if = fa0\n", ScenarioValidationError,
+         "[route6 R2] (line 3534): prefix is not a valid IPv6 prefix: '2001:db8:64::1/48'"
+         " (host bits set below /48: 2001:db8:64::1)"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/33\nout_if = fa0\n", ScenarioValidationError,
+         "[route4 R2] (line 2502): prefix is not a valid IPv4 prefix: '11.100.0.0/33'"
+         " (IPv4 prefix length out of range: 33)"),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::/129\nout_if = fa0\n", ScenarioValidationError,
+         "[route6 R2] (line 3534): prefix is not a valid IPv6 prefix: '2001:db8:64::/129'"
+         " (IPv6 prefix length out of range: 129)"),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::/48\n", ScenarioValidationError,
+         "[route6 R2] (line 3533): missing required key 'out_if'"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\nmetric = 1\n",
+         ScenarioValidationError,
+         "[route4 R2] (line 2501): unknown key(s) ['metric'], allowed: ['next_hop', 'out_if', 'prefix']"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\nout_if = fa1\n",
+         ScenarioParseError, "line 2504: duplicate key 'out_if' in [route4 R2] (line 2501)"),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::/48\nout_if = fa0\nnext_hop = 10.10.12.1\n",
+         ScenarioValidationError,
+         "[route6 R2] (line 3536): next_hop is not a valid IPv6 address: '10.10.12.1'"
+         " (bad IPv6 address '10.10.12.1': At least 3 parts expected in '10.10.12.1')"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\nnext_hop = 10.10.12.1\n",
+         None, None),
+        (_V4_TARGET, "[route4 R2 R3]\nprefix = 11.100.0.0/16\nout_if = fa0\n", ScenarioParseError,
+         "line 2501: [route4] takes 1 argument(s), got 2"),
+        (_V4_TARGET, "[route5 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\n", ScenarioParseError,
+         "line 2501: unknown section kind 'route5' (expected one of ['flow', 'interface', 'link',"
+         " 'node', 'route4', 'route6', 'tunnel'])"),
+        # R3 is declared after R2's routes.
+        (_V4_TARGET, "[route4 R3]\nprefix = 11.100.0.0/16\nout_if = fa0\n", ScenarioValidationError,
+         "[route4 R3] (line 2501): node 'R3' has not been declared yet"),
+    ],
+)
+def test_large_route_table_corruptions(target, section, error, message):
+    text = LARGE_TABLE.replace(target, section, 1)
+    if error is None:
+        assert load_text(text) == load_text(LARGE_TABLE)
+        return
+    with pytest.raises(error) as info:
+        load_text(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
