@@ -64,28 +64,16 @@ class Ipv4Address:
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":
         stripped = text.strip()
-        # inet_pton is the fast path, but only for text of ASCII digits and
-        # '.', on which it and the checks below agree (tests/test_codec.py
-        # checks it on the platform it runs on); the alphabet also keeps NUL
-        # away from it. All other text, and whatever inet_pton rejects, goes
-        # to the checks, which say what is wrong.
+        # Only text of ASCII digits and '.' reaches inet_pton, which would
+        # raise ValueError on NUL. On that alphabet it rejects leading zeros,
+        # octets over 255 and a part count other than 4, as ipaddress does
+        # (tests/test_codec.py checks it on the platform it runs on).
         if not stripped.strip(_V4_TEXT_CHARS):
             try:
                 return cls(socket.inet_pton(socket.AF_INET, stripped))
             except OSError:
                 pass
-        parts = stripped.split(".")
-        if len(parts) != 4:
-            raise ValueError(f"bad IPv4 address {text!r}")
-        for p in parts:
-            # isdigit alone would take non-ASCII digits such as '\u0661'.
-            if not (p.isascii() and p.isdigit()) or (len(p) > 1 and p[0] == "0"):
-                raise ValueError(f"bad IPv4 address {text!r}")
-        try:
-            octets = bytes(map(int, parts))
-        except ValueError:  # an octet over 255
-            raise ValueError(f"bad IPv4 address {text!r}") from None
-        return cls(octets)
+        raise ValueError(f"bad IPv4 address {text!r}")
 
     def to_int(self) -> int:
         return int.from_bytes(self.octets, "big")
