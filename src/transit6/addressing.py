@@ -96,8 +96,9 @@ def _network(address: Ipv4Address | Ipv6Address, length: int, width: int, family
 
 def _split_prefix(text: str) -> tuple[str, int]:
     addr, sep, length = text.strip().partition("/")
-    # isdigit alone would take non-ASCII digits such as '\u0663'.
-    if not sep or not (length.isascii() and length.isdigit()):
+    # isdigit alone would take non-ASCII digits such as '\u0663'. The address
+    # parsers strip their text, so whitespace before the '/' is refused here.
+    if not sep or addr[-1:].isspace() or not (length.isascii() and length.isdigit()):
         raise AddressingError(f"prefix must look like addr/len: {text!r}")
     return addr, int(length)
 

@@ -5,11 +5,7 @@ frame's structure as ``parse_frame`` would, applies the node's forwarding
 rules (family filter, local delivery, hop decrement, longest-prefix routing,
 tunnel entry and exit) and edits the bytes it must: the hop count and the
 IPv4 checksum, or a 6in4 outer header added or stripped. Frames are never
-decoded into header objects on the way. Routes and addresses never change
-during a run, so each run builds one ``ForwardingState`` per node: the
-node's address sets, and a memo per family that remembers the route (or the
-lack of one) chosen for each destination, so a node resolves a destination
-once per run.
+decoded into header objects on the way.
 
 Every packet of a flow leaves its source with the same bytes, and what a
 node does with a frame depends only on the node, the frame and the interface
@@ -72,7 +68,7 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -87,7 +83,6 @@ from .codec import (
     check_frame,
     frame_packet,
     internet_checksum,
-    ipv4_header_checksum,
 )
 from .transition import (
     NoEndpointError,
@@ -280,33 +275,6 @@ def node_v6_addresses(node: Node) -> set[Ipv6Address]:
     return addrs
 
 
-@dataclass(slots=True)
-class ForwardingState:
-    """What forwarding at one node can reuse for a whole run.
-
-    The address sets hold the raw ``octets`` of the node's addresses. Each
-    route memo maps a destination's ``octets`` to the entry ``route_lookup``
-    chose for it, or to None when no route matches, so misses are cached too.
-    Only valid while the node's addresses and routes stay as they were.
-    """
-
-    v4_addresses: frozenset[bytes]
-    v6_addresses: frozenset[bytes]
-    v4_routes: dict[bytes, Optional[RouteEntry4]] = field(default_factory=dict)
-    v6_routes: dict[bytes, Optional[RouteEntry6]] = field(default_factory=dict)
-
-
-def forwarding_state(node: Node) -> ForwardingState:
-    """A fresh ForwardingState for ``node``, with empty route memos."""
-    return ForwardingState(
-        frozenset(a.octets for a in node_v4_addresses(node)),
-        frozenset(a.octets for a in node_v6_addresses(node)),
-    )
-
-
-_UNRESOLVED = object()
-
-
 def _drop(reason: DropReason) -> ForwardResult:
     return ForwardResult(ForwardAction.DROP, drop_reason=reason)
 
@@ -326,13 +294,7 @@ def _decrement_ttl(frame: bytes) -> bytes:
     return bytes(out)
 
 
-def forward(
-    node: Node,
-    frame: bytes,
-    in_if: Optional[str],
-    *,
-    state: Optional[ForwardingState] = None,
-) -> ForwardResult:
+def forward(node: Node, frame: bytes, in_if: Optional[str]) -> ForwardResult:
     """Decide what ``node`` does with ``frame``.
 
     ``in_if`` is the interface the frame arrived on, or None for a frame the
@@ -350,12 +312,7 @@ def forward(
     would raise for it, and a 6in4 frame for this node whose outer checksum
     fails raises BadChecksumError. A delivered result carries the delivered
     frame (the inner frame after decapsulation).
-
-    ``state`` is the node's ForwardingState for the run; without one, a
-    fresh state is built for this call.
     """
-    if state is None:
-        state = forwarding_state(node)
     path = dual_stack_dispatch(frame)
     if path is PathKind.V4_PATH and node.kind is NodeKind.IPV6_ONLY:
         return _drop(DropReason.WRONG_FAMILY)
@@ -364,14 +321,14 @@ def forward(
 
     kind = check_frame(frame)
     if kind is FrameKind.V6:
-        dst = frame[24:40]
-        if dst in state.v6_addresses:
+        dst = Ipv6Address(frame[24:40])
+        if dst in node_v6_addresses(node):
             return ForwardResult(ForwardAction.DELIVER, frame=frame)
     else:
-        dst = frame[16:20]
-        if dst in state.v4_addresses:
+        dst = Ipv4Address(frame[16:20])
+        if dst in node_v4_addresses(node):
             if kind is FrameKind.V6_IN_V4:
-                return forward(node, decapsulate_6in4(frame), in_if, state=state)
+                return forward(node, decapsulate_6in4(frame), in_if)
             return ForwardResult(ForwardAction.DELIVER, frame=frame)
 
     if node.role is Role.HOST and in_if is not None:
@@ -390,34 +347,22 @@ def forward(
                 return _drop(DropReason.TTL_EXPIRED)
             frame = _decrement_ttl(frame)
 
-    memo: dict = state.v6_routes if kind is FrameKind.V6 else state.v4_routes
-    entry = memo.get(dst, _UNRESOLVED)
-    if entry is _UNRESOLVED:
-        try:
-            if kind is FrameKind.V6:
-                entry = route_lookup(node.v6_routes, Ipv6Address(dst))
-            else:
-                entry = route_lookup(node.v4_routes, Ipv4Address(dst))
-        except NoRouteError:
-            entry = None
-        memo[dst] = entry
-    if entry is None:
+    try:
+        entry = route_lookup(node.v6_routes if kind is FrameKind.V6 else node.v4_routes, dst)
+    except NoRouteError:
         return _drop(DropReason.NO_ROUTE)
 
     if entry.out_if in node.tunnels:
         # Topology validation guarantees only v6 routes reference tunnels.
         cfg = node.tunnels[entry.out_if]
         try:
-            remote = resolve_tunnel_endpoint(cfg, Ipv6Address(dst))
+            remote = resolve_tunnel_endpoint(cfg, dst)
         except NoEndpointError:
             return _drop(DropReason.NO_ENDPOINT)
-        if remote.octets in state.v4_addresses:
+        if remote in node_v4_addresses(node):
             return _drop(DropReason.TUNNEL_LOOP)
-        # check_frame found a native IPv6 frame above; do not check it again.
-        encapsulated = encapsulate_6in4(
-            frame, cfg.local_v4, remote, ttl=frame[7], inner_checked=True
-        )
-        return forward(node, encapsulated, None, state=state)
+        encapsulated = encapsulate_6in4(frame, cfg.local_v4, remote, ttl=frame[7])
+        return forward(node, encapsulated, None)
 
     return ForwardResult(ForwardAction.FORWARD, out_if=entry.out_if, frame=frame)
 
@@ -567,7 +512,6 @@ class _Site:
     """A node with what the engine needs of it for the run."""
 
     node: Node
-    state: ForwardingState
     ports: dict[str, "_Port"] = field(default_factory=dict)
 
 
@@ -598,7 +542,7 @@ class _Engine:
         trace: Optional[list[str]],
     ) -> None:
         self.trace = trace
-        self.sites = sites = [_Site(n, forwarding_state(n)) for n in topology.nodes]
+        self.sites = sites = [_Site(n) for n in topology.nodes]
         index = {n.id: i for i, n in enumerate(topology.nodes)}
         # A FIFO per (link, sending node): a link whose two ends sit on one
         # node has a single queue.
@@ -662,7 +606,7 @@ class _Engine:
         path: list[tuple] = []
         in_if = None
         while True:
-            res = fwd(site.node, frame, in_if, state=site.state)
+            res = fwd(site.node, frame, in_if)
             if res.action is not ForwardAction.FORWARD:
                 return path, res.drop_reason
             port = site.ports[res.out_if]
@@ -838,8 +782,9 @@ def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:
         ttl=flow.hop_limit,
         protocol=1,
     )
-    h4 = replace(h4, checksum=ipv4_header_checksum(h4))
-    return frame_packet(Packet(FrameKind.V4, payload=payload, outer_v4=h4))
+    return frame_packet(
+        Packet(FrameKind.V4, payload=payload, outer_v4=h4), recompute_checksum=True
+    )
 
 
 def run_simulation(

@@ -113,14 +113,7 @@ def _outer_header(total_length: int, ttl: int, checksum: int, src: bytes, dst: b
     )
 
 
-def encapsulate_6in4(
-    inner: bytes,
-    src_v4: Ipv4Address,
-    dst_v4: Ipv4Address,
-    ttl: int,
-    *,
-    inner_checked: bool = False,
-) -> bytes:
+def encapsulate_6in4(inner: bytes, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl: int) -> bytes:
     """Wrap a native IPv6 frame in an IPv4 header with protocol 41.
 
     The outer header is minimal (ihl 5, no options, identification and flags
@@ -128,15 +121,10 @@ def encapsulate_6in4(
     Encapsulation adds exactly 20 bytes in front of the frame, which is not
     touched. ``inner`` must be a well-formed IPv6 frame; one whose outer
     total_length would not fit in 16 bits is rejected.
-
-    ``inner_checked=True`` is for a caller that has just had ``check_frame``
-    return ``FrameKind.V6`` for ``inner``: the structural checks are not run
-    again. The total_length and ttl range checks always are.
     """
-    if not inner_checked:
-        if not inner or inner[0] >> 4 != 6:
-            raise InvalidInnerError("can only encapsulate native IPv6 frames")
-        check_frame(inner)
+    if not inner or inner[0] >> 4 != 6:
+        raise InvalidInnerError("can only encapsulate native IPv6 frames")
+    check_frame(inner)
     total_length = IPV4_HEADER_LEN + len(inner)
     if total_length > 0xFFFF:
         raise InvalidHeaderError(f"total_length out of range: {total_length}")

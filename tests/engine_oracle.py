@@ -26,12 +26,10 @@ from transit6 import simcore
 from transit6.simcore import (
     DropReason,
     ForwardAction,
-    ForwardingState,
     MetricsRecord,
     Node,
     Topology,
     TrafficSpec,
-    forwarding_state,
 )
 
 _SEND, _PROCESSED, _TRANSMIT, _ARRIVE = range(4)
@@ -40,7 +38,6 @@ _SEND, _PROCESSED, _TRANSMIT, _ARRIVE = range(4)
 @dataclass(slots=True)
 class _Site:
     node: Node
-    state: ForwardingState
     processing_delay: float
     ports: dict[str, "_Port"] = field(default_factory=dict)
 
@@ -67,7 +64,7 @@ def reference_run(
     seed: int = 0,
     trace: Optional[list[str]] = None,
 ) -> list[MetricsRecord]:
-    sites = [_Site(n, forwarding_state(n), n.processing_delay) for n in topology.nodes]
+    sites = [_Site(n, n.processing_delay) for n in topology.nodes]
     index = {n.id: i for i, n in enumerate(topology.nodes)}
     queues: dict[tuple[str, str], int] = {}
     for link in topology.links:
@@ -150,7 +147,7 @@ def reference_run(
             in_if = None
         else:
             site, in_if = a, b
-        res = fwd(site.node, frame, in_if, state=site.state)
+        res = fwd(site.node, frame, in_if)
         if res.action is ForwardAction.FORWARD:
             push(heap, (now + site.processing_delay, seq, _PROCESSED,
                         site.ports[res.out_if], None, res.frame, packet_id))

@@ -136,6 +136,7 @@ def test_prefix_parse_and_str():
         (Ipv4Prefix.parse, "10.1.2.1/24", "host bits set below /24: 10.1.2.1"),
         (Ipv4Prefix.parse, "10.0.0.0/08", "10.0.0.0/8"),
         (Ipv4Prefix.parse, "10.0.0.0/ 8", "prefix must look like addr/len: '10.0.0.0/ 8'"),
+        (Ipv4Prefix.parse, "10.0.0.0 /8", "prefix must look like addr/len: '10.0.0.0 /8'"),
         (Ipv4Prefix.parse, "10.0.0.0", "prefix must look like addr/len: '10.0.0.0'"),
         (Ipv4Prefix.parse, "10.0.0.0/-1", "prefix must look like addr/len: '10.0.0.0/-1'"),
         (Ipv4Prefix.parse, "10.0.0.0/\u0668", "prefix must look like addr/len: '10.0.0.0/\u0668'"),
@@ -148,6 +149,7 @@ def test_prefix_parse_and_str():
         (Ipv6Prefix.parse, "2001::1/64", "host bits set below /64: 2001::1"),
         (Ipv6Prefix.parse, "2001::/016", "2001::/16"),
         (Ipv6Prefix.parse, "2001::/ 16", "prefix must look like addr/len: '2001::/ 16'"),
+        (Ipv6Prefix.parse, "2001:: /16", "prefix must look like addr/len: '2001:: /16'"),
         (Ipv6Prefix.parse, "2001::", "prefix must look like addr/len: '2001::'"),
         (Ipv6Prefix.parse, "2001:db8::/\u0663\u0662",
          "prefix must look like addr/len: '2001:db8::/\u0663\u0662'"),

@@ -33,7 +33,6 @@ from transit6.simcore import (
     RouteEntry4,
     RouteEntry6,
     forward,
-    forwarding_state,
 )
 from transit6.transition import (
     BadChecksumError,
@@ -244,13 +243,11 @@ def test_fast_path_matches_reference_on_random_frames():
     seen = set()
     for _ in range(60):
         node = _random_node(rng)
-        state = forwarding_state(node)
         for _ in range(100):
             frame = _random_frame(rng, node)
             in_if = rng.choice(["eth0", "eth0", None])
             expected = _outcome(lambda: reference_forward(node, frame, in_if))
             assert _outcome(lambda: forward(node, frame, in_if)) == expected, (node, frame.hex(), in_if)
-            assert _outcome(lambda: forward(node, frame, in_if, state=state)) == expected
             if isinstance(expected, type):
                 assert issubclass(expected, ValueError)
                 seen.add(expected)

@@ -19,7 +19,6 @@ from transit6.codec import (
     serialize_ipv6_header,
     verify_ipv4_checksum,
 )
-from transit6 import transition
 from transit6.transition import (
     BadChecksumError,
     BadConfigError,
@@ -138,20 +137,14 @@ def test_encapsulate_rejects_non_v6_frames():
         encapsulate_6in4(nested, A4("3.3.3.3"), A4("4.4.4.4"), ttl=64)
 
 
-def test_encapsulate_inner_checked_skips_only_the_structural_checks(monkeypatch):
+def test_encapsulate_checks_ttl_and_total_length_range():
     inner = frame_packet(GOLDEN_INNER)
     src, dst = A4("10.10.12.1"), A4("10.10.23.3")
-    calls = []
-    monkeypatch.setattr(transition, "check_frame", lambda frame: calls.append(frame))
-    wire = encapsulate_6in4(inner, src, dst, ttl=63, inner_checked=True)
-    assert calls == []
-    assert wire == encapsulate_6in4(inner, src, dst, ttl=63)
-    assert calls == [inner]
     with pytest.raises(InvalidHeaderError, match="ttl out of range"):
-        encapsulate_6in4(inner, src, dst, ttl=256, inner_checked=True)
+        encapsulate_6in4(inner, src, dst, ttl=256)
     big = serialize_ipv6_header(replace(GOLDEN_INNER.v6, payload_length=65476)) + bytes(65476)
     with pytest.raises(InvalidHeaderError, match="total_length out of range"):
-        encapsulate_6in4(big, src, dst, ttl=64, inner_checked=True)
+        encapsulate_6in4(big, src, dst, ttl=64)
 
 
 def test_decapsulate_rejects_plain_frames():
