@@ -14,10 +14,17 @@ delivery.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .simcore import MetricsRecord
+
+_drop_reason = attrgetter("drop_reason")
+_hops = attrgetter("wire_bytes_per_hop")
+_payload = attrgetter("payload_bytes")
 
 
 class MetricsError(ValueError):
@@ -46,23 +53,17 @@ class FlowSummary:
     payload_bytes_by_link: dict[str, int] = field(default_factory=dict)
 
 
-def _sum_in_order(values: Sequence[float]) -> float:
-    """Left-to-right float sum, rounding after every addition.
-
-    Python 3.12 made ``sum()`` over floats use compensated summation, which
-    changes the last bits of a result; this loop gives the same bytes on
-    every supported version.
-    """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
     """Aggregate per-packet records into one summary per flow.
 
-    Flows appear in first-seen order.
+    Flows appear in first-seen order, and so do the drop reasons and links
+    of each flow's dicts. A flow's delivered packets are taken in (send
+    time, packet id) order. The engine already delivers each flow's packets
+    in that order, for three reasons: a flow takes one path, each node's
+    processing delay is constant, and every link direction is a FIFO that
+    keeps frames ready at the same time in the order they were pushed. So
+    delivery order would give the same floats; ``tests/test_engine_oracle.py``
+    checks it on every variant.
     """
     by_flow: dict[str, list[MetricsRecord]] = {}
     for rec in records:
@@ -71,38 +72,59 @@ def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
     summaries = []
     for flow_id, recs in by_flow.items():
         s = FlowSummary(flow_id=flow_id, injected=len(recs))
+        reasons = Counter(map(_drop_reason, recs))
+        reasons.pop(None, None)
+        s.drop_reasons = {reason.value: n for reason, n in reasons.items()}
+        s.dropped_count = sum(reasons.values())
+        # Records of one path share its hop tuples, so count records per
+        # distinct (hops, payload) and add each hop's bytes once per group.
+        # tuple() returns a tuple as it is and copies a caller's list.
+        wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
+        groups = Counter(zip(map(tuple, map(_hops, recs)), map(_payload, recs)))
+        for (hops, nbytes), n in groups.items():
+            for link_id, size in hops:
+                wire[link_id] = wire.get(link_id, 0) + size * n
+                payload[link_id] = payload.get(link_id, 0) + nbytes * n
+
         delivered = [r for r in recs if r.receive_time is not None]
         s.delivered_count = len(delivered)
-        for r in recs:
-            if r.drop_reason is not None:
-                s.dropped_count += 1
-                key = r.drop_reason.value
-                s.drop_reasons[key] = s.drop_reasons.get(key, 0) + 1
-            for link_id, nbytes in r.wire_bytes_per_hop:
-                s.wire_bytes_by_link[link_id] = s.wire_bytes_by_link.get(link_id, 0) + nbytes
-                s.payload_bytes_by_link[link_id] = (
-                    s.payload_bytes_by_link.get(link_id, 0) + r.payload_bytes
-                )
-
         if delivered:
-            delivered.sort(key=lambda r: (r.send_time, r.packet_id))
-            delays = [r.receive_time - r.send_time for r in delivered]
-            s.mean_delay = _sum_in_order(delays) / len(delays)
-            s.min_delay = min(delays)
-            s.max_delay = max(delays)
-            if len(delays) >= 2:
-                diffs = [abs(b - a) for a, b in zip(delays, delays[1:])]
-                s.jitter = _sum_in_order(diffs) / len(diffs)
-            duration = max(r.receive_time for r in delivered) - min(
-                r.send_time for r in delivered
-            )
+            # Two stable sorts: by send time, ties by packet id.
+            delivered.sort(key=attrgetter("packet_id"))
+            delivered.sort(key=attrgetter("send_time"))
+            first = delivered[0]
+            lo = hi = prev = first.receive_time - first.send_time
+            last_receive = first.receive_time
+            # Sums run left to right from 0.0, rounding after every addition:
+            # sum() over floats is compensated since Python 3.12, which
+            # changes the last bits of a result.
+            total = 0.0 + prev
+            steps = 0.0
+            goodput_bytes = first.payload_bytes
+            for r in islice(delivered, 1, None):
+                delay = r.receive_time - r.send_time
+                total += delay
+                steps += abs(delay - prev)
+                prev = delay
+                if delay < lo:
+                    lo = delay
+                if delay > hi:
+                    hi = delay
+                if r.receive_time > last_receive:
+                    last_receive = r.receive_time
+                goodput_bytes += r.payload_bytes
+            s.mean_delay = total / len(delivered)
+            s.min_delay, s.max_delay = lo, hi
+            if len(delivered) >= 2:
+                s.jitter = steps / (len(delivered) - 1)
+            duration = last_receive - first.send_time
             if duration > 0:
-                s.goodput_bps = sum(r.payload_bytes for r in delivered) * 8 / duration
-                if s.wire_bytes_by_link:
-                    s.wire_throughput_bps = max(s.wire_bytes_by_link.values()) * 8 / duration
+                s.goodput_bps = goodput_bytes * 8 / duration
+                if wire:
+                    s.wire_throughput_bps = max(wire.values()) * 8 / duration
 
-        total_wire = sum(s.wire_bytes_by_link.values())
-        total_payload = sum(s.payload_bytes_by_link.values())
+        total_wire = sum(wire.values())
+        total_payload = sum(payload.values())
         if total_payload > 0:
             s.overhead_ratio = total_wire / total_payload
         summaries.append(s)

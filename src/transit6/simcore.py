@@ -12,10 +12,10 @@ node does with a frame depends only on the node, the frame and the interface
 it came in on. So each run walks the path of each distinct (source, frame)
 once, calling ``forward`` once per hop; flows that send the same bytes from
 one node share it. A path records every hop's outgoing link direction, frame
-size, shared (link, size) tuple and trace hex, and how it ends (delivered,
-or dropped with a reason); timing never touches a frame. The walk ends
-because every hop a frame arrives on spends one ttl or hop_limit, and a
-tunnel copies the inner hop_limit into the outer ttl. Precondition: a
+size and trace hex, the tuples of its (link, size) hop prefixes, and how it
+ends (delivered, or dropped with a reason); timing never touches a frame.
+The walk ends because every hop a frame arrives on spends one ttl or
+hop_limit, and a tunnel copies the inner hop_limit into the outer ttl. Precondition: a
 frame's bytes are the same for every packet of its flow. A per-packet field
 (an IPv4 identification, a sequence number in the payload) would break it.
 
@@ -55,10 +55,11 @@ A packet never aborts the run: whatever happens to it, including a tunnel
 that would send it back to its own entry point, is recorded as data on its
 MetricsRecord. A frame too big for its next link is dropped when the node
 has finished processing it, not when it arrives, so a horizon that falls
-between the two expires it instead. A frame joins its packet's hop list
-only if its transmission starts by the horizon, and a packet is delivered
-only if it arrives by then. Each record holds its own list of the (shared)
-hop tuples its packet was transmitted on.
+between the two expires it instead. A hop counts as crossed only if its
+transmission starts by the horizon, and a packet is delivered only if it
+arrives by then. A packet's hops are always a prefix of its path's, so each
+compiled path keeps one tuple per prefix and a record holds the one for the
+hops its packet crossed: records share them, and no packet allocates any.
 """
 
 from __future__ import annotations
@@ -210,7 +211,15 @@ class DropReason(Enum):
 
 @dataclass(slots=True)
 class MetricsRecord:
-    """Everything the simulator knows about one injected packet."""
+    """Everything the simulator knows about one injected packet.
+
+    ``wire_bytes_per_hop`` is the (link id, frame size) of every link the
+    packet was transmitted on, in order. The engine fills it with an
+    immutable tuple shared by every record that crossed the same hops of
+    the same path, so it cannot be appended to; code that edits a record's
+    hops must assign a new sequence. ``summarize`` accepts any sequence of
+    (link id, size) tuples there, lists included.
+    """
 
     packet_id: int
     flow_id: str
@@ -220,7 +229,7 @@ class MetricsRecord:
     send_time: float
     receive_time: Optional[float] = None
     drop_reason: Optional[DropReason] = None
-    wire_bytes_per_hop: list[tuple[str, int]] = field(default_factory=list)
+    wire_bytes_per_hop: Sequence[tuple[str, int]] = ()
 
 
 RouteEntry = Union[RouteEntry4, RouteEntry6]
@@ -590,32 +599,34 @@ class _Engine:
             self.flows.append((flow, src, _flow_frame(src.node, dst.node, flow), order))
 
     def _path(
-        self, fwd, site: _Site, frame: bytes, hops: dict
-    ) -> tuple[list[tuple], Optional[DropReason]]:
-        """Every hop a frame takes from ``site``, and how its path ends.
+        self, fwd, site: _Site, frame: bytes
+    ) -> tuple[list[tuple], list[tuple], Optional[DropReason]]:
+        """Every hop a frame takes from ``site``, its hop prefixes, and its end.
 
         Each hop is (processing delay before it, queue, serialization time,
-        propagation delay, shared (link id, size) tuple, trace text), and the
-        end is None for a delivery or the drop reason. A frame too big for
-        its next link ends the path on a hop with no queue: it is dropped
-        once that node has processed it. ``hops`` shares one (link id, size)
-        tuple per distinct hop across the run's paths.
+        propagation delay, trace text), and the end is None for a delivery
+        or the drop reason. A frame too big for its next link ends the path
+        on a hop with no queue: it is dropped once that node has processed
+        it. Prefix n is the tuple of the (link id, size) of the first n hops
+        transmitted, for n from 0 to all of them: what a record holds.
         """
         trace = self.trace is not None
         sites = self.sites
         path: list[tuple] = []
+        crossed: list[tuple[str, int]] = []
         in_if = None
         while True:
             res = fwd(site.node, frame, in_if)
             if res.action is not ForwardAction.FORWARD:
-                return path, res.drop_reason
+                end = res.drop_reason
+                break
             port = site.ports[res.out_if]
             frame = res.frame
             nbytes = len(frame)
             if nbytes > port.mtu:
-                path.append((site.node.processing_delay, None, None, None, None, None))
-                return path, DropReason.MTU_EXCEEDED
-            hop = hops.setdefault((port.link_id, nbytes), (port.link_id, nbytes))
+                path.append((site.node.processing_delay, None, None, None, None))
+                end = DropReason.MTU_EXCEEDED
+                break
             text = (
                 (f"{port.link_id} {port.node_id}->{port.peer_id}", frame.hex()) if trace else None
             )
@@ -625,11 +636,12 @@ class _Engine:
                     port.queue,
                     nbytes * 8 / port.bandwidth,
                     port.propagation_delay,
-                    hop,
                     text,
                 )
             )
+            crossed.append((port.link_id, nbytes))
             site, in_if = sites[port.peer], port.peer_if
+        return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
     def run(self, horizon: Optional[float]) -> list[MetricsRecord]:
         # Read once per run, from the module, so a caller can substitute them.
@@ -637,6 +649,7 @@ class _Engine:
         pop = heapq.heappop
         fwd = forward
         MTU_EXCEEDED = DropReason.MTU_EXCEEDED
+        HORIZON_EXPIRED = DropReason.HORIZON_EXPIRED
         trace = self.trace
         times = self.send_times
         idle = [0.0] * self.queue_count
@@ -646,17 +659,18 @@ class _Engine:
         # What a node does with a frame depends only on the node, the frame
         # and where it came in, so each distinct (source, frame) is walked
         # once, here, and the loop below only times packets along its path.
-        hops: dict[tuple[str, int], tuple[str, int]] = {}
-        compiled: dict[tuple[str, bytes], tuple[list[tuple], Optional[DropReason]]] = {}
+        compiled: dict[tuple[str, bytes], tuple] = {}
         paths: list[list[tuple]] = []
+        prefixes: list[list[tuple]] = []
         ends: list[Optional[DropReason]] = []
         sends = []
         for flow, site, frame, order in self.flows:
             key = (flow.src, frame)
             if key not in compiled:
-                compiled[key] = self._path(fwd, site, frame, hops)
-            path, end = compiled[key]
+                compiled[key] = self._path(fwd, site, frame)
+            path, crossed, end = compiled[key]
             paths.append(path)
+            prefixes.append(crossed)
             ends.append(end)
             sends.append((flow.flow_id, flow.src, flow.dst, flow.payload_bytes, order))
 
@@ -689,47 +703,55 @@ class _Engine:
                 break
             now, _, _, _, seq, a, b, packet_id = pop(heap)
             if packet_id < 0:
-                # A send: open the packet's record, queue the flow's next send.
+                # A send: queue the flow's next send and open the packet's record.
                 flow_id, src, dst, payload_bytes, order = sends[a]
-                packet_id = len(records)
-                rec = MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now)
-                records.append(rec)
                 if b + 1 < len(order):
                     k = order[b + 1]
                     push(heap, (times[k], -1.0, 0, 0.0, k, a, b + 1, -1))
+                packet_id = len(records)
                 path = paths[a]
                 if not private[a]:
+                    records.append(MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now))
                     push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, packet_id))
                     continue
                 # Lindley's recursion, with the checks of the loop below in
                 # its order: ready is when the hop's node has processed it.
+                # The record is built once, with its final fields.
+                receive = None
+                reason = HORIZON_EXPIRED
                 ready = now
-                for processing, queue, ser, prop, hop, _ in path:
+                sent = 0
+                for processing, queue, ser, prop, _ in path:
                     ready += processing
                     if ready > limit:
                         break
                     if queue is None:
-                        rec.drop_reason = MTU_EXCEEDED
+                        reason = MTU_EXCEEDED
                         break
                     free = idle[queue]
                     start = free if free > ready else ready
                     idle[queue] = start + ser
                     if start > limit:
                         break
-                    rec.wire_bytes_per_hop.append(hop)
+                    sent += 1
                     ready = start + ser + prop
                 else:
                     if ready <= limit:
-                        if ends[a] is None:
-                            rec.receive_time = ready
-                        else:
-                            rec.drop_reason = ends[a]
+                        reason = ends[a]
+                        if reason is None:
+                            receive = ready
+                records.append(
+                    MetricsRecord(
+                        packet_id, flow_id, src, dst, payload_bytes, now,
+                        receive, reason, prefixes[a][sent],
+                    )
+                )
                 continue
 
             # The node has processed the packet for hop b of its flow's path:
             # the frame joins the link's FIFO, is sent and arrives.
             path = paths[a]
-            _, queue, ser, prop, hop, text = path[b]
+            _, queue, ser, prop, text = path[b]
             if queue is None:
                 records[packet_id].drop_reason = MTU_EXCEEDED
                 continue
@@ -739,11 +761,11 @@ class _Engine:
             if start > limit:
                 continue
             rank += 1
-            records[packet_id].wire_bytes_per_hop.append(hop)
+            b += 1
+            records[packet_id].wire_bytes_per_hop = prefixes[a][b]
             if lines is not None:
                 lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
             arrival = start + ser + prop
-            b += 1
             if b < len(path):
                 push(heap, (arrival + path[b][0], arrival, 1, start, rank, a, b, packet_id))
             elif arrival <= limit:
@@ -760,7 +782,7 @@ class _Engine:
         # records so every injected packet terminates exactly once.
         for rec in records:
             if rec.receive_time is None and rec.drop_reason is None:
-                rec.drop_reason = DropReason.HORIZON_EXPIRED
+                rec.drop_reason = HORIZON_EXPIRED
         return records
 
 

@@ -6,10 +6,10 @@ send and then, per hop, processing done, transmission start and arrival, on
 a heap ordered by (time, seq), with seqs counted up as events are pushed.
 Every event that reaches a node calls ``simcore.forward`` on the frame it
 carries, the MTU is read off the frame at processing-done time, and each
-transmission appends its hop to the record and formats its own trace hex as
-it comes off the heap. ``simcore`` keeps one entry per hop and a heap key
-built to pop in this engine's order, so on any scenario the two engines must
-give the same records and the same trace, byte for byte. Validation is left
+transmission adds its hop to a new tuple for the record and formats its own
+trace hex as it comes off the heap. ``simcore`` keeps one entry per hop and
+a heap key built to pop in this engine's order, so on any scenario the two
+engines must give the same records and the same trace, byte for byte. Validation is left
 to ``run_simulation``; call it first.
 """
 
@@ -127,7 +127,8 @@ def reference_run(
             hop = a.hops.get(nbytes)
             if hop is None:
                 hop = a.hops[nbytes] = (a.link_id, nbytes)
-            records[packet_id].wire_bytes_per_hop.append(hop)
+            rec = records[packet_id]
+            rec.wire_bytes_per_hop = (*rec.wire_bytes_per_hop, hop)
             if trace is not None:
                 trace.append(
                     f"{now!r} {a.link_id} {a.node_id}->{a.peer_id} pkt={packet_id} {frame.hex()}"

@@ -285,7 +285,7 @@ def test_run_tunnel_loop_scenario_drops_instead_of_crashing(capsys):
     records = run_simulation(scenario.topology, scenario.traffic, scenario.horizon)
     assert [r.drop_reason for r in records] == [DropReason.TUNNEL_LOOP] * 3
     # R1 drops each frame before it reaches the IPv4 core.
-    assert all(r.wire_bytes_per_hop == [("h1-r1", 1040)] for r in records)
+    assert all(r.wire_bytes_per_hop == (("h1-r1", 1040),) for r in records)
 
 
 def test_run_and_compare_report_drop_reasons_on_stderr(capsys):

@@ -195,6 +195,14 @@ def test_engine_matches_reference_engine():
         # Untraced, flows whose queues are their own skip the heap.
         untraced = run_simulation(topology, flows, horizon, seed=seed)
         assert repr(untraced) == repr(want), (case, base)
+        # metrics.summarize takes each flow's delivered packets in (send
+        # time, packet id) order; the engine sends them in that order and
+        # delivers them in it too.
+        for flow in flows:
+            own = [r for r in untraced if r.flow_id == flow.flow_id]
+            assert own == sorted(own, key=lambda r: (r.send_time, r.packet_id)), (case, base)
+            arrivals = [r.receive_time for r in own if r.receive_time is not None]
+            assert arrivals == sorted(arrivals), (case, base, flow.flow_id)
         for rec in records:
             assert (rec.receive_time is None) != (rec.drop_reason is None), (case, rec)
             seen[rec.drop_reason] += 1

@@ -51,18 +51,18 @@ def test_dualstack_scenario_delay_closed_form(payload):
 def test_tunnel_scenario_wire_sizes_per_hop():
     records = _run(build_scenario_6to4())
     for rec in records:
-        assert rec.wire_bytes_per_hop == [
+        assert rec.wire_bytes_per_hop == (
             ("h1-r1", 1040),
             ("r1-r2", 1060),
             ("r2-r3", 1060),
             ("r3-h2", 1040),
-        ]
+        )
 
 
 def test_dualstack_scenario_wire_sizes_per_hop():
     records = _run(build_scenario_dualstack())
     for rec in records:
-        assert rec.wire_bytes_per_hop == [(link, 1040) for link in LINK_IDS]
+        assert rec.wire_bytes_per_hop == tuple((link, 1040) for link in LINK_IDS)
 
 
 def test_tunnel_beats_no_tunnel_on_reachability():

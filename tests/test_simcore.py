@@ -392,7 +392,7 @@ def test_single_link_delay_closed_form():
         assert rec.send_time == send
         assert rec.receive_time == expected_arrival
         assert rec.drop_reason is None
-        assert rec.wire_bytes_per_hop == [("l0", 1040)]
+        assert rec.wire_bytes_per_hop == (("l0", 1040),)
 
 
 def test_fifo_queueing_when_sends_collide():
@@ -414,7 +414,7 @@ def test_mtu_drop_at_first_link():
     for rec in records:
         assert rec.drop_reason is DropReason.MTU_EXCEEDED
         assert rec.receive_time is None
-        assert rec.wire_bytes_per_hop == []
+        assert rec.wire_bytes_per_hop == ()
 
 
 def _chain_topology():
@@ -474,7 +474,7 @@ def test_v4_flow_end_to_end():
     flow = TrafficSpec("f4", "h1", "h2", payload_bytes=100, count=2, family="v4")
     records = run_simulation(topo, [flow])
     assert all(r.receive_time is not None for r in records)
-    assert all(r.wire_bytes_per_hop == [("l0", 120), ("l1", 120)] for r in records)
+    assert all(r.wire_bytes_per_hop == (("l0", 120), ("l1", 120)) for r in records)
 
 
 def test_every_packet_terminates_exactly_once():
@@ -656,19 +656,19 @@ def test_mtu_drop_versus_horizon_at_a_router():
         (rec,) = run_simulation(s.topology, s.traffic, horizon=horizon)
         assert rec.drop_reason is reason, horizon
         assert rec.receive_time is None
-        assert rec.wire_bytes_per_hop == [("h1-r1", 1040)]
+        assert rec.wire_bytes_per_hop == (("h1-r1", 1040),)
 
 
-def test_records_hold_their_own_hop_lists():
-    # Packets of a flow share its hop tuples, but each record's list is its
-    # own: a packet cut by the horizon holds exactly the hops it was
-    # transmitted on, and editing one record's list touches no other.
+def test_records_share_their_paths_hop_tuples():
+    # A packet's hops are a prefix of its path's, and its record holds the
+    # path's tuple for that prefix: a packet cut by the horizon holds exactly
+    # the hops it was transmitted on, and records never hold copies.
     s = build_scenario_6to4(count=1)
     trace: list[str] = []
     (full,) = run_simulation(s.topology, s.traffic, trace=trace)
-    assert full.wire_bytes_per_hop == [
+    assert full.wire_bytes_per_hop == (
         ("h1-r1", 1040), ("r1-r2", 1060), ("r2-r3", 1060), ("r3-h2", 1040),
-    ]
+    )
     # A transmission at the horizon happens; one just after it does not.
     for k, line in enumerate(trace):
         sent = float(line.split()[0])
@@ -676,18 +676,30 @@ def test_records_hold_their_own_hop_lists():
         for horizon, hops in cases:
             (rec,) = run_simulation(s.topology, s.traffic, horizon=horizon)
             assert rec.drop_reason is DropReason.HORIZON_EXPIRED
+            assert type(rec.wire_bytes_per_hop) is tuple
             assert rec.wire_bytes_per_hop == full.wire_bytes_per_hop[:hops]
 
-    s = build_scenario_6to4(count=6, gap=1e-4)
-    for horizon in (None, 1.5e-3):
-        records = run_simulation(s.topology, s.traffic, horizon=horizon)
-        before = [repr(r) for r in records]
-        assert len({id(r.wire_bytes_per_hop) for r in records}) == len(records)
-        for i, rec in enumerate(records):
-            rec.wire_bytes_per_hop.append(("extra", 1))
-            assert [repr(r) for j, r in enumerate(records) if j != i] == before[:i] + before[i + 1:]
-            rec.wire_bytes_per_hop.pop()
-        assert [repr(r) for r in run_simulation(s.topology, s.traffic, horizon=horizon)] == before
+    # One path of four hops has five prefixes, traced (every packet on the
+    # heap) or not (every packet timed when it is sent). Giving one record
+    # other hops touches no other record and no later run.
+    for build in (build_scenario_6to4, build_scenario_dualstack):
+        s = build(count=6, gap=1e-4)
+        for horizon in (None, 1.5e-3):
+            for trace in (None, []):
+                records = run_simulation(s.topology, s.traffic, horizon=horizon, trace=trace)
+                before = [repr(r) for r in records]
+                hops = [r.wire_bytes_per_hop for r in records]
+                assert all(type(h) is tuple for h in hops)
+                assert len({id(h) for h in hops}) == len(set(hops)) <= 5
+                if horizon is None:
+                    assert len(set(hops)) == 1
+                for i, rec in enumerate(records):
+                    rec.wire_bytes_per_hop += (("extra", 1),)
+                    others = [repr(r) for j, r in enumerate(records) if j != i]
+                    assert others == before[:i] + before[i + 1:]
+                    rec.wire_bytes_per_hop = hops[i]
+                again = run_simulation(s.topology, s.traffic, horizon=horizon, trace=trace)
+                assert [repr(r) for r in again] == before
 
 
 # -------------------------------------------------------------- validation

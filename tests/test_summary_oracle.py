@@ -1,0 +1,83 @@
+"""``metrics.summarize`` against ``summary_oracle.summarize``.
+
+The oracle walks every hop of every record; ``summarize`` counts bytes once
+per distinct (hops, payload) and computes its delay statistics in one pass.
+Both must give the same summaries, compared through ``repr`` so that every
+float matches to the bit and every dict matches in order, on:
+
+- every variant of ``tests/test_engine_oracle.py`` and every golden
+  scenario of ``tests/test_engine_golden.py``, traced and untraced;
+- each of those record lists in engine order, reversed and shuffled;
+- hand-built records whose hops are lists, as library callers build them.
+"""
+
+import random
+from dataclasses import fields
+
+from summary_oracle import summarize as oracle_summarize
+from test_engine_golden import SCENARIOS
+from test_engine_oracle import _variant
+
+from transit6.metrics import summarize
+from transit6.simcore import DropReason, MetricsRecord, run_simulation
+
+
+def _fields(summary):
+    """Every field of ``summary``, dicts as lists of items so order counts."""
+    return [
+        (f.name, list(v.items()) if isinstance(v, dict) else v)
+        for f in fields(summary)
+        for v in [getattr(summary, f.name)]
+    ]
+
+
+def _check(records, rng, where):
+    for order in (records, records[::-1], rng.sample(records, len(records))):
+        got = [_fields(s) for s in summarize(order)]
+        want = [_fields(s) for s in oracle_summarize(order)]
+        assert repr(got) == repr(want), where
+
+
+def test_summaries_match_oracle_on_engine_variants():
+    rng = random.Random(2024)
+    shuffle = random.Random(7)
+    for case in range(400):
+        base, topology, flows, horizon, seed = _variant(rng)
+        _check(run_simulation(topology, flows, horizon, seed=seed), shuffle, (case, base))
+
+
+def test_summaries_match_oracle_on_golden_scenarios():
+    shuffle = random.Random(11)
+    for name, build in sorted(SCENARIOS.items()):
+        topology, traffic, kw = build()
+        horizon, seed = kw.get("horizon"), kw.get("seed", 0)
+        for trace in (None, []):
+            records = run_simulation(topology, traffic, horizon, seed=seed, trace=trace)
+            _check(records, shuffle, name)
+
+
+def test_summaries_match_oracle_on_hand_built_records():
+    # Few distinct times, so sends tie and only the packet id orders them;
+    # hop lists drawn from a few links, some empty; every drop reason.
+    rng = random.Random(5)
+    hop_choices = [("l", 120), ("m", 140), ("n", 1060), ("l", 1040)]
+    for case in range(200):
+        records = []
+        for pid in rng.sample(range(1000), rng.randrange(1, 30)):
+            send = rng.choice([0.0, 0.1, 0.2, 0.3, rng.uniform(0.0, 1.0)])
+            delivered = rng.random() < 0.7
+            records.append(
+                MetricsRecord(
+                    packet_id=pid,
+                    flow_id=rng.choice("xyz"),
+                    src_node="a",
+                    dst_node="b",
+                    payload_bytes=rng.choice([0, 64, 1000]),
+                    send_time=send,
+                    receive_time=send + rng.choice([0.1, 0.2, rng.uniform(0.0, 0.5)])
+                    if delivered else None,
+                    drop_reason=None if delivered else rng.choice(list(DropReason)),
+                    wire_bytes_per_hop=[rng.choice(hop_choices) for _ in range(rng.randrange(4))],
+                )
+            )
+        _check(records, rng, case)
