@@ -26,7 +26,6 @@ from .codec import (
     FrameKind,
     Ipv4Address,
     parse_frame,
-    serialize_ipv4_header,
     verify_ipv4_checksum,
 )
 from .metrics import FlowSummary, compare_scenarios, summarize
@@ -239,7 +238,7 @@ def _cmd_decode(args) -> int:
     print(f"frame: {p.frame_kind.value}")
     if p.outer_v4 is not None:
         h = p.outer_v4
-        valid = "valid" if verify_ipv4_checksum(serialize_ipv4_header(h)) else "BAD"
+        valid = "valid" if verify_ipv4_checksum(data[: h.header_len()]) else "BAD"
         print(
             f"outer: version={h.version} ihl={h.ihl} dscp_ecn={h.dscp_ecn} "
             f"total_length={h.total_length} identification={h.identification} "

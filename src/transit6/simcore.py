@@ -517,26 +517,11 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
 
 
 @dataclass(slots=True)
-class _Site:
-    """A node with what the engine needs of it for the run."""
-
-    node: Node
-    ports: dict[str, "_Port"] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class _Port:
-    """One direction of a link: the node and interface a frame leaves by."""
+    """One direction of a link: the link a frame leaves by and where it lands."""
 
-    link_id: str
-    node_id: str
-    mtu: int
-    bandwidth: float
-    propagation_delay: float
-    # Index of the peer's _Site; a reference would make sites and ports a
-    # cycle that outlives the run until the garbage collector finds it.
-    peer: int
-    peer_id: str
+    link: Link
+    peer: Node
     peer_if: str
     # Index of this direction's "idle from" time in the engine's list.
     queue: int
@@ -551,23 +536,16 @@ class _Engine:
         trace: Optional[list[str]],
     ) -> None:
         self.trace = trace
-        self.sites = sites = [_Site(n) for n in topology.nodes]
-        index = {n.id: i for i, n in enumerate(topology.nodes)}
+        nodes = {n.id: n for n in topology.nodes}
+        # Keyed by the (node id, interface name) a frame leaves by.
+        self.ports: dict[tuple[str, str], _Port] = {}
         # A FIFO per (link, sending node): a link whose two ends sit on one
         # node has a single queue.
         queues: dict[tuple[str, str], int] = {}
         for link in topology.links:
-            for (node_id, if_name), (peer_id, peer_if) in ((link.a, link.b), (link.b, link.a)):
-                sites[index[node_id]].ports[if_name] = _Port(
-                    link.id,
-                    node_id,
-                    link.mtu,
-                    link.bandwidth,
-                    link.propagation_delay,
-                    index[peer_id],
-                    peer_id,
-                    peer_if,
-                    queues.setdefault((link.id, node_id), len(queues)),
+            for out, (peer_id, peer_if) in ((link.a, link.b), (link.b, link.a)):
+                self.ports[out] = _Port(
+                    link, nodes[peer_id], peer_if, queues.setdefault((link.id, out[0]), len(queues))
                 )
         self.queue_count = len(queues)
 
@@ -594,14 +572,13 @@ class _Engine:
                 # Rounding let a later send be drawn before an earlier one;
                 # the heap pops a flow's sends by (time, seq), so must we.
                 order = sorted(order, key=times.__getitem__)
-            src = sites[index[flow.src]]
-            dst = sites[index[flow.dst]]
-            self.flows.append((flow, src, _flow_frame(src.node, dst.node, flow), order))
+            src = nodes[flow.src]
+            self.flows.append((flow, src, _flow_frame(src, nodes[flow.dst], flow), order))
 
     def _path(
-        self, fwd, site: _Site, frame: bytes
+        self, fwd, node: Node, frame: bytes
     ) -> tuple[list[tuple], list[tuple], Optional[DropReason]]:
-        """Every hop a frame takes from ``site``, its hop prefixes, and its end.
+        """Every hop a frame takes from ``node``, its hop prefixes, and its end.
 
         Each hop is (processing delay before it, queue, serialization time,
         propagation delay, trace text), and the end is None for a delivery
@@ -611,36 +588,35 @@ class _Engine:
         transmitted, for n from 0 to all of them: what a record holds.
         """
         trace = self.trace is not None
-        sites = self.sites
+        ports = self.ports
         path: list[tuple] = []
         crossed: list[tuple[str, int]] = []
         in_if = None
         while True:
-            res = fwd(site.node, frame, in_if)
+            res = fwd(node, frame, in_if)
             if res.action is not ForwardAction.FORWARD:
                 end = res.drop_reason
                 break
-            port = site.ports[res.out_if]
+            port = ports[node.id, res.out_if]
+            link = port.link
             frame = res.frame
             nbytes = len(frame)
-            if nbytes > port.mtu:
-                path.append((site.node.processing_delay, None, None, None, None))
+            if nbytes > link.mtu:
+                path.append((node.processing_delay, None, None, None, None))
                 end = DropReason.MTU_EXCEEDED
                 break
-            text = (
-                (f"{port.link_id} {port.node_id}->{port.peer_id}", frame.hex()) if trace else None
-            )
+            text = (f"{link.id} {node.id}->{port.peer.id}", frame.hex()) if trace else None
             path.append(
                 (
-                    site.node.processing_delay,
+                    node.processing_delay,
                     port.queue,
-                    nbytes * 8 / port.bandwidth,
-                    port.propagation_delay,
+                    nbytes * 8 / link.bandwidth,
+                    link.propagation_delay,
                     text,
                 )
             )
-            crossed.append((port.link_id, nbytes))
-            site, in_if = sites[port.peer], port.peer_if
+            crossed.append((link.id, nbytes))
+            node, in_if = port.peer, port.peer_if
         return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
     def run(self, horizon: Optional[float]) -> list[MetricsRecord]:
@@ -664,10 +640,10 @@ class _Engine:
         prefixes: list[list[tuple]] = []
         ends: list[Optional[DropReason]] = []
         sends = []
-        for flow, site, frame, order in self.flows:
+        for flow, node, frame, order in self.flows:
             key = (flow.src, frame)
             if key not in compiled:
-                compiled[key] = self._path(fwd, site, frame)
+                compiled[key] = self._path(fwd, node, frame)
             path, crossed, end = compiled[key]
             paths.append(path)
             prefixes.append(crossed)

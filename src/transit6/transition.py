@@ -21,16 +21,15 @@ from .addressing import (
     extract_compatible_ipv4,
 )
 from .codec import (
-    _IPV4_HEADER,
     IPV4_HEADER_LEN,
     IPV6_HEADER_LEN,
     PROTO_IPV6_IN_IPV4,
-    InvalidHeaderError,
     Ipv4Address,
+    Ipv4Header,
     Ipv6Address,
     TooShortError,
     check_frame,
-    internet_checksum,
+    serialize_ipv4_header,
     verify_ipv4_checksum,
 )
 
@@ -107,12 +106,6 @@ def dual_stack_dispatch(frame: bytes) -> PathKind:
     raise UnknownVersionError(f"version nibble {version} is neither 4 nor 6")
 
 
-def _outer_header(total_length: int, ttl: int, checksum: int, src: bytes, dst: bytes) -> bytes:
-    return _IPV4_HEADER.pack(
-        0x45, 0, total_length, 0, 0, ttl, PROTO_IPV6_IN_IPV4, checksum, src, dst
-    )
-
-
 def encapsulate_6in4(inner: bytes, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl: int) -> bytes:
     """Wrap a native IPv6 frame in an IPv4 header with protocol 41.
 
@@ -125,14 +118,14 @@ def encapsulate_6in4(inner: bytes, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl
     if not inner or inner[0] >> 4 != 6:
         raise InvalidInnerError("can only encapsulate native IPv6 frames")
     check_frame(inner)
-    total_length = IPV4_HEADER_LEN + len(inner)
-    if total_length > 0xFFFF:
-        raise InvalidHeaderError(f"total_length out of range: {total_length}")
-    if not 0 <= ttl <= 0xFF:
-        raise InvalidHeaderError(f"ttl out of range: {ttl}")
-    src, dst = src_v4.octets, dst_v4.octets
-    checksum = internet_checksum(_outer_header(total_length, ttl, 0, src, dst))
-    return _outer_header(total_length, ttl, checksum, src, dst) + inner
+    outer = Ipv4Header(
+        src_v4,
+        dst_v4,
+        total_length=IPV4_HEADER_LEN + len(inner),
+        ttl=ttl,
+        protocol=PROTO_IPV6_IN_IPV4,
+    )
+    return serialize_ipv4_header(outer, recompute_checksum=True) + inner
 
 
 def decapsulate_6in4(frame: bytes) -> bytes:

@@ -1,5 +1,5 @@
 """The engine against the reference engine on seeded variants of five-node
-chains, of a fan-in and of a routing loop.
+chains, of a fan-in and of a routing loop, and on a hairpin link.
 
 ``engine_oracle.reference_run`` has four event kinds and calls ``forward``
 on every event; the engine walks each distinct path once and then only
@@ -11,9 +11,11 @@ sent at an IPv4-only router, jitter, equal start times, small MTUs, low hop
 limits, slow links that queue, frames from two links meeting in one queue,
 frames that use one queue several times, several flows in both directions
 and families, and horizons that cut frames mid-path. Everything is drawn
-from a seeded stdlib ``random``, so every run checks the same cases.
+from a seeded stdlib ``random``, so every run checks the same cases. Last,
+a run must leave no cyclic garbage behind.
 """
 
+import gc
 import random
 from collections import Counter
 from dataclasses import replace
@@ -128,6 +130,51 @@ def _loop(**kw):
     return s
 
 
+def _hairpin():
+    """Router R with one link joining its own eth0 and eth1, between H1 and H2.
+
+    R routes H2's prefixes into the hairpin, IPv6 out eth0 and IPv4 out eth1,
+    so a frame for H2 comes back in on R's other end and goes round again
+    until its hop limit runs out. Both directions of the hairpin are sent by
+    R, so they share one FIFO, which runs at 2 Mbit/s and queues. Frames for
+    H1 are delivered.
+    """
+
+    def iface(name, subnet, host):
+        return Interface(name, v4=A4(f"10.0.{subnet}.{host}"), v6=[A6(f"2001:{subnet}::{host}")])
+
+    def host(node_id, subnet):
+        return Node(
+            node_id, NodeKind.DUAL_STACK, Role.HOST, interfaces=[iface("eth0", subnet, 1)],
+            v4_routes=[RouteEntry4(P4("0.0.0.0/0"), "eth0")],
+            v6_routes=[RouteEntry6(P6("::/0"), "eth0")],
+        )
+
+    router = Node(
+        "R", NodeKind.DUAL_STACK, Role.ROUTER,
+        interfaces=[iface("h1", 1, 2), iface("h2", 2, 2), iface("eth0", 9, 1), iface("eth1", 9, 2)],
+        v4_routes=[RouteEntry4(P4("10.0.1.0/24"), "h1"), RouteEntry4(P4("10.0.2.0/24"), "eth1")],
+        v6_routes=[RouteEntry6(P6("2001:1::/64"), "h1"), RouteEntry6(P6("2001:2::/64"), "eth0")],
+        processing_delay=5e-5,
+    )
+    topology = Topology(
+        nodes=[host("H1", 1), router, host("H2", 2)],
+        links=[
+            Link("h1-r", ("H1", "eth0"), ("R", "h1"), propagation_delay=1e-4),
+            Link("r-h2", ("R", "h2"), ("H2", "eth0"), propagation_delay=1e-4),
+            Link("hp", ("R", "eth0"), ("R", "eth1"), bandwidth=2e6, propagation_delay=1e-4),
+        ],
+    )
+    flows = [
+        TrafficSpec("v6", "H1", "H2", payload_bytes=500, count=8, gap=1e-4,
+                    hop_limit=LOOP_HOP_LIMIT, jitter=0.5),
+        TrafficSpec("v4", "H1", "H2", payload_bytes=200, count=8, gap=2e-4, family="v4",
+                    hop_limit=LOOP_HOP_LIMIT),
+        TrafficSpec("back", "H2", "H1", payload_bytes=100, count=4, gap=1e-3),
+    ]
+    return topology, flows
+
+
 BASES = {
     "dualstack": build_scenario_dualstack,
     "configured": build_scenario_6to4,
@@ -238,3 +285,40 @@ def test_routing_loop_matches_reference_engine():
                 assert repr(got) == repr(want), (gap, jitter, horizon)
                 if horizon is None:
                     assert all(r.wire_bytes_per_hop.count(("r1-r2", 540)) > 1 for r in got)
+
+
+def test_hairpin_link_matches_reference_engine():
+    # Frames for H2 go round R's hairpin, both ways through its one queue,
+    # until their hop limit runs out; frames for H1 pass by.
+    topology, flows = _hairpin()
+    for horizon in (None, 2e-3, 1e-2):
+        trace: list[str] = []
+        got = run_simulation(topology, flows, horizon, seed=5, trace=trace)
+        want_trace: list[str] = []
+        want = reference_run(topology, flows, horizon, seed=5, trace=want_trace)
+        assert trace == want_trace, horizon
+        assert repr(got) == repr(want), horizon
+        assert repr(run_simulation(topology, flows, horizon, seed=5)) == repr(want), horizon
+        if horizon is None:
+            for rec in got:
+                looped = sum(link == "hp" for link, _ in rec.wire_bytes_per_hop)
+                if rec.flow_id == "back":
+                    assert rec.receive_time is not None and looped == 0
+                else:
+                    assert rec.drop_reason is DropReason.TTL_EXPIRED and looped > 1
+
+
+def test_run_leaves_no_cyclic_garbage():
+    # Ports point at their link and peer node, and nothing points back, so
+    # everything a run builds is freed by reference counting alone.
+    runs = [(s.topology, s.traffic) for s in (build_scenario_6to4(), build_scenario_dualstack())]
+    runs.append(_hairpin())
+    gc.collect()
+    gc.disable()
+    try:
+        for topology, flows in runs:
+            run_simulation(topology, flows, seed=1)
+            run_simulation(topology, flows, seed=1, trace=[])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
