@@ -223,7 +223,7 @@ def serialize_ipv4_header(h: Ipv4Header, recompute_checksum: bool = False) -> by
     value for the other fields; otherwise the stored value is emitted as-is.
     """
     _check_ipv4_fields(h)
-    checksum = ipv4_header_checksum(h) if recompute_checksum else h.checksum
+    checksum = internet_checksum(_pack_ipv4(h, 0)) if recompute_checksum else h.checksum
     return _pack_ipv4(h, checksum)
 
 

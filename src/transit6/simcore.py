@@ -33,23 +33,24 @@ propagation + processing``.
 Flows whose frames wait in the same queues form a group. A group is private
 when no other group uses any of its queues and its path uses none twice.
 Its packets then reach every queue in their send order, so an untraced run
-times each of them along its whole path when its send comes off the heap.
-The heap times the rest (flows that share a queue, and every flow that
-transmits in a traced run) with one entry per hop, due when a node has
-processed the packet; the frame then takes its FIFO slot and the next hop's
-entry goes on at its arrival plus that node's processing delay. Send times
-are drawn up front, flow by flow, and each send keeps its position in that
-draw order as its seq. Each flow has one pending send on the heap, its
-earliest unsent one by (time, seq), so the heap holds the packets in flight
-and packet ids follow (send time, seq) on either path.
+times each of them along its whole path when it is sent. Send times are
+drawn up front, flow by flow, and a send's seq is its position in that draw
+order; one stable sort by time makes them a schedule in (time, seq) order,
+and a send's place in it is its packet id. A heap times the rest (flows that
+share a queue, and every flow that transmits in a traced run) with one entry
+per hop, due when a node has processed the packet; the frame then takes its
+FIFO slot and the next hop's entry goes on at its arrival plus that node's
+processing delay. The run walks the schedule and, before each send, takes
+off the entries due strictly before it, so the heap holds only the packets
+in flight.
 
-The heap's key makes it pop in the order of a heap of four event kinds (a
-send per packet, then per hop processing done, transmission start and
-arrival) ordered by (time, seq), with seqs counted up as events are pushed;
-``tests/engine_oracle.py`` is that engine, and the README's "Library
-layout" section tabulates the key. Keys are unique, so identical inputs
-always yield identical outputs. With a trace, each transmission's line is
-kept with its (start, rank) and the lines are sorted once at the end.
+That merge and the heap's key take events in the order of a heap of four
+event kinds (a send per packet, then per hop processing done, transmission
+start and arrival) ordered by (time, seq), with seqs counted up as events
+are pushed; ``tests/engine_oracle.py`` is that engine, and the README's
+"Library layout" section tabulates the key. Keys are unique, so identical
+inputs always yield identical outputs. With a trace, each transmission's
+line is kept with its (start, rank) and the lines are sorted once at the end.
 
 A packet never aborts the run: whatever happens to it, including a tunnel
 that would send it back to its own entry point, is recorded as data on its
@@ -68,9 +69,11 @@ import heapq
 import math
 import random
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, count
 from typing import Optional, Sequence, Union
 
 from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
@@ -506,14 +509,12 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: jitter must be in [0, 1)")
 
 
-# A heap entry is (time, after, parent, start, seq, flow, i, packet_id); the
-# first five are its key. A send has packet_id -1, after -1.0, parent 0,
-# start 0.0 and its send seq, and i is its position in its flow's send order.
-# Every other entry is hop i of flow's path, due when the node has processed
-# the packet: after is when the packet reached the node, parent is 0 for the
-# source and 1 for a later node, and for a later node start and seq are when
-# the previous hop began to transmit and that hop's rank among heap hops.
-# Keys are unique, so entries never compare past the seq.
+# A heap entry is hop i of flow's path, (time, after, parent, start, seq,
+# flow, i, packet_id), due when the node has processed the packet. Its key is
+# the first five: after is when the packet reached the node; parent, start and
+# seq are 0, 0.0 and the send's place in the schedule at the source, and 1,
+# when the previous hop began to transmit and that hop's rank among heap hops
+# at a later node. Keys are unique, so entries never compare past the seq.
 
 
 @dataclass(slots=True)
@@ -532,10 +533,12 @@ class _Engine:
         self,
         topology: Topology,
         traffic: Sequence[TrafficSpec],
+        horizon: Optional[float],
         seed: int,
         trace: Optional[list[str]],
     ) -> None:
         self.trace = trace
+        self.limit = limit = math.inf if horizon is None else horizon
         nodes = {n.id: n for n in topology.nodes}
         # Keyed by the (node id, interface name) a frame leaves by.
         self.ports: dict[tuple[str, str], _Port] = {}
@@ -549,31 +552,35 @@ class _Engine:
                 )
         self.queue_count = len(queues)
 
-        # Send times are drawn flow by flow, one draw per jittered send.
-        # Send k in that order has seq k, so sends order among themselves as
-        # if all were queued before the first event. ``b * draw()`` is the
-        # float that ``Random.uniform(0.0, b)`` returns.
+        # Send times are drawn flow by flow, one draw per jittered send, and
+        # a send's seq is its position in that draw order. ``b * draw()`` is
+        # the float that ``Random.uniform(0.0, b)`` returns. Flows with the
+        # same header send the same frame, built once.
         draw = random.Random(seed).random
-        self.send_times = times = array("d")
+        times: list[float] = []
+        owners: list[int] = []
+        frames: dict[tuple, bytes] = {}
         self.flows = []
-        for flow in traffic:
-            base = len(times)
-            in_order = True
-            spread = flow.jitter * flow.gap
-            for i in range(flow.count):
-                t = flow.start + i * flow.gap
-                if flow.jitter > 0:
-                    t += spread * draw()
-                if i and t < times[-1]:
-                    in_order = False
-                times.append(t)
-            order = range(base, len(times))
-            if not in_order:
-                # Rounding let a later send be drawn before an earlier one;
-                # the heap pops a flow's sends by (time, seq), so must we.
-                order = sorted(order, key=times.__getitem__)
-            src = nodes[flow.src]
-            self.flows.append((flow, src, _flow_frame(src, nodes[flow.dst], flow), order))
+        for fi, flow in enumerate(traffic):
+            start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
+            if flow.jitter > 0:
+                times += [start + i * gap + spread * draw() for i in range(flow.count)]
+            else:
+                times += [start + i * gap for i in range(flow.count)]
+            owners += [fi] * flow.count
+            key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
+            if key not in frames:
+                frames[key] = _flow_frame(nodes[flow.src], nodes[flow.dst], flow)
+            self.flows.append((flow, nodes[flow.src], frames[key]))
+        # The schedule: each send's time and flow index (a byte for up to 256
+        # flows) in (time, seq) order, which a stable sort by time gives, up
+        # to the horizon; later sends never happen.
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times = [times[k] for k in order]
+        cut = bisect_right(times, limit)
+        self.send_times = array("d", times[:cut])
+        owners = [owners[k] for k in order[:cut]]
+        self.send_flows = bytes(owners) if len(traffic) <= 256 else array("I", owners)
 
     def _path(
         self, fwd, node: Node, frame: bytes
@@ -619,7 +626,7 @@ class _Engine:
             node, in_if = port.peer, port.peer_if
         return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
-    def run(self, horizon: Optional[float]) -> list[MetricsRecord]:
+    def run(self) -> list[MetricsRecord]:
         # Read once per run, from the module, so a caller can substitute them.
         push = heapq.heappush
         pop = heapq.heappop
@@ -627,10 +634,9 @@ class _Engine:
         MTU_EXCEEDED = DropReason.MTU_EXCEEDED
         HORIZON_EXPIRED = DropReason.HORIZON_EXPIRED
         trace = self.trace
-        times = self.send_times
         idle = [0.0] * self.queue_count
         records: list[MetricsRecord] = []
-        limit = math.inf if horizon is None else horizon
+        limit = self.limit
 
         # What a node does with a frame depends only on the node, the frame
         # and where it came in, so each distinct (source, frame) is walked
@@ -640,7 +646,7 @@ class _Engine:
         prefixes: list[list[tuple]] = []
         ends: list[Optional[DropReason]] = []
         sends = []
-        for flow, node, frame, order in self.flows:
+        for flow, node, frame in self.flows:
             key = (flow.src, frame)
             if key not in compiled:
                 compiled[key] = self._path(fwd, node, frame)
@@ -648,7 +654,7 @@ class _Engine:
             paths.append(path)
             prefixes.append(crossed)
             ends.append(end)
-            sends.append((flow.flow_id, flow.src, flow.dst, flow.payload_bytes, order))
+            sends.append((flow.flow_id, flow.src, flow.dst, flow.payload_bytes))
 
         # Flows whose frames wait in the same queues form a group. A group is
         # private when each of its queues occurs once in all the groups: no
@@ -663,102 +669,97 @@ class _Engine:
             for group in groups
         ]
 
-        # One pending send per flow: a flow's next send goes on the heap when
-        # its previous one comes off.
         heap: list[tuple] = []
-        for fi, send in enumerate(sends):
-            k = send[4][0]
-            push(heap, (times[k], -1.0, 0, 0.0, k, fi, 0, -1))
         # Counts the hops that began to transmit, in the order they came off.
         rank = 0
         # With a trace, (start, rank, line) per transmission, sorted at the end.
         lines: Optional[list[tuple]] = None if trace is None else []
 
-        while heap:
-            if heap[0][0] > limit:
-                break
-            now, _, _, _, seq, a, b, packet_id = pop(heap)
-            if packet_id < 0:
-                # A send: queue the flow's next send and open the packet's record.
-                flow_id, src, dst, payload_bytes, order = sends[a]
-                if b + 1 < len(order):
-                    k = order[b + 1]
-                    push(heap, (times[k], -1.0, 0, 0.0, k, a, b + 1, -1))
-                packet_id = len(records)
-                path = paths[a]
-                if not private[a]:
-                    records.append(MetricsRecord(packet_id, flow_id, src, dst, payload_bytes, now))
-                    push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, packet_id))
+        # Entries due before a send come off first; at equal times the send
+        # goes first. The last pass, flow -1, sends nothing: it takes off the
+        # entries due by the horizon.
+        for seq, now, a in chain(zip(count(), self.send_times, self.send_flows), [(-1, limit, -1)]):
+            while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
+                # The node has processed the packet for hop b of its flow's
+                # path: the frame joins the link's FIFO, is sent and arrives.
+                due, _, _, _, _, f, b, packet_id = pop(heap)
+                path = paths[f]
+                _, queue, ser, prop, text = path[b]
+                if queue is None:
+                    records[packet_id].drop_reason = MTU_EXCEEDED
                     continue
-                # Lindley's recursion, with the checks of the loop below in
-                # its order: ready is when the hop's node has processed it.
-                # The record is built once, with its final fields.
-                receive = None
-                reason = HORIZON_EXPIRED
-                ready = now
-                sent = 0
-                for processing, queue, ser, prop, _ in path:
-                    ready += processing
-                    if ready > limit:
-                        break
-                    if queue is None:
-                        reason = MTU_EXCEEDED
-                        break
-                    free = idle[queue]
-                    start = free if free > ready else ready
-                    idle[queue] = start + ser
-                    if start > limit:
-                        break
-                    sent += 1
-                    ready = start + ser + prop
-                else:
-                    if ready <= limit:
-                        reason = ends[a]
-                        if reason is None:
-                            receive = ready
-                records.append(
-                    MetricsRecord(
-                        packet_id, flow_id, src, dst, payload_bytes, now,
-                        receive, reason, prefixes[a][sent],
-                    )
-                )
-                continue
+                free = idle[queue]
+                start = free if free > due else due
+                idle[queue] = start + ser
+                if start > limit:
+                    continue
+                rank += 1
+                b += 1
+                records[packet_id].wire_bytes_per_hop = prefixes[f][b]
+                if lines is not None:
+                    lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
+                arrival = start + ser + prop
+                if b < len(path):
+                    push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, packet_id))
+                elif arrival <= limit:
+                    if ends[f] is None:
+                        records[packet_id].receive_time = arrival
+                    else:
+                        records[packet_id].drop_reason = ends[f]
+            if a < 0:
+                break
 
-            # The node has processed the packet for hop b of its flow's path:
-            # the frame joins the link's FIFO, is sent and arrives.
+            # A send opens the packet's record. Each send adds one, so its
+            # position in the schedule is its packet id.
+            flow_id, src, dst, payload_bytes = sends[a]
             path = paths[a]
-            _, queue, ser, prop, text = path[b]
-            if queue is None:
-                records[packet_id].drop_reason = MTU_EXCEEDED
+            if not private[a]:
+                records.append(MetricsRecord(seq, flow_id, src, dst, payload_bytes, now))
+                push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, seq))
                 continue
-            free = idle[queue]
-            start = free if free > now else now
-            idle[queue] = start + ser
-            if start > limit:
-                continue
-            rank += 1
-            b += 1
-            records[packet_id].wire_bytes_per_hop = prefixes[a][b]
-            if lines is not None:
-                lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
-            arrival = start + ser + prop
-            if b < len(path):
-                push(heap, (arrival + path[b][0], arrival, 1, start, rank, a, b, packet_id))
-            elif arrival <= limit:
-                if ends[a] is None:
-                    records[packet_id].receive_time = arrival
-                else:
-                    records[packet_id].drop_reason = ends[a]
+            # Lindley's recursion, with the checks of the loop above in its
+            # order: ready is when the hop's node has processed it. The
+            # record is built once, with its final fields.
+            receive = None
+            reason = HORIZON_EXPIRED
+            ready = now
+            sent = 0
+            for processing, queue, ser, prop, _ in path:
+                ready += processing
+                if ready > limit:
+                    break
+                if queue is None:
+                    reason = MTU_EXCEEDED
+                    break
+                free = idle[queue]
+                start = free if free > ready else ready
+                idle[queue] = start + ser
+                if start > limit:
+                    break
+                sent += 1
+                ready = start + ser + prop
+            else:
+                if ready <= limit:
+                    reason = ends[a]
+                    if reason is None:
+                        receive = ready
+            records.append(
+                MetricsRecord(
+                    seq, flow_id, src, dst, payload_bytes, now,
+                    receive, reason, prefixes[a][sent],
+                )
+            )
 
         if lines is not None:
             lines.sort()
             trace.extend(line for _, _, line in lines)
 
-        # A horizon can stop the run with frames mid-flight; close their
-        # records so every injected packet terminates exactly once.
-        for rec in records:
-            if rec.receive_time is None and rec.drop_reason is None:
-                rec.drop_reason = HORIZON_EXPIRED
+        # A horizon can stop the run with frames on the heap mid-flight; close
+        # their records so every injected packet terminates exactly once.
+        if not all(private):
+            for rec in records:
+                if rec.receive_time is None and rec.drop_reason is None:
+                    rec.drop_reason = HORIZON_EXPIRED
         return records
 
 
@@ -805,5 +806,4 @@ def run_simulation(
         raise InvalidTrafficError("horizon must be finite")
     if horizon is not None and horizon < 0:
         raise InvalidTrafficError("horizon must not be negative")
-    engine = _Engine(topology, traffic, seed, trace)
-    return engine.run(horizon)
+    return _Engine(topology, traffic, horizon, seed, trace).run()

@@ -170,6 +170,54 @@ def test_ipv4_options_roundtrip():
     assert verify_ipv4_checksum(wire)
 
 
+def test_recomputed_checksum_matches_checksum_then_serialize():
+    # serialize_ipv4_header(h, recompute_checksum=True) checks h once; it
+    # must give the bytes, or raise the error, of taking the checksum first
+    # and then serializing with it.
+    def outcome(fn, h):
+        try:
+            return fn(h)
+        except InvalidHeaderError as exc:
+            return type(exc), str(exc)
+
+    def two_steps(h):
+        return serialize_ipv4_header(replace(h, checksum=ipv4_header_checksum(h)))
+
+    def one_call(h):
+        return serialize_ipv4_header(h, recompute_checksum=True)
+
+    rng = random.Random(43)
+    headers = [GOLDEN_V4_HEADER] + [_random_v4_header(rng) for _ in range(500)]
+    for h in headers:
+        assert one_call(h) == two_steps(h)
+        assert verify_ipv4_checksum(one_call(h))
+    limits = {
+        "dscp_ecn": 0xFF,
+        "total_length": 0xFFFF,
+        "identification": 0xFFFF,
+        "flags": 0x7,
+        "fragment_offset": 0x1FFF,
+        "ttl": 0xFF,
+        "protocol": 0xFF,
+        "checksum": 0xFFFF,
+    }
+    bad = [{name: -1} for name in limits] + [{name: top + 1} for name, top in limits.items()]
+    bad += [
+        {"version": 6},
+        {"ihl": 4},
+        {"ihl": 16},
+        {"ihl": 6},
+        {"options": b"\x01\x02\x03\x04"},
+        {"total_length": 19},
+        {"ihl": 7, "options": bytes(8), "total_length": 27},
+    ]
+    for patch in bad:
+        h = replace(GOLDEN_V4_HEADER, **patch)
+        got = outcome(one_call, h)
+        assert isinstance(got, tuple), patch
+        assert got == outcome(two_steps, h), patch
+
+
 def test_ipv6_golden_bytes():
     wire = serialize_ipv6_header(GOLDEN_V6_HEADER)
     assert wire == GOLDEN_V6_BYTES

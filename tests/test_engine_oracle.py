@@ -11,8 +11,9 @@ sent at an IPv4-only router, jitter, equal start times, small MTUs, low hop
 limits, slow links that queue, frames from two links meeting in one queue,
 frames that use one queue several times, several flows in both directions
 and families, and horizons that cut frames mid-path. Everything is drawn
-from a seeded stdlib ``random``, so every run checks the same cases. Last,
-a run must leave no cyclic garbage behind.
+from a seeded stdlib ``random``, so every run checks the same cases. Sends
+tied with heap entries and with the horizon get their own dyadic-time test.
+Last, a run must leave no cyclic garbage behind.
 """
 
 import gc
@@ -307,6 +308,42 @@ def test_hairpin_link_matches_reference_engine():
                 else:
                     assert rec.drop_reason is DropReason.TTL_EXPIRED and looped > 1
 
+
+def test_send_schedule_merge_edges_match_reference_engine():
+    # Sends come from a sorted schedule merged with a heap of hop entries.
+    # Dyadic times make them tie exactly: a 64-byte frame serializes in one
+    # tick and every link propagates for one. H1's frames reach R1 just as R1
+    # sends its own to H2, so the two flows meet in R1's queue, where a send
+    # goes before an entry due at its time; H2's flow back to H1 keeps its
+    # queues to itself and, untraced, skips the heap. Horizons fall before
+    # the first send, on a send and on an entry due with it.
+    tick = 2.0**-10
+    for processing in (0.0, tick):
+        s = build_scenario_dualstack(
+            bandwidth=512 / tick, propagation_delay=tick, processing_delay=processing
+        )
+        shared = [
+            TrafficSpec("a", "H1", "H2", payload_bytes=24, count=6, gap=tick, start=tick),
+            TrafficSpec("b", "R1", "H2", payload_bytes=24, count=6, gap=tick, start=3 * tick),
+        ]
+        private = [TrafficSpec("c", "H2", "H1", payload_bytes=24, count=4, gap=2 * tick, start=2 * tick)]
+        for flows in (shared, shared + private, private + shared):
+            for horizon in (None, tick / 2, tick, 3 * tick, 4 * tick, 6 * tick):
+                trace: list[str] = []
+                got = run_simulation(s.topology, flows, horizon, seed=7, trace=trace)
+                want_trace: list[str] = []
+                want = reference_run(s.topology, flows, horizon, seed=7, trace=want_trace)
+                assert trace == want_trace, (processing, horizon)
+                assert repr(got) == repr(want), (processing, horizon)
+                untraced = run_simulation(s.topology, flows, horizon, seed=7)
+                assert repr(untraced) == repr(want), (processing, horizon)
+                if horizon == tick / 2:
+                    assert got == []
+                if horizon is None and processing == 0.0:
+                    # R1's first send and H1's first frame are both ready at
+                    # R1 at 3 ticks: the send takes the link first.
+                    first = {r.flow_id: r for r in reversed(got)}
+                    assert first["b"].receive_time < first["a"].receive_time
 
 def test_run_leaves_no_cyclic_garbage():
     # Ports point at their link and peer node, and nothing points back, so

@@ -626,13 +626,14 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
             assert all(r.receive_time is not None for r in records)
             assert forward_calls == 7 * len(s.traffic) == 7
             # Untraced, the flow's queues are its own, so each packet is
-            # timed along its path when it is sent and only sends use the heap.
+            # timed along its path when it is sent, and sends never use the
+            # heap: nothing goes on it.
             if trace is None:
-                assert shim.pops == count
+                assert shim.pops == 0
                 continue
-            # Traced, one send, then one entry per hop on four links: the
-            # node has processed the packet, and it is sent and arrives.
-            assert shim.pops == 5 * count
+            # Traced, one entry per hop on four links: the node has processed
+            # the packet, and it is sent and arrives.
+            assert shim.pops == 4 * count
             peaks.append(shim.peak)
     # Ten times the packets, the same few frames in flight at once.
     assert peaks[0] == peaks[1] < 10
