@@ -74,6 +74,7 @@ from .simcore import (
     Node,
     NodeKind,
     NoRouteError,
+    RecordTable,
     Role,
     RouteEntry4,
     RouteEntry6,

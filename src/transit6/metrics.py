@@ -16,15 +16,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter
+from functools import reduce
+from itertools import compress, islice
+from operator import add, attrgetter, sub
 from typing import Optional, Sequence
 
-from .simcore import MetricsRecord
+from .simcore import END_REASONS, FlowColumns, MetricsRecord, RecordTable
 
 _drop_reason = attrgetter("drop_reason")
 _hops = attrgetter("wire_bytes_per_hop")
 _payload = attrgetter("payload_bytes")
+# Maps a column of end codes to 1 where the packet was delivered, else 0.
+_ARRIVED = bytes([1]) + bytes(255)
 
 
 class MetricsError(ValueError):
@@ -64,7 +67,20 @@ def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
     keeps frames ready at the same time in the order they were pushed. So
     delivery order would give the same floats; ``tests/test_engine_oracle.py``
     checks it on every variant.
+
+    A ``RecordTable``, as ``run_simulation`` returns, is read column by
+    column and builds no record. Any other sequence, in any order, with a
+    payload per record and hops in lists, takes a loop over its records.
+    Both give the same floats: delays and their differences are added left
+    to right from 0.0, never by ``sum()``, which over floats is compensated
+    since Python 3.12 and changes the last bits of a result.
     """
+    if isinstance(records, RecordTable):
+        # A flow's first send is its earliest, and sends at one time go in
+        # flow order, so a stable sort by first send is first-seen order.
+        flows = sorted((c for c in records.flows if c.send), key=lambda c: c.send[0])
+        return [_summarize_columns(c) for c in flows]
+
     by_flow: dict[str, list[MetricsRecord]] = {}
     for rec in records:
         by_flow.setdefault(rec.flow_id, []).append(rec)
@@ -79,12 +95,9 @@ def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
         # Records of one path share its hop tuples, so count records per
         # distinct (hops, payload) and add each hop's bytes once per group.
         # tuple() returns a tuple as it is and copies a caller's list.
-        wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
         groups = Counter(zip(map(tuple, map(_hops, recs)), map(_payload, recs)))
         for (hops, nbytes), n in groups.items():
-            for link_id, size in hops:
-                wire[link_id] = wire.get(link_id, 0) + size * n
-                payload[link_id] = payload.get(link_id, 0) + nbytes * n
+            _add_bytes(s, hops, nbytes, n)
 
         delivered = [r for r in recs if r.receive_time is not None]
         s.delivered_count = len(delivered)
@@ -95,9 +108,6 @@ def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
             first = delivered[0]
             lo = hi = prev = first.receive_time - first.send_time
             last_receive = first.receive_time
-            # Sums run left to right from 0.0, rounding after every addition:
-            # sum() over floats is compensated since Python 3.12, which
-            # changes the last bits of a result.
             total = 0.0 + prev
             steps = 0.0
             goodput_bytes = first.payload_bytes
@@ -117,18 +127,63 @@ def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
             s.min_delay, s.max_delay = lo, hi
             if len(delivered) >= 2:
                 s.jitter = steps / (len(delivered) - 1)
-            duration = last_receive - first.send_time
-            if duration > 0:
-                s.goodput_bps = goodput_bytes * 8 / duration
-                if wire:
-                    s.wire_throughput_bps = max(wire.values()) * 8 / duration
-
-        total_wire = sum(wire.values())
-        total_payload = sum(payload.values())
-        if total_payload > 0:
-            s.overhead_ratio = total_wire / total_payload
+            _set_rates(s, goodput_bytes, last_receive - first.send_time)
+        _set_overhead(s)
         summaries.append(s)
     return summaries
+
+
+def _summarize_columns(c: FlowColumns) -> FlowSummary:
+    """One flow's summary, read off its columns with no loop over packets."""
+    ends, hops = c.end, c.hops
+    s = FlowSummary(flow_id=c.flow_id, injected=len(ends))
+    s.delivered_count = delivered = ends.count(0)
+    s.dropped_count = len(ends) - delivered
+    reasons = dict.fromkeys(ends)
+    s.drop_reasons = {END_REASONS[code].value: ends.count(code) for code in reasons if code}
+    # A packet's hops are a prefix of its path's, so one count per prefix.
+    for n in dict.fromkeys(hops):
+        _add_bytes(s, c.prefixes[n], c.payload_bytes, hops.count(n))
+
+    if delivered:
+        receive = c.receive
+        delays = map(sub, receive, c.send)
+        if delivered < len(ends):
+            arrived = ends.translate(_ARRIVED)
+            delays = compress(delays, arrived)
+            receive = compress(receive, arrived)
+        delays = list(delays)
+        s.mean_delay = reduce(add, delays, 0.0) / delivered
+        s.min_delay, s.max_delay = min(delays), max(delays)
+        if delivered >= 2:
+            s.jitter = reduce(add, map(abs, map(sub, islice(delays, 1, None), delays)), 0.0) / (
+                delivered - 1
+            )
+        _set_rates(s, c.payload_bytes * delivered, max(receive) - c.send[ends.index(0)])
+    _set_overhead(s)
+    return s
+
+
+def _add_bytes(s: FlowSummary, hops, payload_bytes: int, n: int) -> None:
+    """Count ``n`` packets of ``payload_bytes`` carried over ``hops``."""
+    wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
+    for link_id, size in hops:
+        wire[link_id] = wire.get(link_id, 0) + size * n
+        payload[link_id] = payload.get(link_id, 0) + payload_bytes * n
+
+
+def _set_rates(s: FlowSummary, goodput_bytes: int, duration: float) -> None:
+    """Goodput and busiest-link throughput over ``duration``, if positive."""
+    if duration > 0:
+        s.goodput_bps = goodput_bytes * 8 / duration
+        if s.wire_bytes_by_link:
+            s.wire_throughput_bps = max(s.wire_bytes_by_link.values()) * 8 / duration
+
+
+def _set_overhead(s: FlowSummary) -> None:
+    total_payload = sum(s.payload_bytes_by_link.values())
+    if total_payload > 0:
+        s.overhead_ratio = sum(s.wire_bytes_by_link.values()) / total_payload
 
 
 @dataclass

@@ -35,8 +35,8 @@ when no other group uses any of its queues and its path uses none twice.
 Its packets then reach every queue in their send order, so an untraced run
 times each of them along its whole path when it is sent. Send times are
 drawn up front, flow by flow, and a send's seq is its position in that draw
-order; one stable sort by time makes them a schedule in (time, seq) order,
-and a send's place in it is its packet id. A heap times the rest (flows that
+order; stable sorts by time make them a schedule in (time, seq) order, and a
+send's place in it is its packet id. A heap times the rest (flows that
 share a queue, and every flow that transmits in a traced run) with one entry
 per hop, due when a node has processed the packet; the frame then takes its
 FIFO slot and the next hop's entry goes on at its arrival plus that node's
@@ -53,14 +53,20 @@ inputs always yield identical outputs. With a trace, each transmission's
 line is kept with its (start, rank) and the lines are sorted once at the end.
 
 A packet never aborts the run: whatever happens to it, including a tunnel
-that would send it back to its own entry point, is recorded as data on its
-MetricsRecord. A frame too big for its next link is dropped when the node
-has finished processing it, not when it arrives, so a horizon that falls
-between the two expires it instead. A hop counts as crossed only if its
-transmission starts by the horizon, and a packet is delivered only if it
-arrives by then. A packet's hops are always a prefix of its path's, so each
-compiled path keeps one tuple per prefix and a record holds the one for the
-hops its packet crossed: records share them, and no packet allocates any.
+that would send it back to its own entry point, is recorded as data. A frame
+too big for its next link is dropped when the node has finished processing
+it, not when it arrives, so a horizon that falls between the two expires it
+instead. A hop counts as crossed only if its transmission starts by the
+horizon, and a packet is delivered only if it arrives by then.
+
+A run builds no record per packet. Each packet's end goes into its flow's
+columns (``FlowColumns``): its send and receive times in arrays of floats,
+how it ended and how many hops it crossed in a byte each (the hop count in
+four on a path of over 255 hops). A packet's hops are always a prefix of
+its path's, so each compiled path keeps one tuple per prefix, and the hop
+count picks the packet's. ``run_simulation`` returns the columns as a
+``RecordTable``, which builds a ``MetricsRecord`` whenever one is read, and
+which ``metrics.summarize`` reads column by column.
 """
 
 from __future__ import annotations
@@ -71,10 +77,12 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count
-from typing import Optional, Sequence, Union
+from itertools import chain, count, islice
+from operator import gt
+from typing import Optional, Union
 
 from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
 from .codec import (
@@ -219,9 +227,10 @@ class MetricsRecord:
     ``wire_bytes_per_hop`` is the (link id, frame size) of every link the
     packet was transmitted on, in order. The engine fills it with an
     immutable tuple shared by every record that crossed the same hops of
-    the same path, so it cannot be appended to; code that edits a record's
-    hops must assign a new sequence. ``summarize`` accepts any sequence of
-    (link id, size) tuples there, lists included.
+    the same path. A record from a ``RecordTable`` is built when it is read,
+    so editing it, hops included, changes nothing in the table.
+    ``summarize`` accepts any sequence of (link id, size) tuples there,
+    lists included.
     """
 
     packet_id: int
@@ -233,6 +242,94 @@ class MetricsRecord:
     receive_time: Optional[float] = None
     drop_reason: Optional[DropReason] = None
     wire_bytes_per_hop: Sequence[tuple[str, int]] = ()
+
+
+# How a packet ended, by its code in ``FlowColumns.end``: None (delivered)
+# for 0, then each DropReason.
+END_REASONS: tuple[Optional[DropReason], ...] = (None, *DropReason)
+_END_CODES = {end: code for code, end in enumerate(END_REASONS)}
+
+
+@dataclass(slots=True)
+class FlowColumns:
+    """One flow's packets as columns, in send order (that is, packet-id order).
+
+    ``send`` and ``receive`` are times, ``receive`` NaN for a packet not
+    delivered; ``end`` is how each packet ended, ``END_REASONS[end[j]]``
+    (None for delivered, at code 0, else the drop reason); ``hops``
+    counts the hops it was transmitted on, and ``prefixes[hops[j]]`` is
+    packet j's ``wire_bytes_per_hop``, a tuple its flow's packets share.
+    ``hops`` is a ``bytearray`` unless the flow's path is longer than 255
+    hops.
+    """
+
+    flow_id: str
+    src: str
+    dst: str
+    payload_bytes: int
+    prefixes: list[tuple[tuple[str, int], ...]]
+    send: array
+    receive: array
+    end: bytearray
+    hops: Union[bytearray, array]
+
+
+class RecordTable(Sequence[MetricsRecord]):
+    """A run's records in packet-id order, kept as one ``FlowColumns`` per flow.
+
+    Packet p belongs to flow ``send_flows[p]`` and is the next of that flow's
+    packets. The table holds no record: each is built when it is read, so
+    editing one leaves the table as it was, and reading the same packet
+    twice gives two equal records. The first index builds a 4-byte place per
+    packet, after which every index is O(1). A slice is a list of records,
+    and a table equals, and has the repr of, the list of its records.
+    """
+
+    __slots__ = ("flows", "send_flows", "_places")
+
+    def __init__(self, flows: list[FlowColumns], send_flows: Sequence[int]) -> None:
+        self.flows = flows
+        self.send_flows = send_flows
+        self._places: Optional[array] = None
+
+    def __len__(self) -> int:
+        return len(self.send_flows)
+
+    def _record(self, packet_id: int, a: int, j: int) -> MetricsRecord:
+        c = self.flows[a]
+        end = END_REASONS[c.end[j]]
+        return MetricsRecord(
+            packet_id, c.flow_id, c.src, c.dst, c.payload_bytes, c.send[j],
+            c.receive[j] if end is None else None, end, c.prefixes[c.hops[j]],
+        )
+
+    def _place(self) -> array:
+        """Each packet's place among its flow's packets."""
+        if self._places is None:
+            places = array("I", [0]) * len(self)
+            taken = [0] * len(self.flows)
+            for p, a in enumerate(self.send_flows):
+                places[p] = taken[a]
+                taken[a] += 1
+            self._places = places
+        return self._places
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[p] for p in range(len(self))[i]]
+        p = range(len(self))[i]
+        return self._record(p, self.send_flows[p], self._place()[p])
+
+    def __iter__(self):
+        return map(self._record, count(), self.send_flows, self._place())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, RecordTable)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 RouteEntry = Union[RouteEntry4, RouteEntry6]
@@ -510,7 +607,8 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
 
 
 # A heap entry is hop i of flow's path, (time, after, parent, start, seq,
-# flow, i, packet_id), due when the node has processed the packet. Its key is
+# flow, i, j, packet_id), due when the node has processed the packet, j being
+# the packet's place among its flow's packets. Its key is
 # the first five: after is when the packet reached the node; parent, start and
 # seq are 0, 0.0 and the send's place in the schedule at the source, and 1,
 # when the previous hop began to transmit and that hop's rank among heap hops
@@ -557,29 +655,39 @@ class _Engine:
         # the float that ``Random.uniform(0.0, b)`` returns. Flows with the
         # same header send the same frame, built once.
         draw = random.Random(seed).random
+        # Each flow's sends up to the horizon, in (time, seq) order: a stable
+        # sort by time of its draws. Later sends never happen.
+        self.flow_sends: list[array] = []
+        # Those of every flow one after another, and each one's flow index
+        # (a byte for up to 256 flows).
         times: list[float] = []
-        owners: list[int] = []
+        owners = bytearray() if len(traffic) <= 256 else array("I")
         frames: dict[tuple, bytes] = {}
         self.flows = []
         for fi, flow in enumerate(traffic):
             start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
             if flow.jitter > 0:
-                times += [start + i * gap + spread * draw() for i in range(flow.count)]
+                drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
             else:
-                times += [start + i * gap for i in range(flow.count)]
-            owners += [fi] * flow.count
+                drawn = [start + i * gap for i in range(flow.count)]
+            drawn.sort()
+            del drawn[bisect_right(drawn, limit):]
+            self.flow_sends.append(array("d", drawn))
+            times += drawn
+            owners.extend([fi] * len(drawn))
             key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
             if key not in frames:
                 frames[key] = _flow_frame(nodes[flow.src], nodes[flow.dst], flow)
             self.flows.append((flow, nodes[flow.src], frames[key]))
-        # The schedule: each send's time and flow index (a byte for up to 256
-        # flows) in (time, seq) order, which a stable sort by time gives, up
-        # to the horizon; later sends never happen.
-        order = sorted(range(len(times)), key=times.__getitem__)
-        times = [times[k] for k in order]
-        cut = bisect_right(times, limit)
-        self.send_times = array("d", times[:cut])
-        owners = [owners[k] for k in order[:cut]]
+        # The schedule: each send's time and flow index in (time, seq) order.
+        # Flows are drawn in flow order, so a stable sort by time of the
+        # flows' sends one after another gives it; when they are in order
+        # already (one flow, say) it changes nothing and is skipped.
+        if any(map(gt, times, islice(times, 1, None))):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times = [times[k] for k in order]
+            owners = [owners[k] for k in order]
+        self.send_times = times
         self.send_flows = bytes(owners) if len(traffic) <= 256 else array("I", owners)
 
     def _path(
@@ -626,16 +734,16 @@ class _Engine:
             node, in_if = port.peer, port.peer_if
         return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
-    def run(self) -> list[MetricsRecord]:
+    def run(self) -> RecordTable:
         # Read once per run, from the module, so a caller can substitute them.
         push = heapq.heappush
         pop = heapq.heappop
         fwd = forward
-        MTU_EXCEEDED = DropReason.MTU_EXCEEDED
-        HORIZON_EXPIRED = DropReason.HORIZON_EXPIRED
+        MTU_EXCEEDED = _END_CODES[DropReason.MTU_EXCEEDED]
+        HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
+        NAN = math.nan
         trace = self.trace
         idle = [0.0] * self.queue_count
-        records: list[MetricsRecord] = []
         limit = self.limit
 
         # What a node does with a frame depends only on the node, the frame
@@ -643,18 +751,22 @@ class _Engine:
         # once, here, and the loop below only times packets along its path.
         compiled: dict[tuple[str, bytes], tuple] = {}
         paths: list[list[tuple]] = []
-        prefixes: list[list[tuple]] = []
-        ends: list[Optional[DropReason]] = []
-        sends = []
-        for flow, node, frame in self.flows:
+        ends: list[int] = []
+        columns: list[FlowColumns] = []
+        for (flow, node, frame), sends in zip(self.flows, self.flow_sends):
             key = (flow.src, frame)
             if key not in compiled:
                 compiled[key] = self._path(fwd, node, frame)
-            path, crossed, end = compiled[key]
+            path, prefixes, end = compiled[key]
             paths.append(path)
-            prefixes.append(crossed)
-            ends.append(end)
-            sends.append((flow.flow_id, flow.src, flow.dst, flow.payload_bytes))
+            ends.append(_END_CODES[end])
+            columns.append(
+                FlowColumns(
+                    flow.flow_id, flow.src, flow.dst, flow.payload_bytes, prefixes, sends,
+                    array("d"), bytearray(), bytearray() if len(prefixes) <= 256 else array("I"),
+                )
+            )
+        adds = [(c.receive.append, c.end.append, c.hops.append) for c in columns]
 
         # Flows whose frames wait in the same queues form a group. A group is
         # private when each of its queues occurs once in all the groups: no
@@ -682,11 +794,11 @@ class _Engine:
             while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
                 # The node has processed the packet for hop b of its flow's
                 # path: the frame joins the link's FIFO, is sent and arrives.
-                due, _, _, _, _, f, b, packet_id = pop(heap)
+                due, _, _, _, _, f, b, j, packet_id = pop(heap)
                 path = paths[f]
                 _, queue, ser, prop, text = path[b]
                 if queue is None:
-                    records[packet_id].drop_reason = MTU_EXCEEDED
+                    columns[f].end[j] = MTU_EXCEEDED
                     continue
                 free = idle[queue]
                 start = free if free > due else due
@@ -695,33 +807,36 @@ class _Engine:
                     continue
                 rank += 1
                 b += 1
-                records[packet_id].wire_bytes_per_hop = prefixes[f][b]
+                columns[f].hops[j] = b
                 if lines is not None:
                     lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
                 arrival = start + ser + prop
                 if b < len(path):
-                    push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, packet_id))
+                    push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, j, packet_id))
                 elif arrival <= limit:
-                    if ends[f] is None:
-                        records[packet_id].receive_time = arrival
-                    else:
-                        records[packet_id].drop_reason = ends[f]
+                    columns[f].end[j] = ends[f]
+                    if not ends[f]:
+                        columns[f].receive[j] = arrival
             if a < 0:
                 break
 
-            # A send opens the packet's record. Each send adds one, so its
-            # position in the schedule is its packet id.
-            flow_id, src, dst, payload_bytes = sends[a]
+            # A send adds the packet to its flow's columns. A packet on the
+            # heap starts out expired by the horizon, which is how it ends if
+            # the run stops before its frame does.
             path = paths[a]
+            add_receive, add_end, add_hops = adds[a]
             if not private[a]:
-                records.append(MetricsRecord(seq, flow_id, src, dst, payload_bytes, now))
-                push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, seq))
+                j = len(columns[a].end)
+                add_receive(NAN)
+                add_end(HORIZON_EXPIRED)
+                add_hops(0)
+                push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, j, seq))
                 continue
             # Lindley's recursion, with the checks of the loop above in its
             # order: ready is when the hop's node has processed it. The
-            # record is built once, with its final fields.
-            receive = None
-            reason = HORIZON_EXPIRED
+            # columns get the packet's final values.
+            receive = NAN
+            end = HORIZON_EXPIRED
             ready = now
             sent = 0
             for processing, queue, ser, prop, _ in path:
@@ -729,7 +844,7 @@ class _Engine:
                 if ready > limit:
                     break
                 if queue is None:
-                    reason = MTU_EXCEEDED
+                    end = MTU_EXCEEDED
                     break
                 free = idle[queue]
                 start = free if free > ready else ready
@@ -740,27 +855,17 @@ class _Engine:
                 ready = start + ser + prop
             else:
                 if ready <= limit:
-                    reason = ends[a]
-                    if reason is None:
+                    end = ends[a]
+                    if not end:
                         receive = ready
-            records.append(
-                MetricsRecord(
-                    seq, flow_id, src, dst, payload_bytes, now,
-                    receive, reason, prefixes[a][sent],
-                )
-            )
+            add_receive(receive)
+            add_end(end)
+            add_hops(sent)
 
         if lines is not None:
             lines.sort()
             trace.extend(line for _, _, line in lines)
-
-        # A horizon can stop the run with frames on the heap mid-flight; close
-        # their records so every injected packet terminates exactly once.
-        if not all(private):
-            for rec in records:
-                if rec.receive_time is None and rec.drop_reason is None:
-                    rec.drop_reason = HORIZON_EXPIRED
-        return records
+        return RecordTable(columns, self.send_flows)
 
 
 def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:
@@ -793,9 +898,12 @@ def run_simulation(
     *,
     seed: int = 0,
     trace: Optional[list[str]] = None,
-) -> list[MetricsRecord]:
+) -> RecordTable:
     """Validate, then run to quiescence (or ``horizon``) and return records.
 
+    The records, one per injected packet in packet-id order, come as a
+    read-only ``RecordTable``: a sequence that builds each ``MetricsRecord``
+    from per-flow columns when it is read, equal to the list of them.
     ``seed`` only matters for flows with a nonzero ``jitter``; without jitter
     the schedule is fully determined by the flow specs. ``trace``, if given,
     receives one line of hex per frame transmission.

@@ -309,6 +309,37 @@ def test_hairpin_link_matches_reference_engine():
                     assert rec.drop_reason is DropReason.TTL_EXPIRED and looped > 1
 
 
+def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
+    # R3 routes H2's own address back into the tunnel, so each packet for H2
+    # crosses the tunnel to R1, comes back and is tunnelled again until its
+    # hop limit of 255 runs out: 508 hops, more than a byte can count. The
+    # horizons cut packets before and after their 256th hop.
+    s = build_scenario_6to4(count=4, hop_limit=255)
+    r3 = s.topology.nodes[3]
+    r3.v6_routes = [
+        replace(e, out_if="tun0") if e.prefix == P6("2001::4/128") else e for e in r3.v6_routes
+    ]
+    full_trace: list[str] = []
+    full = reference_run(s.topology, s.traffic, trace=full_trace)
+    assert all(len(r.wire_bytes_per_hop) == 508 for r in full)
+    assert all(r.drop_reason is DropReason.TTL_EXPIRED for r in full)
+    # The first packet's 256th transmission and the last packet's 300th.
+    starts = [
+        [float(line.split()[0]) for line in full_trace if f" pkt={pid} " in line] for pid in (0, 3)
+    ]
+    cuts = [starts[0][255], starts[1][299]]
+    for horizon in [None, cuts[0] / 2] + cuts:
+        trace: list[str] = []
+        got = run_simulation(s.topology, s.traffic, horizon, trace=trace)
+        want_trace: list[str] = []
+        want = reference_run(s.topology, s.traffic, horizon, trace=want_trace)
+        assert trace == want_trace, horizon
+        assert repr(got) == repr(want), horizon
+        assert repr(run_simulation(s.topology, s.traffic, horizon)) == repr(want), horizon
+        if horizon in cuts:
+            assert max(len(r.wire_bytes_per_hop) for r in got) > 255, horizon
+
+
 def test_send_schedule_merge_edges_match_reference_engine():
     # Sends come from a sorted schedule merged with a heap of hop entries.
     # Dyadic times make them tie exactly: a 64-byte frame serializes in one

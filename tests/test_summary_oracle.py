@@ -1,24 +1,29 @@
 """``metrics.summarize`` against ``summary_oracle.summarize``.
 
-The oracle walks every hop of every record; ``summarize`` counts bytes once
-per distinct (hops, payload) and computes its delay statistics in one pass.
-Both must give the same summaries, compared through ``repr`` so that every
-float matches to the bit and every dict matches in order, on:
+The oracle walks every hop of every record. ``summarize`` reads the
+engine's ``RecordTable`` column by column, and loops over the records of any
+other sequence, counting bytes once per distinct (hops, payload) and
+computing its delay statistics in one pass. Both must give the same
+summaries, compared through ``repr`` so that every float matches to the bit
+and every dict matches in order, on:
 
-- every variant of ``tests/test_engine_oracle.py`` and every golden
-  scenario of ``tests/test_engine_golden.py``, traced and untraced;
-- each of those record lists in engine order, reversed and shuffled;
+- every variant of ``tests/test_engine_oracle.py``, every golden scenario
+  of ``tests/test_engine_golden.py`` and a tunnel loop cut by a horizon,
+  traced and untraced;
+- each of those tables as returned, and its records as a list in engine
+  order, reversed and shuffled;
 - hand-built records whose hops are lists, as library callers build them.
 """
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from summary_oracle import summarize as oracle_summarize
 from test_engine_golden import SCENARIOS
 from test_engine_oracle import _variant
 
 from transit6.metrics import summarize
+from transit6.scenarios import build_scenario_6to4
 from transit6.simcore import DropReason, MetricsRecord, run_simulation
 
 
@@ -32,7 +37,7 @@ def _fields(summary):
 
 
 def _check(records, rng, where):
-    for order in (records, records[::-1], rng.sample(records, len(records))):
+    for order in (records, list(records), records[::-1], rng.sample(records, len(records))):
         got = [_fields(s) for s in summarize(order)]
         want = [_fields(s) for s in oracle_summarize(order)]
         assert repr(got) == repr(want), where
@@ -54,6 +59,23 @@ def test_summaries_match_oracle_on_golden_scenarios():
         for trace in (None, []):
             records = run_simulation(topology, traffic, horizon, seed=seed, trace=trace)
             _check(records, shuffle, name)
+
+
+def test_summaries_match_oracle_on_tunnel_loop():
+    # R1's tunnel points at R1 itself, so R1 drops H1's packets as a tunnel
+    # loop, and a horizon expires the last ones sent: a flow whose drop
+    # reasons are first seen in another order than DropReason's.
+    shuffle = random.Random(13)
+    s = build_scenario_6to4()
+    r1 = s.topology.nodes[1]
+    r1.tunnels["tun0"] = replace(r1.tunnels["tun0"], remote_v4=r1.tunnels["tun0"].local_v4)
+    for horizon in (None, 5e-3):
+        for trace in (None, []):
+            records = run_simulation(s.topology, s.traffic, horizon, trace=trace)
+            if horizon is not None:
+                assert records[0].drop_reason is DropReason.TUNNEL_LOOP
+                assert records[-1].drop_reason is DropReason.HORIZON_EXPIRED
+            _check(records, shuffle, horizon)
 
 
 def test_summaries_match_oracle_on_hand_built_records():
