@@ -1,12 +1,13 @@
-"""Per-flow summaries and scenario comparison.
+"""Per-flow summaries of a run and scenario comparison.
 
-Delay statistics cover delivered packets only. Jitter is the mean absolute
-difference between the delays of consecutive packets in send order. Goodput
-counts delivered payload bits over the measurement interval; wire throughput
-counts every bit that crossed the busiest link over the same interval. The
-overhead ratio divides wire bytes by payload bytes over every link crossing,
-so a flow of P-byte payloads carried in H-byte headers reports (P+H)/P no
-matter how many hops it takes.
+``summarize`` reads the ``RecordTable`` that ``run_simulation`` returns,
+column by column. Delay statistics cover delivered packets only. Jitter is
+the mean absolute difference between the delays of consecutive packets in
+send order. Goodput counts delivered payload bits over the measurement
+interval; wire throughput counts every bit that crossed the busiest link
+over the same interval. The overhead ratio divides wire bytes by payload
+bytes over every link crossing, so a flow of P-byte payloads carried in
+H-byte headers reports (P+H)/P no matter how many hops it takes.
 
 The measurement interval runs from the flow's first send to its last
 delivery.
@@ -14,18 +15,14 @@ delivery.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, islice
-from operator import add, attrgetter, sub
+from operator import add, sub
 from typing import Optional, Sequence
 
-from .simcore import END_REASONS, FlowColumns, MetricsRecord, RecordTable
+from .simcore import END_REASONS, FlowColumns, RecordTable
 
-_drop_reason = attrgetter("drop_reason")
-_hops = attrgetter("wire_bytes_per_hop")
-_payload = attrgetter("payload_bytes")
 # Maps a column of end codes to 1 where the packet was delivered, else 0.
 _ARRIVED = bytes([1]) + bytes(255)
 
@@ -56,81 +53,29 @@ class FlowSummary:
     payload_bytes_by_link: dict[str, int] = field(default_factory=dict)
 
 
-def summarize(records: Sequence[MetricsRecord]) -> list[FlowSummary]:
-    """Aggregate per-packet records into one summary per flow.
+def summarize(records: RecordTable) -> list[FlowSummary]:
+    """Aggregate a run's records, as ``run_simulation`` returns them, per flow.
 
-    Flows appear in first-seen order, and so do the drop reasons and links
-    of each flow's dicts. A flow's delivered packets are taken in (send
-    time, packet id) order. The engine already delivers each flow's packets
-    in that order, for three reasons: a flow takes one path, each node's
+    The table is read column by column and builds no record. Flows appear
+    in first-seen order, and so do the drop reasons and links of each
+    flow's dicts. A flow's delivered packets are taken in send order, that
+    is (send time, packet id) order, which is also the order the engine
+    delivers them in, for three reasons: a flow takes one path, each node's
     processing delay is constant, and every link direction is a FIFO that
     keeps frames ready at the same time in the order they were pushed. So
     delivery order would give the same floats; ``tests/test_engine_oracle.py``
-    checks it on every variant.
-
-    A ``RecordTable``, as ``run_simulation`` returns, is read column by
-    column and builds no record. Any other sequence, in any order, with a
-    payload per record and hops in lists, takes a loop over its records.
-    Both give the same floats: delays and their differences are added left
+    checks it on every variant. Delays and their differences are added left
     to right from 0.0, never by ``sum()``, which over floats is compensated
     since Python 3.12 and changes the last bits of a result.
+
+    Anything but a ``RecordTable`` raises ``TypeError``.
     """
-    if isinstance(records, RecordTable):
-        # A flow's first send is its earliest, and sends at one time go in
-        # flow order, so a stable sort by first send is first-seen order.
-        flows = sorted((c for c in records.flows if c.send), key=lambda c: c.send[0])
-        return [_summarize_columns(c) for c in flows]
-
-    by_flow: dict[str, list[MetricsRecord]] = {}
-    for rec in records:
-        by_flow.setdefault(rec.flow_id, []).append(rec)
-
-    summaries = []
-    for flow_id, recs in by_flow.items():
-        s = FlowSummary(flow_id=flow_id, injected=len(recs))
-        reasons = Counter(map(_drop_reason, recs))
-        reasons.pop(None, None)
-        s.drop_reasons = {reason.value: n for reason, n in reasons.items()}
-        s.dropped_count = sum(reasons.values())
-        # Records of one path share its hop tuples, so count records per
-        # distinct (hops, payload) and add each hop's bytes once per group.
-        # tuple() returns a tuple as it is and copies a caller's list.
-        groups = Counter(zip(map(tuple, map(_hops, recs)), map(_payload, recs)))
-        for (hops, nbytes), n in groups.items():
-            _add_bytes(s, hops, nbytes, n)
-
-        delivered = [r for r in recs if r.receive_time is not None]
-        s.delivered_count = len(delivered)
-        if delivered:
-            # Two stable sorts: by send time, ties by packet id.
-            delivered.sort(key=attrgetter("packet_id"))
-            delivered.sort(key=attrgetter("send_time"))
-            first = delivered[0]
-            lo = hi = prev = first.receive_time - first.send_time
-            last_receive = first.receive_time
-            total = 0.0 + prev
-            steps = 0.0
-            goodput_bytes = first.payload_bytes
-            for r in islice(delivered, 1, None):
-                delay = r.receive_time - r.send_time
-                total += delay
-                steps += abs(delay - prev)
-                prev = delay
-                if delay < lo:
-                    lo = delay
-                if delay > hi:
-                    hi = delay
-                if r.receive_time > last_receive:
-                    last_receive = r.receive_time
-                goodput_bytes += r.payload_bytes
-            s.mean_delay = total / len(delivered)
-            s.min_delay, s.max_delay = lo, hi
-            if len(delivered) >= 2:
-                s.jitter = steps / (len(delivered) - 1)
-            _set_rates(s, goodput_bytes, last_receive - first.send_time)
-        _set_overhead(s)
-        summaries.append(s)
-    return summaries
+    if not isinstance(records, RecordTable):
+        raise TypeError(f"summarize takes a RecordTable, not {type(records).__name__}")
+    # A flow's first send is its earliest, and sends at one time go in flow
+    # order, so a stable sort by first send is first-seen order.
+    flows = sorted((c for c in records.flows if c.send), key=lambda c: c.send[0])
+    return [_summarize_columns(c) for c in flows]
 
 
 def _summarize_columns(c: FlowColumns) -> FlowSummary:

@@ -229,8 +229,7 @@ class MetricsRecord:
     immutable tuple shared by every record that crossed the same hops of
     the same path. A record from a ``RecordTable`` is built when it is read,
     so editing it, hops included, changes nothing in the table.
-    ``summarize`` accepts any sequence of (link id, size) tuples there,
-    lists included.
+    ``metrics.summarize`` reads the table's columns, never its records.
     """
 
     packet_id: int

@@ -1,10 +1,11 @@
 """The ``summarize`` that walked every hop of every record, kept as an oracle.
 
 This is ``transit6.metrics.summarize`` as it was before it counted bytes
-once per distinct (hops, payload) and computed its delay statistics in one
-pass. ``tests/test_summary_oracle.py`` requires the two to give the same
-summaries, field for field and in the same dict order, on every record list
-it tries.
+once per distinct (hops, payload), computed its delay statistics in one
+pass and read a run's columns instead of its records.
+``tests/test_summary_oracle.py`` requires ``summarize(table)`` to give the
+summaries this gives on ``list(table)``, field for field and in the same
+dict order, on every table it tries.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ comparisons use a relative tolerance of 1e-9, pinned in REL_TOL.
 
 import random
 
+from test_scenarios import ISP_LINKS, LINK_IDS, closed_form_delay
+
 from transit6.cli import main
 from transit6.codec import (
     FrameKind,
@@ -47,9 +49,6 @@ from transit6.transition import (
 )
 
 REL_TOL = 1e-9
-
-LINK_IDS = ("h1-r1", "r1-r2", "r2-r3", "r3-h2")
-ISP_LINKS = frozenset({"r1-r2", "r2-r3"})
 
 
 def _report(number: int, name: str, ok: bool) -> None:
@@ -205,23 +204,13 @@ def test_acceptance_5_route_lookup_oracle(capsys):
         _report(5, "route-lookup-oracle", ok and lookups >= 10_000)
 
 
-def _closed_form_delay(payload_bytes: int, tunneled: bool) -> float:
-    # Serialization plus propagation per link, plus processing at the three
-    # routers, with 20 extra bytes on the ISP-side links when tunneled.
-    total = 0.0
-    for link_id in LINK_IDS:
-        wire = payload_bytes + 40 + (20 if tunneled and link_id in ISP_LINKS else 0)
-        total += wire * 8 / 100e6 + 1e-3
-    return total + 3 * 50e-6
-
-
 def test_acceptance_6_delivery_times_analytic(capsys):
     ok = True
     for payload in (64, 512, 1000):
         for build, tunneled in ((build_scenario_6to4, True), (build_scenario_dualstack, False)):
             scenario = build(payload_bytes=payload)
             records = run_simulation(scenario.topology, scenario.traffic)
-            expected = _closed_form_delay(payload, tunneled)
+            expected = closed_form_delay(payload, tunneled)
             ok = ok and len(records) == 10
             for rec in records:
                 if rec.receive_time is None:

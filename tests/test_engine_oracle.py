@@ -13,18 +13,22 @@ frames that use one queue several times, several flows in both directions
 and families, and horizons that cut frames mid-path. Everything is drawn
 from a seeded stdlib ``random``, so every run checks the same cases. Sends
 tied with heap entries and with the horizon get their own dyadic-time test.
-Last, a run must leave no cyclic garbage behind.
+A run of 300 flows, more than a byte can index, is checked against the
+summary oracle too. Last, a run must leave no cyclic garbage behind.
 """
 
 import gc
 import random
+from array import array
 from collections import Counter
 from dataclasses import replace
 
 from engine_oracle import reference_run
+from summary_oracle import summarize as oracle_summarize
 
 from transit6.addressing import Ipv4Prefix, Ipv6Prefix
 from transit6.codec import Ipv4Address, Ipv6Address
+from transit6.metrics import summarize
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import (
     DropReason,
@@ -375,6 +379,35 @@ def test_send_schedule_merge_edges_match_reference_engine():
                     # R1 at 3 ticks: the send takes the link first.
                     first = {r.flow_id: r for r in reversed(got)}
                     assert first["b"].receive_time < first["a"].receive_time
+
+
+def test_over_256_flows_match_reference_engine_and_summary_oracle():
+    # Past 256 flows a send's flow index takes four bytes, not one. Flows go
+    # both ways on the dual-stack chain, every third one jittered, and the
+    # horizon cuts the later ones.
+    s = build_scenario_dualstack()
+    flows = [
+        TrafficSpec(
+            f"f{i}", *(("H1", "H2") if i % 2 else ("H2", "H1")), payload_bytes=64 * (i % 5),
+            count=3, gap=1e-4, start=i * 2e-5, jitter=0.5 if i % 3 == 0 else 0.0,
+        )
+        for i in range(300)
+    ]
+    for horizon in (None, 6e-3):
+        want_trace: list[str] = []
+        want = reference_run(s.topology, flows, horizon, seed=9, trace=want_trace)
+        ends = Counter(r.drop_reason for r in want)
+        if horizon is None:
+            assert len(want) == ends[None] == 900
+        else:
+            assert ends[None] and ends[DropReason.HORIZON_EXPIRED]
+        for trace in (None, []):
+            got = run_simulation(s.topology, flows, horizon, seed=9, trace=trace)
+            assert type(got.send_flows) is array and got.send_flows.itemsize == 4
+            assert repr(got) == repr(want), (horizon, trace)
+            assert trace is None or trace == want_trace, horizon
+            assert repr(summarize(got)) == repr(oracle_summarize(want)), (horizon, trace)
+
 
 def test_run_leaves_no_cyclic_garbage():
     # Ports point at their link and peer node, and nothing points back, so

@@ -1,4 +1,5 @@
 import pytest
+from record_tables import table_of
 
 from transit6.metrics import (
     FlowMismatchError,
@@ -19,7 +20,7 @@ def _rec(pid, flow="f", payload=100, send=0.0, recv=None, drop=None, hops=()):
         send_time=send,
         receive_time=recv,
         drop_reason=drop,
-        wire_bytes_per_hop=list(hops),
+        wire_bytes_per_hop=tuple(hops),
     )
 
 
@@ -35,14 +36,14 @@ def test_delay_sums_round_after_every_addition():
     # here; adding left to right gives 0.6000000000000001 on every version.
     records = [_rec(i, recv=d) for i, d in enumerate([0.1, 0.2, 0.3])]
     delays = [r.receive_time - r.send_time for r in records]
-    (s,) = summarize(records)
+    (s,) = summarize(table_of(records))
     assert s.mean_delay == ((delays[0] + delays[1]) + delays[2]) / 3
     diffs = [abs(b - a) for a, b in zip(delays, delays[1:])]
     assert s.jitter == (diffs[0] + diffs[1]) / 2
 
 
 def test_summary_counts_and_delays():
-    (s,) = summarize(HAND_RECORDS)
+    (s,) = summarize(table_of(HAND_RECORDS))
     assert s.flow_id == "f"
     assert (s.injected, s.delivered_count, s.dropped_count) == (3, 2, 1)
     assert s.drop_reasons == {"no-route": 1}
@@ -53,7 +54,7 @@ def test_summary_counts_and_delays():
 
 
 def test_summary_byte_books_and_overhead():
-    (s,) = summarize(HAND_RECORDS)
+    (s,) = summarize(table_of(HAND_RECORDS))
     assert s.wire_bytes_by_link == {"l": 360, "m": 280}
     assert s.payload_bytes_by_link == {"l": 300, "m": 200}
     # All link crossings count, including those of the dropped packet.
@@ -61,7 +62,7 @@ def test_summary_byte_books_and_overhead():
 
 
 def test_summary_rates_default_interval():
-    (s,) = summarize(HAND_RECORDS)
+    (s,) = summarize(table_of(HAND_RECORDS))
     # First send 0.0, last delivery 13.0.
     assert s.goodput_bps == 200 * 8 / 13.0
     assert s.wire_throughput_bps == 360 * 8 / 13.0
@@ -70,7 +71,7 @@ def test_summary_rates_default_interval():
 def test_summary_all_dropped_flow():
     records = [_rec(0, drop=DropReason.WRONG_FAMILY, hops=[("l", 120)]),
                _rec(1, drop=DropReason.WRONG_FAMILY, hops=[("l", 120)])]
-    (s,) = summarize(records)
+    (s,) = summarize(table_of(records))
     assert (s.delivered_count, s.dropped_count) == (0, 2)
     assert s.mean_delay is None and s.jitter is None
     assert s.goodput_bps == 0.0 and s.wire_throughput_bps == 0.0
@@ -79,27 +80,30 @@ def test_summary_all_dropped_flow():
 
 
 def test_summary_no_crossings_no_overhead():
-    (s,) = summarize([_rec(0, drop=DropReason.MTU_EXCEEDED)])
+    (s,) = summarize(table_of([_rec(0, drop=DropReason.MTU_EXCEEDED)]))
     assert s.overhead_ratio is None
     assert s.wire_bytes_by_link == {}
 
 
 def test_summary_single_delivery_has_no_jitter():
-    (s,) = summarize([_rec(0, send=1.0, recv=2.5, hops=[("l", 140)])])
+    (s,) = summarize(table_of([_rec(0, send=1.0, recv=2.5, hops=[("l", 140)])]))
     assert s.mean_delay == 1.5
     assert s.min_delay == s.max_delay == 1.5
     assert s.jitter is None
 
 
-def test_summary_input_order_does_not_matter():
-    reordered = [HAND_RECORDS[1], HAND_RECORDS[2], HAND_RECORDS[0]]
-    assert summarize(reordered) == summarize(HAND_RECORDS)
+def test_summary_takes_only_a_record_table():
+    table = table_of(HAND_RECORDS)
+    assert list(table) == HAND_RECORDS
+    for records in (HAND_RECORDS, tuple(HAND_RECORDS), (r for r in HAND_RECORDS)):
+        with pytest.raises(TypeError, match="RecordTable"):
+            summarize(records)
 
 
 def test_summary_flows_in_first_seen_order():
     records = [_rec(0, flow="x", recv=1.0), _rec(1, flow="y", recv=1.0),
                _rec(2, flow="x", send=2.0, recv=3.0)]
-    summaries = summarize(records)
+    summaries = summarize(table_of(records))
     assert [s.flow_id for s in summaries] == ["x", "y"]
     assert summaries[0].injected == 2
 
@@ -147,16 +151,16 @@ def test_compare_tunnel_against_dualstack():
 
 
 def test_compare_flow_mismatch():
-    a = summarize([_rec(0, flow="only-a", recv=1.0)])
-    b = summarize([_rec(0, flow="only-b", recv=1.0)])
+    a = summarize(table_of([_rec(0, flow="only-a", recv=1.0)]))
+    b = summarize(table_of([_rec(0, flow="only-b", recv=1.0)]))
     with pytest.raises(FlowMismatchError, match="only-a") as excinfo:
         compare_scenarios(a, b)
     assert "only-b" in str(excinfo.value)
 
 
 def test_compare_handles_undelivered_sides():
-    a = summarize([_rec(0, flow="f", drop=DropReason.NO_ROUTE)])
-    b = summarize([_rec(0, flow="f", drop=DropReason.NO_ROUTE)])
+    a = summarize(table_of([_rec(0, flow="f", drop=DropReason.NO_ROUTE)]))
+    b = summarize(table_of([_rec(0, flow="f", drop=DropReason.NO_ROUTE)]))
     (row,) = compare_scenarios(a, b).rows
     assert row.mean_delay_a is None and row.mean_delay_b is None
     assert row.delay_delta is None

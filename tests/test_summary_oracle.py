@@ -1,23 +1,23 @@
 """``metrics.summarize`` against ``summary_oracle.summarize``.
 
-The oracle walks every hop of every record. ``summarize`` reads the
-engine's ``RecordTable`` column by column, and loops over the records of any
-other sequence, counting bytes once per distinct (hops, payload) and
-computing its delay statistics in one pass. Both must give the same
-summaries, compared through ``repr`` so that every float matches to the bit
-and every dict matches in order, on:
+The oracle walks every hop of every record. ``summarize`` reads a
+``RecordTable`` column by column, counting bytes once per distinct hop
+tuple and computing its delay statistics in one pass. ``summarize(table)``
+must give the summaries that the oracle gives on ``list(table)``, compared
+through ``repr`` so that every float matches to the bit and every dict
+matches in order, on:
 
 - every variant of ``tests/test_engine_oracle.py``, every golden scenario
   of ``tests/test_engine_golden.py`` and a tunnel loop cut by a horizon,
   traced and untraced;
-- each of those tables as returned, and its records as a list in engine
-  order, reversed and shuffled;
-- hand-built records whose hops are lists, as library callers build them.
+- tables packed by ``record_tables.table_of`` from hand-built records with
+  tied send times, arbitrary hop tuples and every drop reason.
 """
 
 import random
 from dataclasses import fields, replace
 
+from record_tables import table_of
 from summary_oracle import summarize as oracle_summarize
 from test_engine_golden import SCENARIOS
 from test_engine_oracle import _variant
@@ -36,36 +36,32 @@ def _fields(summary):
     ]
 
 
-def _check(records, rng, where):
-    for order in (records, list(records), records[::-1], rng.sample(records, len(records))):
-        got = [_fields(s) for s in summarize(order)]
-        want = [_fields(s) for s in oracle_summarize(order)]
-        assert repr(got) == repr(want), where
+def _check(table, where):
+    got = [_fields(s) for s in summarize(table)]
+    want = [_fields(s) for s in oracle_summarize(list(table))]
+    assert repr(got) == repr(want), where
 
 
 def test_summaries_match_oracle_on_engine_variants():
     rng = random.Random(2024)
-    shuffle = random.Random(7)
     for case in range(400):
         base, topology, flows, horizon, seed = _variant(rng)
-        _check(run_simulation(topology, flows, horizon, seed=seed), shuffle, (case, base))
+        _check(run_simulation(topology, flows, horizon, seed=seed), (case, base))
 
 
 def test_summaries_match_oracle_on_golden_scenarios():
-    shuffle = random.Random(11)
     for name, build in sorted(SCENARIOS.items()):
         topology, traffic, kw = build()
         horizon, seed = kw.get("horizon"), kw.get("seed", 0)
         for trace in (None, []):
             records = run_simulation(topology, traffic, horizon, seed=seed, trace=trace)
-            _check(records, shuffle, name)
+            _check(records, name)
 
 
 def test_summaries_match_oracle_on_tunnel_loop():
     # R1's tunnel points at R1 itself, so R1 drops H1's packets as a tunnel
     # loop, and a horizon expires the last ones sent: a flow whose drop
     # reasons are first seen in another order than DropReason's.
-    shuffle = random.Random(13)
     s = build_scenario_6to4()
     r1 = s.topology.nodes[1]
     r1.tunnels["tun0"] = replace(r1.tunnels["tun0"], remote_v4=r1.tunnels["tun0"].local_v4)
@@ -75,31 +71,45 @@ def test_summaries_match_oracle_on_tunnel_loop():
             if horizon is not None:
                 assert records[0].drop_reason is DropReason.TUNNEL_LOOP
                 assert records[-1].drop_reason is DropReason.HORIZON_EXPIRED
-            _check(records, shuffle, horizon)
+            _check(records, horizon)
 
 
 def test_summaries_match_oracle_on_hand_built_records():
     # Few distinct times, so sends tie and only the packet id orders them;
-    # hop lists drawn from a few links, some empty; every drop reason.
+    # hop tuples drawn from a few links, some empty; every drop reason; one
+    # payload size per flow.
     rng = random.Random(5)
     hop_choices = [("l", 120), ("m", 140), ("n", 1060), ("l", 1040)]
+    seen = set()
     for case in range(200):
+        payloads = {flow: rng.choice([0, 64, 1000]) for flow in "xyz"}
+        sends = sorted(
+            rng.choice([0.0, 0.1, 0.2, 0.3, rng.uniform(0.0, 1.0)])
+            for _ in range(rng.randrange(1, 30))
+        )
         records = []
-        for pid in rng.sample(range(1000), rng.randrange(1, 30)):
-            send = rng.choice([0.0, 0.1, 0.2, 0.3, rng.uniform(0.0, 1.0)])
+        for pid, send in enumerate(sends):
+            flow = rng.choice("xyz")
             delivered = rng.random() < 0.7
+            drop = None if delivered else rng.choice(list(DropReason))
+            seen.add(drop)
             records.append(
                 MetricsRecord(
                     packet_id=pid,
-                    flow_id=rng.choice("xyz"),
+                    flow_id=flow,
                     src_node="a",
                     dst_node="b",
-                    payload_bytes=rng.choice([0, 64, 1000]),
+                    payload_bytes=payloads[flow],
                     send_time=send,
                     receive_time=send + rng.choice([0.1, 0.2, rng.uniform(0.0, 0.5)])
                     if delivered else None,
-                    drop_reason=None if delivered else rng.choice(list(DropReason)),
-                    wire_bytes_per_hop=[rng.choice(hop_choices) for _ in range(rng.randrange(4))],
+                    drop_reason=drop,
+                    wire_bytes_per_hop=tuple(
+                        rng.choice(hop_choices) for _ in range(rng.randrange(4))
+                    ),
                 )
             )
-        _check(records, rng, case)
+        table = table_of(records)
+        assert table == records, case
+        _check(table, case)
+    assert seen == {None, *DropReason}
