@@ -47,7 +47,6 @@ from .codec import (
     verify_ipv4_checksum,
 )
 from .metrics import (
-    ComparisonReport,
     ComparisonRow,
     FlowMismatchError,
     FlowSummary,

@@ -166,6 +166,8 @@ def _report_drops(summaries: Sequence[FlowSummary], prefix: str = "") -> None:
 def _run_scenario(scenario: Scenario, args) -> tuple[list, list[str]]:
     if args.horizon is not None and not math.isfinite(args.horizon):
         raise ValueError(f"--horizon must be a finite number, got {args.horizon!r}")
+    if args.horizon is not None and args.horizon < 0:
+        raise ValueError(f"--horizon must not be negative, got {args.horizon!r}")
     trace: list[str] = []
     horizon = args.horizon if args.horizon is not None else scenario.horizon
     records = run_simulation(
@@ -202,7 +204,6 @@ def _cmd_compare(args) -> int:
     summaries_a, summaries_b = summarize(records_a), summarize(records_b)
     _report_drops(summaries_a, "a ")
     _report_drops(summaries_b, "b ")
-    report = compare_scenarios(summaries_a, summaries_b)
     rows = [
         {
             "flow": r.flow_id,
@@ -212,7 +213,7 @@ def _cmd_compare(args) -> int:
             "goodput_ratio": r.goodput_ratio,
             "overhead_ratio": r.overhead_ratio,
         }
-        for r in report.rows
+        for r in compare_scenarios(summaries_a, summaries_b)
     ]
     _emit_rows(rows, args.format, sys.stdout)
     return 0

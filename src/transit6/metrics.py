@@ -1,16 +1,20 @@
 """Per-flow summaries of a run and scenario comparison.
 
-``summarize`` reads the ``RecordTable`` that ``run_simulation`` returns,
-column by column. Delay statistics cover delivered packets only. Jitter is
-the mean absolute difference between the delays of consecutive packets in
-send order. Goodput counts delivered payload bits over the measurement
-interval; wire throughput counts every bit that crossed the busiest link
-over the same interval. The overhead ratio divides wire bytes by payload
-bytes over every link crossing, so a flow of P-byte payloads carried in
-H-byte headers reports (P+H)/P no matter how many hops it takes.
+``summarize`` is one loop over the flows of the ``RecordTable`` that
+``run_simulation`` returns: each pass reads one flow's columns, with no loop
+over packets, and fills that flow's ``FlowSummary``. ``compare_scenarios``
+returns a list of ``ComparisonRow``, one per flow. Delay statistics cover
+delivered packets only. Jitter is the mean absolute difference between the
+delays of consecutive packets in send order. Goodput counts delivered
+payload bits over the measurement interval; wire throughput counts every
+bit that crossed the busiest link over the same interval. The overhead
+ratio divides wire bytes by payload bytes over every link crossing, so a
+flow of P-byte payloads carried in H-byte headers reports (P+H)/P no matter
+how many hops it takes.
 
 The measurement interval runs from the flow's first send to its last
-delivery.
+delivery. Validation bounds every time and serialization delay a scenario
+can give (``simcore.MAX_SECONDS``), so every float of a summary is finite.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import compress, islice
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .simcore import END_REASONS, FlowColumns, RecordTable
+from .simcore import END_REASONS, RecordTable
 
 # Maps a column of end codes to 1 where the packet was delivered, else 0.
 _ARRIVED = bytes([1]) + bytes(255)
@@ -56,8 +60,8 @@ class FlowSummary:
 def summarize(records: RecordTable) -> list[FlowSummary]:
     """Aggregate a run's records, as ``run_simulation`` returns them, per flow.
 
-    The table is read column by column and builds no record. Flows appear
-    in first-seen order, and so do the drop reasons and links of each
+    One pass per flow reads that flow's columns and builds no record. Flows
+    appear in first-seen order, and so do the drop reasons and links of each
     flow's dicts. A flow's delivered packets are taken in send order, that
     is (send time, packet id) order, which is also the order the engine
     delivers them in, for three reasons: a flow takes one path, each node's
@@ -72,63 +76,44 @@ def summarize(records: RecordTable) -> list[FlowSummary]:
     """
     if not isinstance(records, RecordTable):
         raise TypeError(f"summarize takes a RecordTable, not {type(records).__name__}")
+    summaries = []
     # A flow's first send is its earliest, and sends at one time go in flow
     # order, so a stable sort by first send is first-seen order.
-    flows = sorted((c for c in records.flows if c.send), key=lambda c: c.send[0])
-    return [_summarize_columns(c) for c in flows]
-
-
-def _summarize_columns(c: FlowColumns) -> FlowSummary:
-    """One flow's summary, read off its columns with no loop over packets."""
-    ends, hops = c.end, c.hops
-    s = FlowSummary(flow_id=c.flow_id, injected=len(ends))
-    s.delivered_count = delivered = ends.count(0)
-    s.dropped_count = len(ends) - delivered
-    reasons = dict.fromkeys(ends)
-    s.drop_reasons = {END_REASONS[code].value: ends.count(code) for code in reasons if code}
-    # A packet's hops are a prefix of its path's, so one count per prefix.
-    for n in dict.fromkeys(hops):
-        _add_bytes(s, c.prefixes[n], c.payload_bytes, hops.count(n))
-
-    if delivered:
-        receive = c.receive
-        delays = map(sub, receive, c.send)
-        if delivered < len(ends):
-            arrived = ends.translate(_ARRIVED)
-            delays = compress(delays, arrived)
-            receive = compress(receive, arrived)
-        delays = list(delays)
-        s.mean_delay = reduce(add, delays, 0.0) / delivered
-        s.min_delay, s.max_delay = min(delays), max(delays)
-        if delivered >= 2:
-            s.jitter = reduce(add, map(abs, map(sub, islice(delays, 1, None), delays)), 0.0) / (
-                delivered - 1
-            )
-        _set_rates(s, c.payload_bytes * delivered, max(receive) - c.send[ends.index(0)])
-    _set_overhead(s)
-    return s
-
-
-def _add_bytes(s: FlowSummary, hops, payload_bytes: int, n: int) -> None:
-    """Count ``n`` packets of ``payload_bytes`` carried over ``hops``."""
-    wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
-    for link_id, size in hops:
-        wire[link_id] = wire.get(link_id, 0) + size * n
-        payload[link_id] = payload.get(link_id, 0) + payload_bytes * n
-
-
-def _set_rates(s: FlowSummary, goodput_bytes: int, duration: float) -> None:
-    """Goodput and busiest-link throughput over ``duration``, if positive."""
-    if duration > 0:
-        s.goodput_bps = goodput_bytes * 8 / duration
-        if s.wire_bytes_by_link:
-            s.wire_throughput_bps = max(s.wire_bytes_by_link.values()) * 8 / duration
-
-
-def _set_overhead(s: FlowSummary) -> None:
-    total_payload = sum(s.payload_bytes_by_link.values())
-    if total_payload > 0:
-        s.overhead_ratio = sum(s.wire_bytes_by_link.values()) / total_payload
+    for c in sorted((c for c in records.flows if c.send), key=lambda c: c.send[0]):
+        ends, hops, payload_bytes = c.end, c.hops, c.payload_bytes
+        s = FlowSummary(flow_id=c.flow_id, injected=len(ends))
+        s.delivered_count = delivered = ends.count(0)
+        s.dropped_count = len(ends) - delivered
+        s.drop_reasons = {END_REASONS[k].value: ends.count(k) for k in dict.fromkeys(ends) if k}
+        wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
+        # A packet's hops are a prefix of its path's, so one count per prefix.
+        for n in dict.fromkeys(hops):
+            count = hops.count(n)
+            for link_id, size in c.prefixes[n]:
+                wire[link_id] = wire.get(link_id, 0) + size * count
+                payload[link_id] = payload.get(link_id, 0) + payload_bytes * count
+        if delivered:
+            receive = c.receive
+            delays = map(sub, receive, c.send)
+            if delivered < len(ends):
+                arrived = ends.translate(_ARRIVED)
+                delays = compress(delays, arrived)
+                receive = compress(receive, arrived)
+            delays = list(delays)
+            s.mean_delay = reduce(add, delays, 0.0) / delivered
+            s.min_delay, s.max_delay = min(delays), max(delays)
+            if delivered >= 2:
+                gaps = map(abs, map(sub, islice(delays, 1, None), delays))
+                s.jitter = reduce(add, gaps, 0.0) / (delivered - 1)
+            duration = max(receive) - c.send[ends.index(0)]
+            if duration > 0:
+                s.goodput_bps = (payload_bytes * delivered) * 8 / duration
+                if wire:
+                    s.wire_throughput_bps = max(wire.values()) * 8 / duration
+        if total_payload := sum(payload.values()):
+            s.overhead_ratio = sum(wire.values()) / total_payload
+        summaries.append(s)
+    return summaries
 
 
 @dataclass
@@ -141,15 +126,10 @@ class ComparisonRow:
     overhead_ratio: Optional[float]
 
 
-@dataclass
-class ComparisonReport:
-    rows: list[ComparisonRow] = field(default_factory=list)
-
-
 def compare_scenarios(
     a: Sequence[FlowSummary], b: Sequence[FlowSummary]
-) -> ComparisonReport:
-    """Match flows by id and report a-versus-b deltas and ratios.
+) -> list[ComparisonRow]:
+    """Match flows by id: one row of a-versus-b deltas and ratios per flow of a.
 
     Every flow must appear on both sides; delay delta is a minus b, ratios
     are a over b (None where a side is missing or zero).
@@ -162,7 +142,7 @@ def compare_scenarios(
         raise FlowMismatchError(
             f"flows only in a: {missing_in_b}; flows only in b: {missing_in_a}"
         )
-    report = ComparisonReport()
+    rows = []
     for sa in a:
         sb = b_by_id[sa.flow_id]
         delta = None
@@ -174,7 +154,7 @@ def compare_scenarios(
         overhead = None
         if sa.overhead_ratio is not None and sb.overhead_ratio not in (None, 0.0):
             overhead = sa.overhead_ratio / sb.overhead_ratio
-        report.rows.append(
+        rows.append(
             ComparisonRow(
                 flow_id=sa.flow_id,
                 mean_delay_a=sa.mean_delay,
@@ -184,4 +164,4 @@ def compare_scenarios(
                 overhead_ratio=overhead,
             )
         )
-    return report
+    return rows

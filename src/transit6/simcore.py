@@ -9,11 +9,13 @@ decoded into header objects on the way.
 
 Every packet of a flow leaves its source with the same bytes, and what a
 node does with a frame depends only on the node, the frame and the interface
-it came in on. So each run walks the path of each distinct (source, frame)
-once, calling ``forward`` once per hop; flows that send the same bytes from
-one node share it. A path records every hop's outgoing link direction, frame
-size and trace hex, the tuples of its (link, size) hop prefixes, and how it
-ends (delivered, or dropped with a reason); timing never touches a frame.
+it came in on. So each run frames and walks the path of each distinct flow
+header (source, destination, family, payload size, hop limit) once, calling
+``forward`` once per hop; flows with the same header send the same bytes
+from one node and share it. A path records every hop's outgoing link
+direction, frame size and trace hex, the tuples of its (link, size) hop
+prefixes, and how it ends (delivered, or dropped with a reason); timing
+never touches a frame.
 The walk ends because every hop a frame arrives on spends one ttl or
 hop_limit, and a tunnel copies the inner hop_limit into the outer ttl. Precondition: a
 frame's bytes are the same for every packet of its flow. A per-packet field
@@ -475,6 +477,14 @@ def forward(node: Node, frame: bytes, in_if: Optional[str]) -> ForwardResult:
     return ForwardResult(ForwardAction.FORWARD, out_if=entry.out_if, frame=frame)
 
 
+# The largest start, gap, processing or propagation delay, or time to send
+# the largest frame a link carries, in seconds. Every time the engine forms
+# is a sum of such terms over the run's packets and hops, so this bound keeps
+# each of those sums, and every delay and rate computed from them, finite for
+# any run that fits in memory.
+MAX_SECONDS = 2.0**32
+
+
 def validate_topology(topology: Topology) -> None:
     """Raise InvalidTopologyError on the first structural rule violation."""
     # Node id -> its interface names: the duplicate-id check here, the port check below.
@@ -486,6 +496,8 @@ def validate_topology(topology: Topology) -> None:
             raise InvalidTopologyError(f"{node.id}: processing_delay must be finite")
         if node.processing_delay < 0:
             raise InvalidTopologyError(f"{node.id}: negative processing_delay")
+        if node.processing_delay > MAX_SECONDS:
+            raise InvalidTopologyError(f"{node.id}: processing_delay over {MAX_SECONDS:.0f} s")
         if_names: set[str] = set()
         for iface in node.interfaces:
             if iface.name in if_names:
@@ -540,8 +552,19 @@ def validate_topology(topology: Topology) -> None:
             raise InvalidTopologyError(f"link {link.id}: bandwidth must be positive")
         if link.propagation_delay < 0:
             raise InvalidTopologyError(f"link {link.id}: negative propagation delay")
+        if link.propagation_delay > MAX_SECONDS:
+            raise InvalidTopologyError(
+                f"link {link.id}: propagation_delay over {MAX_SECONDS:.0f} s"
+            )
         if link.mtu < 60:
             raise InvalidTopologyError(f"link {link.id}: mtu below 60 bytes")
+        # Validation caps payloads so that no frame, even encapsulated, is longer.
+        largest = min(link.mtu, 65535)
+        if largest * 8 / link.bandwidth > MAX_SECONDS:
+            raise InvalidTopologyError(
+                f"link {link.id}: bandwidth takes over {MAX_SECONDS:.0f} s "
+                f"to send a {largest}-byte frame"
+            )
         if link.a == link.b:
             raise InvalidTopologyError(f"link {link.id}: both ends are the same port")
         for node_id, if_name in (link.a, link.b):
@@ -599,6 +622,9 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
                 raise InvalidTrafficError(f"{flow.flow_id}: {key} must be finite")
         if flow.gap < 0 or flow.start < 0:
             raise InvalidTrafficError(f"{flow.flow_id}: negative start or gap")
+        for key in ("gap", "start"):
+            if getattr(flow, key) > MAX_SECONDS:
+                raise InvalidTrafficError(f"{flow.flow_id}: {key} over {MAX_SECONDS:.0f} s")
         if not 1 <= flow.hop_limit <= 255:
             raise InvalidTrafficError(f"{flow.flow_id}: hop_limit outside 1..255")
         if not 0 <= flow.jitter < 1:
@@ -635,8 +661,9 @@ class _Engine:
         trace: Optional[list[str]],
     ) -> None:
         self.trace = trace
+        self.traffic = traffic
         self.limit = limit = math.inf if horizon is None else horizon
-        nodes = {n.id: n for n in topology.nodes}
+        self.nodes = nodes = {n.id: n for n in topology.nodes}
         # Keyed by the (node id, interface name) a frame leaves by.
         self.ports: dict[tuple[str, str], _Port] = {}
         # A FIFO per (link, sending node): a link whose two ends sit on one
@@ -651,8 +678,7 @@ class _Engine:
 
         # Send times are drawn flow by flow, one draw per jittered send, and
         # a send's seq is its position in that draw order. ``b * draw()`` is
-        # the float that ``Random.uniform(0.0, b)`` returns. Flows with the
-        # same header send the same frame, built once.
+        # the float that ``Random.uniform(0.0, b)`` returns.
         draw = random.Random(seed).random
         # Each flow's sends up to the horizon, in (time, seq) order: a stable
         # sort by time of its draws. Later sends never happen.
@@ -661,8 +687,6 @@ class _Engine:
         # (a byte for up to 256 flows).
         times: list[float] = []
         owners = bytearray() if len(traffic) <= 256 else array("I")
-        frames: dict[tuple, bytes] = {}
-        self.flows = []
         for fi, flow in enumerate(traffic):
             start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
             if flow.jitter > 0:
@@ -674,10 +698,6 @@ class _Engine:
             self.flow_sends.append(array("d", drawn))
             times += drawn
             owners.extend([fi] * len(drawn))
-            key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
-            if key not in frames:
-                frames[key] = _flow_frame(nodes[flow.src], nodes[flow.dst], flow)
-            self.flows.append((flow, nodes[flow.src], frames[key]))
         # The schedule: each send's time and flow index in (time, seq) order.
         # Flows are drawn in flow order, so a stable sort by time of the
         # flows' sends one after another gives it; when they are in order
@@ -746,16 +766,19 @@ class _Engine:
         limit = self.limit
 
         # What a node does with a frame depends only on the node, the frame
-        # and where it came in, so each distinct (source, frame) is walked
-        # once, here, and the loop below only times packets along its path.
-        compiled: dict[tuple[str, bytes], tuple] = {}
+        # and where it came in, so each distinct flow header is framed and
+        # walked once, here, and the loop below only times packets along its
+        # path.
+        nodes = self.nodes
+        compiled: dict[tuple, tuple] = {}
         paths: list[list[tuple]] = []
         ends: list[int] = []
         columns: list[FlowColumns] = []
-        for (flow, node, frame), sends in zip(self.flows, self.flow_sends):
-            key = (flow.src, frame)
+        for flow, sends in zip(self.traffic, self.flow_sends):
+            key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
             if key not in compiled:
-                compiled[key] = self._path(fwd, node, frame)
+                src = nodes[flow.src]
+                compiled[key] = self._path(fwd, src, _flow_frame(src, nodes[flow.dst], flow))
             path, prefixes, end = compiled[key]
             paths.append(path)
             ends.append(_END_CODES[end])

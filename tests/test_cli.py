@@ -258,6 +258,12 @@ def test_run_horizon_cuts_deliveries(capsys):
         ("flow.h1-to-h2.gap=nan", "gap must be finite"),
         ("flow.h1-to-h2.start=inf", "start must be finite"),
         ("flow.h1-to-h2.jitter=nan", "jitter must be finite"),
+        # Finite, but past the bound that keeps every engine time finite.
+        ("link.r1-r2.bandwidth=1e-320", "link r1-r2: bandwidth takes over"),
+        ("link.r1-r2.propagation_delay=1e308", "link r1-r2: propagation_delay over"),
+        ("node.R1.processing_delay=1e308", "R1: processing_delay over"),
+        ("flow.h1-to-h2.gap=1e308", "h1-to-h2: gap over"),
+        ("flow.h1-to-h2.start=1e308", "h1-to-h2: start over"),
         ("horizon=nan", "horizon must be a finite"),
         ("horizon=inf", "horizon must be a finite"),
     ],
@@ -273,6 +279,13 @@ def test_run_rejects_non_finite_override(override, needle, capsys):
 def test_run_rejects_non_finite_horizon_option(value, capsys):
     assert main(["run", "6to4", f"--horizon={value}"]) == 2
     assert "--horizon must be a finite number" in capsys.readouterr().err
+
+
+def test_run_rejects_negative_horizon_option(capsys):
+    assert main(["run", "6to4", "--horizon", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--horizon must not be negative" in captured.err
 
 
 def test_run_tunnel_loop_scenario_drops_instead_of_crashing(capsys):

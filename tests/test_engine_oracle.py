@@ -13,11 +13,13 @@ frames that use one queue several times, several flows in both directions
 and families, and horizons that cut frames mid-path. Everything is drawn
 from a seeded stdlib ``random``, so every run checks the same cases. Sends
 tied with heap entries and with the horizon get their own dyadic-time test.
-A run of 300 flows, more than a byte can index, is checked against the
-summary oracle too. Last, a run must leave no cyclic garbage behind.
+Every summary of a variant must hold finite floats only. A run of 300
+flows, more than a byte can index, is checked against the summary oracle
+too. Last, a run must leave no cyclic garbage behind.
 """
 
 import gc
+import math
 import random
 from array import array
 from collections import Counter
@@ -255,6 +257,10 @@ def test_engine_matches_reference_engine():
             assert own == sorted(own, key=lambda r: (r.send_time, r.packet_id)), (case, base)
             arrivals = [r.receive_time for r in own if r.receive_time is not None]
             assert arrivals == sorted(arrivals), (case, base, flow.flow_id)
+        # Validation bounds every input time, so no summary float is inf or nan.
+        for summary in summarize(untraced):
+            floats = [v for v in vars(summary).values() if isinstance(v, float)]
+            assert all(map(math.isfinite, floats)), (case, base, summary)
         for rec in records:
             assert (rec.receive_time is None) != (rec.drop_reason is None), (case, rec)
             seen[rec.drop_reason] += 1

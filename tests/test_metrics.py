@@ -131,8 +131,7 @@ def test_scenario_rate_ordering():
 
 def test_compare_self_is_neutral():
     summaries = summarize(_run(build_scenario_6to4()))
-    report = compare_scenarios(summaries, summaries)
-    (row,) = report.rows
+    (row,) = compare_scenarios(summaries, summaries)
     assert row.flow_id == "h1-to-h2"
     assert row.delay_delta == 0.0
     assert row.goodput_ratio == 1.0
@@ -142,7 +141,7 @@ def test_compare_self_is_neutral():
 def test_compare_tunnel_against_dualstack():
     tunnel = summarize(_run(build_scenario_6to4()))
     native = summarize(_run(build_scenario_dualstack()))
-    (row,) = compare_scenarios(tunnel, native).rows
+    (row,) = compare_scenarios(tunnel, native)
     assert row.delay_delta > 0.0
     expected = (4200 / 4000) / (4160 / 4000)
     assert abs(row.overhead_ratio - expected) <= 1e-12
@@ -161,7 +160,7 @@ def test_compare_flow_mismatch():
 def test_compare_handles_undelivered_sides():
     a = summarize(table_of([_rec(0, flow="f", drop=DropReason.NO_ROUTE)]))
     b = summarize(table_of([_rec(0, flow="f", drop=DropReason.NO_ROUTE)]))
-    (row,) = compare_scenarios(a, b).rows
+    (row,) = compare_scenarios(a, b)
     assert row.mean_delay_a is None and row.mean_delay_b is None
     assert row.delay_delta is None
     assert row.goodput_ratio is None

@@ -3,6 +3,7 @@ import heapq
 import math
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from transit6 import simcore, transition
 from transit6.metrics import summarize
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import (
+    MAX_SECONDS,
     DropReason,
     ForwardAction,
     Interface,
@@ -564,17 +566,22 @@ def test_tunnel_entry_checks_each_frame_once(monkeypatch):
 
 def test_flows_that_send_the_same_frame_share_one_path(monkeypatch):
     # What a node does with a frame depends only on the node, the frame and
-    # where it came in, so flows sending the same bytes from one node share
-    # one walk; a different payload makes a different frame and its own walk.
-    calls = 0
-    real_forward = simcore.forward
+    # where it came in, so flows with the same header send the same bytes
+    # from one node and share one framing and one walk; a different payload
+    # makes a different frame and its own walk.
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_forward(*args, **kwargs)
+    def counting(name):
+        real = getattr(simcore, name)
 
-    monkeypatch.setattr(simcore, "forward", counting)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simcore, name, count)
+
+    counting("forward")
+    counting("frame_packet")
     s = build_scenario_6to4()
     (flow,) = s.traffic
     traffic = [
@@ -585,7 +592,7 @@ def test_flows_that_send_the_same_frame_share_one_path(monkeypatch):
     records = run_simulation(s.topology, traffic)
     assert len(records) == 30
     assert all(r.receive_time is not None for r in records)
-    assert calls == 7 * 2
+    assert calls == {"forward": 7 * 2, "frame_packet": 2}
 
 
 class _CountingHeapq:
@@ -809,6 +816,24 @@ def test_validate_topology_rejections():
             setattr(t.links[0], key, value)
             _expect_invalid(t, f"{key} must be finite")
 
+    for value in (MAX_SECONDS * 1.000001, 1e308):
+        t = _valid_topology()
+        t.links[0].propagation_delay = value
+        _expect_invalid(t, "l0: propagation_delay over")
+        t = _valid_topology()
+        t.nodes[0].processing_delay = value
+        _expect_invalid(t, "h1: processing_delay over")
+    # The bound holds for the largest frame the link carries, at most 65535 bytes.
+    for mtu, bandwidth in ((1500, 1500 * 8 / MAX_SECONDS / 1.000001), (9000, 1e-320)):
+        t = _valid_topology()
+        t.links[0].mtu, t.links[0].bandwidth = mtu, bandwidth
+        _expect_invalid(t, f"l0: bandwidth takes over .* {mtu}-byte frame")
+    t = _valid_topology()
+    t.links[0].mtu, t.links[0].bandwidth = 10**6, 65535 * 8 / MAX_SECONDS
+    validate_topology(t)
+    t.nodes[0].processing_delay = t.links[0].propagation_delay = MAX_SECONDS
+    validate_topology(t)
+
     t = _valid_topology()
     t.nodes[0].processing_delay = float("nan")
     _expect_invalid(t, "processing_delay must be finite")
@@ -860,5 +885,9 @@ def test_validate_traffic_rejections():
     for key in ("gap", "start", "jitter"):
         for value in (float("nan"), float("inf")):
             expect(replace(ok, **{key: value}), f"{key} must be finite")
+    for key in ("gap", "start"):
+        for value in (MAX_SECONDS * 1.000001, 1e308):
+            expect(replace(ok, **{key: value}), f"f: {key} over")
+        validate_traffic(topo, [replace(ok, **{key: MAX_SECONDS})])
     # The biggest legal payload still fits after one encapsulation.
     validate_traffic(topo, [TrafficSpec("g", "h1", "h2", payload_bytes=65475)])
