@@ -369,61 +369,45 @@ class Packet:
     v6: Optional[Ipv6Header] = None
 
 
-def _check_frame_shape(p: Packet) -> None:
-    if p.frame_kind is FrameKind.V4:
-        if p.outer_v4 is None or p.v6 is not None:
-            raise InvalidHeaderError("V4 frame needs outer_v4 and no v6 header")
-        if p.outer_v4.protocol == PROTO_IPV6_IN_IPV4:
-            raise InvalidHeaderError("protocol 41 frames must use frame_kind V6_IN_V4")
-        if p.outer_v4.total_length != p.outer_v4.header_len() + len(p.payload):
-            raise LengthMismatchError(
-                f"total_length {p.outer_v4.total_length} != header "
-                f"{p.outer_v4.header_len()} + payload {len(p.payload)}"
-            )
-    elif p.frame_kind is FrameKind.V6:
-        if p.v6 is None or p.outer_v4 is not None:
-            raise InvalidHeaderError("V6 frame needs v6 header and no outer_v4")
-        if p.v6.payload_length != len(p.payload):
-            raise LengthMismatchError(
-                f"payload_length {p.v6.payload_length} != payload {len(p.payload)}"
-            )
-    elif p.frame_kind is FrameKind.V6_IN_V4:
-        if p.outer_v4 is None or p.v6 is None:
-            raise InvalidHeaderError("V6_IN_V4 frame needs both headers")
-        if p.outer_v4.protocol != PROTO_IPV6_IN_IPV4:
-            raise InvalidHeaderError(
-                f"encapsulated frame needs outer protocol {PROTO_IPV6_IN_IPV4}, "
-                f"got {p.outer_v4.protocol}"
-            )
-        if p.v6.payload_length != len(p.payload):
-            raise LengthMismatchError(
-                f"payload_length {p.v6.payload_length} != payload {len(p.payload)}"
-            )
-        expect = p.outer_v4.header_len() + IPV6_HEADER_LEN + len(p.payload)
-        if p.outer_v4.total_length != expect:
-            raise LengthMismatchError(
-                f"outer total_length {p.outer_v4.total_length} != {expect}"
-            )
-    else:  # pragma: no cover - enum is closed
-        raise InvalidHeaderError(f"unknown frame kind {p.frame_kind}")
-
-
 def frame_packet(p: Packet, recompute_checksum: bool = False) -> bytes:
     """Serialize ``p`` to its exact wire bytes.
 
-    Raises InvalidHeaderError or LengthMismatchError if the packet's headers
-    do not describe its payload.
+    Two rules that the bytes cannot show come first, each raising
+    InvalidHeaderError: which headers the frame kind carries, and an outer
+    protocol of 41 exactly when the kind is V6_IN_V4. Serializing the headers
+    then raises InvalidHeaderError on a field out of range, and ``check_frame``
+    on the result raises LengthMismatchError where a declared length disagrees
+    with the bytes. So a packet that breaks both a field range and a length
+    rule raises InvalidHeaderError.
     """
-    _check_frame_shape(p)
-    if p.frame_kind is FrameKind.V4:
-        return serialize_ipv4_header(p.outer_v4, recompute_checksum) + p.payload
+    outer, v6 = p.outer_v4, p.v6
     if p.frame_kind is FrameKind.V6:
-        return serialize_ipv6_header(p.v6) + p.payload
-    return (
-        serialize_ipv4_header(p.outer_v4, recompute_checksum)
-        + serialize_ipv6_header(p.v6)
-        + p.payload
-    )
+        if v6 is None or outer is not None:
+            raise InvalidHeaderError("V6 frame needs v6 header and no outer_v4")
+        wire = serialize_ipv6_header(v6) + p.payload
+    elif p.frame_kind is FrameKind.V4:
+        if outer is None or v6 is not None:
+            raise InvalidHeaderError("V4 frame needs outer_v4 and no v6 header")
+        if outer.protocol == PROTO_IPV6_IN_IPV4:
+            raise InvalidHeaderError("protocol 41 frames must use frame_kind V6_IN_V4")
+        wire = serialize_ipv4_header(outer, recompute_checksum) + p.payload
+    elif p.frame_kind is FrameKind.V6_IN_V4:
+        if outer is None or v6 is None:
+            raise InvalidHeaderError("V6_IN_V4 frame needs both headers")
+        if outer.protocol != PROTO_IPV6_IN_IPV4:
+            raise InvalidHeaderError(
+                f"encapsulated frame needs outer protocol {PROTO_IPV6_IN_IPV4}, "
+                f"got {outer.protocol}"
+            )
+        wire = (
+            serialize_ipv4_header(outer, recompute_checksum)
+            + serialize_ipv6_header(v6)
+            + p.payload
+        )
+    else:  # pragma: no cover - enum is closed
+        raise InvalidHeaderError(f"unknown frame kind {p.frame_kind}")
+    check_frame(wire)
+    return wire
 
 
 def check_frame(data: bytes) -> FrameKind:

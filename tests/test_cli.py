@@ -5,7 +5,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from transit6.codec import (
     frame_packet,
     parse_frame,
 )
-from transit6.scenario_io import load_text, serialize_model
+from transit6.scenario_io import load_text, parse_text, serialize_model
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import DropReason, TrafficSpec, run_simulation
 from transit6.transition import encapsulate_6in4
@@ -29,6 +29,7 @@ A4 = Ipv4Address.parse
 A6 = Ipv6Address.parse
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 # SHA-256 of `transit6 compare 6to4 dualstack -f json-lines`. These bytes are
 # the project's output invariant: change them only on purpose.
@@ -224,7 +225,7 @@ def test_run_override_changes_output(capsys):
 
 def _readme_override_examples() -> list[str]:
     """The dotted ``--override`` examples README.md lists under that option."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     bullet = readme.split("- `--override K=V`:", 1)[1].split("\n\n", 1)[0]
     examples = re.findall(r"`([^`\s]+\.[^`\s]+=[^`\s]+)`", bullet)
     assert examples, "README lists no --override examples"
@@ -234,6 +235,28 @@ def _readme_override_examples() -> list[str]:
 @pytest.mark.parametrize("override", _readme_override_examples())
 def test_readme_override_examples_run(override, capsys):
     assert main(["run", "6to4", "--override", override]) == 0, capsys.readouterr().err
+
+
+def test_readme_scenario_example_runs_and_sets_only_defaults(tmp_path, capsys):
+    """The scenario file README.md shows under "## Scenario files"."""
+    section = README.read_text(encoding="utf-8").split("\n## Scenario files\n", 1)[1]
+    text = section.split("```\n", 2)[1]
+    path = tmp_path / "example.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 0, capsys.readouterr().err
+    # The README says the optional keys it sets in these sections are the
+    # model defaults written out.
+    scenario = load_text(text)
+    built = {"node": scenario.topology.nodes, "link": scenario.topology.links,
+             "flow": scenario.traffic}
+    raw = parse_text(text).sections
+    for kind, objects in built.items():
+        sections = [sec for sec in raw if sec.kind == kind]
+        assert len(sections) == len(objects) > 0
+        for sec, obj in zip(sections, objects):
+            defaults = {f.name: f.default for f in fields(obj) if f.default is not MISSING}
+            for key in sec.entries.keys() & defaults.keys():
+                assert getattr(obj, key) == defaults[key], (sec.label(), key)
 
 
 def test_run_bad_override(capsys):

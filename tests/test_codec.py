@@ -392,32 +392,41 @@ def test_parse_frame_length_mismatches():
 def test_frame_packet_rejects_inconsistent_shapes():
     v6 = GOLDEN_V6_HEADER
     v4 = Ipv4Header(src=A4("1.1.1.1"), dst=A4("2.2.2.2"), total_length=20)
+
+    def outer(total_length, protocol=41):
+        return replace(v4, total_length=total_length, protocol=protocol)
+
     bad = [
         Packet(FrameKind.V4, v6=v6),
         Packet(FrameKind.V6, outer_v4=v4),
         Packet(FrameKind.V6_IN_V4, outer_v4=v4),
+        Packet(FrameKind.V6_IN_V4, payload=bytes(8), v6=v6),
         # V4 kind but the wire bytes would say 6in4
-        Packet(
-            FrameKind.V4,
-            outer_v4=Ipv4Header(
-                src=A4("1.1.1.1"), dst=A4("2.2.2.2"), total_length=20, protocol=41
-            ),
-        ),
+        Packet(FrameKind.V4, outer_v4=outer(20)),
+        # 6in4 kind with consistent lengths but an outer protocol other than 41
+        Packet(FrameKind.V6_IN_V4, payload=bytes(8), outer_v4=outer(68, 6), v6=v6),
     ]
     for p in bad:
         with pytest.raises(InvalidHeaderError):
             frame_packet(p)
-    with pytest.raises(LengthMismatchError):
-        frame_packet(
-            Packet(
-                FrameKind.V6_IN_V4,
-                payload=bytes(8),
-                outer_v4=Ipv4Header(
-                    src=A4("1.1.1.1"), dst=A4("2.2.2.2"), total_length=70, protocol=41
-                ),
-                v6=GOLDEN_V6_HEADER,
-            )
-        )
+    mismatched = [
+        # V4 total_length short of header + payload
+        Packet(FrameKind.V4, payload=bytes(4), outer_v4=v4),
+        # inner payload_length 8 over a 4-byte payload, outer total_length right
+        Packet(FrameKind.V6_IN_V4, payload=bytes(4), outer_v4=outer(64), v6=v6),
+        # outer total_length 70 where header + inner + payload is 68
+        Packet(FrameKind.V6_IN_V4, payload=bytes(8), outer_v4=outer(70), v6=v6),
+    ]
+    for p in mismatched:
+        with pytest.raises(LengthMismatchError):
+            frame_packet(p)
+
+
+def test_frame_packet_reports_a_bad_field_before_a_bad_length():
+    # The headers are serialized before check_frame reads the lengths back.
+    p = Packet(FrameKind.V6, payload=b"abc", v6=replace(GOLDEN_V6_HEADER, hop_limit=256))
+    with pytest.raises(InvalidHeaderError):
+        frame_packet(p)
 
 
 def test_parse_frame_unknown_version_nibble():
