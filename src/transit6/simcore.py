@@ -32,19 +32,27 @@ max(idle, ready)``, the queue is idle again at ``start + serialization``,
 and the next node has processed the frame at ``start + serialization +
 propagation + processing``.
 
+Send times are drawn up front, flow by flow, and a send's seq is its
+position in that draw order; stable sorts by time make them a schedule in
+(time, seq) order, and a send's place in it is its packet id. A run of one
+flow takes that flow's sorted sends as the schedule as they stand.
+
 Flows whose frames wait in the same queues form a group. A group is private
 when no other group uses any of its queues and its path uses none twice.
 Its packets then reach every queue in their send order, so an untraced run
-times each of them along its whole path when it is sent. Send times are
-drawn up front, flow by flow, and a send's seq is its position in that draw
-order; stable sorts by time make them a schedule in (time, seq) order, and a
-send's place in it is its packet id. A heap times the rest (flows that
-share a queue, and every flow that transmits in a traced run) with one entry
-per hop, due when a node has processed the packet; the frame then takes its
+times each private group on its own, hop by hop: the group's sends go into
+one array of ready times, and each hop is one loop over it that applies the
+recursion above to every packet in turn. The group's ready and start times
+never decrease from one packet to the next, so the horizon cuts a suffix of
+the group's packets at every hop, and each flow's columns are written as a
+few runs of equal hop counts and ends, with its delivered arrivals taken
+from the last hop's array. A heap times the rest (flows that share a
+queue, and every flow that transmits in a traced run) with one entry per
+hop, due when a node has processed the packet; the frame then takes its
 FIFO slot and the next hop's entry goes on at its arrival plus that node's
-processing delay. The run walks the schedule and, before each send, takes
-off the entries due strictly before it, so the heap holds only the packets
-in flight.
+processing delay. The run walks the schedule's sends of those flows only
+and, before each send, takes off the entries due strictly before it, so the
+heap holds only the packets in flight; with no such flow, there is no walk.
 
 That merge and the heap's key take events in the order of a heap of four
 event kinds (a send per packet, then per hop processing done, transmission
@@ -82,7 +90,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import gt
 from typing import Optional, Union
 
@@ -683,10 +691,12 @@ class _Engine:
         # Each flow's sends up to the horizon, in (time, seq) order: a stable
         # sort by time of its draws. Later sends never happen.
         self.flow_sends: list[array] = []
-        # Those of every flow one after another, and each one's flow index
-        # (a byte for up to 256 flows).
+        # Unless there is one flow, those of every flow one after another, and
+        # each one's flow index (a byte for up to 256 flows).
+        one = len(traffic) == 1
+        wide = len(traffic) > 256
         times: list[float] = []
-        owners = bytearray() if len(traffic) <= 256 else array("I")
+        owners = array("I") if wide else bytearray()
         for fi, flow in enumerate(traffic):
             start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
             if flow.jitter > 0:
@@ -696,18 +706,25 @@ class _Engine:
             drawn.sort()
             del drawn[bisect_right(drawn, limit):]
             self.flow_sends.append(array("d", drawn))
-            times += drawn
-            owners.extend([fi] * len(drawn))
+            if not one:
+                times += drawn
+                owners += array("I", [fi]) * len(drawn) if wide else bytes((fi,)) * len(drawn)
+        if one:
+            # One flow's sends are the schedule as they stand.
+            (sends,) = self.flow_sends
+            self.send_times: Sequence[float] = sends
+            self.send_flows: Union[bytes, array] = bytes(len(sends))
+            return
         # The schedule: each send's time and flow index in (time, seq) order.
         # Flows are drawn in flow order, so a stable sort by time of the
         # flows' sends one after another gives it; when they are in order
-        # already (one flow, say) it changes nothing and is skipped.
+        # already it changes nothing and is skipped.
         if any(map(gt, times, islice(times, 1, None))):
             order = sorted(range(len(times)), key=times.__getitem__)
             times = [times[k] for k in order]
             owners = [owners[k] for k in order]
         self.send_times = times
-        self.send_flows = bytes(owners) if len(traffic) <= 256 else array("I", owners)
+        self.send_flows = array("I", owners) if wide else bytes(owners)
 
     def _path(
         self, fwd, node: Node, frame: bytes
@@ -753,6 +770,105 @@ class _Engine:
             node, in_if = port.peer, port.peer_if
         return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
+    def _time_group(
+        self, flows: list[int], queued: int, paths: list[list[tuple]], ends: list[int],
+        columns: list[FlowColumns],
+    ) -> None:
+        """Time a private group's packets and write its flows' columns.
+
+        ``flows`` are the group's flow indices and ``queued`` its number of
+        queues. The group's sends, in (time, seq) order, go into one array of
+        ready times, and each hop is one loop over it (``_hop``) that leaves
+        there when each packet reaches the next node. The group's queues are
+        its own and start idle, and its ready and start times never decrease
+        from one packet to the next, so the horizon cuts a suffix at every
+        hop: a flow's columns are runs of equal hop counts and ends, with the
+        arrivals of its delivered packets and NaN after them.
+        """
+        limit = self.limit
+        # Each packet's flow, unless the group has one flow.
+        owners: Optional[Sequence[int]] = None
+        if len(flows) == 1:
+            ready = array("d", self.flow_sends[flows[0]])
+        elif len(flows) == len(paths):
+            ready, owners = array("d", self.send_times), self.send_flows
+        else:
+            # The schedule's sends of the group's flows.
+            every = self.send_flows
+            mine = bytearray(max(len(paths), 256))
+            for f in flows:
+                mine[f] = 1
+            if type(every) is bytes:
+                keep = every.translate(mine)
+            else:
+                keep = bytes(map(mine.__getitem__, every))
+            ready = array("d", compress(self.send_times, keep))
+            owners = list(compress(every, keep))
+        # cuts[h]: how many of the group's packets crossed h hops, a prefix.
+        # Every hop's processing and propagation are the group's; serialization
+        # is too unless its flows' frames differ in size at that hop.
+        path = paths[flows[0]]
+        one_path = all(paths[f] is path for f in flows)
+        cuts = [len(ready)]
+        for h in range(queued):
+            processing, _, ser, prop, _ = path[h]
+            sers = None if one_path else {f: paths[f][h][2] for f in flows}
+            if sers is None or len(set(sers.values())) == 1:
+                cuts.append(_hop(ready, cuts[-1], processing, ser, prop, limit))
+            else:
+                cuts.append(_hop_per_flow(ready, owners, cuts[-1], processing, sers, prop, limit))
+        # The runs of packets that crossed the same number of hops, as (first,
+        # end, hops), the empty ones left out.
+        runs = [
+            (cuts[h + 1] if h < queued else 0, cuts[h], h)
+            for h in range(queued, -1, -1)
+            if cuts[h] > (cuts[h + 1] if h < queued else 0)
+        ]
+
+        # A packet that crossed every queue ends when it arrives, or, if its
+        # frame is too big for the next link, once the next node has processed
+        # it. Arrivals never decrease either, so those that end by the horizon
+        # are a prefix too. Each delivered flow's arrivals go to its column.
+        arrived = cuts[-1]
+        delivered = bisect_right(ready, limit, 0, arrived)
+        if owners is not None:
+            adds: list = [None] * len(paths)
+            for f in flows:
+                if len(paths[f]) == queued and not ends[f]:
+                    adds[f] = columns[f].receive.append
+            for f, t in zip(owners, islice(ready, delivered)):
+                add = adds[f]
+                if add is not None:
+                    add(t)
+        HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
+        for f in flows:
+            path = paths[f]
+            if len(path) > queued:
+                processing = path[queued][0]
+                end = _END_CODES[DropReason.MTU_EXCEEDED]
+                done = bisect_right(ready, limit, 0, arrived, key=lambda t: t + processing)
+            else:
+                end, done = ends[f], delivered
+            c = columns[f]
+            sent = len(c.send)
+            if owners is None:
+                finished = done
+                sizes = [last - first for first, last, _ in runs]
+            else:
+                # The flow's share of each run, all of it in a run of the whole group.
+                finished = sent if done == cuts[0] else owners[:done].count(f)
+                if len(runs) > 1:
+                    sizes = [owners[first:last].count(f) for first, last, _ in runs]
+                else:
+                    sizes = [sent]
+            for (_, _, hops), size in zip(runs, sizes):
+                c.hops.extend(repeat(hops, size))
+            c.end += bytes((end,)) * finished + bytes((HORIZON_EXPIRED,)) * (sent - finished)
+            if owners is None and not end:
+                del ready[finished:]
+                c.receive = ready
+            c.receive += array("d", [math.nan]) * (sent - len(c.receive))
+
     def run(self) -> RecordTable:
         # Read once per run, from the module, so a caller can substitute them.
         push = heapq.heappush
@@ -767,8 +883,7 @@ class _Engine:
 
         # What a node does with a frame depends only on the node, the frame
         # and where it came in, so each distinct flow header is framed and
-        # walked once, here, and the loop below only times packets along its
-        # path.
+        # walked once, here, and the timing below only follows its path.
         nodes = self.nodes
         compiled: dict[tuple, tuple] = {}
         paths: list[list[tuple]] = []
@@ -788,13 +903,12 @@ class _Engine:
                     array("d"), bytearray(), bytearray() if len(prefixes) <= 256 else array("I"),
                 )
             )
-        adds = [(c.receive.append, c.end.append, c.hops.append) for c in columns]
 
         # Flows whose frames wait in the same queues form a group. A group is
         # private when each of its queues occurs once in all the groups: no
         # other group uses it and its path does not use it twice. Its packets
-        # meet at every queue in send order, so each is timed end to end when
-        # it is sent. A trace lists transmissions in the order the heap starts
+        # meet at every queue in send order, so the group is timed on its own,
+        # hop by hop. A trace lists transmissions in the order the heap starts
         # them, so a traced run keeps every flow that transmits on the heap.
         groups = [tuple(hop[1] for hop in path if hop[1] is not None) for path in paths]
         users = Counter(queue for group in set(groups) for queue in group)
@@ -803,16 +917,30 @@ class _Engine:
             for group in groups
         ]
 
+        members: dict[tuple, list[int]] = {}
+        for f, group in enumerate(groups):
+            if private[f]:
+                members.setdefault(group, []).append(f)
+        for group, flows in members.items():
+            self._time_group(flows, len(group), paths, ends, columns)
+
         heap: list[tuple] = []
         # Counts the hops that began to transmit, in the order they came off.
         rank = 0
         # With a trace, (start, rank, line) per transmission, sorted at the end.
         lines: Optional[list[tuple]] = None if trace is None else []
 
-        # Entries due before a send come off first; at equal times the send
-        # goes first. The last pass, flow -1, sends nothing: it takes off the
-        # entries due by the horizon.
-        for seq, now, a in chain(zip(count(), self.send_times, self.send_flows), [(-1, limit, -1)]):
+        # The schedule's sends of the flows left for the heap, with their
+        # places in it, which are their packet ids. Entries due before a send
+        # come off first; at equal times the send goes first. The last pass,
+        # flow -1, sends nothing: it takes off the entries due by the horizon.
+        on_heap = [not own for own in private]
+        sends = compress(
+            zip(count(), self.send_times, self.send_flows),
+            map(on_heap.__getitem__, self.send_flows),
+        )
+        walk = chain(sends, [(-1, limit, -1)]) if any(on_heap) else ()
+        for seq, now, a in walk:
             while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
                 # The node has processed the packet for hop b of its flow's
                 # path: the frame joins the link's FIFO, is sent and arrives.
@@ -842,52 +970,58 @@ class _Engine:
             if a < 0:
                 break
 
-            # A send adds the packet to its flow's columns. A packet on the
-            # heap starts out expired by the horizon, which is how it ends if
-            # the run stops before its frame does.
-            path = paths[a]
-            add_receive, add_end, add_hops = adds[a]
-            if not private[a]:
-                j = len(columns[a].end)
-                add_receive(NAN)
-                add_end(HORIZON_EXPIRED)
-                add_hops(0)
-                push(heap, (now + path[0][0], now, 0, 0.0, seq, a, 0, j, seq))
-                continue
-            # Lindley's recursion, with the checks of the loop above in its
-            # order: ready is when the hop's node has processed it. The
-            # columns get the packet's final values.
-            receive = NAN
-            end = HORIZON_EXPIRED
-            ready = now
-            sent = 0
-            for processing, queue, ser, prop, _ in path:
-                ready += processing
-                if ready > limit:
-                    break
-                if queue is None:
-                    end = MTU_EXCEEDED
-                    break
-                free = idle[queue]
-                start = free if free > ready else ready
-                idle[queue] = start + ser
-                if start > limit:
-                    break
-                sent += 1
-                ready = start + ser + prop
-            else:
-                if ready <= limit:
-                    end = ends[a]
-                    if not end:
-                        receive = ready
-            add_receive(receive)
-            add_end(end)
-            add_hops(sent)
+            # A send adds the packet to its flow's columns. It starts out
+            # expired by the horizon, which is how it ends if the run stops
+            # before its frame does.
+            c = columns[a]
+            j = len(c.end)
+            c.receive.append(NAN)
+            c.end.append(HORIZON_EXPIRED)
+            c.hops.append(0)
+            push(heap, (now + paths[a][0][0], now, 0, 0.0, seq, a, 0, j, seq))
 
         if lines is not None:
             lines.sort()
             trace.extend(line for _, _, line in lines)
         return RecordTable(columns, self.send_flows)
+
+
+def _hop(ready: array, m: int, processing: float, ser: float, prop: float, limit: float) -> int:
+    """Take the first ``m`` packets of a private group through one hop.
+
+    ``ready[k]`` is when packet k reached the hop's node; it becomes when the
+    packet reaches the next one, by Lindley's recursion with the queue idle
+    at first. Returns how many began to transmit by ``limit``: start times
+    never decrease, so the rest are the ones after them.
+    """
+    free = 0.0
+    for k, now in enumerate(islice(ready, m)):
+        now += processing
+        start = free if free > now else now
+        if start > limit:
+            return k
+        free = start + ser
+        ready[k] = free + prop
+    return m
+
+
+def _hop_per_flow(
+    ready: array, owners: Sequence[int], m: int, processing: float, sers: dict[int, float],
+    prop: float, limit: float,
+) -> int:
+    """``_hop`` for a group whose flows' frames differ in size at this hop.
+
+    Packet k's serialization time is ``sers[owners[k]]``.
+    """
+    free = 0.0
+    for k, now, f in zip(range(m), ready, owners):
+        now += processing
+        start = free if free > now else now
+        if start > limit:
+            return k
+        free = start + sers[f]
+        ready[k] = free + prop
+    return m
 
 
 def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:

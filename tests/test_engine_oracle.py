@@ -4,9 +4,9 @@ chains, of a fan-in and of a routing loop, and on a hairpin link.
 ``engine_oracle.reference_run`` has four event kinds and calls ``forward``
 on every event; the engine walks each distinct path once and then only
 times packets along it: on a heap, one entry per hop, when traced or when a
-queue is shared, and otherwise end to end as each packet is sent. On every
-variant below the two must give the same records, traced and untraced, and
-the same trace, byte for byte. Variants cover all three tunnel kinds, IPv6
+queue is shared, and otherwise one private group at a time, hop by hop. On
+every variant below the two must give the same records, traced and
+untraced, and the same trace, byte for byte. Variants cover all three tunnel kinds, IPv6
 sent at an IPv4-only router, jitter, equal start times, small MTUs, low hop
 limits, slow links that queue, frames from two links meeting in one queue,
 frames that use one queue several times, several flows in both directions
@@ -15,7 +15,9 @@ from a seeded stdlib ``random``, so every run checks the same cases. Sends
 tied with heap entries and with the horizon get their own dyadic-time test.
 Every summary of a variant must hold finite floats only. A run of 300
 flows, more than a byte can index, is checked against the summary oracle
-too. Last, a run must leave no cyclic garbage behind.
+too. Untraced runs of private groups only must never touch the heap, and a
+two-flow private group gets its own dyadic-time test of horizons that cut
+it at every hop. Last, a run must leave no cyclic garbage behind.
 """
 
 import gc
@@ -26,8 +28,10 @@ from collections import Counter
 from dataclasses import replace
 
 from engine_oracle import reference_run
+from heap_counting import CountingHeapq
 from summary_oracle import summarize as oracle_summarize
 
+from transit6 import simcore
 from transit6.addressing import Ipv4Prefix, Ipv6Prefix
 from transit6.codec import Ipv4Address, Ipv6Address
 from transit6.metrics import summarize
@@ -387,10 +391,12 @@ def test_send_schedule_merge_edges_match_reference_engine():
                     assert first["b"].receive_time < first["a"].receive_time
 
 
-def test_over_256_flows_match_reference_engine_and_summary_oracle():
-    # Past 256 flows a send's flow index takes four bytes, not one. Flows go
-    # both ways on the dual-stack chain, every third one jittered, and the
-    # horizon cuts the later ones.
+def _three_hundred_flows():
+    """300 flows both ways on the dual-stack chain, in five payload sizes.
+
+    Every third one is jittered. The flows of each direction are one group,
+    whose frames differ in size from flow to flow.
+    """
     s = build_scenario_dualstack()
     flows = [
         TrafficSpec(
@@ -399,20 +405,103 @@ def test_over_256_flows_match_reference_engine_and_summary_oracle():
         )
         for i in range(300)
     ]
+    return s.topology, flows
+
+
+def test_over_256_flows_match_reference_engine_and_summary_oracle():
+    # Past 256 flows a send's flow index takes four bytes, not one. The
+    # horizon cuts the later flows.
+    topology, flows = _three_hundred_flows()
     for horizon in (None, 6e-3):
         want_trace: list[str] = []
-        want = reference_run(s.topology, flows, horizon, seed=9, trace=want_trace)
+        want = reference_run(topology, flows, horizon, seed=9, trace=want_trace)
         ends = Counter(r.drop_reason for r in want)
         if horizon is None:
             assert len(want) == ends[None] == 900
         else:
             assert ends[None] and ends[DropReason.HORIZON_EXPIRED]
         for trace in (None, []):
-            got = run_simulation(s.topology, flows, horizon, seed=9, trace=trace)
+            got = run_simulation(topology, flows, horizon, seed=9, trace=trace)
             assert type(got.send_flows) is array and got.send_flows.itemsize == 4
             assert repr(got) == repr(want), (horizon, trace)
             assert trace is None or trace == want_trace, horizon
             assert repr(summarize(got)) == repr(oracle_summarize(want)), (horizon, trace)
+
+
+def _ends_apart():
+    """Three flows from H1 that share H1's and R1's queues and end at R2.
+
+    One is delivered to R2's own address, one runs out of hop limit there,
+    and one is too big for r2-r3 and is dropped once R2 has processed it.
+    Their frames differ in size, and r1-r2 is slow enough to queue them.
+    """
+    s = build_scenario_dualstack(bandwidth=10e6, propagation_delay=1e-4)
+    _, r1, r2, _, _ = s.topology.nodes
+    r2.interfaces[0].v6 = [A6("2001::22")]
+    r1.v6_routes.append(RouteEntry6(P6("2001::22/128"), "fa0"))
+    next(link for link in s.topology.links if link.id == "r2-r3").mtu = 1200
+    flows = [
+        TrafficSpec("to-r2", "H1", "R2", payload_bytes=500, count=6, gap=1e-4, jitter=0.5),
+        TrafficSpec("ttl", "H1", "H2", payload_bytes=1000, count=6, gap=1e-4, hop_limit=2),
+        TrafficSpec("mtu", "H1", "H2", payload_bytes=1400, count=6, gap=2e-4, start=5e-5),
+    ]
+    return s.topology, flows
+
+
+def test_untraced_private_groups_never_use_the_heap(monkeypatch):
+    # Each of these runs is private groups only, so untraced it pushes and
+    # pops nothing, and it still gives the reference engine's records.
+    builtins = [(s.topology, s.traffic) for s in (build_scenario_6to4(), build_scenario_dualstack())]
+    runs = [(topology, flows, None) for topology, flows in builtins]
+    runs += [(*_three_hundred_flows(), horizon) for horizon in (None, 6e-3)]
+    runs += [(*_ends_apart(), horizon) for horizon in (None, 6e-4, 1.2e-3, 2e-3)]
+    ends = Counter()
+    for topology, flows, horizon in runs:
+        want = reference_run(topology, flows, horizon, seed=9)
+        shim = CountingHeapq()
+        monkeypatch.setattr(simcore, "heapq", shim)
+        got = run_simulation(topology, flows, horizon, seed=9)
+        assert shim.pops == shim.peak == 0, (len(flows), horizon)
+        assert repr(got) == repr(want), (len(flows), horizon)
+        if flows[0].flow_id == "to-r2":
+            ends.update((r.flow_id, r.drop_reason) for r in got)
+    assert {
+        ("to-r2", None),
+        ("ttl", DropReason.TTL_EXPIRED),
+        ("mtu", DropReason.MTU_EXCEEDED),
+        ("mtu", DropReason.HORIZON_EXPIRED),
+        ("ttl", DropReason.HORIZON_EXPIRED),
+    } <= set(ends)
+
+
+def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop():
+    # Two flows from H1 to H2 queue at H1: a 64-byte frame serializes in one
+    # tick, a 128-byte one in two, and every link propagates and every
+    # router processes for one. Horizons every half tick cut the group's
+    # packets before their first queue, after one to three links, and
+    # after the last; traced (on the heap) and untraced (timed hop by hop)
+    # the run must be the reference engine's.
+    tick = 2.0**-10
+    s = build_scenario_dualstack(bandwidth=512 / tick, propagation_delay=tick, processing_delay=tick)
+    flows = [
+        TrafficSpec("a", "H1", "H2", payload_bytes=24, count=6, gap=0.0),
+        TrafficSpec("b", "H1", "H2", payload_bytes=88, count=6, gap=tick / 2, start=tick / 4),
+    ]
+    for k in range(61):
+        horizon = k * tick / 2
+        want_trace: list[str] = []
+        want = reference_run(s.topology, flows, horizon, trace=want_trace)
+        trace: list[str] = []
+        got = run_simulation(s.topology, flows, horizon, trace=trace)
+        assert trace == want_trace, k
+        assert repr(got) == repr(want), k
+        assert repr(run_simulation(s.topology, flows, horizon)) == repr(want), k
+        if horizon == 12 * tick:
+            cut = Counter(
+                len(r.wire_bytes_per_hop) for r in got if r.drop_reason is DropReason.HORIZON_EXPIRED
+            )
+            assert cut[0] and cut[1] + cut[2] + cut[3] and cut[4], cut
+            assert any(r.receive_time is not None for r in got)
 
 
 def test_run_leaves_no_cyclic_garbage():

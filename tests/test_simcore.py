@@ -1,5 +1,4 @@
 import gc
-import heapq
 import math
 import random
 import tracemalloc
@@ -7,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from heap_counting import CountingHeapq
 
 from transit6.addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
 from transit6.codec import (
@@ -412,6 +412,64 @@ def test_fifo_queueing_when_sends_collide():
         start = start + ser
 
 
+def test_a_frame_of_exactly_the_link_mtu_is_carried():
+    # Dyadic times make every sum exact: a 1040-byte frame serializes in one
+    # tick, and every link propagates for one and every router processes for
+    # one. A link whose MTU is the frame's size carries it, from a host and
+    # from a router; one byte less drops it.
+    tick = 2.0**-10
+    topo = _two_hosts(bandwidth=1040 * 8 / tick, prop=tick, mtu=1040)
+    flow = TrafficSpec("f", "h1", "h2", payload_bytes=1000, count=2, gap=tick)
+    records = run_simulation(topo, [flow])
+    assert [r.receive_time for r in records] == [2 * tick, 3 * tick]
+    assert all(r.wire_bytes_per_hop == (("l0", 1040),) for r in records)
+
+    s = build_scenario_dualstack(
+        bandwidth=1040 * 8 / tick, propagation_delay=tick, processing_delay=tick, count=2, gap=tick
+    )
+    r1_r2 = next(link for link in s.topology.links if link.id == "r1-r2")
+    r1_r2.mtu = 1040
+    for trace in (None, []):
+        records = run_simulation(s.topology, s.traffic, trace=trace)
+        assert [r.receive_time for r in records] == [11 * tick, 12 * tick]
+        assert all(len(r.wire_bytes_per_hop) == 4 for r in records)
+    r1_r2.mtu = 1039
+    for trace in (None, []):
+        records = run_simulation(s.topology, s.traffic, trace=trace)
+        assert all(r.drop_reason is DropReason.MTU_EXCEEDED for r in records)
+        assert all(r.wire_bytes_per_hop == (("h1-r1", 1040),) for r in records)
+
+
+def test_a_packet_arriving_exactly_at_the_horizon_is_delivered(monkeypatch):
+    # Dyadic times make the arrival exact. A flow alone is a private group,
+    # timed hop by hop; where two flows share R1's queue to R2 they are
+    # timed on the heap. Either way the horizon at the last arrival delivers
+    # that packet, and the float just below expires it after it crossed all
+    # four links.
+    tick = 2.0**-10
+    s = build_scenario_dualstack(
+        bandwidth=1040 * 8 / tick, propagation_delay=tick, processing_delay=tick, count=3, gap=tick
+    )
+    (flow,) = s.traffic
+    shared = [flow, replace(flow, flow_id="from-r1", src="R1", start=tick / 2)]
+    for traffic, heap_used in (([flow], False), (shared, True)):
+        full = run_simulation(s.topology, traffic)
+        last = max(full, key=lambda r: r.receive_time)
+        arrival = last.receive_time
+        assert (arrival / (tick / 2)).is_integer()
+        for horizon, delivered in ((arrival, True), (math.nextafter(arrival, 0.0), False)):
+            shim = CountingHeapq()
+            monkeypatch.setattr(simcore, "heapq", shim)
+            rec = run_simulation(s.topology, traffic, horizon)[last.packet_id]
+            assert (shim.pops > 0) is heap_used
+            assert rec.wire_bytes_per_hop == last.wire_bytes_per_hop
+            if delivered:
+                assert rec == last
+            else:
+                assert rec.drop_reason is DropReason.HORIZON_EXPIRED
+                assert rec.receive_time is None
+
+
 def test_mtu_drop_at_first_link():
     topo = _two_hosts(mtu=1024)
     flow = TrafficSpec("f", "h1", "h2", payload_bytes=1000, count=2)
@@ -595,22 +653,6 @@ def test_flows_that_send_the_same_frame_share_one_path(monkeypatch):
     assert calls == {"forward": 7 * 2, "frame_packet": 2}
 
 
-class _CountingHeapq:
-    """Stands in for the heapq module: counts pops and the heap's peak."""
-
-    def __init__(self):
-        self.pops = 0
-        self.peak = 0
-
-    def heappush(self, heap, item):
-        heapq.heappush(heap, item)
-        self.peak = max(self.peak, len(heap))
-
-    def heappop(self, heap):
-        self.pops += 1
-        return heapq.heappop(heap)
-
-
 def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
     # The engine reads heapq and forward from the module when a run starts,
     # so a substitute sees every event and every forwarding decision: one
@@ -628,16 +670,16 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
     for count in (200, 2000):
         s = build_scenario_6to4(count=count)
         for trace in (None, []):
-            shim = _CountingHeapq()
+            shim = CountingHeapq()
             monkeypatch.setattr(simcore, "heapq", shim)
             forward_calls = 0
             records = run_simulation(s.topology, s.traffic, trace=trace)
             assert len(records) == count
             assert all(r.receive_time is not None for r in records)
             assert forward_calls == 7 * len(s.traffic) == 7
-            # Untraced, the flow's queues are its own, so each packet is
-            # timed along its path when it is sent, and sends never use the
-            # heap: nothing goes on it.
+            # Untraced, the flow's queues are its own, so it is timed hop by
+            # hop over its sends, and sends never use the heap: nothing goes
+            # on it.
             if trace is None:
                 assert shim.pops == 0
                 continue
@@ -650,10 +692,12 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
 
 
 # Peak tracemalloc bytes per packet of summarize(run_simulation(...)) on the
-# built-in 6to4 at 3000 packets. Measured 61.3-61.4 on CPython 3.11-3.13 and
-# 66.5 on 3.10 (x86-64 Linux). With a MetricsRecord kept per packet, records
-# alone held ~189 and the peak was ~216.
-PEAK_BYTES_PER_PACKET = 85
+# built-in 6to4 at 3000 packets. Measured 55.1 on CPython 3.11 (x86-64
+# Linux), where 3.10 reads ~5 more; 61.4 while a one-flow run still copied
+# its sends into a schedule list. A list of floats held per send, 32 B each,
+# would take it past the bound. With a MetricsRecord kept per packet,
+# records alone held ~189 and the peak was ~216.
+PEAK_BYTES_PER_PACKET = 70
 
 
 def test_peak_memory_per_packet_stays_bounded():
@@ -713,7 +757,7 @@ def test_records_share_their_paths_hop_tuples():
             assert rec.wire_bytes_per_hop == full.wire_bytes_per_hop[:hops]
 
     # One path of four hops has five prefixes, traced (every packet on the
-    # heap) or not (every packet timed when it is sent). Giving one record
+    # heap) or not (the flow timed hop by hop). Giving one record
     # other hops touches no other record and no later run.
     for build in (build_scenario_6to4, build_scenario_dualstack):
         s = build(count=6, gap=1e-4)
@@ -744,6 +788,12 @@ def _valid_topology():
 
 def test_validate_topology_accepts_valid():
     validate_topology(_valid_topology())
+
+
+def test_validate_topology_accepts_an_mtu_of_60():
+    t = _valid_topology()
+    t.links[0].mtu = 60
+    validate_topology(t)
 
 
 def _expect_invalid(topo, needle):
