@@ -4,7 +4,6 @@ The derivations embed an IPv4 address into well-known IPv6 layouts:
 
 * 6to4: ``2002::/16`` followed by the 32-bit IPv4 address, giving a /48 site
   prefix (bits 16..47 carry the IPv4 address).
-* ISATAP: the 96-bit prefix ``fe80::5efe`` followed by the IPv4 address.
 * IPv4-compatible: 96 zero bits followed by the IPv4 address (``::a.b.c.d``).
 
 Each embedding has an exact inverse, used by automatic tunnels to recover the
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 from .codec import Ipv4Address, Ipv6Address
 
 SIX_TO_FOUR_PREFIX_BYTES = bytes((0x20, 0x02))
-ISATAP_PREFIX_BYTES = bytes.fromhex("fe8000000000000000005efe")
 
 
 class AddressingError(ValueError):
@@ -113,11 +111,6 @@ def extract_6to4_ipv4(addr: Ipv6Address) -> Ipv4Address:
     if addr.octets[:2] != SIX_TO_FOUR_PREFIX_BYTES:
         raise Not6to4Error(f"{addr} is not under 2002::/16")
     return Ipv4Address(addr.octets[2:6])
-
-
-def derive_isatap_address(v4: Ipv4Address) -> Ipv6Address:
-    """Link-local ISATAP address: fe80::5efe with the IPv4 address appended."""
-    return Ipv6Address(ISATAP_PREFIX_BYTES + v4.octets)
 
 
 def make_ipv4_compatible(v4: Ipv4Address) -> Ipv6Address:

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Verbs: ``run`` one scenario, ``compare`` two, ``derive`` a tunnel address
-from an IPv4 address, ``decode`` a frame from hex. Scenario arguments name a
-built-in (``6to4`` or ``dualstack``) or a scenario file path.
+from an IPv4 address, ``decode`` a frame from hex or from a ``--trace`` line.
+Scenario arguments name a built-in (``6to4`` or ``dualstack``) or a scenario
+file path.
 
 Exit codes: 0 success, 1 usage error, 2 scenario or input validation error,
 3 unexpected runtime failure.
@@ -17,11 +18,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .addressing import (
-    derive_6to4_prefix,
-    derive_isatap_address,
-    make_ipv4_compatible,
-)
+from .addressing import derive_6to4_prefix, make_ipv4_compatible
 from .codec import (
     FrameKind,
     Ipv4Address,
@@ -75,15 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
 
     p_derive = sub.add_parser("derive", help="derive a transition address from an IPv4 address")
-    p_derive.add_argument("kind", choices=("6to4", "isatap", "compatible"))
+    p_derive.add_argument("kind", choices=_DERIVATIONS)
     p_derive.add_argument("address", help="IPv4 address, dotted decimal")
 
     p_decode = sub.add_parser("decode", help="decode a frame from hex and dump its fields")
-    p_decode.add_argument("hex", help="frame bytes as hex (whitespace allowed)")
+    p_decode.add_argument(
+        "hex", help="frame bytes as hex (whitespace allowed), or a line of a --trace file"
+    )
     return parser
 
 
 _BUILTINS = {"6to4": build_scenario_6to4, "dualstack": build_scenario_dualstack}
+_DERIVATIONS = {"6to4": derive_6to4_prefix, "compatible": make_ipv4_compatible}
 
 
 def _load_scenario(source: str, overrides: Sequence[str]) -> Scenario:
@@ -220,21 +220,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    v4 = Ipv4Address.parse(args.address)
-    if args.kind == "6to4":
-        print(derive_6to4_prefix(v4))
-    elif args.kind == "isatap":
-        print(derive_isatap_address(v4))
-    else:
-        print(make_ipv4_compatible(v4))
+    print(_DERIVATIONS[args.kind](Ipv4Address.parse(args.address)))
     return 0
 
 
 def _cmd_decode(args) -> int:
+    # The whole argument as hex, or else its last field: a trace line ends
+    # with the frame's hex (see simcore).
+    fields = args.hex.split()
     try:
-        data = bytes.fromhex("".join(args.hex.split()))
+        data = bytes.fromhex("".join(fields))
     except ValueError:
-        raise ValueError(f"not a hex string: {args.hex!r}") from None
+        try:
+            data = bytes.fromhex(fields[-1])
+        except ValueError:
+            raise ValueError(f"not a hex string: {args.hex[:60]!r}") from None
     p = parse_frame(data)
     print(f"frame: {p.frame_kind.value}")
     if p.outer_v4 is not None:

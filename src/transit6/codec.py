@@ -210,12 +210,6 @@ def _pack_ipv4(h: Ipv4Header, checksum: int) -> bytes:
     ) + h.options
 
 
-def ipv4_header_checksum(h: Ipv4Header) -> int:
-    """Checksum the header would need on the wire (checksum field zeroed)."""
-    _check_ipv4_fields(h)
-    return internet_checksum(_pack_ipv4(h, 0))
-
-
 def serialize_ipv4_header(h: Ipv4Header, recompute_checksum: bool = False) -> bytes:
     """Emit exactly ``ihl * 4`` bytes for ``h``.
 

@@ -61,6 +61,8 @@ are pushed; ``tests/engine_oracle.py`` is that engine, and the README's
 "Library layout" section tabulates the key. Keys are unique, so identical
 inputs always yield identical outputs. With a trace, each transmission's
 line is kept with its (start, rank) and the lines are sorted once at the end.
+A line reads ``START LINK FROM->TO pkt=ID HEX``, and its last field is always
+the frame's bytes in hex: ``transit6 decode`` reads a line by that field.
 
 A packet never aborts the run: whatever happens to it, including a tunnel
 that would send it back to its own entry point, is recorded as data. A frame

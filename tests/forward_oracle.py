@@ -24,8 +24,8 @@ from transit6.codec import (
     Ipv6Address,
     Packet,
     frame_packet,
-    ipv4_header_checksum,
     parse_frame,
+    parse_ipv4_header,
     serialize_ipv4_header,
     verify_ipv4_checksum,
 )
@@ -54,6 +54,11 @@ _V6_UNSPECIFIED = Ipv6Address(bytes(16))
 _V6_LOOPBACK = Ipv6Address(bytes(15) + b"\x01")
 
 
+def _with_checksum(h: Ipv4Header) -> Ipv4Header:
+    """``h`` with the checksum its other fields need on the wire."""
+    return parse_ipv4_header(serialize_ipv4_header(h, recompute_checksum=True))
+
+
 def reference_encapsulate(inner: Packet, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl: int) -> Packet:
     """Wrap a native IPv6 packet in a minimal IPv4 header with protocol 41."""
     if inner.frame_kind is not FrameKind.V6 or inner.v6 is None:
@@ -65,8 +70,9 @@ def reference_encapsulate(inner: Packet, src_v4: Ipv4Address, dst_v4: Ipv4Addres
         ttl=ttl,
         protocol=PROTO_IPV6_IN_IPV4,
     )
-    outer = replace(outer, checksum=ipv4_header_checksum(outer))
-    return Packet(FrameKind.V6_IN_V4, outer_v4=outer, v6=inner.v6, payload=inner.payload)
+    return Packet(
+        FrameKind.V6_IN_V4, outer_v4=_with_checksum(outer), v6=inner.v6, payload=inner.payload
+    )
 
 
 def reference_decapsulate(p: Packet) -> Packet:
@@ -130,8 +136,7 @@ def reference_forward(node: Node, frame: bytes, in_if: Optional[str]) -> Forward
             if p.outer_v4.ttl <= 1:
                 return _drop(DropReason.TTL_EXPIRED)
             h = replace(p.outer_v4, ttl=p.outer_v4.ttl - 1)
-            h = replace(h, checksum=ipv4_header_checksum(h))
-            p = replace(p, outer_v4=h)
+            p = replace(p, outer_v4=_with_checksum(h))
 
     if p.frame_kind is FrameKind.V6:
         dst: Union[Ipv4Address, Ipv6Address] = p.v6.dst

@@ -10,7 +10,6 @@ from transit6.addressing import (
     Not6to4Error,
     NotCompatibleError,
     derive_6to4_prefix,
-    derive_isatap_address,
     extract_6to4_ipv4,
     extract_compatible_ipv4,
     make_ipv4_compatible,
@@ -56,14 +55,6 @@ def test_6to4_extract_rejects_other_prefixes():
             extract_6to4_ipv4(A6(text))
 
 
-def test_isatap_goldens():
-    assert str(derive_isatap_address(A4("192.168.99.1"))) == "fe80::5efe:c0a8:6301"
-    assert str(derive_isatap_address(A4("10.10.12.1"))) == "fe80::5efe:a0a:c01"
-    assert str(derive_isatap_address(A4("0.0.0.0"))) == "fe80::5efe:0:0"
-    got = derive_isatap_address(A4("1.2.3.4"))
-    assert got.octets == bytes.fromhex("fe8000000000000000005efe01020304")
-
-
 def test_compatible_goldens():
     assert str(make_ipv4_compatible(A4("192.168.99.1"))) == "::c0a8:6301"
     assert str(make_ipv4_compatible(A4("10.10.12.1"))) == "::a0a:c01"
@@ -84,12 +75,6 @@ def test_embeddings_invert_randomized():
         v4 = Ipv4Address(rng.randbytes(4))
         assert extract_6to4_ipv4(derive_6to4_prefix(v4).address) == v4
         assert extract_compatible_ipv4(make_ipv4_compatible(v4)) == v4
-        assert derive_isatap_address(v4).octets[12:] == v4.octets
-
-
-def test_isatap_prefix_is_96_bits():
-    got = derive_isatap_address(A4("255.255.255.255"))
-    assert got.octets[:12] == bytes.fromhex("fe8000000000000000005efe")
 
 
 def test_prefix_host_bits_must_be_zero():

@@ -5,7 +5,8 @@ records: every transmission's time, link, nodes, packet and bytes, and every
 record's times, drop reason and hops (written as a list). They pin event
 order, tie-breaks and float arithmetic, so a change to the engine's
 internals that moves any of them fails here. Engine output must not depend on str hash order; CI runs
-this file under two ``PYTHONHASHSEED`` values.
+this file under two ``PYTHONHASHSEED`` values. Each digested trace's wire
+bytes pass ``trace_audit.audit`` first.
 
 Update a digest only for a change that means to alter simulated results,
 and say so where the change is described.
@@ -16,6 +17,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from trace_audit import audit
 
 from transit6.addressing import Ipv6Prefix
 from transit6.codec import Ipv6Address
@@ -37,6 +39,7 @@ from transit6.transition import TunnelKind
 def _digest(topology, traffic, *, horizon=None, seed=0) -> str:
     trace: list[str] = []
     records = run_simulation(topology, traffic, horizon, seed=seed, trace=trace)
+    audit(trace, records)
     h = hashlib.sha256()
     for line in trace:
         h.update(line.encode() + b"\n")

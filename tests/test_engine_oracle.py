@@ -17,7 +17,8 @@ Every summary of a variant must hold finite floats only. A run of 300
 flows, more than a byte can index, is checked against the summary oracle
 too. Untraced runs of private groups only must never touch the heap, and a
 two-flow private group gets its own dyadic-time test of horizons that cut
-it at every hop. Last, a run must leave no cyclic garbage behind.
+it at every hop. Last, a run must leave no cyclic garbage behind. Every
+traced run's wire bytes also pass ``trace_audit.audit``.
 """
 
 import gc
@@ -30,6 +31,7 @@ from dataclasses import replace
 from engine_oracle import reference_run
 from heap_counting import CountingHeapq
 from summary_oracle import summarize as oracle_summarize
+from trace_audit import audit
 
 from transit6 import simcore
 from transit6.addressing import Ipv4Prefix, Ipv6Prefix
@@ -250,6 +252,7 @@ def test_engine_matches_reference_engine():
         want = reference_run(topology, flows, horizon, seed=seed, trace=want_trace)
         assert trace == want_trace, (case, base)
         assert repr(records) == repr(want), (case, base)
+        audit(trace, records)
         # Untraced, flows whose queues are their own skip the heap.
         untraced = run_simulation(topology, flows, horizon, seed=seed)
         assert repr(untraced) == repr(want), (case, base)
@@ -313,6 +316,7 @@ def test_hairpin_link_matches_reference_engine():
         want = reference_run(topology, flows, horizon, seed=5, trace=want_trace)
         assert trace == want_trace, horizon
         assert repr(got) == repr(want), horizon
+        audit(trace, got)
         assert repr(run_simulation(topology, flows, horizon, seed=5)) == repr(want), horizon
         if horizon is None:
             for rec in got:
@@ -335,6 +339,7 @@ def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
     ]
     full_trace: list[str] = []
     full = reference_run(s.topology, s.traffic, trace=full_trace)
+    audit(full_trace, full)
     assert all(len(r.wire_bytes_per_hop) == 508 for r in full)
     assert all(r.drop_reason is DropReason.TTL_EXPIRED for r in full)
     # The first packet's 256th transmission and the last packet's 300th.
@@ -349,6 +354,7 @@ def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
         want = reference_run(s.topology, s.traffic, horizon, trace=want_trace)
         assert trace == want_trace, horizon
         assert repr(got) == repr(want), horizon
+        audit(trace, got)
         assert repr(run_simulation(s.topology, s.traffic, horizon)) == repr(want), horizon
         if horizon in cuts:
             assert max(len(r.wire_bytes_per_hop) for r in got) > 255, horizon
@@ -380,6 +386,7 @@ def test_send_schedule_merge_edges_match_reference_engine():
                 want = reference_run(s.topology, flows, horizon, seed=7, trace=want_trace)
                 assert trace == want_trace, (processing, horizon)
                 assert repr(got) == repr(want), (processing, horizon)
+                audit(trace, got)
                 untraced = run_simulation(s.topology, flows, horizon, seed=7)
                 assert repr(untraced) == repr(want), (processing, horizon)
                 if horizon == tick / 2:
@@ -424,7 +431,9 @@ def test_over_256_flows_match_reference_engine_and_summary_oracle():
             got = run_simulation(topology, flows, horizon, seed=9, trace=trace)
             assert type(got.send_flows) is array and got.send_flows.itemsize == 4
             assert repr(got) == repr(want), (horizon, trace)
-            assert trace is None or trace == want_trace, horizon
+            if trace is not None:
+                assert trace == want_trace, horizon
+                audit(trace, got)
             assert repr(summarize(got)) == repr(oracle_summarize(want)), (horizon, trace)
 
 
@@ -495,6 +504,7 @@ def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop():
         got = run_simulation(s.topology, flows, horizon, trace=trace)
         assert trace == want_trace, k
         assert repr(got) == repr(want), k
+        audit(trace, got)
         assert repr(run_simulation(s.topology, flows, horizon)) == repr(want), k
         if horizon == 12 * tick:
             cut = Counter(
@@ -514,7 +524,8 @@ def test_run_leaves_no_cyclic_garbage():
     try:
         for topology, flows in runs:
             run_simulation(topology, flows, seed=1)
-            run_simulation(topology, flows, seed=1, trace=[])
+            trace: list[str] = []
+            audit(trace, run_simulation(topology, flows, seed=1, trace=trace))
         assert gc.collect() == 0
     finally:
         gc.enable()

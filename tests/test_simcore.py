@@ -17,7 +17,6 @@ from transit6.codec import (
     Ipv6Header,
     Packet,
     frame_packet,
-    ipv4_header_checksum,
     parse_frame,
     verify_ipv4_checksum,
 )
@@ -155,8 +154,8 @@ def _v6_frame(src, dst, hop_limit=64, payload=8):
 def _v4_frame(src, dst, ttl=64, payload=8, protocol=1):
     h = Ipv4Header(src=A4(src), dst=A4(dst), total_length=20 + payload, ttl=ttl,
                    protocol=protocol)
-    h = replace(h, checksum=ipv4_header_checksum(h))
-    return frame_packet(Packet(FrameKind.V4, payload=bytes(payload), outer_v4=h))
+    p = Packet(FrameKind.V4, payload=bytes(payload), outer_v4=h)
+    return frame_packet(p, recompute_checksum=True)
 
 
 def _dual_router(tunnels=None, v6_routes=None, v4_routes=None):
@@ -191,10 +190,9 @@ def test_forward_drops_wrong_family():
     outer = Ipv4Header(src=A4("10.0.0.1"), dst=A4("10.0.0.2"), total_length=20 + len(inner),
                        protocol=41)
     outer = replace(outer, total_length=60 + 8)
-    outer = replace(outer, checksum=ipv4_header_checksum(outer))
     res = forward(v6only, frame_packet(
         Packet(FrameKind.V6_IN_V4, payload=bytes(8),
-               outer_v4=outer, v6=parse_frame(inner).v6)), "eth0")
+               outer_v4=outer, v6=parse_frame(inner).v6), recompute_checksum=True), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.WRONG_FAMILY)
 
 

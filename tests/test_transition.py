@@ -13,7 +13,6 @@ from transit6.codec import (
     Packet,
     TooShortError,
     frame_packet,
-    ipv4_header_checksum,
     parse_frame,
     serialize_ipv4_header,
     serialize_ipv6_header,
@@ -155,9 +154,9 @@ def test_decapsulate_rejects_plain_frames():
 def test_decapsulate_rejects_wrong_protocol():
     good = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=64))
     outer = replace(good.outer_v4, protocol=40)
-    outer = replace(outer, checksum=ipv4_header_checksum(outer))
+    header = serialize_ipv4_header(outer, recompute_checksum=True)
     with pytest.raises(NotTunneledError):
-        decapsulate_6in4(serialize_ipv4_header(outer) + frame_packet(GOLDEN_INNER))
+        decapsulate_6in4(header + frame_packet(GOLDEN_INNER))
 
 
 def test_decapsulate_rejects_corrupt_checksum():
@@ -170,9 +169,9 @@ def test_decapsulate_rejects_corrupt_checksum():
 def test_decapsulate_rejects_inconsistent_length():
     good = parse_frame(encapsulate_6in4(frame_packet(GOLDEN_INNER), A4("1.1.1.1"), A4("2.2.2.2"), ttl=64))
     outer = replace(good.outer_v4, total_length=good.outer_v4.total_length + 8)
-    outer = replace(outer, checksum=ipv4_header_checksum(outer))
+    header = serialize_ipv4_header(outer, recompute_checksum=True)
     with pytest.raises(NotTunneledError):
-        decapsulate_6in4(serialize_ipv4_header(outer) + frame_packet(GOLDEN_INNER))
+        decapsulate_6in4(header + frame_packet(GOLDEN_INNER))
 
 
 def test_tunnel_config_rules():
