@@ -33,26 +33,29 @@ and the next node has processed the frame at ``start + serialization +
 propagation + processing``.
 
 Send times are drawn up front, flow by flow, and a send's seq is its
-position in that draw order; stable sorts by time make them a schedule in
-(time, seq) order, and a send's place in it is its packet id. A run of one
-flow takes that flow's sorted sends as the schedule as they stand.
+position in that draw order. Each flow keeps its own sends in (time, seq)
+order, and no run keeps one schedule of them all: where a set of flows'
+sends must go in one (time, seq) order, a stable sort by time of their
+sends, one flow after another, gives it, and a send's place in that order
+over every flow is its packet id.
 
-Flows whose frames wait in the same queues form a group. A group is private
-when no other group uses any of its queues and its path uses none twice.
-Its packets then reach every queue in their send order, so an untraced run
-times each private group on its own, hop by hop: the group's sends go into
-one array of ready times, and each hop is one loop over it that applies the
-recursion above to every packet in turn. The group's ready and start times
-never decrease from one packet to the next, so the horizon cuts a suffix of
-the group's packets at every hop, and each flow's columns are written as a
-few runs of equal hop counts and ends, with its delivered arrivals taken
-from the last hop's array. A heap times the rest (flows that share a
-queue, and every flow that transmits in a traced run) with one entry per
-hop, due when a node has processed the packet; the frame then takes its
-FIFO slot and the next hop's entry goes on at its arrival plus that node's
-processing delay. The run walks the schedule's sends of those flows only
-and, before each send, takes off the entries due strictly before it, so the
-heap holds only the packets in flight; with no such flow, there is no walk.
+Each flow header compiles to one path. A path is private when no other path
+uses any of its queues and it uses none twice. Its packets then reach every
+queue in their send order, so an untraced run times each private path's
+flows on their own, hop by hop: their sends go into one array of ready
+times in (time, seq) order, and each hop is one loop over it that applies
+the recursion above to every packet in turn. The flows share one frame and
+one end, and their ready and start times never decrease from one packet to
+the next, so the horizon cuts a suffix of the packets at every hop, and
+each flow's columns are written as a few runs of equal hop counts and ends,
+with its delivered arrivals taken from the last hop's array. A heap times the
+rest (paths that share a queue with another or reuse one, and every path
+that transmits in a traced run) with one entry per hop, due when a node has
+processed the packet; the frame then takes its FIFO slot and the next hop's
+entry goes on at its arrival plus that node's processing delay. The run
+puts every flow's sends in order, walks those of the heap's flows only and,
+before each send, takes off the entries due strictly before it, so the heap
+holds only the packets in flight; with no such flow, there is no walk.
 
 That merge and the heap's key take events in the order of a heap of four
 event kinds (a send per packet, then per hop processing done, transmission
@@ -89,11 +92,10 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
-from operator import gt
 from typing import Optional, Union
 
 from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
@@ -289,22 +291,32 @@ class RecordTable(Sequence[MetricsRecord]):
     """A run's records in packet-id order, kept as one ``FlowColumns`` per flow.
 
     Packet p belongs to flow ``send_flows[p]`` and is the next of that flow's
-    packets. The table holds no record: each is built when it is read, so
-    editing one leaves the table as it was, and reading the same packet
-    twice gives two equal records. The first index builds a 4-byte place per
-    packet, after which every index is O(1). A slice is a list of records,
-    and a table equals, and has the repr of, the list of its records.
+    packets. Packet ids number the sends in (time, seq) order, so
+    ``send_flows`` is derived from the send columns when it is first read.
+    The table holds no record: each is built when it is read, so editing one
+    leaves the table as it was, and reading the same packet twice gives two
+    equal records. The first index builds a 4-byte place per packet, after
+    which every index is O(1). A slice is a list of records, and a table
+    equals, and has the repr of, the list of its records.
     """
 
-    __slots__ = ("flows", "send_flows", "_places")
+    __slots__ = ("flows", "_send_flows", "_places")
 
-    def __init__(self, flows: list[FlowColumns], send_flows: Sequence[int]) -> None:
+    def __init__(self, flows: list[FlowColumns]) -> None:
         self.flows = flows
-        self.send_flows = send_flows
+        self._send_flows: Optional[Sequence[int]] = None
         self._places: Optional[array] = None
 
     def __len__(self) -> int:
-        return len(self.send_flows)
+        return sum(len(c.send) for c in self.flows)
+
+    @property
+    def send_flows(self) -> Sequence[int]:
+        """Each packet's flow index, in packet-id order."""
+        if self._send_flows is None:
+            flows = self.flows
+            self._send_flows = _merge([c.send for c in flows], range(len(flows)))[1]
+        return self._send_flows
 
     def _record(self, packet_id: int, a: int, j: int) -> MetricsRecord:
         c = self.flows[a]
@@ -326,10 +338,11 @@ class RecordTable(Sequence[MetricsRecord]):
         return self._places
 
     def __getitem__(self, i):
+        places = self._place()
         if isinstance(i, slice):
-            return [self[p] for p in range(len(self))[i]]
-        p = range(len(self))[i]
-        return self._record(p, self.send_flows[p], self._place()[p])
+            return [self[p] for p in range(len(places))[i]]
+        p = range(len(places))[i]
+        return self._record(p, self.send_flows[p], places[p])
 
     def __iter__(self):
         return map(self._record, count(), self.send_flows, self._place())
@@ -645,7 +658,7 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
 # flow, i, j, packet_id), due when the node has processed the packet, j being
 # the packet's place among its flow's packets. Its key is
 # the first five: after is when the packet reached the node; parent, start and
-# seq are 0, 0.0 and the send's place in the schedule at the source, and 1,
+# seq are 0, 0.0 and the packet id at the source, and 1,
 # when the previous hop began to transmit and that hop's rank among heap hops
 # at a later node. Keys are unique, so entries never compare past the seq.
 
@@ -693,13 +706,7 @@ class _Engine:
         # Each flow's sends up to the horizon, in (time, seq) order: a stable
         # sort by time of its draws. Later sends never happen.
         self.flow_sends: list[array] = []
-        # Unless there is one flow, those of every flow one after another, and
-        # each one's flow index (a byte for up to 256 flows).
-        one = len(traffic) == 1
-        wide = len(traffic) > 256
-        times: list[float] = []
-        owners = array("I") if wide else bytearray()
-        for fi, flow in enumerate(traffic):
+        for flow in traffic:
             start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
             if flow.jitter > 0:
                 drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
@@ -708,25 +715,6 @@ class _Engine:
             drawn.sort()
             del drawn[bisect_right(drawn, limit):]
             self.flow_sends.append(array("d", drawn))
-            if not one:
-                times += drawn
-                owners += array("I", [fi]) * len(drawn) if wide else bytes((fi,)) * len(drawn)
-        if one:
-            # One flow's sends are the schedule as they stand.
-            (sends,) = self.flow_sends
-            self.send_times: Sequence[float] = sends
-            self.send_flows: Union[bytes, array] = bytes(len(sends))
-            return
-        # The schedule: each send's time and flow index in (time, seq) order.
-        # Flows are drawn in flow order, so a stable sort by time of the
-        # flows' sends one after another gives it; when they are in order
-        # already it changes nothing and is skipped.
-        if any(map(gt, times, islice(times, 1, None))):
-            order = sorted(range(len(times)), key=times.__getitem__)
-            times = [times[k] for k in order]
-            owners = [owners[k] for k in order]
-        self.send_times = times
-        self.send_flows = array("I", owners) if wide else bytes(owners)
 
     def _path(
         self, fwd, node: Node, frame: bytes
@@ -773,102 +761,55 @@ class _Engine:
         return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
     def _time_group(
-        self, flows: list[int], queued: int, paths: list[list[tuple]], ends: list[int],
+        self, path: list[tuple], queued: int, end: int, flows: list[int],
         columns: list[FlowColumns],
     ) -> None:
-        """Time a private group's packets and write its flows' columns.
+        """Time the packets of ``flows``, which take the private ``path``.
 
-        ``flows`` are the group's flow indices and ``queued`` its number of
-        queues. The group's sends, in (time, seq) order, go into one array of
-        ready times, and each hop is one loop over it (``_hop``) that leaves
-        there when each packet reaches the next node. The group's queues are
-        its own and start idle, and its ready and start times never decrease
-        from one packet to the next, so the horizon cuts a suffix at every
-        hop: a flow's columns are runs of equal hop counts and ends, with the
-        arrivals of its delivered packets and NaN after them.
+        ``queued`` is the number of the path's hops that transmit and ``end``
+        the code of how it ends. The flows' sends, in (time, seq) order, go
+        into one array of ready times, and each hop is one loop over it
+        (``_hop``) that leaves there when each packet reaches the next node.
+        The path's queues are its own and start idle, and its ready and start
+        times never decrease from one packet to the next, so the horizon cuts
+        a suffix at every hop: a flow's columns are runs of equal hop counts
+        and ends, with the arrivals of its delivered packets and NaN after
+        them.
         """
         limit = self.limit
-        # Each packet's flow, unless the group has one flow.
-        owners: Optional[Sequence[int]] = None
-        if len(flows) == 1:
-            ready = array("d", self.flow_sends[flows[0]])
-        elif len(flows) == len(paths):
-            ready, owners = array("d", self.send_times), self.send_flows
-        else:
-            # The schedule's sends of the group's flows.
-            every = self.send_flows
-            mine = bytearray(max(len(paths), 256))
-            for f in flows:
-                mine[f] = 1
-            if type(every) is bytes:
-                keep = every.translate(mine)
-            else:
-                keep = bytes(map(mine.__getitem__, every))
-            ready = array("d", compress(self.send_times, keep))
-            owners = list(compress(every, keep))
-        # cuts[h]: how many of the group's packets crossed h hops, a prefix.
-        # Every hop's processing and propagation are the group's; serialization
-        # is too unless its flows' frames differ in size at that hop.
-        path = paths[flows[0]]
-        one_path = all(paths[f] is path for f in flows)
+        ready, owners = _merge(self.flow_sends, flows)
+        # cuts[h]: how many of the packets crossed h hops, a prefix.
         cuts = [len(ready)]
-        for h in range(queued):
-            processing, _, ser, prop, _ = path[h]
-            sers = None if one_path else {f: paths[f][h][2] for f in flows}
-            if sers is None or len(set(sers.values())) == 1:
-                cuts.append(_hop(ready, cuts[-1], processing, ser, prop, limit))
-            else:
-                cuts.append(_hop_per_flow(ready, owners, cuts[-1], processing, sers, prop, limit))
+        for processing, _, ser, prop, _ in islice(path, queued):
+            cuts.append(_hop(ready, cuts[-1], processing, ser, prop, limit))
         # The runs of packets that crossed the same number of hops, as (first,
-        # end, hops), the empty ones left out.
-        runs = [
-            (cuts[h + 1] if h < queued else 0, cuts[h], h)
-            for h in range(queued, -1, -1)
-            if cuts[h] > (cuts[h + 1] if h < queued else 0)
-        ]
+        # end, hops), the empty ones left out; the 0 closes the last run.
+        cuts.append(0)
+        runs = [(cuts[h + 1], cuts[h], h) for h in range(queued, -1, -1) if cuts[h] > cuts[h + 1]]
 
         # A packet that crossed every queue ends when it arrives, or, if its
         # frame is too big for the next link, once the next node has processed
         # it. Arrivals never decrease either, so those that end by the horizon
-        # are a prefix too. Each delivered flow's arrivals go to its column.
-        arrived = cuts[-1]
-        delivered = bisect_right(ready, limit, 0, arrived)
-        if owners is not None:
-            adds: list = [None] * len(paths)
-            for f in flows:
-                if len(paths[f]) == queued and not ends[f]:
-                    adds[f] = columns[f].receive.append
-            for f, t in zip(owners, islice(ready, delivered)):
-                add = adds[f]
-                if add is not None:
-                    add(t)
-        HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
-        for f in flows:
-            path = paths[f]
-            if len(path) > queued:
-                processing = path[queued][0]
-                end = _END_CODES[DropReason.MTU_EXCEEDED]
-                done = bisect_right(ready, limit, 0, arrived, key=lambda t: t + processing)
+        # are a prefix too; a delivered one's arrival goes to its flow's column.
+        wait = path[queued][0] if len(path) > queued else 0.0
+        done = bisect_right(ready, limit, 0, cuts[queued], key=lambda t: t + wait)
+        if not end:
+            del ready[done:]
+            if len(columns[flows[0]].send) == len(owners):
+                # One flow sent every packet: the array is its column.
+                columns[flows[0]].receive = ready
             else:
-                end, done = ends[f], delivered
+                adds = [columns[f].receive.append for f in flows]
+                for k, t in zip(owners, ready):
+                    adds[k](t)
+        HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
+        for k, f in enumerate(flows):
             c = columns[f]
             sent = len(c.send)
-            if owners is None:
-                finished = done
-                sizes = [last - first for first, last, _ in runs]
-            else:
-                # The flow's share of each run, all of it in a run of the whole group.
-                finished = sent if done == cuts[0] else owners[:done].count(f)
-                if len(runs) > 1:
-                    sizes = [owners[first:last].count(f) for first, last, _ in runs]
-                else:
-                    sizes = [sent]
-            for (_, _, hops), size in zip(runs, sizes):
-                c.hops.extend(repeat(hops, size))
+            for first, last, hops in runs:
+                c.hops.extend(repeat(hops, owners[first:last].count(k)))
+            finished = owners[:done].count(k)
             c.end += bytes((end,)) * finished + bytes((HORIZON_EXPIRED,)) * (sent - finished)
-            if owners is None and not end:
-                del ready[finished:]
-                c.receive = ready
             c.receive += array("d", [math.nan]) * (sent - len(c.receive))
 
     def run(self) -> RecordTable:
@@ -887,18 +828,21 @@ class _Engine:
         # and where it came in, so each distinct flow header is framed and
         # walked once, here, and the timing below only follows its path.
         nodes = self.nodes
+        # Each header's path, hop prefixes, end code and flows.
         compiled: dict[tuple, tuple] = {}
         paths: list[list[tuple]] = []
         ends: list[int] = []
         columns: list[FlowColumns] = []
-        for flow, sends in zip(self.traffic, self.flow_sends):
+        for f, (flow, sends) in enumerate(zip(self.traffic, self.flow_sends)):
             key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
             if key not in compiled:
                 src = nodes[flow.src]
-                compiled[key] = self._path(fwd, src, _flow_frame(src, nodes[flow.dst], flow))
-            path, prefixes, end = compiled[key]
+                path, prefixes, end = self._path(fwd, src, _flow_frame(src, nodes[flow.dst], flow))
+                compiled[key] = path, prefixes, _END_CODES[end], []
+            path, prefixes, end, flows = compiled[key]
+            flows.append(f)
             paths.append(path)
-            ends.append(_END_CODES[end])
+            ends.append(end)
             columns.append(
                 FlowColumns(
                     flow.flow_id, flow.src, flow.dst, flow.payload_bytes, prefixes, sends,
@@ -906,25 +850,21 @@ class _Engine:
                 )
             )
 
-        # Flows whose frames wait in the same queues form a group. A group is
-        # private when each of its queues occurs once in all the groups: no
-        # other group uses it and its path does not use it twice. Its packets
-        # meet at every queue in send order, so the group is timed on its own,
-        # hop by hop. A trace lists transmissions in the order the heap starts
-        # them, so a traced run keeps every flow that transmits on the heap.
-        groups = [tuple(hop[1] for hop in path if hop[1] is not None) for path in paths]
-        users = Counter(queue for group in set(groups) for queue in group)
-        private = [
-            all(users[queue] == 1 for queue in group) and (trace is None or not group)
-            for group in groups
-        ]
-
-        members: dict[tuple, list[int]] = {}
-        for f, group in enumerate(groups):
-            if private[f]:
-                members.setdefault(group, []).append(f)
-        for group, flows in members.items():
-            self._time_group(flows, len(group), paths, ends, columns)
+        # A path is private when each of its queues occurs once in all the
+        # paths: no other path uses it and it does not use it twice. Its
+        # packets meet at every queue in send order, so its flows are timed
+        # on their own, hop by hop. A trace lists transmissions in the order
+        # the heap starts them, so a traced run keeps every flow that
+        # transmits on the heap.
+        queues = [[hop[1] for hop in path if hop[1] is not None] for path, *_ in compiled.values()]
+        users = Counter(queue for own in queues for queue in own)
+        on_heap = bytearray(len(paths))
+        for (path, _, end, flows), own in zip(compiled.values(), queues):
+            if all(users[queue] == 1 for queue in own) and (trace is None or not own):
+                self._time_group(path, len(own), end, flows, columns)
+            else:
+                for f in flows:
+                    on_heap[f] = 1
 
         heap: list[tuple] = []
         # Counts the hops that began to transmit, in the order they came off.
@@ -932,16 +872,16 @@ class _Engine:
         # With a trace, (start, rank, line) per transmission, sorted at the end.
         lines: Optional[list[tuple]] = None if trace is None else []
 
-        # The schedule's sends of the flows left for the heap, with their
-        # places in it, which are their packet ids. Entries due before a send
-        # come off first; at equal times the send goes first. The last pass,
-        # flow -1, sends nothing: it takes off the entries due by the horizon.
-        on_heap = [not own for own in private]
-        sends = compress(
-            zip(count(), self.send_times, self.send_flows),
-            map(on_heap.__getitem__, self.send_flows),
-        )
-        walk = chain(sends, [(-1, limit, -1)]) if any(on_heap) else ()
+        # The sends of the flows left for the heap, with their places in the
+        # (time, seq) order of every flow's sends, which are their packet ids.
+        # Entries due before a send come off first; at equal times the send
+        # goes first. The last pass, flow -1, sends nothing: it takes off the
+        # entries due by the horizon.
+        walk: Iterable[tuple] = ()
+        if any(on_heap):
+            times, owners = _merge(self.flow_sends, range(len(paths)))
+            sends = compress(zip(count(), times, owners), map(on_heap.__getitem__, owners))
+            walk = chain(sends, [(-1, limit, -1)])
         for seq, now, a in walk:
             while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
                 # The node has processed the packet for hop b of its flow's
@@ -985,7 +925,7 @@ class _Engine:
         if lines is not None:
             lines.sort()
             trace.extend(line for _, _, line in lines)
-        return RecordTable(columns, self.send_flows)
+        return RecordTable(columns)
 
 
 def _hop(ready: array, m: int, processing: float, ser: float, prop: float, limit: float) -> int:
@@ -1007,23 +947,38 @@ def _hop(ready: array, m: int, processing: float, ser: float, prop: float, limit
     return m
 
 
-def _hop_per_flow(
-    ready: array, owners: Sequence[int], m: int, processing: float, sers: dict[int, float],
-    prop: float, limit: float,
-) -> int:
-    """``_hop`` for a group whose flows' frames differ in size at this hop.
+def _merge(flow_sends: Sequence[array], flows: Sequence[int]) -> tuple[array, Sequence[int]]:
+    """The sends of ``flows`` in (time, seq) order, and each one's place in ``flows``.
 
-    Packet k's serialization time is ``sers[owners[k]]``.
+    Seqs count sends flow by flow, so a stable sort by time of the flows'
+    sends, one flow after another, gives that order. Each flow's sends are
+    in order, so the sort is needed only where a flow's first send comes
+    before the send ahead of it. A place takes a byte for up to 256 flows
+    and four past that.
     """
-    free = 0.0
-    for k, now, f in zip(range(m), ready, owners):
-        now += processing
-        start = free if free > now else now
-        if start > limit:
-            return k
-        free = start + sers[f]
-        ready[k] = free + prop
-    return m
+    wide = len(flows) > 256
+    times = array("d")
+    owners = array("I") if wide else bytearray()
+    ordered = True
+    for k, f in enumerate(flows):
+        sends = flow_sends[f]
+        if sends and times and sends[0] < times[-1]:
+            ordered = False
+        times += sends
+        owners += (array("I", [k]) if wide else bytes((k,))) * len(sends)
+    if not ordered:
+        # The sort holds a float and an index object per send, a multi-flow
+        # run's memory peak, so no second copy of the times is held with it.
+        listed = times.tolist()
+        del times
+        order = sorted(range(len(listed)), key=listed.__getitem__)
+        # The same stable sort of the same times: the same permutation.
+        listed.sort()
+        times = array("d", listed)
+        del listed
+        picked = [owners[i] for i in order]
+        owners = array("I", picked) if wide else bytearray(picked)
+    return times, owners
 
 
 def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:
@@ -1063,7 +1018,7 @@ def run_simulation(
     read-only ``RecordTable``: a sequence that builds each ``MetricsRecord``
     from per-flow columns when it is read, equal to the list of them.
     ``seed`` only matters for flows with a nonzero ``jitter``; without jitter
-    the schedule is fully determined by the flow specs. ``trace``, if given,
+    the send times are fully determined by the flow specs. ``trace``, if given,
     receives one line of hex per frame transmission.
     """
     validate_topology(topology)

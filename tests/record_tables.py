@@ -20,20 +20,23 @@ def table_of(records: Iterable[MetricsRecord]) -> RecordTable:
     A run numbers its packets in send order, and a flow sends one frame,
     so this asserts that send times never go back in packet-id order and
     that every record of a flow has the same payload size and end nodes.
-    The table numbers the packets from 0. A flow's ``prefixes`` lists its
+    A table derives packet ids from its columns: a stable sort by send time
+    of the flows' sends, one column after another. So this also asserts
+    that packets with equal send times come in column order, the only
+    order a run can give them. Columns are made in first-seen order, and
+    the table numbers the packets from 0. A flow's ``prefixes`` lists its
     records' distinct hop tuples in first-seen order, and a packet's entry
     in ``hops`` is the place of its tuple there, where a run has its count
     of hops crossed along the one path.
     """
     flows: dict[str, int] = {}
     columns: list[FlowColumns] = []
-    send_flows: list[int] = []
-    last = -math.inf
+    last = (-math.inf, 0)
     for rec in sorted(records, key=attrgetter("packet_id")):
-        assert rec.send_time >= last, f"sends go back in packet-id order at {rec}"
-        last = rec.send_time
         assert (rec.receive_time is None) != (rec.drop_reason is None), rec
         a = flows.setdefault(rec.flow_id, len(flows))
+        assert (rec.send_time, a) >= last, f"sends go back in packet-id order at {rec}"
+        last = rec.send_time, a
         if a == len(columns):
             columns.append(
                 FlowColumns(
@@ -52,5 +55,4 @@ def table_of(records: Iterable[MetricsRecord]) -> RecordTable:
         c.receive.append(math.nan if rec.receive_time is None else rec.receive_time)
         c.end.append(END_REASONS.index(rec.drop_reason))
         c.hops.append(c.prefixes.index(hops))
-        send_flows.append(a)
-    return RecordTable(columns, send_flows)
+    return RecordTable(columns)

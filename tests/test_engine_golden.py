@@ -39,7 +39,7 @@ from transit6.transition import TunnelKind
 def _digest(topology, traffic, *, horizon=None, seed=0) -> str:
     trace: list[str] = []
     records = run_simulation(topology, traffic, horizon, seed=seed, trace=trace)
-    audit(trace, records)
+    audit(topology, trace, records)
     h = hashlib.sha256()
     for line in trace:
         h.update(line.encode() + b"\n")

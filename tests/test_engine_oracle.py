@@ -4,7 +4,8 @@ chains, of a fan-in and of a routing loop, and on a hairpin link.
 ``engine_oracle.reference_run`` has four event kinds and calls ``forward``
 on every event; the engine walks each distinct path once and then only
 times packets along it: on a heap, one entry per hop, when traced or when a
-queue is shared, and otherwise one private group at a time, hop by hop. On
+queue is shared, and otherwise the flows of one private path at a time, hop
+by hop. On
 every variant below the two must give the same records, traced and
 untraced, and the same trace, byte for byte. Variants cover all three tunnel kinds, IPv6
 sent at an IPv4-only router, jitter, equal start times, small MTUs, low hop
@@ -15,9 +16,10 @@ from a seeded stdlib ``random``, so every run checks the same cases. Sends
 tied with heap entries and with the horizon get their own dyadic-time test.
 Every summary of a variant must hold finite floats only. A run of 300
 flows, more than a byte can index, is checked against the summary oracle
-too. Untraced runs of private groups only must never touch the heap, and a
-two-flow private group gets its own dyadic-time test of horizons that cut
-it at every hop. Last, a run must leave no cyclic garbage behind. Every
+too. Untraced runs of private paths only, the benchmark workloads' shapes
+among them, must never touch the heap, and runs whose paths share queues
+must use it. Two flows of one header get their own dyadic-time test of
+horizons that cut them at every hop. Last, a run must leave no cyclic garbage behind. Every
 traced run's wire bytes also pass ``trace_audit.audit``.
 """
 
@@ -252,7 +254,7 @@ def test_engine_matches_reference_engine():
         want = reference_run(topology, flows, horizon, seed=seed, trace=want_trace)
         assert trace == want_trace, (case, base)
         assert repr(records) == repr(want), (case, base)
-        audit(trace, records)
+        audit(topology, trace, records)
         # Untraced, flows whose queues are their own skip the heap.
         untraced = run_simulation(topology, flows, horizon, seed=seed)
         assert repr(untraced) == repr(want), (case, base)
@@ -316,7 +318,7 @@ def test_hairpin_link_matches_reference_engine():
         want = reference_run(topology, flows, horizon, seed=5, trace=want_trace)
         assert trace == want_trace, horizon
         assert repr(got) == repr(want), horizon
-        audit(trace, got)
+        audit(topology, trace, got)
         assert repr(run_simulation(topology, flows, horizon, seed=5)) == repr(want), horizon
         if horizon is None:
             for rec in got:
@@ -339,7 +341,7 @@ def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
     ]
     full_trace: list[str] = []
     full = reference_run(s.topology, s.traffic, trace=full_trace)
-    audit(full_trace, full)
+    audit(s.topology, full_trace, full)
     assert all(len(r.wire_bytes_per_hop) == 508 for r in full)
     assert all(r.drop_reason is DropReason.TTL_EXPIRED for r in full)
     # The first packet's 256th transmission and the last packet's 300th.
@@ -354,7 +356,7 @@ def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
         want = reference_run(s.topology, s.traffic, horizon, trace=want_trace)
         assert trace == want_trace, horizon
         assert repr(got) == repr(want), horizon
-        audit(trace, got)
+        audit(s.topology, trace, got)
         assert repr(run_simulation(s.topology, s.traffic, horizon)) == repr(want), horizon
         if horizon in cuts:
             assert max(len(r.wire_bytes_per_hop) for r in got) > 255, horizon
@@ -386,7 +388,7 @@ def test_send_schedule_merge_edges_match_reference_engine():
                 want = reference_run(s.topology, flows, horizon, seed=7, trace=want_trace)
                 assert trace == want_trace, (processing, horizon)
                 assert repr(got) == repr(want), (processing, horizon)
-                audit(trace, got)
+                audit(s.topology, trace, got)
                 untraced = run_simulation(s.topology, flows, horizon, seed=7)
                 assert repr(untraced) == repr(want), (processing, horizon)
                 if horizon == tick / 2:
@@ -401,8 +403,8 @@ def test_send_schedule_merge_edges_match_reference_engine():
 def _three_hundred_flows():
     """300 flows both ways on the dual-stack chain, in five payload sizes.
 
-    Every third one is jittered. The flows of each direction are one group,
-    whose frames differ in size from flow to flow.
+    Every third one is jittered. Each direction's five paths share every
+    queue, since their frames differ only in size.
     """
     s = build_scenario_dualstack()
     flows = [
@@ -433,7 +435,7 @@ def test_over_256_flows_match_reference_engine_and_summary_oracle():
             assert repr(got) == repr(want), (horizon, trace)
             if trace is not None:
                 assert trace == want_trace, horizon
-                audit(trace, got)
+                audit(topology, trace, got)
             assert repr(summarize(got)) == repr(oracle_summarize(want)), (horizon, trace)
 
 
@@ -457,44 +459,124 @@ def _ends_apart():
     return s.topology, flows
 
 
+def _one_header_ends_at_r2(flow_id, **header):
+    """Two flows of one header from H1 to H2 whose packets end at R2.
+
+    The header (a payload too big for r2-r3, or a hop limit of 2) makes R2
+    drop every packet after the path's last queue. The flows differ only in
+    count, start, gap and jitter, and r1-r2 is slow enough to queue them.
+    """
+    s = build_scenario_dualstack(bandwidth=10e6, propagation_delay=1e-4)
+    next(link for link in s.topology.links if link.id == "r2-r3").mtu = 1200
+    flows = [
+        TrafficSpec(flow_id, "H1", "H2", count=6, gap=1e-4, jitter=0.5, **header),
+        TrafficSpec(flow_id + "-late", "H1", "H2", count=5, gap=2e-4, start=5e-5, **header),
+    ]
+    return s.topology, flows
+
+
+def _congested_shape(count=20):
+    """The congested-native workload's shape, from the builders.
+
+    Eight jittered flows of one header offer r1-r2, narrowed to 2.5 Mbit/s,
+    1.5 times its rate, and the horizon falls at 80% of the send span.
+    """
+    s = build_scenario_dualstack(payload_bytes=500)
+    next(link for link in s.topology.links if link.id == "r1-r2").bandwidth = 2.5e6
+    gap = 8 * 540 * 8 / 2.5e6 / 1.5
+    flows = [
+        TrafficSpec(f"cn{i}", "H1", "H2", payload_bytes=500, count=count, gap=gap,
+                    start=i * gap / 8, jitter=0.5)
+        for i in range(8)
+    ]
+    return s.topology, flows, 0.8 * count * gap
+
+
+def _route_shape():
+    """The route-heavy workload's shape, from the builders, without its filler routes.
+
+    Eight jittered flows of 64-byte payloads, four each way, cross the 6to4
+    chain on automatic tunnels: one header, so one path, per destination.
+    """
+    s = build_scenario_6to4(tunnel_kind=TunnelKind.AUTO_6TO4, payload_bytes=64)
+    flows = [
+        TrafficSpec(f"rh{i}", *(("H1", "H2") if i % 2 == 0 else ("H2", "H1")),
+                    payload_bytes=64, count=10, gap=1e-3, start=i * 1e-4, jitter=0.5)
+        for i in range(8)
+    ]
+    return s.topology, flows, None
+
+
 def test_untraced_private_groups_never_use_the_heap(monkeypatch):
-    # Each of these runs is private groups only, so untraced it pushes and
-    # pops nothing, and it still gives the reference engine's records.
-    builtins = [(s.topology, s.traffic) for s in (build_scenario_6to4(), build_scenario_dualstack())]
-    runs = [(topology, flows, None) for topology, flows in builtins]
-    runs += [(*_three_hundred_flows(), horizon) for horizon in (None, 6e-3)]
-    runs += [(*_ends_apart(), horizon) for horizon in (None, 6e-4, 1.2e-3, 2e-3)]
-    ends = Counter()
-    for topology, flows, horizon in runs:
-        want = reference_run(topology, flows, horizon, seed=9)
-        shim = CountingHeapq()
-        monkeypatch.setattr(simcore, "heapq", shim)
-        got = run_simulation(topology, flows, horizon, seed=9)
-        assert shim.pops == shim.peak == 0, (len(flows), horizon)
-        assert repr(got) == repr(want), (len(flows), horizon)
-        if flows[0].flow_id == "to-r2":
-            ends.update((r.flow_id, r.drop_reason) for r in got)
+    # The flows of one header take one path, and a path whose queues are its
+    # own is timed off the heap. Untraced, the built-ins and two-flow paths
+    # that end in an MTU drop after their last queue and in a hop-limit drop
+    # push and pop nothing. Paths that share queues take the heap: the 300
+    # flows in five payload sizes each way, and the three flows that end
+    # apart. Every run gives the reference engine's records.
+    private = [(s.topology, s.traffic, None) for s in (build_scenario_6to4(), build_scenario_dualstack())]
+    for flow_id, header in (("big", {"payload_bytes": 1400}), ("low", {"hop_limit": 2})):
+        private += [(*_one_header_ends_at_r2(flow_id, **header), horizon)
+                    for horizon in (None, 1e-3, 3e-3, 6e-3)]
+    shared = [(*_three_hundred_flows(), horizon) for horizon in (None, 6e-3)]
+    shared += [(*_ends_apart(), horizon) for horizon in (None, 6e-4, 1.2e-3, 2e-3)]
+    ends = set()
+    for runs, off_heap in ((private, True), (shared, False)):
+        for topology, flows, horizon in runs:
+            want = reference_run(topology, flows, horizon, seed=9)
+            shim = CountingHeapq()
+            monkeypatch.setattr(simcore, "heapq", shim)
+            got = run_simulation(topology, flows, horizon, seed=9)
+            if off_heap:
+                assert shim.pops == shim.peak == 0, (len(flows), horizon)
+            else:
+                assert shim.pops > 0, (len(flows), horizon)
+            assert repr(got) == repr(want), (len(flows), horizon)
+            ends |= {(r.flow_id, r.drop_reason, bool(r.wire_bytes_per_hop)) for r in got}
+    # Both one-header drops, each also cut by the horizon before and after
+    # its first queue; and the flows that end apart.
     assert {
-        ("to-r2", None),
-        ("ttl", DropReason.TTL_EXPIRED),
-        ("mtu", DropReason.MTU_EXCEEDED),
-        ("mtu", DropReason.HORIZON_EXPIRED),
-        ("ttl", DropReason.HORIZON_EXPIRED),
-    } <= set(ends)
+        ("big", DropReason.MTU_EXCEEDED, True),
+        ("big", DropReason.HORIZON_EXPIRED, False),
+        ("big-late", DropReason.HORIZON_EXPIRED, True),
+        ("low", DropReason.TTL_EXPIRED, True),
+        ("low", DropReason.HORIZON_EXPIRED, False),
+        ("low-late", DropReason.HORIZON_EXPIRED, True),
+        ("to-r2", None, True),
+        ("ttl", DropReason.TTL_EXPIRED, True),
+        ("mtu", DropReason.MTU_EXCEEDED, True),
+    } <= ends
 
 
-def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop():
-    # Two flows from H1 to H2 queue at H1: a 64-byte frame serializes in one
-    # tick, a 128-byte one in two, and every link propagates and every
-    # router processes for one. Horizons every half tick cut the group's
-    # packets before their first queue, after one to three links, and
-    # after the last; traced (on the heap) and untraced (timed hop by hop)
-    # the run must be the reference engine's.
+def test_workload_shapes_are_private_groups_only(monkeypatch):
+    # The benchmark's congested-native and route-heavy workloads give one
+    # and two paths, each the only user of its queues, so untraced they
+    # never touch the heap. Built here from the builders, at three seeds.
+    for topology, flows, horizon in (_congested_shape(), _route_shape()):
+        for seed in (0, 17, 29):
+            want = reference_run(topology, flows, horizon, seed=seed)
+            shim = CountingHeapq()
+            monkeypatch.setattr(simcore, "heapq", shim)
+            got = run_simulation(topology, flows, horizon, seed=seed)
+            assert shim.pops == shim.peak == 0, (flows[0].flow_id, seed)
+            assert repr(got) == repr(want), (flows[0].flow_id, seed)
+            if horizon is not None:
+                drops = Counter(r.drop_reason for r in got)
+                assert drops[None] and drops[DropReason.HORIZON_EXPIRED], drops
+
+
+def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop(monkeypatch):
+    # Two flows of one header from H1 to H2 queue at H1: their 64-byte
+    # frames serialize in one tick, and every link propagates and every
+    # router processes for one. Horizons every half tick cut the packets
+    # before their first queue, after one to three links, and after the
+    # last; traced (on the heap) and untraced (one private group, timed hop
+    # by hop, with no heap) the run must be the reference engine's.
     tick = 2.0**-10
     s = build_scenario_dualstack(bandwidth=512 / tick, propagation_delay=tick, processing_delay=tick)
     flows = [
-        TrafficSpec("a", "H1", "H2", payload_bytes=24, count=6, gap=0.0),
-        TrafficSpec("b", "H1", "H2", payload_bytes=88, count=6, gap=tick / 2, start=tick / 4),
+        TrafficSpec("a", "H1", "H2", payload_bytes=24, count=10, gap=0.0),
+        TrafficSpec("b", "H1", "H2", payload_bytes=24, count=8, gap=tick / 2, start=tick / 4),
     ]
     for k in range(61):
         horizon = k * tick / 2
@@ -504,8 +586,12 @@ def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop():
         got = run_simulation(s.topology, flows, horizon, trace=trace)
         assert trace == want_trace, k
         assert repr(got) == repr(want), k
-        audit(trace, got)
+        audit(s.topology, trace, got)
+        shim = CountingHeapq()
+        monkeypatch.setattr(simcore, "heapq", shim)
         assert repr(run_simulation(s.topology, flows, horizon)) == repr(want), k
+        assert shim.pops == 0, k
+        monkeypatch.undo()
         if horizon == 12 * tick:
             cut = Counter(
                 len(r.wire_bytes_per_hop) for r in got if r.drop_reason is DropReason.HORIZON_EXPIRED
@@ -525,7 +611,7 @@ def test_run_leaves_no_cyclic_garbage():
         for topology, flows in runs:
             run_simulation(topology, flows, seed=1)
             trace: list[str] = []
-            audit(trace, run_simulation(topology, flows, seed=1, trace=trace))
+            audit(topology, trace, run_simulation(topology, flows, seed=1, trace=trace))
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -11,11 +11,13 @@ matches in order, on:
   of ``tests/test_engine_golden.py`` and a tunnel loop cut by a horizon,
   traced and untraced;
 - tables packed by ``record_tables.table_of`` from hand-built records with
-  tied send times, arbitrary hop tuples and every drop reason.
+  tied send times, numbered as a table numbers them, arbitrary hop tuples
+  and every drop reason.
 """
 
 import random
 from dataclasses import fields, replace
+from operator import attrgetter
 
 from record_tables import table_of
 from summary_oracle import summarize as oracle_summarize
@@ -75,9 +77,11 @@ def test_summaries_match_oracle_on_tunnel_loop():
 
 
 def test_summaries_match_oracle_on_hand_built_records():
-    # Few distinct times, so sends tie and only the packet id orders them;
-    # hop tuples drawn from a few links, some empty; every drop reason; one
-    # payload size per flow.
+    # Few distinct times, so sends tie; hop tuples drawn from a few links,
+    # some empty; every drop reason; one payload size per flow. A table
+    # numbers tied sends in the order of its columns, which come in
+    # first-seen order, so the records are numbered that way: flows by first
+    # send and then by name, and each flow's sends in the order drawn.
     rng = random.Random(5)
     hop_choices = [("l", 120), ("m", 140), ("n", 1060), ("l", 1040)]
     seen = set()
@@ -109,6 +113,12 @@ def test_summaries_match_oracle_on_hand_built_records():
                     ),
                 )
             )
+        first: dict[str, int] = {}
+        for rec in sorted(records, key=attrgetter("send_time", "flow_id")):
+            first.setdefault(rec.flow_id, len(first))
+        records.sort(key=lambda r: (r.send_time, first[r.flow_id]))
+        for pid, rec in enumerate(records):
+            rec.packet_id = pid
         table = table_of(records)
         assert table == records, case
         _check(table, case)

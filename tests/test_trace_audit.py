@@ -18,7 +18,7 @@ def _traced(build):
     s = build()
     trace: list[str] = []
     records = run_simulation(s.topology, s.traffic, trace=trace)
-    return trace, records
+    return s.topology, trace, records
 
 
 def _first_packet(trace):
@@ -52,7 +52,7 @@ def test_audit_passes_builtin_traces(build):
 
 def test_first_packet_crosses_the_tunnel():
     # The cases below rely on these four hops.
-    trace, records = _traced(build_scenario_6to4)
+    _, trace, records = _traced(build_scenario_6to4)
     frames = [_frame(trace[i]) for i in _first_packet(trace)]
     assert [f[0] >> 4 for f in frames] == [6, 4, 4, 6]
     assert [hop for hop, _ in records[0].wire_bytes_per_hop] == ["h1-r1", "r1-r2", "r2-r3", "r3-h2"]
@@ -69,6 +69,10 @@ FAULTS = {
     "outer-ttl-unspent-inside-tunnel": (2, TTL, 1, True, "hop 2 of packet 0"),
     "inner-frame-changed-inside-tunnel": (2, 20 + HOP_LIMIT, 1, True, "hop 2 of packet 0"),
     "hop-limit-unspent-on-exit": (3, HOP_LIMIT, 1, True, "hop 3 of packet 0"),
+    # The inner hop limit spent at R2, inside the tunnel, so that the outer
+    # TTL equals it: the bytes of a decapsulate-and-re-encapsulate, at a
+    # node that does not hold the outer destination.
+    "inner-hop-limit-spent-inside-tunnel": (2, 20 + HOP_LIMIT, -1, True, "hop 2 of packet 0"),
     "native-hop-limit-spent-twice": (0, HOP_LIMIT, -1, True, "hop 1 of packet 0"),
 }
 
@@ -76,25 +80,25 @@ FAULTS = {
 @pytest.mark.parametrize("name", FAULTS)
 def test_audit_rejects_wrong_byte(name):
     hop, at, delta, rechecksum, message = FAULTS[name]
-    trace, records = _traced(build_scenario_6to4)
+    topology, trace, records = _traced(build_scenario_6to4)
     i = _first_packet(trace)[hop]
     trace[i] = _with_frame(trace[i], _add(_frame(trace[i]), at, delta, rechecksum=rechecksum))
     with pytest.raises(AssertionError, match=message):
-        audit(trace, records)
+        audit(topology, trace, records)
 
 
 def test_audit_rejects_wrong_link():
-    trace, records = _traced(build_scenario_6to4)
+    topology, trace, records = _traced(build_scenario_6to4)
     i = _first_packet(trace)[2]
     trace[i] = trace[i].replace(" r2-r3 ", " r1-r2 ", 1)
     with pytest.raises(AssertionError, match="hop 2 is"):
-        audit(trace, records)
+        audit(topology, trace, records)
 
 
 def test_audit_rejects_missing_and_extra_lines():
-    trace, records = _traced(build_scenario_6to4)
+    topology, trace, records = _traced(build_scenario_6to4)
     last = _first_packet(trace)[-1]
     with pytest.raises(AssertionError, match="packet 0 has 3 lines for 4 hops"):
-        audit(trace[:last] + trace[last + 1 :], records)
+        audit(topology, trace[:last] + trace[last + 1 :], records)
     with pytest.raises(AssertionError, match="more lines than hops for packet 0"):
-        audit(trace + [trace[last]], records)
+        audit(topology, trace + [trace[last]], records)

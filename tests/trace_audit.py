@@ -1,8 +1,9 @@
 """Audit of the wire bytes a traced run sends.
 
-``audit(trace, records)`` takes each trace line's frame from its last field,
-the rule ``transit6 decode`` reads a line by, and decodes it with
-``parse_frame``, which reads every field, not with ``check_frame``. It checks:
+``audit(topology, trace, records)`` takes each trace line's frame from its
+last field, the rule ``transit6 decode`` reads a line by, and decodes it
+with ``parse_frame``, which reads every field, not with ``check_frame``.
+The node a packet leaves on each line is the line's ``FROM``. It checks:
 
 - every IPv4 header checksum verifies;
 - a packet has one line per hop, and each frame's link and length are those
@@ -13,19 +14,23 @@ the rule ``transit6 decode`` reads a line by, and decodes it with
   - on tunnel entry, the frame becomes a 20-byte outer header plus that
     frame with one less hop limit, and the outer TTL equals the inner hop
     limit;
-  - inside the tunnel, only the outer TTL and its checksum change;
+  - inside the tunnel, only the outer TTL and its checksum change, at a
+    node that does not hold the outer IPv4 destination;
   - on tunnel exit, the frame is the inner frame with one less hop limit;
   - a node that takes a frame out of a tunnel and straight into one again
     does both: the new outer header is in front of the old inner frame with
-    one less hop limit.
+    one less hop limit;
+  - a frame leaves a tunnel, alone or into another, only at a node that
+    holds its outer IPv4 destination.
 
-So addresses change only where a tunnel is entered or left.
+So addresses change only where a tunnel is entered or left, and a tunnel is
+left only at its end.
 """
 
 from typing import Optional, Sequence
 
 from transit6.codec import FrameKind, Packet, parse_frame, verify_ipv4_checksum
-from transit6.simcore import MetricsRecord
+from transit6.simcore import MetricsRecord, Topology, node_v4_addresses
 
 # Offsets of the IPv4 TTL, the IPv4 checksum and the IPv6 hop limit.
 TTL, CHECKSUM, HOP_LIMIT = 8, 10, 7
@@ -56,9 +61,13 @@ def _entered(frame: bytes, p: Packet, inner: bytes) -> bool:
     )
 
 
-def _next_hop_ok(prev: bytes, p: Packet, frame: bytes, q: Packet) -> bool:
-    """Whether ``frame`` (decoded as ``q``) can follow ``prev`` (``p``)."""
+def _next_hop_ok(prev: bytes, p: Packet, frame: bytes, q: Packet, here: set) -> bool:
+    """Whether ``frame`` (decoded as ``q``) can follow ``prev`` (``p``) from
+    a node whose IPv4 addresses are ``here``."""
     before, after = _inner(prev, p), _inner(frame, q)
+    # A frame leaves a tunnel exactly at the node its outer header is for.
+    if before is not None and (after != before) != (p.outer_v4.dst in here):
+        return False
     if before is None and after is None:
         if p.frame_kind is not q.frame_kind:
             return False
@@ -74,14 +83,16 @@ def _next_hop_ok(prev: bytes, p: Packet, frame: bytes, q: Packet) -> bool:
     return _entered(frame, q, before)  # out of one tunnel and into another
 
 
-def audit(trace: Sequence[str], records: Sequence[MetricsRecord]) -> None:
+def audit(topology: Topology, trace: Sequence[str], records: Sequence[MetricsRecord]) -> None:
     """Raise AssertionError at the first trace line that breaks a rule above."""
+    v4 = {node.id: node_v4_addresses(node) for node in topology.nodes}
     hops = {r.packet_id: r.wire_bytes_per_hop for r in records}
     last: dict[int, tuple[bytes, Packet]] = {}
     seen = dict.fromkeys(hops, 0)
     for line in trace:
         *head, hex_frame = line.split()
         link, pid = head[-3], int(head[-1].removeprefix("pkt="))
+        node = head[-2].split("->")[0]
         frame = bytes.fromhex(hex_frame)
         p = parse_frame(frame)
         at = line[:100]  # the line's fields and the frame's first bytes
@@ -91,7 +102,7 @@ def audit(trace: Sequence[str], records: Sequence[MetricsRecord]) -> None:
         assert k < len(hops[pid]), f"more lines than hops for packet {pid}: {at}"
         assert hops[pid][k] == (link, len(frame)), f"hop {k} is {hops[pid][k]}: {at}"
         if k:
-            assert _next_hop_ok(*last[pid], frame, p), f"hop {k} of packet {pid}: {at}"
+            assert _next_hop_ok(*last[pid], frame, p, v4[node]), f"hop {k} of packet {pid}: {at}"
         last[pid] = frame, p
         seen[pid] = k + 1
     for pid, k in seen.items():
