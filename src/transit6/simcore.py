@@ -80,8 +80,9 @@ how it ended and how many hops it crossed in a byte each (the hop count in
 four on a path of over 255 hops). A packet's hops are always a prefix of
 its path's, so each compiled path keeps one tuple per prefix, and the hop
 count picks the packet's. ``run_simulation`` returns the columns as a
-``RecordTable``, which builds a ``MetricsRecord`` whenever one is read, and
-which ``metrics.summarize`` reads column by column.
+``RecordTable``, which ``metrics.summarize`` reads column by column. The
+table has a length and is read by iterating it, which builds one
+``MetricsRecord`` per packet; it is not a sequence and equals no list.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
@@ -241,8 +242,8 @@ class MetricsRecord:
     ``wire_bytes_per_hop`` is the (link id, frame size) of every link the
     packet was transmitted on, in order. The engine fills it with an
     immutable tuple shared by every record that crossed the same hops of
-    the same path. A record from a ``RecordTable`` is built when it is read,
-    so editing it, hops included, changes nothing in the table.
+    the same path. Iterating a ``RecordTable`` builds each record as it
+    goes, so editing one, hops included, changes nothing in the table.
     ``metrics.summarize`` reads the table's columns, never its records.
     """
 
@@ -273,7 +274,7 @@ class FlowColumns:
     counts the hops it was transmitted on, and ``prefixes[hops[j]]`` is
     packet j's ``wire_bytes_per_hop``, a tuple its flow's packets share.
     ``hops`` is a ``bytearray`` unless the flow's path is longer than 255
-    hops.
+    hops. A ``RecordTable`` keeps one per flow; iterating it yields records.
     """
 
     flow_id: str
@@ -287,73 +288,35 @@ class FlowColumns:
     hops: Union[bytearray, array]
 
 
-class RecordTable(Sequence[MetricsRecord]):
-    """A run's records in packet-id order, kept as one ``FlowColumns`` per flow.
+class RecordTable:
+    """A run's result: one ``FlowColumns`` per flow, a length and an iterator.
 
-    Packet p belongs to flow ``send_flows[p]`` and is the next of that flow's
-    packets. Packet ids number the sends in (time, seq) order, so
-    ``send_flows`` is derived from the send columns when it is first read.
-    The table holds no record: each is built when it is read, so editing one
-    leaves the table as it was, and reading the same packet twice gives two
-    equal records. The first index builds a 4-byte place per packet, after
-    which every index is O(1). A slice is a list of records, and a table
-    equals, and has the repr of, the list of its records.
+    Iterating it yields one ``MetricsRecord`` per packet in packet-id order,
+    deriving that order from the send columns and building each record as
+    it goes, so editing a record changes nothing in the table. It is not a
+    sequence and equals no list: ``list(table)`` is its records.
     """
 
-    __slots__ = ("flows", "_send_flows", "_places")
+    __slots__ = ("flows",)
 
     def __init__(self, flows: list[FlowColumns]) -> None:
         self.flows = flows
-        self._send_flows: Optional[Sequence[int]] = None
-        self._places: Optional[array] = None
 
     def __len__(self) -> int:
         return sum(len(c.send) for c in self.flows)
 
-    @property
-    def send_flows(self) -> Sequence[int]:
-        """Each packet's flow index, in packet-id order."""
-        if self._send_flows is None:
-            flows = self.flows
-            self._send_flows = _merge([c.send for c in flows], range(len(flows)))[1]
-        return self._send_flows
-
-    def _record(self, packet_id: int, a: int, j: int) -> MetricsRecord:
-        c = self.flows[a]
-        end = END_REASONS[c.end[j]]
-        return MetricsRecord(
-            packet_id, c.flow_id, c.src, c.dst, c.payload_bytes, c.send[j],
-            c.receive[j] if end is None else None, end, c.prefixes[c.hops[j]],
-        )
-
-    def _place(self) -> array:
-        """Each packet's place among its flow's packets."""
-        if self._places is None:
-            places = array("I", [0]) * len(self)
-            taken = [0] * len(self.flows)
-            for p, a in enumerate(self.send_flows):
-                places[p] = taken[a]
-                taken[a] += 1
-            self._places = places
-        return self._places
-
-    def __getitem__(self, i):
-        places = self._place()
-        if isinstance(i, slice):
-            return [self[p] for p in range(len(places))[i]]
-        p = range(len(places))[i]
-        return self._record(p, self.send_flows[p], places[p])
-
-    def __iter__(self):
-        return map(self._record, count(), self.send_flows, self._place())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, RecordTable)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+    def __iter__(self) -> Iterator[MetricsRecord]:
+        flows = self.flows
+        taken = [0] * len(flows)
+        for p, a in enumerate(_merge([c.send for c in flows], range(len(flows)))[1]):
+            c = flows[a]
+            j = taken[a]
+            taken[a] = j + 1
+            end = END_REASONS[c.end[j]]
+            yield MetricsRecord(
+                p, c.flow_id, c.src, c.dst, c.payload_bytes, c.send[j],
+                c.receive[j] if end is None else None, end, c.prefixes[c.hops[j]],
+            )
 
 
 RouteEntry = Union[RouteEntry4, RouteEntry6]
@@ -1014,9 +977,9 @@ def run_simulation(
 ) -> RecordTable:
     """Validate, then run to quiescence (or ``horizon``) and return records.
 
-    The records, one per injected packet in packet-id order, come as a
-    read-only ``RecordTable``: a sequence that builds each ``MetricsRecord``
-    from per-flow columns when it is read, equal to the list of them.
+    The result is a ``RecordTable`` of per-flow columns. Its length is the
+    number of injected packets, and iterating it builds one ``MetricsRecord``
+    per packet in packet-id order; it is not a sequence and equals no list.
     ``seed`` only matters for flows with a nonzero ``jitter``; without jitter
     the send times are fully determined by the flow specs. ``trace``, if given,
     receives one line of hex per frame transmission.

@@ -224,7 +224,7 @@ def test_untraced_records_equal_traced_records(name):
     topology, traffic, kw = SCENARIOS[name]()
     horizon, seed = kw.get("horizon"), kw.get("seed", 0)
     traced = run_simulation(topology, traffic, horizon, seed=seed, trace=[])
-    assert repr(run_simulation(topology, traffic, horizon, seed=seed)) == repr(traced)
+    assert repr(list(run_simulation(topology, traffic, horizon, seed=seed))) == repr(list(traced))
 
 
 def test_unordered_sends_scenario_draws_out_of_order_times():

@@ -134,9 +134,9 @@ def test_hop_limit_budget_through_tunnel():
     # Three routers touch the packet: R1 (encapsulates), R3 (decapsulates),
     # and the middle only sees the outer header. hop_limit 3 is enough.
     records = _run(build_scenario_6to4(hop_limit=3, count=1))
-    assert records[0].receive_time is not None
+    assert list(records)[0].receive_time is not None
     records = _run(build_scenario_6to4(hop_limit=2, count=1))
-    assert records[0].drop_reason is DropReason.TTL_EXPIRED
+    assert list(records)[0].drop_reason is DropReason.TTL_EXPIRED
 
 
 # SHA-256 of serialize_model() for every builder variant that the tests and

@@ -459,7 +459,7 @@ def test_a_packet_arriving_exactly_at_the_horizon_is_delivered(monkeypatch):
         for horizon, delivered in ((arrival, True), (math.nextafter(arrival, 0.0), False)):
             shim = CountingHeapq()
             monkeypatch.setattr(simcore, "heapq", shim)
-            rec = run_simulation(s.topology, traffic, horizon)[last.packet_id]
+            rec = list(run_simulation(s.topology, traffic, horizon))[last.packet_id]
             assert (shim.pops > 0) is heap_used
             assert rec.wire_bytes_per_hop == last.wire_bytes_per_hop
             if delivered:
@@ -508,14 +508,14 @@ def test_hop_limit_budget_over_chain():
     topo = _chain_topology()
     short = TrafficSpec("f", "h1", "h2", count=1, hop_limit=2)
     records = run_simulation(topo, [short])
-    assert records[0].drop_reason is DropReason.TTL_EXPIRED
+    assert list(records)[0].drop_reason is DropReason.TTL_EXPIRED
     # The drop happened at the second router: only two links were crossed.
-    assert [link for link, _ in records[0].wire_bytes_per_hop] == ["l0", "l1"]
+    assert [link for link, _ in list(records)[0].wire_bytes_per_hop] == ["l0", "l1"]
 
     enough = TrafficSpec("f", "h1", "h2", count=1, hop_limit=3)
     records = run_simulation(topo, [enough])
-    assert records[0].receive_time is not None
-    assert [link for link, _ in records[0].wire_bytes_per_hop] == ["l0", "l1", "l2"]
+    assert list(records)[0].receive_time is not None
+    assert [link for link, _ in list(records)[0].wire_bytes_per_hop] == ["l0", "l1", "l2"]
 
 
 def test_v4_flow_end_to_end():
@@ -559,7 +559,7 @@ def test_run_is_deterministic():
     flows = [TrafficSpec("f", "h1", "h2", count=10, gap=1e-4, jitter=0.5)]
     a = run_simulation(topo, flows, seed=7)
     b = run_simulation(topo, flows, seed=7)
-    assert a == b
+    assert list(a) == list(b)
     c = run_simulation(topo, flows, seed=8)
     assert [r.send_time for r in c] != [r.send_time for r in a]
 

@@ -1,0 +1,34 @@
+"""The package imports nothing outside the standard library.
+
+transit6 is meant to run on a bare CPython, so every absolute import in
+``src/transit6`` must name ``__future__``, ``transit6`` itself, or a
+top-level module of the standard library. Relative imports stay inside the
+package.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "transit6"
+ALLOWED = {"__future__", "transit6"} | set(sys.stdlib_module_names)
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_every_import_is_stdlib_or_the_package():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    outside = [
+        (path.name, name)
+        for path in modules
+        for name in _absolute_imports(path)
+        if name.split(".")[0] not in ALLOWED
+    ]
+    assert outside == []

@@ -71,8 +71,8 @@ def test_summaries_match_oracle_on_tunnel_loop():
         for trace in (None, []):
             records = run_simulation(s.topology, s.traffic, horizon, trace=trace)
             if horizon is not None:
-                assert records[0].drop_reason is DropReason.TUNNEL_LOOP
-                assert records[-1].drop_reason is DropReason.HORIZON_EXPIRED
+                assert list(records)[0].drop_reason is DropReason.TUNNEL_LOOP
+                assert list(records)[-1].drop_reason is DropReason.HORIZON_EXPIRED
             _check(records, horizon)
 
 
@@ -120,6 +120,6 @@ def test_summaries_match_oracle_on_hand_built_records():
         for pid, rec in enumerate(records):
             rec.packet_id = pid
         table = table_of(records)
-        assert table == records, case
+        assert list(table) == records, case
         _check(table, case)
     assert seen == {None, *DropReason}

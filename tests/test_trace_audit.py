@@ -55,7 +55,7 @@ def test_first_packet_crosses_the_tunnel():
     _, trace, records = _traced(build_scenario_6to4)
     frames = [_frame(trace[i]) for i in _first_packet(trace)]
     assert [f[0] >> 4 for f in frames] == [6, 4, 4, 6]
-    assert [hop for hop, _ in records[0].wire_bytes_per_hop] == ["h1-r1", "r1-r2", "r2-r3", "r3-h2"]
+    assert [hop for hop, _ in list(records)[0].wire_bytes_per_hop] == ["h1-r1", "r1-r2", "r2-r3", "r3-h2"]
 
 
 # (hop, byte, delta, recompute the checksum, what the audit reports)
