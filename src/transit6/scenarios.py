@@ -74,7 +74,6 @@ def _chain(
             role=Role.HOST,
             interfaces=[Interface("eth0", v6=[Ipv6Address.parse(addr)])],
             v6_routes=[RouteEntry6(Ipv6Prefix.parse("::/0"), "eth0")],
-            processing_delay=0.0,
         )
 
     def router(node_id, interfaces, v4_routes, v6, tunnel=None) -> Node:
@@ -129,10 +128,7 @@ def _chain(
         payload_bytes=payload_bytes,
         count=count,
         gap=gap,
-        start=0.0,
-        family="v6",
         hop_limit=hop_limit,
-        jitter=0.0,
     )
     return Scenario(name=name, topology=topology, traffic=[flow])
 
@@ -140,14 +136,14 @@ def _chain(
 def build_scenario_6to4(
     tunnel_kind: TunnelKind = TunnelKind.CONFIGURED,
     with_tunnel: bool = True,
-    bandwidth: float = 100e6,
-    propagation_delay: float = 1e-3,
-    mtu: int = 1500,
+    bandwidth: float = Link.bandwidth,
+    propagation_delay: float = Link.propagation_delay,
+    mtu: int = Link.mtu,
     processing_delay: float = 50e-6,
-    payload_bytes: int = 1000,
-    count: int = 10,
-    gap: float = 1e-3,
-    hop_limit: int = 64,
+    payload_bytes: int = TrafficSpec.payload_bytes,
+    count: int = TrafficSpec.count,
+    gap: float = TrafficSpec.gap,
+    hop_limit: int = TrafficSpec.hop_limit,
 ) -> Scenario:
     """Tunnel scenario: IPv6 edges joined across an IPv4-only middle.
 
@@ -193,14 +189,14 @@ def build_scenario_6to4(
 
 
 def build_scenario_dualstack(
-    bandwidth: float = 100e6,
-    propagation_delay: float = 1e-3,
-    mtu: int = 1500,
+    bandwidth: float = Link.bandwidth,
+    propagation_delay: float = Link.propagation_delay,
+    mtu: int = Link.mtu,
     processing_delay: float = 50e-6,
-    payload_bytes: int = 1000,
-    count: int = 10,
-    gap: float = 1e-3,
-    hop_limit: int = 64,
+    payload_bytes: int = TrafficSpec.payload_bytes,
+    count: int = TrafficSpec.count,
+    gap: float = TrafficSpec.gap,
+    hop_limit: int = TrafficSpec.hop_limit,
 ) -> Scenario:
     """Dual-stack scenario: the same topology with native IPv6 end to end."""
     h1, h2 = _HOST_PREFIXES

@@ -32,6 +32,11 @@ max(idle, ready)``, the queue is idle again at ``start + serialization``,
 and the next node has processed the frame at ``start + serialization +
 propagation + processing``.
 
+``run_simulation`` holds the run and reads top to bottom: it validates the
+model, builds the ports (``_ports``), draws the sends (``_draw_sends``),
+compiles each flow header's path (``_path``), times each private group
+(``_time_group``), walks the heap and returns the columns.
+
 Send times are drawn up front, flow by flow, and a send's seq is its
 position in that draw order. Each flow keeps its own sends in (time, seq)
 order, and no run keeps one schedule of them all: where a set of flows'
@@ -617,13 +622,13 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: jitter must be in [0, 1)")
 
 
-# A heap entry is hop i of flow's path, (time, after, parent, start, seq,
-# flow, i, j, packet_id), due when the node has processed the packet, j being
-# the packet's place among its flow's packets. Its key is
-# the first five: after is when the packet reached the node; parent, start and
-# seq are 0, 0.0 and the packet id at the source, and 1,
-# when the previous hop began to transmit and that hop's rank among heap hops
-# at a later node. Keys are unique, so entries never compare past the seq.
+# A heap entry is hop i of flow f's path, (key, f, i, j, packet id), due when
+# the node has processed the packet; j is the packet's place among its flow's.
+# The key, the first five fields, is (time, send time, 0, 0.0, packet id) at
+# the source and (time, arrival, 1, previous start, previous rank) at a later
+# node: when the packet reached it, and when and at what rank among heap hops
+# the previous hop began to transmit. Keys are unique, so entries never
+# compare past them.
 
 
 @dataclass(slots=True)
@@ -633,262 +638,135 @@ class _Port:
     link: Link
     peer: Node
     peer_if: str
-    # Index of this direction's "idle from" time in the engine's list.
+    # Index of this direction's "idle from" time in the run's list.
     queue: int
 
 
-class _Engine:
-    def __init__(
-        self,
-        topology: Topology,
-        traffic: Sequence[TrafficSpec],
-        horizon: Optional[float],
-        seed: int,
-        trace: Optional[list[str]],
-    ) -> None:
-        self.trace = trace
-        self.traffic = traffic
-        self.limit = limit = math.inf if horizon is None else horizon
-        self.nodes = nodes = {n.id: n for n in topology.nodes}
-        # Keyed by the (node id, interface name) a frame leaves by.
-        self.ports: dict[tuple[str, str], _Port] = {}
-        # A FIFO per (link, sending node): a link whose two ends sit on one
-        # node has a single queue.
-        queues: dict[tuple[str, str], int] = {}
-        for link in topology.links:
-            for out, (peer_id, peer_if) in ((link.a, link.b), (link.b, link.a)):
-                self.ports[out] = _Port(
-                    link, nodes[peer_id], peer_if, queues.setdefault((link.id, out[0]), len(queues))
-                )
-        self.queue_count = len(queues)
+def _ports(links: Sequence[Link], nodes: dict[str, Node]) -> tuple[dict[tuple, _Port], int]:
+    """Each link direction's port, and the number of queues the ports use.
 
-        # Send times are drawn flow by flow, one draw per jittered send, and
-        # a send's seq is its position in that draw order. ``b * draw()`` is
-        # the float that ``Random.uniform(0.0, b)`` returns.
-        draw = random.Random(seed).random
-        # Each flow's sends up to the horizon, in (time, seq) order: a stable
-        # sort by time of its draws. Later sends never happen.
-        self.flow_sends: list[array] = []
-        for flow in traffic:
-            start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
-            if flow.jitter > 0:
-                drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
-            else:
-                drawn = [start + i * gap for i in range(flow.count)]
-            drawn.sort()
-            del drawn[bisect_right(drawn, limit):]
-            self.flow_sends.append(array("d", drawn))
-
-    def _path(
-        self, fwd, node: Node, frame: bytes
-    ) -> tuple[list[tuple], list[tuple], Optional[DropReason]]:
-        """Every hop a frame takes from ``node``, its hop prefixes, and its end.
-
-        Each hop is (processing delay before it, queue, serialization time,
-        propagation delay, trace text), and the end is None for a delivery
-        or the drop reason. A frame too big for its next link ends the path
-        on a hop with no queue: it is dropped once that node has processed
-        it. Prefix n is the tuple of the (link id, size) of the first n hops
-        transmitted, for n from 0 to all of them: what a record holds.
-        """
-        trace = self.trace is not None
-        ports = self.ports
-        path: list[tuple] = []
-        crossed: list[tuple[str, int]] = []
-        in_if = None
-        while True:
-            res = fwd(node, frame, in_if)
-            if res.action is not ForwardAction.FORWARD:
-                end = res.drop_reason
-                break
-            port = ports[node.id, res.out_if]
-            link = port.link
-            frame = res.frame
-            nbytes = len(frame)
-            if nbytes > link.mtu:
-                path.append((node.processing_delay, None, None, None, None))
-                end = DropReason.MTU_EXCEEDED
-                break
-            text = (f"{link.id} {node.id}->{port.peer.id}", frame.hex()) if trace else None
-            path.append(
-                (
-                    node.processing_delay,
-                    port.queue,
-                    nbytes * 8 / link.bandwidth,
-                    link.propagation_delay,
-                    text,
-                )
+    Ports are keyed by the (node id, interface name) a frame leaves by. There
+    is a FIFO queue per (link, sending node), so a link whose two ends sit on
+    one node has a single queue.
+    """
+    ports: dict[tuple[str, str], _Port] = {}
+    queues: dict[tuple[str, str], int] = {}
+    for link in links:
+        for out, (peer_id, peer_if) in ((link.a, link.b), (link.b, link.a)):
+            ports[out] = _Port(
+                link, nodes[peer_id], peer_if, queues.setdefault((link.id, out[0]), len(queues))
             )
-            crossed.append((link.id, nbytes))
-            node, in_if = port.peer, port.peer_if
-        return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
+    return ports, len(queues)
 
-    def _time_group(
-        self, path: list[tuple], queued: int, end: int, flows: list[int],
-        columns: list[FlowColumns],
-    ) -> None:
-        """Time the packets of ``flows``, which take the private ``path``.
 
-        ``queued`` is the number of the path's hops that transmit and ``end``
-        the code of how it ends. The flows' sends, in (time, seq) order, go
-        into one array of ready times, and each hop is one loop over it
-        (``_hop``) that leaves there when each packet reaches the next node.
-        The path's queues are its own and start idle, and its ready and start
-        times never decrease from one packet to the next, so the horizon cuts
-        a suffix at every hop: a flow's columns are runs of equal hop counts
-        and ends, with the arrivals of its delivered packets and NaN after
-        them.
-        """
-        limit = self.limit
-        ready, owners = _merge(self.flow_sends, flows)
-        # cuts[h]: how many of the packets crossed h hops, a prefix.
-        cuts = [len(ready)]
-        for processing, _, ser, prop, _ in islice(path, queued):
-            cuts.append(_hop(ready, cuts[-1], processing, ser, prop, limit))
-        # The runs of packets that crossed the same number of hops, as (first,
-        # end, hops), the empty ones left out; the 0 closes the last run.
-        cuts.append(0)
-        runs = [(cuts[h + 1], cuts[h], h) for h in range(queued, -1, -1) if cuts[h] > cuts[h + 1]]
+def _draw_sends(traffic: Sequence[TrafficSpec], seed: int, limit: float) -> list[array]:
+    """Each flow's sends up to ``limit``, in (time, seq) order.
 
-        # A packet that crossed every queue ends when it arrives, or, if its
-        # frame is too big for the next link, once the next node has processed
-        # it. Arrivals never decrease either, so those that end by the horizon
-        # are a prefix too; a delivered one's arrival goes to its flow's column.
-        wait = path[queued][0] if len(path) > queued else 0.0
-        done = bisect_right(ready, limit, 0, cuts[queued], key=lambda t: t + wait)
-        if not end:
-            del ready[done:]
-            if len(columns[flows[0]].send) == len(owners):
-                # One flow sent every packet: the array is its column.
-                columns[flows[0]].receive = ready
-            else:
-                adds = [columns[f].receive.append for f in flows]
-                for k, t in zip(owners, ready):
-                    adds[k](t)
-        HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
-        for k, f in enumerate(flows):
-            c = columns[f]
-            sent = len(c.send)
-            for first, last, hops in runs:
-                c.hops.extend(repeat(hops, owners[first:last].count(k)))
-            finished = owners[:done].count(k)
-            c.end += bytes((end,)) * finished + bytes((HORIZON_EXPIRED,)) * (sent - finished)
-            c.receive += array("d", [math.nan]) * (sent - len(c.receive))
+    Send times are drawn flow by flow, one draw per jittered send, and a
+    send's seq is its position in that draw order, so a stable sort by time
+    of a flow's draws orders its sends. Later sends never happen.
+    """
+    # ``b * draw()`` is the float that ``Random.uniform(0.0, b)`` returns.
+    draw = random.Random(seed).random
+    flow_sends: list[array] = []
+    for flow in traffic:
+        start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
+        if flow.jitter > 0:
+            drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
+        else:
+            drawn = [start + i * gap for i in range(flow.count)]
+        drawn.sort()
+        del drawn[bisect_right(drawn, limit):]
+        flow_sends.append(array("d", drawn))
+    return flow_sends
 
-    def run(self) -> RecordTable:
-        # Read once per run, from the module, so a caller can substitute them.
-        push = heapq.heappush
-        pop = heapq.heappop
-        fwd = forward
-        MTU_EXCEEDED = _END_CODES[DropReason.MTU_EXCEEDED]
-        HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
-        NAN = math.nan
-        trace = self.trace
-        idle = [0.0] * self.queue_count
-        limit = self.limit
 
-        # What a node does with a frame depends only on the node, the frame
-        # and where it came in, so each distinct flow header is framed and
-        # walked once, here, and the timing below only follows its path.
-        nodes = self.nodes
-        # Each header's path, hop prefixes, end code and flows.
-        compiled: dict[tuple, tuple] = {}
-        paths: list[list[tuple]] = []
-        ends: list[int] = []
-        columns: list[FlowColumns] = []
-        for f, (flow, sends) in enumerate(zip(self.traffic, self.flow_sends)):
-            key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
-            if key not in compiled:
-                src = nodes[flow.src]
-                path, prefixes, end = self._path(fwd, src, _flow_frame(src, nodes[flow.dst], flow))
-                compiled[key] = path, prefixes, _END_CODES[end], []
-            path, prefixes, end, flows = compiled[key]
-            flows.append(f)
-            paths.append(path)
-            ends.append(end)
-            columns.append(
-                FlowColumns(
-                    flow.flow_id, flow.src, flow.dst, flow.payload_bytes, prefixes, sends,
-                    array("d"), bytearray(), bytearray() if len(prefixes) <= 256 else array("I"),
-                )
-            )
+def _path(
+    ports: dict[tuple[str, str], _Port], traced: bool, fwd, node: Node, frame: bytes
+) -> tuple[list[tuple], list[tuple], Optional[DropReason]]:
+    """Every hop a frame takes from ``node``, its hop prefixes, and its end.
 
-        # A path is private when each of its queues occurs once in all the
-        # paths: no other path uses it and it does not use it twice. Its
-        # packets meet at every queue in send order, so its flows are timed
-        # on their own, hop by hop. A trace lists transmissions in the order
-        # the heap starts them, so a traced run keeps every flow that
-        # transmits on the heap.
-        queues = [[hop[1] for hop in path if hop[1] is not None] for path, *_ in compiled.values()]
-        users = Counter(queue for own in queues for queue in own)
-        on_heap = bytearray(len(paths))
-        for (path, _, end, flows), own in zip(compiled.values(), queues):
-            if all(users[queue] == 1 for queue in own) and (trace is None or not own):
-                self._time_group(path, len(own), end, flows, columns)
-            else:
-                for f in flows:
-                    on_heap[f] = 1
+    Each hop is (processing delay before it, queue, serialization time,
+    propagation delay, trace text if ``traced``), and the end is None for a
+    delivery or the drop reason. A frame too big for its next link ends the
+    path on a hop with no queue: it is dropped once that node has processed
+    it. Prefix n is the tuple of the (link id, size) of the first n hops
+    transmitted, for n from 0 to all of them: what a record holds.
+    """
+    path: list[tuple] = []
+    crossed: list[tuple[str, int]] = []
+    in_if = None
+    while True:
+        res = fwd(node, frame, in_if)
+        if res.action is not ForwardAction.FORWARD:
+            end = res.drop_reason
+            break
+        port = ports[node.id, res.out_if]
+        link = port.link
+        frame = res.frame
+        nbytes = len(frame)
+        if nbytes > link.mtu:
+            path.append((node.processing_delay, None, None, None, None))
+            end = DropReason.MTU_EXCEEDED
+            break
+        text = (f"{link.id} {node.id}->{port.peer.id}", frame.hex()) if traced else None
+        ser = nbytes * 8 / link.bandwidth
+        path.append((node.processing_delay, port.queue, ser, link.propagation_delay, text))
+        crossed.append((link.id, nbytes))
+        node, in_if = port.peer, port.peer_if
+    return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
-        heap: list[tuple] = []
-        # Counts the hops that began to transmit, in the order they came off.
-        rank = 0
-        # With a trace, (start, rank, line) per transmission, sorted at the end.
-        lines: Optional[list[tuple]] = None if trace is None else []
 
-        # The sends of the flows left for the heap, with their places in the
-        # (time, seq) order of every flow's sends, which are their packet ids.
-        # Entries due before a send come off first; at equal times the send
-        # goes first. The last pass, flow -1, sends nothing: it takes off the
-        # entries due by the horizon.
-        walk: Iterable[tuple] = ()
-        if any(on_heap):
-            times, owners = _merge(self.flow_sends, range(len(paths)))
-            sends = compress(zip(count(), times, owners), map(on_heap.__getitem__, owners))
-            walk = chain(sends, [(-1, limit, -1)])
-        for seq, now, a in walk:
-            while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
-                # The node has processed the packet for hop b of its flow's
-                # path: the frame joins the link's FIFO, is sent and arrives.
-                due, _, _, _, _, f, b, j, packet_id = pop(heap)
-                path = paths[f]
-                _, queue, ser, prop, text = path[b]
-                if queue is None:
-                    columns[f].end[j] = MTU_EXCEEDED
-                    continue
-                free = idle[queue]
-                start = free if free > due else due
-                idle[queue] = start + ser
-                if start > limit:
-                    continue
-                rank += 1
-                b += 1
-                columns[f].hops[j] = b
-                if lines is not None:
-                    lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
-                arrival = start + ser + prop
-                if b < len(path):
-                    push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, j, packet_id))
-                elif arrival <= limit:
-                    columns[f].end[j] = ends[f]
-                    if not ends[f]:
-                        columns[f].receive[j] = arrival
-            if a < 0:
-                break
+def _time_group(
+    flow_sends: Sequence[array], limit: float, path: list[tuple], queued: int, end: int,
+    flows: list[int], columns: list[FlowColumns],
+) -> None:
+    """Time the packets of ``flows``, which take the private ``path``.
 
-            # A send adds the packet to its flow's columns. It starts out
-            # expired by the horizon, which is how it ends if the run stops
-            # before its frame does.
-            c = columns[a]
-            j = len(c.end)
-            c.receive.append(NAN)
-            c.end.append(HORIZON_EXPIRED)
-            c.hops.append(0)
-            push(heap, (now + paths[a][0][0], now, 0, 0.0, seq, a, 0, j, seq))
+    ``queued`` is the number of the path's hops that transmit, ``end`` the
+    code of how it ends and ``limit`` the horizon. The flows' sends, taken
+    from ``flow_sends`` in (time, seq) order, go into one array of ready
+    times, and each hop is one loop over it (``_hop``) that leaves there
+    when each packet reaches the next node. The path's queues are its own
+    and start idle, and its ready and start times never decrease from one
+    packet to the next, so the horizon cuts a suffix at every hop: a flow's
+    columns are runs of equal hop counts and ends, with the arrivals of its
+    delivered packets and NaN after them.
+    """
+    ready, owners = _merge(flow_sends, flows)
+    # cuts[h]: how many of the packets crossed h hops, a prefix.
+    cuts = [len(ready)]
+    for processing, _, ser, prop, _ in islice(path, queued):
+        cuts.append(_hop(ready, cuts[-1], processing, ser, prop, limit))
+    # The runs of packets that crossed the same number of hops, as (first,
+    # end, hops), the empty ones left out; the 0 closes the last run.
+    cuts.append(0)
+    runs = [(cuts[h + 1], cuts[h], h) for h in range(queued, -1, -1) if cuts[h] > cuts[h + 1]]
 
-        if lines is not None:
-            lines.sort()
-            trace.extend(line for _, _, line in lines)
-        return RecordTable(columns)
+    # A packet that crossed every queue ends when it arrives, or, if its
+    # frame is too big for the next link, once the next node has processed
+    # it. Arrivals never decrease either, so those that end by the horizon
+    # are a prefix too; a delivered one's arrival goes to its flow's column.
+    wait = path[queued][0] if len(path) > queued else 0.0
+    done = bisect_right(ready, limit, 0, cuts[queued], key=lambda t: t + wait)
+    if not end:
+        del ready[done:]
+        if len(columns[flows[0]].send) == len(owners):
+            # One flow sent every packet: the array is its column.
+            columns[flows[0]].receive = ready
+        else:
+            adds = [columns[f].receive.append for f in flows]
+            for k, t in zip(owners, ready):
+                adds[k](t)
+    HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
+    for k, f in enumerate(flows):
+        c = columns[f]
+        sent = len(c.send)
+        for first, last, hops in runs:
+            c.hops.extend(repeat(hops, owners[first:last].count(k)))
+        finished = owners[:done].count(k)
+        c.end += bytes((end,)) * finished + bytes((HORIZON_EXPIRED,)) * (sent - finished)
+        c.receive += array("d", [math.nan]) * (sent - len(c.receive))
 
 
 def _hop(ready: array, m: int, processing: float, ser: float, prop: float, limit: float) -> int:
@@ -990,4 +868,120 @@ def run_simulation(
         raise InvalidTrafficError("horizon must be finite")
     if horizon is not None and horizon < 0:
         raise InvalidTrafficError("horizon must not be negative")
-    return _Engine(topology, traffic, horizon, seed, trace).run()
+    limit = math.inf if horizon is None else horizon
+    nodes = {n.id: n for n in topology.nodes}
+    ports, queue_count = _ports(topology.links, nodes)
+    flow_sends = _draw_sends(traffic, seed, limit)
+
+    # Read once per run, from the module, so a caller can substitute them.
+    push = heapq.heappush
+    pop = heapq.heappop
+    fwd = forward
+    MTU_EXCEEDED = _END_CODES[DropReason.MTU_EXCEEDED]
+    HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
+    NAN = math.nan
+    idle = [0.0] * queue_count
+
+    # What a node does with a frame depends only on the node, the frame
+    # and where it came in, so each distinct flow header is framed and
+    # walked once, here, and the timing below only follows its path.
+    # Each header's path, hop prefixes, end code and flows.
+    compiled: dict[tuple, tuple] = {}
+    paths: list[list[tuple]] = []
+    ends: list[int] = []
+    columns: list[FlowColumns] = []
+    for f, (flow, sends) in enumerate(zip(traffic, flow_sends)):
+        key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
+        if key not in compiled:
+            src = nodes[flow.src]
+            path, prefixes, end = _path(
+                ports, trace is not None, fwd, src, _flow_frame(src, nodes[flow.dst], flow)
+            )
+            compiled[key] = path, prefixes, _END_CODES[end], []
+        path, prefixes, end, flows = compiled[key]
+        flows.append(f)
+        paths.append(path)
+        ends.append(end)
+        columns.append(
+            FlowColumns(
+                flow.flow_id, flow.src, flow.dst, flow.payload_bytes, prefixes, sends,
+                array("d"), bytearray(), bytearray() if len(prefixes) <= 256 else array("I"),
+            )
+        )
+
+    # A path is private when each of its queues occurs once in all the
+    # paths: no other path uses it and it does not use it twice. Its
+    # packets meet at every queue in send order, so its flows are timed
+    # on their own, hop by hop. A trace lists transmissions in the order
+    # the heap starts them, so a traced run keeps every flow that
+    # transmits on the heap.
+    queues = [[hop[1] for hop in path if hop[1] is not None] for path, *_ in compiled.values()]
+    users = Counter(queue for own in queues for queue in own)
+    on_heap = bytearray(len(paths))
+    for (path, _, end, flows), own in zip(compiled.values(), queues):
+        if all(users[queue] == 1 for queue in own) and (trace is None or not own):
+            _time_group(flow_sends, limit, path, len(own), end, flows, columns)
+        else:
+            for f in flows:
+                on_heap[f] = 1
+
+    heap: list[tuple] = []
+    # Counts the hops that began to transmit, in the order they came off.
+    rank = 0
+    # With a trace, (start, rank, line) per transmission, sorted at the end.
+    lines: Optional[list[tuple]] = None if trace is None else []
+
+    # The sends of the flows left for the heap, with their places in the
+    # (time, seq) order of every flow's sends, which are their packet ids.
+    # Entries due before a send come off first; at equal times the send
+    # goes first. The last pass, flow -1, sends nothing: it takes off the
+    # entries due by the horizon.
+    walk: Iterable[tuple] = ()
+    if any(on_heap):
+        times, owners = _merge(flow_sends, range(len(paths)))
+        sends = compress(zip(count(), times, owners), map(on_heap.__getitem__, owners))
+        walk = chain(sends, [(-1, limit, -1)])
+    for seq, now, a in walk:
+        while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
+            # The node has processed the packet for hop b of its flow's
+            # path: the frame joins the link's FIFO, is sent and arrives.
+            due, _, _, _, _, f, b, j, packet_id = pop(heap)
+            path = paths[f]
+            _, queue, ser, prop, text = path[b]
+            if queue is None:
+                columns[f].end[j] = MTU_EXCEEDED
+                continue
+            free = idle[queue]
+            start = free if free > due else due
+            idle[queue] = start + ser
+            if start > limit:
+                continue
+            rank += 1
+            b += 1
+            columns[f].hops[j] = b
+            if lines is not None:
+                lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
+            arrival = start + ser + prop
+            if b < len(path):
+                push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, j, packet_id))
+            elif arrival <= limit:
+                columns[f].end[j] = ends[f]
+                if not ends[f]:
+                    columns[f].receive[j] = arrival
+        if a < 0:
+            break
+
+        # A send adds the packet to its flow's columns. It starts out
+        # expired by the horizon, which is how it ends if the run stops
+        # before its frame does.
+        c = columns[a]
+        j = len(c.end)
+        c.receive.append(NAN)
+        c.end.append(HORIZON_EXPIRED)
+        c.hops.append(0)
+        push(heap, (now + paths[a][0][0], now, 0, 0.0, seq, a, 0, j, seq))
+
+    if lines is not None:
+        lines.sort()
+        trace.extend(line for _, _, line in lines)
+    return RecordTable(columns)

@@ -34,6 +34,9 @@ README = Path(__file__).parents[1] / "README.md"
 # SHA-256 of `transit6 compare 6to4 dualstack -f json-lines`. These bytes are
 # the project's output invariant: change them only on purpose.
 COMPARE_SHA256 = "873b27207f53d32a9b285f3e26ce5764abf704666cb7a83420b9ee779020c8ff"
+# SHA-256 of the file `transit6 run 6to4 --trace FILE` writes: every frame's
+# bytes and start time, in the order a traced run's heap transmits them.
+TRACE_6TO4_SHA256 = "6978dec5dba934948701e1c9d0ee997de11e1dd41149533fb3f22c74c9031d2f"
 
 SUMMARY_HEADER = (
     "flow,injected,delivered,dropped,mean_delay_s,min_delay_s,max_delay_s,"
@@ -378,6 +381,13 @@ def test_run_trace_file(tmp_path, capsys):
     # 10 packets, 4 links each.
     assert len(lines) == 40
     assert all("pkt=" in line for line in lines)
+
+
+def test_run_trace_file_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "frames.log"
+    assert main(["run", "6to4", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_6TO4_SHA256
 
 
 def _congested_scenario_file(tmp_path) -> str:

@@ -1,9 +1,10 @@
-"""The package imports nothing outside the standard library.
+"""The package imports nothing outside the standard library, and nothing unused.
 
 transit6 is meant to run on a bare CPython, so every absolute import in
 ``src/transit6`` must name ``__future__``, ``transit6`` itself, or a
 top-level module of the standard library. Relative imports stay inside the
-package.
+package. Every name a module imports must also be read in it, so code that
+moves between modules leaves no import behind.
 """
 
 import ast
@@ -32,3 +33,19 @@ def test_every_import_is_stdlib_or_the_package():
         if name.split(".")[0] not in ALLOWED
     ]
     assert outside == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append((path.name, name))
+    assert unused == []
