@@ -101,6 +101,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from typing import Optional, Union
 
@@ -794,32 +795,38 @@ def _merge(flow_sends: Sequence[array], flows: Sequence[int]) -> tuple[array, Se
     Seqs count sends flow by flow, so a stable sort by time of the flows'
     sends, one flow after another, gives that order. Each flow's sends are
     in order, so the sort is needed only where a flow's first send comes
-    before the send ahead of it. A place takes a byte for up to 256 flows
-    and four past that.
+    before the last send of the flows ahead of it. A place takes a byte for
+    up to 256 flows and four past that.
+
+    The sort, a multi-flow run's memory peak, holds per send a list slot
+    for its place (one int object per flow), its time as a float key and
+    that key's slot, and no copy of the times: ``list.sort`` computes every
+    key once, in list order, before it moves anything, so a key function
+    that steps through the flows' sends in that order gives each place the
+    time of its own send. ``tests/test_simcore.py`` holds the result to
+    the plain index sort.
     """
     wide = len(flows) > 256
     times = array("d")
     owners = array("I") if wide else bytearray()
-    ordered = True
     for k, f in enumerate(flows):
         sends = flow_sends[f]
         if sends and times and sends[0] < times[-1]:
-            ordered = False
+            break
         times += sends
         owners += (array("I", [k]) if wide else bytes((k,))) * len(sends)
-    if not ordered:
-        # The sort holds a float and an index object per send, a multi-flow
-        # run's memory peak, so no second copy of the times is held with it.
-        listed = times.tolist()
-        del times
-        order = sorted(range(len(listed)), key=listed.__getitem__)
-        # The same stable sort of the same times: the same permutation.
-        listed.sort()
-        times = array("d", listed)
-        del listed
-        picked = [owners[i] for i in order]
-        owners = array("I", picked) if wide else bytearray(picked)
-    return times, owners
+    else:
+        return times, owners
+    del times, owners
+    sends = [flow_sends[f] for f in flows]
+    # [*...] rather than list(...), whose new list object would stay in
+    # CPython's free list after the run, which tracemalloc counts as held.
+    picked = [*chain.from_iterable(map(repeat, range(len(sends)), map(len, sends)))]
+    picked.sort(key=partial(next, chain.from_iterable(sends)))
+    owners = array("I", picked) if wide else bytearray(picked)
+    del picked
+    # The same stable sort of the same times: the times in that order.
+    return array("d", sorted(chain.from_iterable(sends))), owners
 
 
 def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:

@@ -1,12 +1,12 @@
-import gc
 import math
 import random
-import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from heap_counting import CountingHeapq
+from peak_memory import one_flow_shape, peak_per_packet, shared_queue_shape
 from test_engine_oracle import _congested_shape
 
 from transit6.addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
@@ -698,38 +698,93 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
 # records alone held ~189 and the peak was ~216.
 PEAK_BYTES_PER_PACKET = 70
 # The same on the congested-native shape at 400 packets a flow (8 jittered
-# flows of one header, ~2560 sent before the horizon), whose sends must be
-# sorted into one order. Measured 97.4-99.1 on CPython 3.11 (x86-64 Linux)
-# over three seeds, and 99.6 while every run built a global send schedule.
-# The sort holds a float and an index object per send (~68 B); a list of
-# floats held per send on top of it, 32 B each, would take it past the
-# bound.
-PEAK_BYTES_PER_PACKET_SORTED = 115
-
-
-def _peak_per_packet(topology, flows, horizon):
-    """The summaries of a run, and its tracemalloc peak per injected packet."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        summaries = summarize(run_simulation(topology, flows, horizon))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return summaries, peak / sum(summary.injected for summary in summaries)
+# flows of one header, ~2560 sent before the horizon), whose sends _merge
+# must sort into one order. Measured 59.5-61.3 on CPython 3.11 (x86-64
+# Linux) over four seeds; 97.3-99.1 while the sort held an index object per
+# send. Its peak is that sort, which holds a place, a float key and their
+# two list slots per send (~40 B): an int object per send on top of that,
+# 28 B or more, would take it past the bound, as would a list of floats.
+PEAK_BYTES_PER_PACKET_SORTED = 80
+# The same shape with each flow's payload one byte apart, so its eight paths
+# share the r1-r2 queue and are timed on the heap, over the merge of every
+# flow's sends. Measured 88.4-88.6 on CPython 3.11 (x86-64 Linux) over four
+# seeds; 101.3-101.4 while the merge held an index object per send.
+PEAK_BYTES_PER_PACKET_HEAP = 96
 
 
 def test_peak_memory_per_packet_stays_bounded():
     # Packets end in per-flow columns of a few bytes each, and summarize
     # reads the columns: no record object is kept per packet.
-    s = build_scenario_6to4(count=3000)
-    summaries, peak = _peak_per_packet(s.topology, s.traffic, None)
+    summaries, peak = peak_per_packet(*one_flow_shape())
     assert summaries[0].delivered_count == 3000
     assert peak < PEAK_BYTES_PER_PACKET
-    summaries, peak = _peak_per_packet(*_congested_shape(400))
+    summaries, peak = peak_per_packet(*_congested_shape(400))
     assert sum(summary.injected for summary in summaries) > 2500
     assert all(summary.delivered_count and summary.dropped_count for summary in summaries)
     assert peak < PEAK_BYTES_PER_PACKET_SORTED
+
+
+def test_peak_memory_per_packet_of_a_heap_run_stays_bounded(monkeypatch):
+    # Paths that share a queue are timed on the heap, whose walk merges every
+    # flow's sends first; the run is counted once to show it takes the heap.
+    shape = shared_queue_shape()
+    shim = CountingHeapq()
+    with monkeypatch.context() as m:
+        m.setattr(simcore, "heapq", shim)
+        run_simulation(*shape)
+    assert shim.pops > 0
+    summaries, peak = peak_per_packet(*shape)
+    assert len(summaries) == 8
+    assert all(summary.delivered_count and summary.dropped_count for summary in summaries)
+    assert peak < PEAK_BYTES_PER_PACKET_HEAP
+
+
+def _merge_reference(flow_sends, flows):
+    """``_merge`` as the plain index sort of the flows' concatenated sends."""
+    concat = [t for f in flows for t in flow_sends[f]]
+    places = [k for k, f in enumerate(flows) for _ in flow_sends[f]]
+    order = sorted(range(len(concat)), key=concat.__getitem__)
+    return [concat[i] for i in order], [places[i] for i in order]
+
+
+def test_merge_matches_the_index_sort():
+    # _merge sorts each send's place with a key function that steps through
+    # the flows' sends, which is right only because list.sort computes every
+    # key once, in list order, before it moves anything; this test pins that.
+    # Dyadic times tie exactly, across flows and within one. An empty flow
+    # between two others must not hide that the third starts before the
+    # first ends. Past 256 flows a place takes four bytes.
+    rng = random.Random(26)
+    tick = 2.0**-4
+    cases = [
+        [[1.0, 2.0, 3.0], [], [0.5, 2.0, 2.0]],
+        [[0.0, 1.0], [], [], [2.0, 3.0]],
+        [[0.0, 1.0], [], [], [0.5]],
+        [[1.0, 1.0, 1.0], [1.0], [0.0, 1.0]],
+        [[tick * k for k in range(50)]],
+        [[], []],
+        [[float(k)] for k in range(300)],
+        [[float(300 - k)] for k in range(300)],
+    ]
+    for n in (2, 3, 8, 300):
+        for _ in range(20):
+            cases.append([
+                sorted(tick * rng.randrange(40) for _ in range(rng.choice((0, 1, 5, 12))))
+                for _ in range(n)
+            ])
+    for sends in cases:
+        flow_sends = [array("d", s) for s in sends]
+        every = list(range(len(flow_sends)))
+        for flows in (every, every[::2], every[1:]):
+            times, owners = simcore._merge(flow_sends, flows)
+            want_times, want_owners = _merge_reference(flow_sends, flows)
+            assert type(times) is array and times.typecode == "d"
+            assert times.tolist() == want_times, sends
+            assert list(owners) == want_owners, sends
+            if len(flows) > 256:
+                assert type(owners) is array and owners.typecode == "I"
+            else:
+                assert type(owners) is bytearray
 
 
 def test_mtu_drop_versus_horizon_at_a_router():
