@@ -12,9 +12,11 @@ IPv4 tunnel endpoint from a destination address.
 
 from __future__ import annotations
 
+import re
+import socket
 from dataclasses import dataclass, field
 
-from .codec import Ipv4Address, Ipv6Address
+from .codec import _V4_TEXT_CHARS, _V6_TEXT_CHARS, Ipv4Address, Ipv6Address
 
 SIX_TO_FOUR_PREFIX_BYTES = bytes((0x20, 0x02))
 
@@ -50,8 +52,15 @@ class Ipv4Prefix:
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Prefix":
-        addr, length = _split_prefix(text)
-        return cls(Ipv4Address.parse(addr), length)
+        """Read ``addr/len`` text.
+
+        Text that is exactly address characters (``codec``'s alphabet), a '/'
+        and one to three ASCII digits takes a fast path if its address,
+        length and host bits pass. All other text takes the checked path,
+        which alone raises: AddressingError, or the address parser's
+        ValueError.
+        """
+        return _parse_ipv4_prefix(text)
 
     def __str__(self) -> str:
         return f"{self.address}/{self.length}"
@@ -71,8 +80,9 @@ class Ipv6Prefix:
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Prefix":
-        addr, length = _split_prefix(text)
-        return cls(Ipv6Address.parse(addr), length)
+        """As Ipv4Prefix.parse; a scope id (``fe80::1%eth0``) ends the fast
+        path too."""
+        return _parse_ipv6_prefix(text)
 
     def __str__(self) -> str:
         return f"{self.address}/{self.length}"
@@ -99,6 +109,53 @@ def _split_prefix(text: str) -> tuple[str, int]:
     if not sep or addr[-1:].isspace() or not (length.isascii() and length.isdigit()):
         raise AddressingError(f"prefix must look like addr/len: {text!r}")
     return addr, int(length)
+
+
+def _prefix_parser(prefix_cls, address_cls, address_family: int, width: int, chars: str):
+    """The ``parse`` of one prefix family, both paths of it.
+
+    The fast path matches the whole text once, calls ``inet_pton`` on the
+    address as the address parser would, and makes ``_network``'s length and
+    host-bit checks on the int. It then sets the slots of the address and the
+    prefix without ``__init__``, so it returns only what the checked path
+    would. Text it does not match, or that fails a call or a check, goes to
+    the checked path unchanged, so every message stays the same.
+    """
+    fullmatch = re.compile(f"([{re.escape(chars)}]+)/([0-9]{{1,3}})").fullmatch
+    new = object.__new__
+    set_octets = address_cls.octets.__set__
+    set_address = prefix_cls.address.__set__
+    set_length = prefix_cls.length.__set__
+    set_network = prefix_cls.network.__set__
+
+    def parse(text: str):
+        match = fullmatch(text)
+        if match is not None:
+            addr, length = match.groups()
+            try:
+                octets = socket.inet_pton(address_family, addr)
+            except OSError:
+                pass
+            else:
+                length = int(length)
+                shift = width - length
+                value = int.from_bytes(octets, "big")
+                if shift >= 0 and (value >> shift) << shift == value:
+                    address = new(address_cls)
+                    set_octets(address, octets)
+                    prefix = new(prefix_cls)
+                    set_address(prefix, address)
+                    set_length(prefix, length)
+                    set_network(prefix, value >> shift)
+                    return prefix
+        addr, length = _split_prefix(text)
+        return prefix_cls(address_cls.parse(addr), length)
+
+    return parse
+
+
+_parse_ipv4_prefix = _prefix_parser(Ipv4Prefix, Ipv4Address, socket.AF_INET, 32, _V4_TEXT_CHARS)
+_parse_ipv6_prefix = _prefix_parser(Ipv6Prefix, Ipv6Address, socket.AF_INET6, 128, _V6_TEXT_CHARS)
 
 
 def derive_6to4_prefix(v4: Ipv4Address) -> Ipv6Prefix:

@@ -42,7 +42,10 @@ header text once per parse and reuses its kind, arguments and list keys when
 the header repeats; every section still gets its own ``args`` list.
 ``build_model`` builds a route section that sets exactly ``prefix`` and
 ``out_if`` directly; any other route section, or one whose prefix is bad,
-goes through ``_read``, which gives the message.
+goes through ``_read``, which gives the message. Either way the prefix is
+read by ``Ipv4Prefix.parse`` / ``Ipv6Prefix.parse``: their fast path takes
+plain ``addr/len`` text whose address, length and host bits pass, and any
+other text goes on to their checked path, the only one that raises.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import pytest
@@ -147,6 +148,126 @@ def test_prefix_parse_edges(parse, text, expected):
     except ValueError as exc:
         got = str(exc)
     assert got == expected
+
+
+def reference_prefix_parse(prefix_cls, address_cls, text):
+    """Prefix parsing as written before the fast path: split off an ASCII
+    decimal length, then the address parser and the dataclass constructor."""
+    addr, sep, length = text.strip().partition("/")
+    if not sep or addr[-1:].isspace() or not (length.isascii() and length.isdigit()):
+        raise AddressingError(f"prefix must look like addr/len: {text!r}")
+    return prefix_cls(address_cls.parse(addr), int(length))
+
+
+_ODD_DIGITS = "\u0660\u0668\u0663\uff18\u09ea"  # Arabic-Indic, full-width, Bengali
+_SPACES = (" ", "\t", "\n", "\u00a0", "\u2003", "\x1f")
+
+
+def _length_text(rng: random.Random, width: int) -> str:
+    roll = rng.random()
+    if roll < 0.55:
+        return str(rng.randrange(0, width + 1))
+    if roll < 0.7:
+        return "0" * rng.randint(1, 2) + str(rng.randrange(0, width + 1))
+    if roll < 0.8:
+        return str(rng.choice((width + 1, width + 7, 100 + width, 999, 1000, 10**5)))
+    if roll < 0.9:
+        digits = list(str(rng.randrange(0, width + 1)))
+        digits[rng.randrange(len(digits))] = rng.choice(_ODD_DIGITS)
+        return "".join(digits)
+    return rng.choice(("", "-1", "+8", "8/8", "0x10", "1_6", "8.0"))
+
+
+def _v4_address_text(rng: random.Random, value: int) -> str:
+    octets = [str(b) for b in value.to_bytes(4, "big")]
+    roll = rng.random()
+    if roll < 0.1:
+        i = rng.randrange(4)
+        octets[i] = "0" + octets[i]
+    elif roll < 0.15:
+        octets[rng.randrange(4)] = rng.choice(("256", "", "1" + _ODD_DIGITS[1]))
+    elif roll < 0.2:
+        octets = octets[: rng.randint(1, 3)]
+    return ".".join(octets)
+
+
+def _v6_address_text(rng: random.Random, value: int) -> str:
+    addr = ipaddress.IPv6Address(value)
+    v4 = ipaddress.IPv4Address(value & 0xFFFFFFFF)
+    roll = rng.random()
+    if roll < 0.35:
+        return addr.compressed
+    if roll < 0.5:
+        return addr.exploded
+    if roll < 0.6:
+        return rng.choice((addr.compressed, addr.exploded)).upper()
+    if roll < 0.7:
+        return f"::ffff:{v4}"
+    if roll < 0.8:
+        return f"::{v4}"
+    if roll < 0.88:
+        return f"{addr.compressed}%eth0"
+    if roll < 0.94:
+        return addr.compressed + rng.choice((":", ":::1", "g", "::1::", _ODD_DIGITS[0]))
+    return str(v4)
+
+
+def _prefix_text(rng: random.Random, width: int) -> str:
+    value = rng.getrandbits(width)
+    length = rng.randrange(0, width + 1)
+    if rng.random() < 0.7:
+        value &= ~((1 << (width - length)) - 1)  # clear the host bits
+    addr = (_v4_address_text if width == 32 else _v6_address_text)(rng, value)
+    length_text = str(length) if rng.random() < 0.5 else _length_text(rng, width)
+    before = after = ""
+    roll = rng.random()
+    if roll < 0.1:
+        before = rng.choice(_SPACES)
+    elif roll < 0.2:
+        after = rng.choice(_SPACES)
+    text = f"{addr}{before}/{after}{length_text}"
+    roll = rng.random()
+    if roll < 0.1:
+        text = rng.choice(_SPACES) + text + rng.choice(("", *_SPACES))
+    elif roll < 0.13:
+        text = text.replace("/", "", 1)
+    return text
+
+
+@pytest.mark.parametrize(
+    "prefix_cls, address_cls, width, seed",
+    [(Ipv4Prefix, Ipv4Address, 32, 63), (Ipv6Prefix, Ipv6Address, 128, 64)],
+)
+def test_prefix_parse_matches_reference_and_ipaddress(prefix_cls, address_cls, width, seed):
+    # Each text parses to the object reference_prefix_parse builds, or raises
+    # its exception with its message. Every accepted text is also checked against
+    # ipaddress, which does not strip, on the stripped text.
+    rng = random.Random(seed)
+    texts = [_prefix_text(rng, width) for _ in range(4000)]
+    texts += ["0.0.0.0/0", "10.1.2.3/32", "::/0", "::1/128", "fe80::%eth0/64", "fe80::1%eth0/64",
+              "::ffff:1.2.3.4/128", "::1.2.3.4/128", "10.0.0.0/08", "2001::/016", "10.0.0.0/",
+              "10.0.0.0/\u0668", "2001:DB8::/32", " 10.0.0.0/8 ", "10.0.0.0 / 8", "/8", "/"]
+    accepted = 0
+    for text in texts:
+        try:
+            want = reference_prefix_parse(prefix_cls, address_cls, text)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as info:
+                prefix_cls.parse(text)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc), text
+            continue
+        got = prefix_cls.parse(text)
+        assert type(got) is prefix_cls and type(got.address) is address_cls, text
+        assert type(got.length) is int and type(got.network) is int, text
+        assert got == want and hash(got) == hash(want), text
+        assert (repr(got), str(got), got.network) == (repr(want), str(want), want.network), text
+        oracle = ipaddress.ip_network(text.strip())
+        assert oracle.version == (4 if width == 32 else 6), text
+        assert oracle.prefixlen == got.length, text
+        assert int(oracle.network_address) >> (width - got.length) == got.network, text
+        accepted += 1
+    # Both outcomes are well represented.
+    assert 0.3 * len(texts) < accepted < 0.8 * len(texts)
 
 
 def prefix_matches(prefix, addr) -> bool:

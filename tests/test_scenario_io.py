@@ -1,8 +1,11 @@
+import ipaddress
+import random
 from dataclasses import MISSING, fields
 
 import pytest
 
 from transit6.addressing import Ipv4Prefix, Ipv6Prefix
+from transit6.codec import Ipv4Address, Ipv6Address
 from transit6.scenario_io import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -460,6 +463,46 @@ def test_large_route_table_round_trips():
     assert len(scenario.topology.nodes[2].v6_routes) == 258
     assert serialize_model(scenario) == LARGE_TABLE
 
+
+
+def _random_prefix(rng: random.Random, prefix_cls, address_cls, width: int, lo: int, hi: int):
+    length = rng.randint(lo, hi)
+    value = rng.getrandbits(length) << (width - length)
+    return prefix_cls(address_cls(value.to_bytes(width // 8, "big")), length)
+
+
+def test_random_route_table_round_trips():
+    # The 6to4-automatic chain with the filler shapes of bench/'s route-heavy
+    # workload: seeded random /16-/28 IPv4 and /36-/64 IPv6 prefixes ahead of
+    # each router's own routes.
+    rng = random.Random(65)
+    scenario = build_scenario_6to4(tunnel_kind=TunnelKind.AUTO_6TO4)
+    for node in scenario.topology.nodes:
+        if node.role is Role.ROUTER:
+            out4 = node.v4_routes[0].out_if
+            node.v4_routes[:0] = [
+                RouteEntry4(_random_prefix(rng, Ipv4Prefix, Ipv4Address, 32, 16, 28), out4)
+                for _ in range(256)
+            ]
+            if node.v6_routes:
+                out6 = node.v6_routes[0].out_if
+                node.v6_routes[:0] = [
+                    RouteEntry6(_random_prefix(rng, Ipv6Prefix, Ipv6Address, 128, 36, 64), out6)
+                    for _ in range(256)
+                ]
+    text = serialize_model(scenario)
+    loaded = load_text(text)
+    assert serialize_model(loaded) == text
+    # Nodes write their IPv4 routes, then their IPv6 routes.
+    prefixes = [route.prefix for node in loaded.topology.nodes
+                for route in node.v4_routes + node.v6_routes]
+    texts = [line[len("prefix = "):] for line in text.splitlines() if line.startswith("prefix = ")]
+    assert len(prefixes) == len(texts) == 1292  # as many as route-heavy has
+    for prefix, prefix_text in zip(prefixes, texts):
+        net = ipaddress.ip_network(prefix_text)
+        width = net.max_prefixlen
+        network = int(net.network_address) >> (width - net.prefixlen)
+        assert (prefix.length, prefix.network) == (net.prefixlen, network)
 
 def test_sections_with_the_same_header_do_not_share_args():
     raw = parse_text(LARGE_TABLE)
