@@ -1,8 +1,10 @@
 """Per-flow summaries of a run and scenario comparison.
 
 ``summarize`` is one loop over the flows of the ``RecordTable`` that
-``run_simulation`` returns: each pass reads one flow's columns, with no loop
-over packets, and fills that flow's ``FlowSummary``. ``compare_scenarios``
+``run_simulation`` returns: each pass reads one flow's columns and fills
+that flow's ``FlowSummary``, counting ends and hops per distinct value and
+taking the delay statistics in one pass over the delivered packets, with no
+list of delays. ``compare_scenarios``
 returns a list of ``ComparisonRow``, one per flow. Delay statistics cover
 delivered packets only. Jitter is the mean absolute difference between the
 delays of consecutive packets in send order. Goodput counts delivered
@@ -20,9 +22,7 @@ can give (``simcore.MAX_SECONDS``), so every float of a summary is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import compress, islice
-from operator import add, sub
+from itertools import compress
 from typing import Optional, Sequence
 
 from .simcore import END_REASONS, RecordTable
@@ -60,7 +60,9 @@ class FlowSummary:
 def summarize(records: RecordTable) -> list[FlowSummary]:
     """Aggregate a run's records, as ``run_simulation`` returns them, per flow.
 
-    One pass per flow reads that flow's columns and builds no record. Flows
+    One pass per flow reads that flow's columns and builds no record, and
+    one loop over its delivered (receive, send) pairs keeps the delay sum,
+    minimum, maximum and jitter sum, with no list of delays. Flows
     appear in first-seen order, and so do the drop reasons and links of each
     flow's dicts. A flow's delivered packets are taken in send order, that
     is (send time, packet id) order, which is also the order the engine
@@ -70,7 +72,9 @@ def summarize(records: RecordTable) -> list[FlowSummary]:
     delivery order would give the same floats; ``tests/test_engine_oracle.py``
     checks it on every variant. Delays and their differences are added left
     to right from 0.0, never by ``sum()``, which over floats is compensated
-    since Python 3.12 and changes the last bits of a result.
+    since Python 3.12 and changes the last bits of a result. The minimum and
+    maximum change only on a delay strictly beyond them, as ``min()`` and
+    ``max()`` take them.
 
     Anything but a ``RecordTable`` raises ``TypeError``.
     """
@@ -94,17 +98,28 @@ def summarize(records: RecordTable) -> list[FlowSummary]:
                 payload[link_id] = payload.get(link_id, 0) + payload_bytes * count
         if delivered:
             receive = c.receive
-            delays = map(sub, receive, c.send)
+            pairs = zip(receive, c.send)
             if delivered < len(ends):
                 arrived = ends.translate(_ARRIVED)
-                delays = compress(delays, arrived)
+                pairs = compress(pairs, arrived)
                 receive = compress(receive, arrived)
-            delays = list(delays)
-            s.mean_delay = reduce(add, delays, 0.0) / delivered
-            s.min_delay, s.max_delay = min(delays), max(delays)
+            # The first delivery seeds the extremes; both sums start at 0.0.
+            r, t = next(pairs)
+            low = high = last = r - t
+            total, jitter = 0.0 + last, 0.0
+            for r, t in pairs:
+                delay = r - t
+                total += delay
+                jitter += abs(delay - last)
+                if delay < low:
+                    low = delay
+                elif delay > high:
+                    high = delay
+                last = delay
+            s.mean_delay = total / delivered
+            s.min_delay, s.max_delay = low, high
             if delivered >= 2:
-                gaps = map(abs, map(sub, islice(delays, 1, None), delays))
-                s.jitter = reduce(add, gaps, 0.0) / (delivered - 1)
+                s.jitter = jitter / (delivered - 1)
             duration = max(receive) - c.send[ends.index(0)]
             if duration > 0:
                 s.goodput_bps = (payload_bytes * delivered) * 8 / duration

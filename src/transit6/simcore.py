@@ -38,8 +38,11 @@ compiles each flow header's path (``_path``), times each private group
 (``_time_group``), walks the heap and returns the columns.
 
 Send times are drawn up front, flow by flow, and a send's seq is its
-position in that draw order. Each flow keeps its own sends in (time, seq)
-order, and no run keeps one schedule of them all: where a set of flows'
+position in that draw order. Only sends up to the horizon are kept, and an
+unjittered flow makes no other: its sends never decrease, so they are
+counted up to the horizon and made in order. The random generator is seeded
+only once a jittered flow draws. Each flow keeps its own sends in (time,
+seq) order, and no run keeps one schedule of them all: where a set of flows'
 sends must go in one (time, seq) order, a stable sort by time of their
 sends, one flow after another, gives it, and a send's place in that order
 over every flow is its packet id.
@@ -665,20 +668,29 @@ def _draw_sends(traffic: Sequence[TrafficSpec], seed: int, limit: float) -> list
 
     Send times are drawn flow by flow, one draw per jittered send, and a
     send's seq is its position in that draw order, so a stable sort by time
-    of a flow's draws orders its sends. Later sends never happen.
+    of a flow's draws orders its sends. Later sends never happen. An
+    unjittered flow's sends ``start + i * gap`` never decrease, as float
+    rounding is monotone, so they are in order as made: they are counted up
+    to ``limit`` by bisection and made one by one into the array, and no
+    send past ``limit`` is made. The generator is seeded when the first
+    jittered flow draws, so a run with no jitter seeds none.
     """
-    # ``b * draw()`` is the float that ``Random.uniform(0.0, b)`` returns.
-    draw = random.Random(seed).random
+    draw = None
     flow_sends: list[array] = []
     for flow in traffic:
-        start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
+        start, gap = flow.start, flow.gap
         if flow.jitter > 0:
+            if draw is None:
+                # ``b * draw()`` is the float that ``Random.uniform(0.0, b)`` returns.
+                draw = random.Random(seed).random
+            spread = flow.jitter * gap
             drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
+            drawn.sort()
+            del drawn[bisect_right(drawn, limit):]
+            flow_sends.append(array("d", drawn))
         else:
-            drawn = [start + i * gap for i in range(flow.count)]
-        drawn.sort()
-        del drawn[bisect_right(drawn, limit):]
-        flow_sends.append(array("d", drawn))
+            n = bisect_right(range(flow.count), limit, key=lambda i: start + i * gap)
+            flow_sends.append(array("d", (start + i * gap for i in range(n))))
     return flow_sends
 
 

@@ -36,6 +36,17 @@ def one_flow_shape():
     return s.topology, s.traffic, None
 
 
+def horizon_cut_shape():
+    """The built-in 6to4 with a million sends, cut by a 1 s horizon.
+
+    Its one flow is unjittered, so only the ~1000 sends up to the horizon
+    are ever made: its peak per packet is the one-flow figure, not a
+    million sends' worth.
+    """
+    s = build_scenario_6to4(count=10**6)
+    return s.topology, s.traffic, 1.0
+
+
 def shared_queue_shape(count=400):
     """The congested-native shape with each flow's payload one byte apart.
 
@@ -50,6 +61,7 @@ def shared_queue_shape(count=400):
 
 SHAPES = {
     "6to4, one flow, 3000 packets": one_flow_shape,
+    "6to4, one flow, 10**6 sends cut at 1 s": horizon_cut_shape,
     "congested-native, 400 packets a flow": lambda: _congested_shape(400),
     "congested-native, payloads one byte apart (heap)": shared_queue_shape,
 }

@@ -1,12 +1,13 @@
 import math
 import random
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from heap_counting import CountingHeapq
-from peak_memory import one_flow_shape, peak_per_packet, shared_queue_shape
+from peak_memory import horizon_cut_shape, one_flow_shape, peak_per_packet, shared_queue_shape
 from test_engine_oracle import _congested_shape
 
 from transit6.addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
@@ -691,12 +692,18 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
 
 
 # Peak tracemalloc bytes per packet of summarize(run_simulation(...)) on the
-# built-in 6to4 at 3000 packets. Measured 55.1 on CPython 3.11 (x86-64
-# Linux), where 3.10 reads ~5 more; 61.4 while a one-flow run still copied
-# its sends into a schedule list. A list of floats held per send, 32 B each,
-# would take it past the bound. With a MetricsRecord kept per packet,
-# records alone held ~189 and the peak was ~216.
-PEAK_BYTES_PER_PACKET = 70
+# built-in 6to4 at 3000 packets. Measured 24.5 on CPython 3.11 (x86-64
+# Linux): the run's columns and its send array. It was 54.7 while summarize
+# held its delays in a list and _draw_sends its send times in another, 61.4
+# while a one-flow run also copied its sends into a schedule list, and ~216
+# with a MetricsRecord kept per packet. One list of floats per send, 32 B
+# each, takes it past the bound.
+PEAK_BYTES_PER_PACKET = 32
+# Peak tracemalloc bytes of the same run with count 10**6 and a 1 s horizon:
+# its ~1000 sends before the horizon, whatever the count. Measured 27.6 KB on
+# CPython 3.11 (x86-64 Linux); drawing every send and then cutting them held
+# 40 MB.
+PEAK_BYTES_HORIZON_CUT = 128 * 1024
 # The same on the congested-native shape at 400 packets a flow (8 jittered
 # flows of one header, ~2560 sent before the horizon), whose sends _merge
 # must sort into one order. Measured 59.5-61.3 on CPython 3.11 (x86-64
@@ -724,6 +731,15 @@ def test_peak_memory_per_packet_stays_bounded():
     assert peak < PEAK_BYTES_PER_PACKET_SORTED
 
 
+def test_an_unjittered_flow_makes_no_send_past_the_horizon():
+    # Unjittered sends are made in order and stop at the horizon, so a count
+    # far past it costs nothing. The count is kept at 10**6 so that a draw of
+    # every send fails the bound with ~40 MB rather than exhausting memory.
+    summaries, peak = peak_per_packet(*horizon_cut_shape())
+    assert summaries[0].injected == 1001
+    assert peak * summaries[0].injected < PEAK_BYTES_HORIZON_CUT
+
+
 def test_peak_memory_per_packet_of_a_heap_run_stays_bounded(monkeypatch):
     # Paths that share a queue are timed on the heap, whose walk merges every
     # flow's sends first; the run is counted once to show it takes the heap.
@@ -737,6 +753,78 @@ def test_peak_memory_per_packet_of_a_heap_run_stays_bounded(monkeypatch):
     assert len(summaries) == 8
     assert all(summary.delivered_count and summary.dropped_count for summary in summaries)
     assert peak < PEAK_BYTES_PER_PACKET_HEAP
+
+
+def _draw_sends_reference(traffic, seed, limit):
+    """``_draw_sends`` as every flow's sends drawn in full, sorted and cut."""
+    draw = random.Random(seed).random
+    flow_sends = []
+    for flow in traffic:
+        start, gap, spread = flow.start, flow.gap, flow.jitter * flow.gap
+        if flow.jitter > 0:
+            drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
+        else:
+            drawn = [start + i * gap for i in range(flow.count)]
+        drawn.sort()
+        del drawn[bisect_right(drawn, limit):]
+        flow_sends.append(array("d", drawn))
+    return flow_sends
+
+
+def test_draw_sends_matches_the_full_draw():
+    # Unjittered sends are counted by bisection and made in order; jittered
+    # ones are drawn in full from one generator seeded on first use. The
+    # arrays must be the bytes of drawing, sorting and cutting every flow.
+    def flow(count, gap=1e-3, start=0.0, jitter=0.0):
+        return TrafficSpec("f", "a", "b", count=count, gap=gap, start=start, jitter=jitter)
+
+    cases = [
+        ([flow(1, gap=0.0)], 0.0),
+        ([flow(1, gap=0.0, start=0.5)], 1.0),
+        ([flow(5, gap=0.0, start=0.5)], 0.5),
+        ([flow(10, start=2.0)], 1.0),
+        ([flow(10, gap=0.25)], 1.0),
+        ([flow(10, gap=0.1)], 0.30000000000000004),
+        ([flow(10, gap=0.1)], 0.3),
+        ([flow(50, gap=1e-4)], math.inf),
+        ([flow(20, jitter=0.5), flow(20, gap=0.1), flow(20, start=0.01, jitter=0.9)], 0.05),
+        ([flow(20, gap=0.1), flow(20, jitter=0.5), flow(20, gap=3e-3)], math.inf),
+        ([flow(3, gap=2.0**-60, start=1.0, jitter=0.5), flow(7, gap=2.0**-60, start=1.0)], 1.0),
+    ]
+    rng = random.Random(28)
+    for _ in range(200):
+        flows = [
+            flow(
+                rng.randrange(1, 40),
+                gap=rng.choice([0.0, 1e-3, 0.1, rng.uniform(0.0, 0.01)]),
+                start=rng.choice([0.0, 0.05, rng.uniform(0.0, 0.1)]),
+                jitter=rng.choice([0.0, 0.0, 0.5, rng.random()]),
+            )
+            for _ in range(rng.randrange(1, 5))
+        ]
+        cases.append((flows, rng.choice([math.inf, 0.0, 0.05, rng.uniform(0.0, 0.2)])))
+    for seed, (flows, limit) in enumerate(cases):
+        got = simcore._draw_sends(flows, seed, limit)
+        want = _draw_sends_reference(flows, seed, limit)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (flows, limit)
+        assert all(type(a) is array and a.typecode == "d" for a in got)
+
+
+def test_no_generator_is_seeded_without_jitter(monkeypatch):
+    made = []
+    real_random = random.Random
+
+    def counting_random(seed):
+        made.append(seed)
+        return real_random(seed)
+
+    monkeypatch.setattr(random, "Random", counting_random)
+    s = build_scenario_6to4(count=20)
+    assert len(run_simulation(s.topology, s.traffic, seed=3)) == 20
+    assert made == []
+    flows = [TrafficSpec(f, "a", "b", count=5, jitter=j) for f, j in zip("fgh", (0.0, 0.5, 0.5))]
+    simcore._draw_sends(flows, 3, math.inf)
+    assert made == [3]
 
 
 def _merge_reference(flow_sends, flows):

@@ -12,7 +12,10 @@ matches in order, on:
   traced and untraced;
 - tables packed by ``record_tables.table_of`` from hand-built records with
   tied send times, numbered as a table numbers them, arbitrary hop tuples
-  and every drop reason.
+  and every drop reason;
+- one-flow tables built by hand around the one-pass delay statistics: the
+  minimum delay after the maximum, all delays equal, one delivery,
+  deliveries only after drops, and none.
 """
 
 import random
@@ -123,3 +126,37 @@ def test_summaries_match_oracle_on_hand_built_records():
         assert list(table) == records, case
         _check(table, case)
     assert seen == {None, *DropReason}
+
+
+def test_summaries_match_oracle_on_delay_edge_cases():
+    # Each case is one flow's packets in send order: (send time, delay) for
+    # a delivery, (send time, drop reason) for a drop. The one pass must
+    # take its minimum and maximum as min() and max() do, and start both
+    # sums at the first delivery, wherever that is.
+    lost, unrouted = DropReason.HORIZON_EXPIRED, DropReason.NO_ROUTE
+    cases = {
+        "minimum after maximum": [(0.0, 0.3), (0.1, 0.7), (0.2, 0.25), (0.3, 0.1), (0.4, 0.2)],
+        "all delays equal": [(0.1 * k, 0.2) for k in range(6)],
+        "one delivered": [(0.0, lost), (0.1, 0.3), (0.2, lost)],
+        "deliveries after drops": [(0.0, unrouted), (0.1, lost), (0.2, 0.3), (0.3, 0.1)],
+        "none delivered": [(0.0, unrouted), (0.1, lost)],
+    }
+    for name, packets in cases.items():
+        records = [
+            MetricsRecord(
+                packet_id=pid,
+                flow_id="f",
+                src_node="a",
+                dst_node="b",
+                payload_bytes=100,
+                send_time=send,
+                receive_time=None if isinstance(out, DropReason) else send + out,
+                drop_reason=out if isinstance(out, DropReason) else None,
+                wire_bytes_per_hop=() if isinstance(out, DropReason) else (("l", 140),),
+            )
+            for pid, (send, out) in enumerate(packets)
+        ]
+        table = table_of(records)
+        delivered = sum(r.drop_reason is None for r in records)
+        assert summarize(table)[0].delivered_count == delivered, name
+        _check(table, name)
