@@ -38,32 +38,36 @@ compiles each flow header's path (``_path``), times each private group
 (``_time_group``), walks the heap and returns the columns.
 
 Send times are drawn up front, flow by flow, and a send's seq is its
-position in that draw order. Only sends up to the horizon are kept, and an
-unjittered flow makes no other: its sends never decrease, so they are
-counted up to the horizon and made in order. The random generator is seeded
-only once a jittered flow draws. Each flow keeps its own sends in (time,
-seq) order, and no run keeps one schedule of them all: where a set of flows'
-sends must go in one (time, seq) order, a stable sort by time of their
-sends, one flow after another, gives it, and a send's place in that order
-over every flow is its packet id.
+position in that draw order. Only sends up to the horizon are kept, and no
+send due after it is made or drawn: a send's nominal time, before jitter,
+never decreases along its flow, so those due by the horizon are counted by
+bisection. The random generator is seeded only once a jittered flow draws.
+Each flow keeps its own sends in (time, seq) order, and no run keeps one
+schedule of them all: where a set of flows' sends must go in one (time,
+seq) order, a stable sort by time of their sends, one flow after another,
+gives it, and a send's place in that order over every flow is its packet
+id.
 
 Each flow header compiles to one path. A path is private when no other path
 uses any of its queues and it uses none twice. Its packets then reach every
 queue in their send order, so an untraced run times each private path's
-flows on their own, hop by hop: their sends go into one array of ready
-times in (time, seq) order, and each hop is one loop over it that applies
-the recursion above to every packet in turn. The flows share one frame and
-one end, and their ready and start times never decrease from one packet to
-the next, so the horizon cuts a suffix of the packets at every hop, and
-each flow's columns are written as a few runs of equal hop counts and ends,
-with its delivered arrivals taken from the last hop's array. A heap times the
-rest (paths that share a queue with another or reuse one, and every path
-that transmits in a traced run) with one entry per hop, due when a node has
-processed the packet; the frame then takes its FIFO slot and the next hop's
-entry goes on at its arrival plus that node's processing delay. The run
-puts every flow's sends in order, walks those of the heap's flows only and,
-before each send, takes off the entries due strictly before it, so the heap
-holds only the packets in flight; with no such flow, there is no walk.
+flows on their own: their sends go into one array of ready times in (time,
+seq) order, and one pass over it takes each packet through every hop by the
+recursion above before it takes the next. Each pass is a function written
+out for its hop count (up to 8; a longer path chains passes) and built at
+import, so that every hop's idle time and constants are local variables.
+The flows share one frame and one end, and their ready and start times
+never decrease from one packet to the next, so the horizon cuts a suffix of
+the packets at every hop, and each flow's columns are written as a few runs
+of equal hop counts and ends, with its delivered arrivals taken from the
+array. A heap times the rest (paths that share a queue with another or
+reuse one, and every path that transmits in a traced run) with one entry
+per hop, due when a node has processed the packet; the frame then takes its
+FIFO slot and the next hop's entry goes on at its arrival plus that node's
+processing delay. The run puts every flow's sends in order, walks those of
+the heap's flows only and, before each send, takes off the entries due
+strictly before it, so the heap holds only the packets in flight; with no
+such flow, there is no walk.
 
 That merge and the heap's key take events in the order of a heap of four
 event kinds (a send per packet, then per hop processing done, transmission
@@ -105,7 +109,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from typing import Optional, Union
 
 from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
@@ -663,33 +667,55 @@ def _ports(links: Sequence[Link], nodes: dict[str, Node]) -> tuple[dict[tuple, _
     return ports, len(queues)
 
 
+# The most skipped draws one ``getrandbits`` call stands for: an int of 8 KB.
+_SKIP_DRAWS = 2**10
+
+
 def _draw_sends(traffic: Sequence[TrafficSpec], seed: int, limit: float) -> list[array]:
     """Each flow's sends up to ``limit``, in (time, seq) order.
 
     Send times are drawn flow by flow, one draw per jittered send, and a
     send's seq is its position in that draw order, so a stable sort by time
-    of a flow's draws orders its sends. Later sends never happen. An
-    unjittered flow's sends ``start + i * gap`` never decrease, as float
-    rounding is monotone, so they are in order as made: they are counted up
-    to ``limit`` by bisection and made one by one into the array, and no
-    send past ``limit`` is made. The generator is seeded when the first
-    jittered flow draws, so a run with no jitter seeds none.
+    of a flow's draws orders its sends. Later sends never happen. Send i of
+    a flow is due at ``start + i * gap``, plus ``spread * draw()`` if it is
+    jittered. Those nominal times never decrease, as float rounding is
+    monotone, so the sends due by ``limit`` are counted by bisection, and
+    only they are made: a later send lands past ``limit`` whatever it
+    draws, since the draw adds at least 0. Unjittered sends are in order as
+    made. The generator is seeded when the first jittered flow draws, so a
+    run with no jitter seeds none.
+
+    A jittered flow's undrawn sends still move the generator on before the
+    next jittered flow draws, through ``getrandbits(64 * m)``, which leaves
+    it where ``m`` calls to ``random()`` would (two 32-bit words each).
+    That is still unbounded: ~13 ns per skipped draw, since the standard
+    library's Mersenne Twister cannot jump ahead. The undrawn sends of the
+    last jittered flow cost nothing.
     """
     draw = None
+    # Draws of undrawn sends that the next jittered flow must skip first.
+    owed = 0
     flow_sends: list[array] = []
     for flow in traffic:
-        start, gap = flow.start, flow.gap
+        start, gap, n = flow.start, flow.gap, flow.count
+        if start + (n - 1) * gap > limit:
+            n = bisect_right(range(n), limit, key=lambda i: start + i * gap)
         if flow.jitter > 0:
             if draw is None:
+                rng = random.Random(seed)
                 # ``b * draw()`` is the float that ``Random.uniform(0.0, b)`` returns.
-                draw = random.Random(seed).random
+                draw = rng.random
+            while owed:
+                skip = min(owed, _SKIP_DRAWS)
+                rng.getrandbits(64 * skip)
+                owed -= skip
             spread = flow.jitter * gap
-            drawn = [start + i * gap + spread * draw() for i in range(flow.count)]
+            drawn = [start + i * gap + spread * draw() for i in range(n)]
             drawn.sort()
             del drawn[bisect_right(drawn, limit):]
             flow_sends.append(array("d", drawn))
+            owed = flow.count - n
         else:
-            n = bisect_right(range(flow.count), limit, key=lambda i: start + i * gap)
             flow_sends.append(array("d", (start + i * gap for i in range(n))))
     return flow_sends
 
@@ -739,22 +765,17 @@ def _time_group(
     ``queued`` is the number of the path's hops that transmit, ``end`` the
     code of how it ends and ``limit`` the horizon. The flows' sends, taken
     from ``flow_sends`` in (time, seq) order, go into one array of ready
-    times, and each hop is one loop over it (``_hop``) that leaves there
-    when each packet reaches the next node. The path's queues are its own
-    and start idle, and its ready and start times never decrease from one
-    packet to the next, so the horizon cuts a suffix at every hop: a flow's
-    columns are runs of equal hop counts and ends, with the arrivals of its
-    delivered packets and NaN after them.
+    times, and ``_cross`` takes each packet through every hop before the
+    next, leaving there when it reached the node after the last hop it
+    crossed. The path's queues are its own and start idle, and its ready
+    and start times never decrease from one packet to the next, so the
+    horizon cuts a suffix at every hop: a flow's columns are runs of equal
+    hop counts and ends, with the arrivals of its delivered packets and NaN
+    after them.
     """
     ready, owners = _merge(flow_sends, flows)
     # cuts[h]: how many of the packets crossed h hops, a prefix.
-    cuts = [len(ready)]
-    for processing, _, ser, prop, _ in islice(path, queued):
-        cuts.append(_hop(ready, cuts[-1], processing, ser, prop, limit))
-    # The runs of packets that crossed the same number of hops, as (first,
-    # end, hops), the empty ones left out; the 0 closes the last run.
-    cuts.append(0)
-    runs = [(cuts[h + 1], cuts[h], h) for h in range(queued, -1, -1) if cuts[h] > cuts[h + 1]]
+    cuts = _cross(ready, path, queued, limit)
 
     # A packet that crossed every queue ends when it arrives, or, if its
     # frame is too big for the next link, once the next node has processed
@@ -775,30 +796,123 @@ def _time_group(
     for k, f in enumerate(flows):
         c = columns[f]
         sent = len(c.send)
-        for first, last, hops in runs:
-            c.hops.extend(repeat(hops, owners[first:last].count(k)))
+        # Packets first to cuts[h] crossed h hops and no more, most hops first.
+        first = 0
+        for h in range(queued, -1, -1):
+            if cuts[h] > first:
+                c.hops.extend(repeat(h, owners[first : cuts[h]].count(k)))
+                first = cuts[h]
         finished = owners[:done].count(k)
         c.end += bytes((end,)) * finished + bytes((HORIZON_EXPIRED,)) * (sent - finished)
         c.receive += array("d", [math.nan]) * (sent - len(c.receive))
 
 
-def _hop(ready: array, m: int, processing: float, ser: float, prop: float, limit: float) -> int:
-    """Take the first ``m`` packets of a private group through one hop.
+# The most hops one pass takes; a longer path chains passes.
+_PASS_HOPS = 8
 
-    ``ready[k]`` is when packet k reached the hop's node; it becomes when the
-    packet reaches the next one, by Lindley's recursion with the queue idle
-    at first. Returns how many began to transmit by ``limit``: start times
-    never decrease, so the rest are the ones after them.
+
+def _pass_source(hops: int) -> str:
+    """The source of ``_pass<hops>``, built from the hop count alone.
+
+    Hop h's processing, serialization and propagation times are ``p<h>``,
+    ``s<h>`` and ``q<h>``, and ``f<h>`` is when its queue is next idle.
+    ``now`` is when the packet has been processed at the hop's node, then
+    when it starts to transmit. A packet the horizon stops keeps in
+    ``ready`` its arrival at the node it stopped at.
     """
-    free = 0.0
-    for k, now in enumerate(islice(ready, m)):
-        now += processing
-        start = free if free > now else now
-        if start > limit:
-            return k
-        free = start + ser
-        ready[k] = free + prop
-    return m
+    def counts(h: int, crossed: str) -> str:
+        # Hop h and every hop after it in the pass were crossed by ``crossed``.
+        return "".join(f"cuts[first + {g + 1}] = " for g in range(h, hops)) + crossed
+
+    lines = [
+        f"def _pass{hops}(ready, i, m, limit, path, first, cuts"
+        + "".join(f", f{h}=0.0" for h in range(hops)) + "):",
+        *(f"    p{h}, _, s{h}, q{h}, _ = path[first + {h}]" for h in range(hops)),
+        "    for k in range(i, m):",
+        "        now = ready[k] + p0",
+    ]
+    for h in range(hops):
+        if h:
+            lines.append(f"        now = f{h - 1} + q{h - 1} + p{h}")
+        lines += [f"        if f{h} > now:", f"            now = f{h}", "        if now > limit:"]
+        if h:
+            idle = "".join(f", f{g}" for g in range(h))
+            lines += [
+                f"            ready[k] = f{h - 1} + q{h - 1}",
+                f"            {counts(h, 'k')}",
+                f"            return _pass{h}(ready, k + 1, m, limit, path, first, cuts{idle})",
+            ]
+        else:
+            lines += [f"            {counts(0, 'k')}", "            return"]
+        lines.append(f"        f{h} = now + s{h}")
+    lines += [f"        ready[k] = f{hops - 1} + q{hops - 1}", f"    {counts(0, 'm')}", ""]
+    return "\n".join(lines)
+
+
+def _build_passes() -> tuple:
+    """``_pass1`` to ``_pass<_PASS_HOPS>``, by hop count, compiled in one go.
+
+    They are built at import, as ``dataclasses`` builds ``__init__``, so
+    that no run pays for compiling one or holds the compiler's memory.
+    """
+    source = "\n".join(map(_pass_source, range(1, _PASS_HOPS + 1)))
+    namespace = {"range": range}
+    exec(compile(source, "<transit6.simcore passes>", "exec"), namespace)
+    return (None, *(namespace[f"_pass{hops}"] for hops in range(1, _PASS_HOPS + 1)))
+
+
+_PASSES = _build_passes()
+
+
+def _cross(ready: array, path: Sequence[tuple], queued: int, limit: float) -> list[int]:
+    """Take a private group's packets through the first ``queued`` hops of ``path``.
+
+    ``ready[k]`` is when packet k reached the first hop's node, and it
+    becomes when the packet reached the node after the last hop it crossed,
+    by Lindley's recursion with every queue idle at first. Returns the
+    cuts: the number of packets, then how many began to transmit on each
+    hop by ``limit``, a prefix of them, as start times never decrease.
+
+    One pass takes each packet through every hop, so a packet is read and
+    written once, not once per hop. A loop over the hops inside the packet
+    loop would pay an iterator step, a tuple unpack and a list read and
+    write per hop, so each pass is a function written out for its hop
+    count, with every hop's idle time and constants in local variables
+    (``_pass_source``). The pass for 2 hops reads::
+
+        def _pass2(ready, i, m, limit, path, first, cuts, f0=0.0, f1=0.0):
+            p0, _, s0, q0, _ = path[first + 0]
+            p1, _, s1, q1, _ = path[first + 1]
+            for k in range(i, m):
+                now = ready[k] + p0
+                if f0 > now:
+                    now = f0
+                if now > limit:
+                    cuts[first + 1] = cuts[first + 2] = k
+                    return
+                f0 = now + s0
+                now = f0 + q0 + p1
+                if f1 > now:
+                    now = f1
+                if now > limit:
+                    ready[k] = f0 + q0
+                    cuts[first + 2] = k
+                    return _pass1(ready, k + 1, m, limit, path, first, cuts, f0)
+                f1 = now + s1
+                ready[k] = f1 + q1
+            cuts[first + 1] = cuts[first + 2] = m
+
+    A pass takes up to ``_PASS_HOPS`` hops from hop ``first`` on; a longer
+    path chains passes, each over the packets that crossed the hops before
+    it. If packet k is the first not to start hop j by the horizon, no
+    later packet crosses hop j, so k is the count of hop j and of every hop
+    after it in the pass. The pass for the j hops before it then takes the
+    packets after k on from the idle times they left.
+    """
+    cuts = [len(ready)] * (queued + 1)
+    for first in range(0, queued, _PASS_HOPS):
+        _PASSES[min(queued - first, _PASS_HOPS)](ready, 0, cuts[first], limit, path, first, cuts)
+    return cuts
 
 
 def _merge(flow_sends: Sequence[array], flows: Sequence[int]) -> tuple[array, Sequence[int]]:

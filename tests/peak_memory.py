@@ -47,6 +47,16 @@ def horizon_cut_shape():
     return s.topology, s.traffic, 1.0
 
 
+def jittered_horizon_cut_shape():
+    """The horizon-cut shape with its flow jittered by half a gap.
+
+    A send due past the horizon lands past it whatever it draws, so only the
+    ~1000 sends due by the horizon are drawn, not a million.
+    """
+    topology, flows, horizon = horizon_cut_shape()
+    return topology, [replace(flow, jitter=0.5) for flow in flows], horizon
+
+
 def shared_queue_shape(count=400):
     """The congested-native shape with each flow's payload one byte apart.
 
@@ -62,6 +72,7 @@ def shared_queue_shape(count=400):
 SHAPES = {
     "6to4, one flow, 3000 packets": one_flow_shape,
     "6to4, one flow, 10**6 sends cut at 1 s": horizon_cut_shape,
+    "6to4, one jittered flow, 10**6 sends cut at 1 s": jittered_horizon_cut_shape,
     "congested-native, 400 packets a flow": lambda: _congested_shape(400),
     "congested-native, payloads one byte apart (heap)": shared_queue_shape,
 }

@@ -19,8 +19,10 @@ flows, more than a byte can index, is checked against the summary oracle
 too. Untraced runs of private paths only, the benchmark workloads' shapes
 among them, must never touch the heap, and runs whose paths share queues
 must use it. Two flows of one header get their own dyadic-time test of
-horizons that cut them at every hop. Last, a run must leave no cyclic garbage behind. Every
-traced run's wire bytes also pass ``trace_audit.audit``.
+horizons that cut them at every hop, on a five-node chain and on a path of
+11 links, longer than one of the engine's passes. Last, a run must leave no
+cyclic garbage behind. Every traced run's wire bytes also pass
+``trace_audit.audit``.
 """
 
 import gc
@@ -599,6 +601,75 @@ def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop(monkeypatch
             )
             assert cut[0] and cut[1] + cut[2] + cut[3] and cut[4], cut
             assert any(r.receive_time is not None for r in got)
+
+
+def _long_chain(routers, tick, last_mtu):
+    """H1, R1 to R``routers`` and H2 in a line, IPv6 only: one link more than routers.
+
+    Every link serializes a 64-byte frame in one ``tick`` and propagates for
+    one, every router processes for one, and link i holds 2001:db8:i::/64.
+    Each router sends H2's prefix on east and everything else back west. The
+    last link's MTU is ``last_mtu``.
+    """
+    last = routers
+
+    def node(node_id, role, ifaces, routes):
+        return Node(
+            node_id, NodeKind.IPV6_ONLY, role,
+            interfaces=[Interface(name, v6=[A6(v6)]) for name, v6 in ifaces],
+            v6_routes=[RouteEntry6(P6(p), out_if) for p, out_if in routes],
+            processing_delay=tick if role is Role.ROUTER else 0.0,
+        )
+
+    nodes = [node("H1", Role.HOST, [("e", "2001:db8:0::1")], [("::/0", "e")])]
+    nodes += [
+        node(f"R{i}", Role.ROUTER, [("w", f"2001:db8:{i - 1:x}::2"), ("e", f"2001:db8:{i:x}::1")],
+             [(f"2001:db8:{last:x}::/64", "e"), ("::/0", "w")])
+        for i in range(1, routers + 1)
+    ]
+    nodes.append(node("H2", Role.HOST, [("w", f"2001:db8:{last:x}::2")], [("::/0", "w")]))
+    links = [
+        Link(f"l{i}", (nodes[i].id, "e"), (nodes[i + 1].id, "w"), bandwidth=512 / tick,
+             propagation_delay=tick, mtu=last_mtu if i == last else 1500)
+        for i in range(routers + 1)
+    ]
+    return Topology(nodes=nodes, links=links)
+
+
+def test_horizon_cuts_a_private_path_of_over_eight_hops(monkeypatch):
+    # An 11-link chain: the untraced run times its one private path in a
+    # pass over 8 hops and one over the 3 after them. Two flows of one
+    # header queue at H1, and horizons every half tick cut them at every
+    # hop, traced (on the heap) and untraced (no heap), as the reference
+    # engine does. With the last link narrowed below the frame, the path
+    # ends in an MTU drop at R10 after 10 queues.
+    tick = 2.0**-10
+    flows = [
+        TrafficSpec("a", "H1", "H2", payload_bytes=24, count=6, gap=0.0),
+        TrafficSpec("b", "H1", "H2", payload_bytes=24, count=5, gap=tick / 2, start=tick / 4,
+                    jitter=0.5),
+    ]
+    for last_mtu, end in ((1500, None), (60, DropReason.MTU_EXCEEDED)):
+        topology = _long_chain(10, tick, last_mtu)
+        cut = Counter()
+        for k in range(90):
+            horizon = k * tick / 2
+            want_trace: list[str] = []
+            want = reference_run(topology, flows, horizon, seed=k, trace=want_trace)
+            trace: list[str] = []
+            got = run_simulation(topology, flows, horizon, seed=k, trace=trace)
+            assert trace == want_trace, (last_mtu, k)
+            assert repr(list(got)) == repr(want), (last_mtu, k)
+            shim = CountingHeapq()
+            monkeypatch.setattr(simcore, "heapq", shim)
+            assert repr(list(run_simulation(topology, flows, horizon, seed=k))) == repr(want), k
+            assert shim.pops == 0, (last_mtu, k)
+            monkeypatch.undo()
+            for r in got:
+                expired = r.drop_reason is DropReason.HORIZON_EXPIRED
+                cut[len(r.wire_bytes_per_hop) if expired else r.drop_reason] += 1
+        # Packets stopped before every hop of the path, and some that ended.
+        assert all(cut[h] for h in (*range(10 if end else 11), end)), cut
 
 
 def test_run_leaves_no_cyclic_garbage():
