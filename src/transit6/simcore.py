@@ -54,7 +54,7 @@ queue in their send order, so an untraced run times each private path's
 flows on their own: their sends go into one array of ready times in (time,
 seq) order, and one pass over it takes each packet through every hop by the
 recursion above before it takes the next. Each pass is a function written
-out for its hop count (up to 8; a longer path chains passes) and built at
+out for its hop count (up to 4; a longer path chains passes) and built at
 import, so that every hop's idle time and constants are local variables.
 The flows share one frame and one end, and their ready and start times
 never decrease from one packet to the next, so the horizon cuts a suffix of
@@ -807,8 +807,10 @@ def _time_group(
         c.receive += array("d", [math.nan]) * (sent - len(c.receive))
 
 
-# The most hops one pass takes; a longer path chains passes.
-_PASS_HOPS = 8
+# The most hops one pass takes; a longer path chains passes. Four is the
+# longest private path of the built-in scenarios and the bench workloads, so
+# no pass is compiled at import that none of them times.
+_PASS_HOPS = 4
 
 
 def _pass_source(hops: int) -> str:

@@ -637,12 +637,12 @@ def _long_chain(routers, tick, last_mtu):
 
 
 def test_horizon_cuts_a_private_path_of_over_eight_hops(monkeypatch):
-    # An 11-link chain: the untraced run times its one private path in a
-    # pass over 8 hops and one over the 3 after them. Two flows of one
-    # header queue at H1, and horizons every half tick cut them at every
-    # hop, traced (on the heap) and untraced (no heap), as the reference
-    # engine does. With the last link narrowed below the frame, the path
-    # ends in an MTU drop at R10 after 10 queues.
+    # An 11-link chain: the untraced run times its one private path in
+    # chained passes of 4, 4 and 3 hops. Two flows of one header queue at
+    # H1, and horizons every half tick cut them at every hop, traced (on
+    # the heap) and untraced (no heap), as the reference engine does. With
+    # the last link narrowed below the frame, the path ends in an MTU drop
+    # at R10 after 10 queues, timed in passes of 4, 4 and 2 hops.
     tick = 2.0**-10
     flows = [
         TrafficSpec("a", "H1", "H2", payload_bytes=24, count=6, gap=0.0),

@@ -910,7 +910,7 @@ def _start_times(sends, hops):
 
 
 def test_cross_matches_one_loop_per_hop():
-    # One pass per packet over up to 8 hops, chained past that, must leave
+    # One pass per packet over up to 4 hops, chained past that, must leave
     # the bytes and counts of one loop per hop. Hop constants are random or
     # dyadic (so starts tie with idle times exactly), processing is zero in
     # some, and horizons fall at, and one ulp before, a start on each hop,
