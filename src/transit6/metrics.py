@@ -1,10 +1,9 @@
 """Per-flow summaries of a run and scenario comparison.
 
 ``summarize`` is one loop over the flows of the ``RecordTable`` that
-``run_simulation`` returns: each pass reads one flow's columns and fills
-that flow's ``FlowSummary``, counting ends and hops per distinct value and
-taking the delay statistics in one pass over the delivered packets, with no
-list of delays. ``compare_scenarios``
+``run_simulation`` returns: each pass reads one flow's counts and fills
+that flow's ``FlowSummary``, taking the delay statistics in one pass over
+the delivered packets, with no list of delays. ``compare_scenarios``
 returns a list of ``ComparisonRow``, one per flow. Delay statistics cover
 delivered packets only. Jitter is the mean absolute difference between the
 delays of consecutive packets in send order. Goodput counts delivered
@@ -22,13 +21,9 @@ can give (``simcore.MAX_SECONDS``), so every float of a summary is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional, Sequence
 
-from .simcore import END_REASONS, RecordTable
-
-# Maps a column of end codes to 1 where the packet was delivered, else 0.
-_ARRIVED = bytes([1]) + bytes(255)
+from .simcore import DropReason, RecordTable
 
 
 class MetricsError(ValueError):
@@ -60,21 +55,23 @@ class FlowSummary:
 def summarize(records: RecordTable) -> list[FlowSummary]:
     """Aggregate a run's records, as ``run_simulation`` returns them, per flow.
 
-    One pass per flow reads that flow's columns and builds no record, and
+    One pass per flow reads that flow's counts and builds no record, and
     one loop over its delivered (receive, send) pairs keeps the delay sum,
     minimum, maximum and jitter sum, with no list of delays. Flows
     appear in first-seen order, and so do the drop reasons and links of each
-    flow's dicts. A flow's delivered packets are taken in send order, that
-    is (send time, packet id) order, which is also the order the engine
-    delivers them in, for three reasons: a flow takes one path, each node's
+    flow's dicts: the path's own end before the horizon's, and links in path
+    order, each from the first hop on it that a packet crossed. A link's
+    bytes add up the frame size times ``crossed[h]`` over its hops. A flow's
+    delivered packets are its first ones, in send order, that is (send
+    time, packet id) order, which is also the order the engine delivers
+    them in, for three reasons: a flow takes one path, each node's
     processing delay is constant, and every link direction is a FIFO that
-    keeps frames ready at the same time in the order they were pushed. So
-    delivery order would give the same floats; ``tests/test_engine_oracle.py``
-    checks it on every variant. Delays and their differences are added left
-    to right from 0.0, never by ``sum()``, which over floats is compensated
-    since Python 3.12 and changes the last bits of a result. The minimum and
-    maximum change only on a delay strictly beyond them, as ``min()`` and
-    ``max()`` take them.
+    keeps frames ready at the same time in the order they were pushed;
+    ``tests/test_engine_oracle.py`` checks it on every variant. Delays and
+    their differences are added left to right from 0.0, never by ``sum()``,
+    which over floats is compensated since Python 3.12 and changes the last
+    bits of a result. The minimum and maximum change only on a delay
+    strictly beyond them, as ``min()`` and ``max()`` take them.
 
     Anything but a ``RecordTable`` raises ``TypeError``.
     """
@@ -84,25 +81,21 @@ def summarize(records: RecordTable) -> list[FlowSummary]:
     # A flow's first send is its earliest, and sends at one time go in flow
     # order, so a stable sort by first send is first-seen order.
     for c in sorted((c for c in records.flows if c.send), key=lambda c: c.send[0]):
-        ends, hops, payload_bytes = c.end, c.hops, c.payload_bytes
-        s = FlowSummary(flow_id=c.flow_id, injected=len(ends))
-        s.delivered_count = delivered = ends.count(0)
-        s.dropped_count = len(ends) - delivered
-        s.drop_reasons = {END_REASONS[k].value: ends.count(k) for k in dict.fromkeys(ends) if k}
+        receive, crossed, payload_bytes = c.receive, c.crossed, c.payload_bytes
+        injected = len(c.send)
+        s = FlowSummary(flow_id=c.flow_id, injected=injected)
+        s.delivered_count = delivered = len(receive)
+        s.dropped_count = injected - delivered
+        for end, n in ((c.end, c.finished), (DropReason.HORIZON_EXPIRED, injected - c.finished)):
+            if n and end is not None:
+                s.drop_reasons[end.value] = n
         wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
-        # A packet's hops are a prefix of its path's, so one count per prefix.
-        for n in dict.fromkeys(hops):
-            count = hops.count(n)
-            for link_id, size in c.prefixes[n]:
+        for h, (link_id, size) in enumerate(c.prefixes[-1], 1):
+            if count := crossed[h]:
                 wire[link_id] = wire.get(link_id, 0) + size * count
                 payload[link_id] = payload.get(link_id, 0) + payload_bytes * count
         if delivered:
-            receive = c.receive
             pairs = zip(receive, c.send)
-            if delivered < len(ends):
-                arrived = ends.translate(_ARRIVED)
-                pairs = compress(pairs, arrived)
-                receive = compress(receive, arrived)
             # The first delivery seeds the extremes; both sums start at 0.0.
             r, t = next(pairs)
             low = high = last = r - t
@@ -120,7 +113,7 @@ def summarize(records: RecordTable) -> list[FlowSummary]:
             s.min_delay, s.max_delay = low, high
             if delivered >= 2:
                 s.jitter = jitter / (delivered - 1)
-            duration = max(receive) - c.send[ends.index(0)]
+            duration = max(receive) - c.send[0]
             if duration > 0:
                 s.goodput_bps = (payload_bytes * delivered) * 8 / duration
                 if wire:

@@ -313,7 +313,9 @@ def apply_overrides(raw: RawScenario, overrides: Sequence[str]) -> None:
     A bare ``key=value`` sets a scenario-level key. Dotted paths address one
     section: ``node.R1.processing_delay=0``, ``link.r1-r2.bandwidth=1e6``,
     ``flow.h1-to-h2.payload_bytes=64``, ``tunnel.R1.tun0.v6=2001::77``. Route
-    sections are not addressable this way.
+    sections are not addressable this way. An empty value (``key=``) removes
+    the key, so the model's default holds, as if the text left it out; a
+    key that is not set cannot be removed, so a misspelt one is reported.
     """
     for text in overrides:
         path, sep, value = text.partition("=")
@@ -323,22 +325,29 @@ def apply_overrides(raw: RawScenario, overrides: Sequence[str]) -> None:
         value = value.strip()
         if any(not p for p in parts):
             raise ScenarioValidationError(f"override has an empty path segment: {text!r}")
-        if len(parts) == 1:
-            raw.scenario[parts[0]] = value
-            continue
-        kind, args, key = parts[0], parts[1:-1], parts[-1]
-        if kind in _ROUTE_TABLES:
-            raise ScenarioValidationError(
-                "route sections cannot be addressed by overrides; edit the file"
-            )
-        if kind not in _SECTIONS:
-            raise ScenarioValidationError(f"override names unknown section kind {kind!r}")
-        matches = [s for s in raw.sections if s.kind == kind and s.args == args]
-        if len(matches) != 1:
-            raise ScenarioValidationError(
-                f"override path {path.strip()!r} matches {len(matches)} sections, need exactly 1"
-            )
-        matches[0].entries[key] = [value] if key in _LIST_KEYS[kind] else value
+        entries, key = raw.scenario, parts[-1]
+        if len(parts) > 1:
+            kind, args = parts[0], parts[1:-1]
+            if kind in _ROUTE_TABLES:
+                raise ScenarioValidationError(
+                    "route sections cannot be addressed by overrides; edit the file"
+                )
+            if kind not in _SECTIONS:
+                raise ScenarioValidationError(f"override names unknown section kind {kind!r}")
+            matches = [s for s in raw.sections if s.kind == kind and s.args == args]
+            if len(matches) != 1:
+                raise ScenarioValidationError(
+                    f"override path {path.strip()!r} matches {len(matches)} sections, need exactly 1"
+                )
+            entries = matches[0].entries
+            if value and key in _LIST_KEYS[kind]:
+                value = [value]
+        if value:
+            entries[key] = value
+        elif key in entries:
+            del entries[key]
+        else:
+            raise ScenarioValidationError(f"override {text.strip()!r} removes a key that is not set")
 
 
 def _read(sec: RawSection, **header_fields):

@@ -58,13 +58,13 @@ out for its hop count (up to 4; a longer path chains passes) and built at
 import, so that every hop's idle time and constants are local variables.
 The flows share one frame and one end, and their ready and start times
 never decrease from one packet to the next, so the horizon cuts a suffix of
-the packets at every hop, and each flow's columns are written as a few runs
-of equal hop counts and ends, with its delivered arrivals taken from the
-array. A heap times the rest (paths that share a queue with another or
+the packets at every hop, and each flow's counts are read off those cuts,
+with its delivered arrivals taken from the array. A heap times the rest (paths that share a queue with another or
 reuse one, and every path that transmits in a traced run) with one entry
 per hop, due when a node has processed the packet; the frame then takes its
 FIFO slot and the next hop's entry goes on at its arrival plus that node's
-processing delay. The run puts every flow's sends in order, walks those of
+processing delay, and each flow's counts go up as its packets cross hops
+and end. The run puts every flow's sends in order, walks those of
 the heap's flows only and, before each send, takes off the entries due
 strictly before it, so the heap holds only the packets in flight; with no
 such flow, there is no walk.
@@ -86,15 +86,16 @@ it, not when it arrives, so a horizon that falls between the two expires it
 instead. A hop counts as crossed only if its transmission starts by the
 horizon, and a packet is delivered only if it arrives by then.
 
-A run builds no record per packet. Each packet's end goes into its flow's
-columns (``FlowColumns``): its send and receive times in arrays of floats,
-how it ended and how many hops it crossed in a byte each (the hop count in
-four on a path of over 255 hops). A packet's hops are always a prefix of
-its path's, so each compiled path keeps one tuple per prefix, and the hop
-count picks the packet's. ``run_simulation`` returns the columns as a
-``RecordTable``, which ``metrics.summarize`` reads column by column. The
-table has a length and is read by iterating it, which builds one
-``MetricsRecord`` per packet; it is not a sequence and equals no list.
+A run builds no record per packet. A flow sends one frame along one path,
+and its packets keep their send order at every queue, so they end as a
+prefix that ends as the path does and a suffix that the horizon expires,
+and none crosses more hops than the one before it. A flow's result
+(``FlowColumns``) is thus its send times, its delivered arrivals, its
+path's end and a few counts; a packet's hops are a prefix of its path's,
+whose tuples the path keeps. ``run_simulation`` returns them as a
+``RecordTable``, which ``metrics.summarize`` reads flow by flow. Iterating
+it builds one ``MetricsRecord`` per packet; it is not a sequence and
+equals no list.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ import heapq
 import math
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain, compress, count, repeat
+from operator import neg
 from typing import Optional, Union
 
 from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
@@ -257,7 +259,7 @@ class MetricsRecord:
     immutable tuple shared by every record that crossed the same hops of
     the same path. Iterating a ``RecordTable`` builds each record as it
     goes, so editing one, hops included, changes nothing in the table.
-    ``metrics.summarize`` reads the table's columns, never its records.
+    ``metrics.summarize`` reads the table's counts, never its records.
     """
 
     packet_id: int
@@ -271,23 +273,16 @@ class MetricsRecord:
     wire_bytes_per_hop: Sequence[tuple[str, int]] = ()
 
 
-# How a packet ended, by its code in ``FlowColumns.end``: None (delivered)
-# for 0, then each DropReason.
-END_REASONS: tuple[Optional[DropReason], ...] = (None, *DropReason)
-_END_CODES = {end: code for code, end in enumerate(END_REASONS)}
-
-
 @dataclass(slots=True)
 class FlowColumns:
-    """One flow's packets as columns, in send order (that is, packet-id order).
+    """One flow's packets as counts, in send order (that is, packet-id order).
 
-    ``send`` and ``receive`` are times, ``receive`` NaN for a packet not
-    delivered; ``end`` is how each packet ended, ``END_REASONS[end[j]]``
-    (None for delivered, at code 0, else the drop reason); ``hops``
-    counts the hops it was transmitted on, and ``prefixes[hops[j]]`` is
-    packet j's ``wire_bytes_per_hop``, a tuple its flow's packets share.
-    ``hops`` is a ``bytearray`` unless the flow's path is longer than 255
-    hops. A ``RecordTable`` keeps one per flow; iterating it yields records.
+    ``send`` holds their send times. The first ``finished`` ended as the
+    path does, ``end`` (None for delivered, else the drop reason), and the
+    rest expired at the horizon; ``receive`` holds the delivered ones'
+    arrivals. ``crossed[h]`` counts the packets sent on at least h hops,
+    and ``prefixes[h]`` is the ``wire_bytes_per_hop`` they share if they
+    crossed h. A ``RecordTable`` keeps one per flow; iterating it yields records.
     """
 
     flow_id: str
@@ -297,8 +292,9 @@ class FlowColumns:
     prefixes: list[tuple[tuple[str, int], ...]]
     send: array
     receive: array
-    end: bytearray
-    hops: Union[bytearray, array]
+    end: Optional[DropReason]
+    finished: int
+    crossed: list[int]
 
 
 class RecordTable:
@@ -325,10 +321,11 @@ class RecordTable:
             c = flows[a]
             j = taken[a]
             taken[a] = j + 1
-            end = END_REASONS[c.end[j]]
             yield MetricsRecord(
                 p, c.flow_id, c.src, c.dst, c.payload_bytes, c.send[j],
-                c.receive[j] if end is None else None, end, c.prefixes[c.hops[j]],
+                c.receive[j] if j < len(c.receive) else None,
+                c.end if j < c.finished else DropReason.HORIZON_EXPIRED,
+                c.prefixes[bisect_left(c.crossed, -j, key=neg) - 1],
             )
 
 
@@ -483,6 +480,11 @@ def forward(node: Node, frame: bytes, in_if: Optional[str]) -> ForwardResult:
 # any run that fits in memory.
 MAX_SECONDS = 2.0**32
 
+# The largest flow count. Send i is due at ``start + i * gap``, and past 2**53
+# not every index is a float, so two sends could share a nominal time; it also
+# keeps the send indexes ``_draw_sends`` bisects within a 64-bit ``range``.
+MAX_COUNT = 2**53
+
 
 def validate_topology(topology: Topology) -> None:
     """Raise InvalidTopologyError on the first structural rule violation."""
@@ -616,6 +618,8 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: payload_bytes over 65475")
         if flow.count < 1:
             raise InvalidTrafficError(f"{flow.flow_id}: count must be at least 1")
+        if flow.count > MAX_COUNT:
+            raise InvalidTrafficError(f"{flow.flow_id}: count over {MAX_COUNT}")
         for key in ("gap", "start", "jitter"):
             if not math.isfinite(getattr(flow, key)):
                 raise InvalidTrafficError(f"{flow.flow_id}: {key} must be finite")
@@ -630,13 +634,12 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: jitter must be in [0, 1)")
 
 
-# A heap entry is hop i of flow f's path, (key, f, i, j, packet id), due when
-# the node has processed the packet; j is the packet's place among its flow's.
-# The key, the first five fields, is (time, send time, 0, 0.0, packet id) at
-# the source and (time, arrival, 1, previous start, previous rank) at a later
-# node: when the packet reached it, and when and at what rank among heap hops
-# the previous hop began to transmit. Keys are unique, so entries never
-# compare past them.
+# A heap entry is hop i of flow f's path, (key, f, i, packet id), due when
+# the node has processed the packet. The key, the first five fields, is
+# (time, send time, 0, 0.0, packet id) at the source and (time, arrival, 1,
+# previous start, previous rank) at a later node: when the packet reached
+# it, and when and at what rank among heap hops the previous hop began to
+# transmit. Keys are unique, so entries never compare past them.
 
 
 @dataclass(slots=True)
@@ -757,21 +760,20 @@ def _path(
 
 
 def _time_group(
-    flow_sends: Sequence[array], limit: float, path: list[tuple], queued: int, end: int,
-    flows: list[int], columns: list[FlowColumns],
+    flow_sends: Sequence[array], limit: float, path: list[tuple], queued: int,
+    end: Optional[DropReason], flows: list[int], columns: list[FlowColumns],
 ) -> None:
     """Time the packets of ``flows``, which take the private ``path``.
 
-    ``queued`` is the number of the path's hops that transmit, ``end`` the
-    code of how it ends and ``limit`` the horizon. The flows' sends, taken
-    from ``flow_sends`` in (time, seq) order, go into one array of ready
-    times, and ``_cross`` takes each packet through every hop before the
-    next, leaving there when it reached the node after the last hop it
-    crossed. The path's queues are its own and start idle, and its ready
-    and start times never decrease from one packet to the next, so the
-    horizon cuts a suffix at every hop: a flow's columns are runs of equal
-    hop counts and ends, with the arrivals of its delivered packets and NaN
-    after them.
+    ``queued`` is the number of the path's hops that transmit, ``end`` how
+    it ends and ``limit`` the horizon. The flows' sends, taken from
+    ``flow_sends`` in (time, seq) order, go into one array of ready times,
+    and ``_cross`` takes each packet through every hop before the next,
+    leaving there when it reached the node after the last hop it crossed.
+    The path's queues are its own and start idle, and its ready and start
+    times never decrease from one packet to the next, so the horizon cuts a
+    suffix at every hop: a flow's counts are how many of its packets come
+    before each cut.
     """
     ready, owners = _merge(flow_sends, flows)
     # cuts[h]: how many of the packets crossed h hops, a prefix.
@@ -783,28 +785,30 @@ def _time_group(
     # are a prefix too; a delivered one's arrival goes to its flow's column.
     wait = path[queued][0] if len(path) > queued else 0.0
     done = bisect_right(ready, limit, 0, cuts[queued], key=lambda t: t + wait)
-    if not end:
+    if end is None:
         del ready[done:]
-        if len(columns[flows[0]].send) == len(owners):
-            # One flow sent every packet: the array is its column.
-            columns[flows[0]].receive = ready
-        else:
-            adds = [columns[f].receive.append for f in flows]
-            for k, t in zip(owners, ready):
-                adds[k](t)
-    HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
+    c = columns[flows[0]]
+    if len(c.send) == len(owners):
+        # One flow sent every packet: the cuts are its counts, the array its arrivals.
+        c.crossed, c.finished = cuts, done
+        if end is None:
+            c.receive = ready
+        return
+    if end is None:
+        adds = [columns[f].receive.append for f in flows]
+        for k, t in zip(owners, ready):
+            adds[k](t)
     for k, f in enumerate(flows):
         c = columns[f]
-        sent = len(c.send)
+        crossed = c.crossed
         # Packets first to cuts[h] crossed h hops and no more, most hops first.
-        first = 0
-        for h in range(queued, -1, -1):
+        n = first = 0
+        for h in range(queued, 0, -1):
             if cuts[h] > first:
-                c.hops.extend(repeat(h, owners[first : cuts[h]].count(k)))
+                n += owners[first : cuts[h]].count(k)
                 first = cuts[h]
-        finished = owners[:done].count(k)
-        c.end += bytes((end,)) * finished + bytes((HORIZON_EXPIRED,)) * (sent - finished)
-        c.receive += array("d", [math.nan]) * (sent - len(c.receive))
+            crossed[h] = n
+        c.finished = owners[:done].count(k)
 
 
 # The most hops one pass takes; a longer path chains passes. Four is the
@@ -1012,18 +1016,14 @@ def run_simulation(
     push = heapq.heappush
     pop = heapq.heappop
     fwd = forward
-    MTU_EXCEEDED = _END_CODES[DropReason.MTU_EXCEEDED]
-    HORIZON_EXPIRED = _END_CODES[DropReason.HORIZON_EXPIRED]
-    NAN = math.nan
     idle = [0.0] * queue_count
 
     # What a node does with a frame depends only on the node, the frame
     # and where it came in, so each distinct flow header is framed and
     # walked once, here, and the timing below only follows its path.
-    # Each header's path, hop prefixes, end code and flows.
+    # Each header's path, hop prefixes, end and flows.
     compiled: dict[tuple, tuple] = {}
     paths: list[list[tuple]] = []
-    ends: list[int] = []
     columns: list[FlowColumns] = []
     for f, (flow, sends) in enumerate(zip(traffic, flow_sends)):
         key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
@@ -1032,15 +1032,14 @@ def run_simulation(
             path, prefixes, end = _path(
                 ports, trace is not None, fwd, src, _flow_frame(src, nodes[flow.dst], flow)
             )
-            compiled[key] = path, prefixes, _END_CODES[end], []
+            compiled[key] = path, prefixes, end, []
         path, prefixes, end, flows = compiled[key]
         flows.append(f)
         paths.append(path)
-        ends.append(end)
         columns.append(
             FlowColumns(
                 flow.flow_id, flow.src, flow.dst, flow.payload_bytes, prefixes, sends,
-                array("d"), bytearray(), bytearray() if len(prefixes) <= 256 else array("I"),
+                array("d"), end, 0, [len(sends)] + [0] * (len(prefixes) - 1),
             )
         )
 
@@ -1080,11 +1079,12 @@ def run_simulation(
         while heap and (heap[0][0] < now or a < 0 and heap[0][0] <= now):
             # The node has processed the packet for hop b of its flow's
             # path: the frame joins the link's FIFO, is sent and arrives.
-            due, _, _, _, _, f, b, j, packet_id = pop(heap)
+            due, _, _, _, _, f, b, packet_id = pop(heap)
             path = paths[f]
             _, queue, ser, prop, text = path[b]
+            c = columns[f]
             if queue is None:
-                columns[f].end[j] = MTU_EXCEEDED
+                c.finished += 1
                 continue
             free = idle[queue]
             start = free if free > due else due
@@ -1093,28 +1093,21 @@ def run_simulation(
                 continue
             rank += 1
             b += 1
-            columns[f].hops[j] = b
+            c.crossed[b] += 1
             if lines is not None:
                 lines.append((start, rank, f"{start!r} {text[0]} pkt={packet_id} {text[1]}"))
             arrival = start + ser + prop
             if b < len(path):
-                push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, j, packet_id))
+                push(heap, (arrival + path[b][0], arrival, 1, start, rank, f, b, packet_id))
             elif arrival <= limit:
-                columns[f].end[j] = ends[f]
-                if not ends[f]:
-                    columns[f].receive[j] = arrival
+                # A flow's packets keep their send order at every queue, so
+                # they arrive in it.
+                c.finished += 1
+                if c.end is None:
+                    c.receive.append(arrival)
         if a < 0:
             break
-
-        # A send adds the packet to its flow's columns. It starts out
-        # expired by the horizon, which is how it ends if the run stops
-        # before its frame does.
-        c = columns[a]
-        j = len(c.end)
-        c.receive.append(NAN)
-        c.end.append(HORIZON_EXPIRED)
-        c.hops.append(0)
-        push(heap, (now + paths[a][0][0], now, 0, 0.0, seq, a, 0, j, seq))
+        push(heap, (now + paths[a][0][0], now, 0, 0.0, seq, a, 0, seq))
 
     if lines is not None:
         lines.sort()

@@ -290,6 +290,18 @@ def test_readme_scenario_example_runs_and_sets_only_defaults(tmp_path, capsys):
                 assert getattr(obj, key) == defaults[key], (sec.label(), key)
 
 
+def test_empty_override_removes_a_key(capsys):
+    # The built-in's configured tunnel keeps its remote_v4, which a 6to4
+    # tunnel derives, until an empty value removes it.
+    kind = "tunnel.R1.tun0.kind=6to4"
+    assert main(["run", "6to4", "--override", kind]) == 2
+    assert "drop remote_v4" in capsys.readouterr().err
+    assert main(["run", "6to4", "--override", kind, "--override", "tunnel.R1.tun0.remote_v4="]) == 0
+    assert "injected" in capsys.readouterr().out
+    assert main(["run", "6to4", "--override", "tunnel.R1.tun0.local_v4="]) == 2
+    assert "missing required key 'local_v4'" in capsys.readouterr().err
+
+
 def test_run_bad_override(capsys):
     assert main(["run", "6to4", "--override", "route6.R1.prefix=::/0"]) == 2
     assert "route sections" in capsys.readouterr().err
@@ -320,10 +332,13 @@ def test_run_horizon_cuts_deliveries(capsys):
         ("flow.h1-to-h2.start=1e308", "h1-to-h2: start over"),
         ("horizon=nan", "horizon must be a finite"),
         ("horizon=inf", "horizon must be a finite"),
+        # Past sys.maxsize, once an internal error (exit 3).
+        ("flow.h1-to-h2.count=100000000000000000000", "h1-to-h2: count over"),
     ],
 )
 def test_run_rejects_non_finite_override(override, needle, capsys):
-    assert main(["run", "6to4", "--override", override]) == 2
+    # The horizon keeps a run short should a huge count ever pass validation.
+    assert main(["run", "6to4", "--override", override, "--horizon", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert needle in captured.err

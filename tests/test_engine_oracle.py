@@ -22,7 +22,10 @@ must use it. Two flows of one header get their own dyadic-time test of
 horizons that cut them at every hop, on a five-node chain and on a path of
 11 links, longer than one of the engine's passes. Last, a run must leave no
 cyclic garbage behind. Every traced run's wire bytes also pass
-``trace_audit.audit``.
+``trace_audit.audit``. Every reference run's records, traced and untraced,
+pack with ``record_tables.table_of`` into the engine's per-flow counts and
+back: one end per flow, met by a prefix of its packets, and hop tuples
+that never grow, on shared queues, loops, MTU drops and 300-flow groups.
 """
 
 import gc
@@ -34,6 +37,7 @@ from dataclasses import replace
 
 from engine_oracle import reference_run
 from heap_counting import CountingHeapq
+from record_tables import table_of
 from summary_oracle import summarize as oracle_summarize
 from trace_audit import audit
 
@@ -202,6 +206,20 @@ BASES = {
     "loop": _loop,
 }
 
+
+def _reference(topology, traffic, horizon=None, **kw):
+    """``reference_run``'s records, checked to have a run's shape.
+
+    The reference engine records each packet on its own. ``table_of``
+    packs its records into one end, finished count and crossing counts per
+    flow, asserting that they end as a prefix and a horizon-expired suffix
+    and cross ever fewer hops, and the table must give them back.
+    """
+    want = reference_run(topology, traffic, horizon, **kw)
+    assert repr(list(table_of(want, [flow.flow_id for flow in traffic]))) == repr(want)
+    return want
+
+
 # Frames in the loop base bounce until their hop limit runs out; this many
 # hops keep the reference engine's run short.
 LOOP_HOP_LIMIT = 9
@@ -253,8 +271,9 @@ def test_engine_matches_reference_engine():
         trace: list[str] = []
         records = run_simulation(topology, flows, horizon, seed=seed, trace=trace)
         want_trace: list[str] = []
-        want = reference_run(topology, flows, horizon, seed=seed, trace=want_trace)
+        want = _reference(topology, flows, horizon, seed=seed, trace=want_trace)
         assert trace == want_trace, (case, base)
+        assert repr(_reference(topology, flows, horizon, seed=seed)) == repr(want), (case, base)
         assert repr(list(records)) == repr(want), (case, base)
         audit(topology, trace, records)
         # Untraced, flows whose queues are their own skip the heap.
@@ -302,7 +321,7 @@ def test_routing_loop_matches_reference_engine():
                     TrafficSpec("f", "H1", "H2", payload_bytes=500, count=10, gap=gap,
                                 hop_limit=LOOP_HOP_LIMIT, jitter=jitter)
                 ]
-                want = reference_run(s.topology, flows, horizon, seed=3)
+                want = _reference(s.topology, flows, horizon, seed=3)
                 got = run_simulation(s.topology, flows, horizon, seed=3)
                 assert repr(list(got)) == repr(want), (gap, jitter, horizon)
                 if horizon is None:
@@ -317,7 +336,7 @@ def test_hairpin_link_matches_reference_engine():
         trace: list[str] = []
         got = run_simulation(topology, flows, horizon, seed=5, trace=trace)
         want_trace: list[str] = []
-        want = reference_run(topology, flows, horizon, seed=5, trace=want_trace)
+        want = _reference(topology, flows, horizon, seed=5, trace=want_trace)
         assert trace == want_trace, horizon
         assert repr(list(got)) == repr(want), horizon
         audit(topology, trace, got)
@@ -334,7 +353,7 @@ def test_hairpin_link_matches_reference_engine():
 def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
     # R3 routes H2's own address back into the tunnel, so each packet for H2
     # crosses the tunnel to R1, comes back and is tunnelled again until its
-    # hop limit of 255 runs out: 508 hops, more than a byte can count. The
+    # hop limit of 255 runs out: 508 hops, with 509 crossing counts. The
     # horizons cut packets before and after their 256th hop.
     s = build_scenario_6to4(count=4, hop_limit=255)
     r3 = s.topology.nodes[3]
@@ -342,7 +361,7 @@ def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
         replace(e, out_if="tun0") if e.prefix == P6("2001::4/128") else e for e in r3.v6_routes
     ]
     full_trace: list[str] = []
-    full = reference_run(s.topology, s.traffic, trace=full_trace)
+    full = _reference(s.topology, s.traffic, trace=full_trace)
     audit(s.topology, full_trace, full)
     assert all(len(r.wire_bytes_per_hop) == 508 for r in full)
     assert all(r.drop_reason is DropReason.TTL_EXPIRED for r in full)
@@ -355,7 +374,7 @@ def test_tunnel_ping_pong_past_255_hops_matches_reference_engine():
         trace: list[str] = []
         got = run_simulation(s.topology, s.traffic, horizon, trace=trace)
         want_trace: list[str] = []
-        want = reference_run(s.topology, s.traffic, horizon, trace=want_trace)
+        want = _reference(s.topology, s.traffic, horizon, trace=want_trace)
         assert trace == want_trace, horizon
         assert repr(list(got)) == repr(want), horizon
         audit(s.topology, trace, got)
@@ -387,7 +406,7 @@ def test_send_schedule_merge_edges_match_reference_engine():
                 trace: list[str] = []
                 got = run_simulation(s.topology, flows, horizon, seed=7, trace=trace)
                 want_trace: list[str] = []
-                want = reference_run(s.topology, flows, horizon, seed=7, trace=want_trace)
+                want = _reference(s.topology, flows, horizon, seed=7, trace=want_trace)
                 assert trace == want_trace, (processing, horizon)
                 assert repr(list(got)) == repr(want), (processing, horizon)
                 audit(s.topology, trace, got)
@@ -425,7 +444,7 @@ def test_over_256_flows_match_reference_engine_and_summary_oracle():
     topology, flows = _three_hundred_flows()
     for horizon in (None, 6e-3):
         want_trace: list[str] = []
-        want = reference_run(topology, flows, horizon, seed=9, trace=want_trace)
+        want = _reference(topology, flows, horizon, seed=9, trace=want_trace)
         ends = Counter(r.drop_reason for r in want)
         if horizon is None:
             assert len(want) == ends[None] == 900
@@ -526,7 +545,7 @@ def test_untraced_private_groups_never_use_the_heap(monkeypatch):
     ends = set()
     for runs, off_heap in ((private, True), (shared, False)):
         for topology, flows, horizon in runs:
-            want = reference_run(topology, flows, horizon, seed=9)
+            want = _reference(topology, flows, horizon, seed=9)
             shim = CountingHeapq()
             monkeypatch.setattr(simcore, "heapq", shim)
             got = run_simulation(topology, flows, horizon, seed=9)
@@ -557,7 +576,7 @@ def test_workload_shapes_are_private_groups_only(monkeypatch):
     # never touch the heap. Built here from the builders, at three seeds.
     for topology, flows, horizon in (_congested_shape(), _route_shape()):
         for seed in (0, 17, 29):
-            want = reference_run(topology, flows, horizon, seed=seed)
+            want = _reference(topology, flows, horizon, seed=seed)
             shim = CountingHeapq()
             monkeypatch.setattr(simcore, "heapq", shim)
             got = run_simulation(topology, flows, horizon, seed=seed)
@@ -584,7 +603,7 @@ def test_horizon_cuts_a_private_group_before_mid_and_at_the_last_hop(monkeypatch
     for k in range(61):
         horizon = k * tick / 2
         want_trace: list[str] = []
-        want = reference_run(s.topology, flows, horizon, trace=want_trace)
+        want = _reference(s.topology, flows, horizon, trace=want_trace)
         trace: list[str] = []
         got = run_simulation(s.topology, flows, horizon, trace=trace)
         assert trace == want_trace, k
@@ -655,7 +674,7 @@ def test_horizon_cuts_a_private_path_of_over_eight_hops(monkeypatch):
         for k in range(90):
             horizon = k * tick / 2
             want_trace: list[str] = []
-            want = reference_run(topology, flows, horizon, seed=k, trace=want_trace)
+            want = _reference(topology, flows, horizon, seed=k, trace=want_trace)
             trace: list[str] = []
             got = run_simulation(topology, flows, horizon, seed=k, trace=trace)
             assert trace == want_trace, (last_mtu, k)

@@ -24,10 +24,11 @@ def _rec(pid, flow="f", payload=100, send=0.0, recv=None, drop=None, hops=()):
     )
 
 
+# A run's shape: the horizon expires the last packet after its first hop.
 HAND_RECORDS = [
     _rec(0, send=0.0, recv=1.0, hops=[("l", 120), ("m", 140)]),
     _rec(1, send=10.0, recv=13.0, hops=[("l", 120), ("m", 140)]),
-    _rec(2, send=20.0, drop=DropReason.NO_ROUTE, hops=[("l", 120)]),
+    _rec(2, send=20.0, drop=DropReason.HORIZON_EXPIRED, hops=[("l", 120)]),
 ]
 
 
@@ -46,7 +47,7 @@ def test_summary_counts_and_delays():
     (s,) = summarize(table_of(HAND_RECORDS))
     assert s.flow_id == "f"
     assert (s.injected, s.delivered_count, s.dropped_count) == (3, 2, 1)
-    assert s.drop_reasons == {"no-route": 1}
+    assert s.drop_reasons == {"horizon-expired": 1}
     assert s.mean_delay == 2.0
     assert (s.min_delay, s.max_delay) == (1.0, 3.0)
     # One delay step: |3.0 - 1.0|.

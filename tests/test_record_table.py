@@ -1,11 +1,13 @@
 """``run_simulation``'s ``RecordTable``, read by iterating it.
 
-A table keeps each flow's packets in columns. It has a length, and
+A table keeps each flow's send times, delivered arrivals and counts of
+packets that ended and crossed each hop. It has a length, and
 iterating it builds one ``MetricsRecord`` per packet in packet-id order,
 which must equal the reference engine's records. It is not a sequence and
 does not equal a list: ``list(table)`` is its records. A pass keeps no
 object per packet once it ends, and a record it yields is the caller's to
-edit.
+edit. ``record_tables.table_of`` packs hand-built records the same way and
+takes only what a run can give.
 """
 
 import gc
@@ -13,11 +15,13 @@ import tracemalloc
 from collections.abc import Sequence
 from dataclasses import replace
 
+import pytest
 from engine_oracle import reference_run
+from record_tables import table_of
 from test_engine_oracle import _hairpin
 
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
-from transit6.simcore import DropReason, RecordTable, TrafficSpec, run_simulation
+from transit6.simcore import DropReason, MetricsRecord, RecordTable, TrafficSpec, run_simulation
 
 
 def _runs():
@@ -45,7 +49,7 @@ def test_table_iterates_the_reference_engines_records():
         assert list(table) == want
         assert repr(list(table)) == repr(want)
     # Delivered, expired by hop limit and by horizon, each through the
-    # end-code column and back.
+    # counts and back.
     assert {None, DropReason.TTL_EXPIRED, DropReason.HORIZON_EXPIRED} <= ends
 
 
@@ -83,3 +87,52 @@ def test_iterating_keeps_no_per_packet_objects():
     finally:
         tracemalloc.stop()
     assert list(table)[-1] == last
+
+
+PATH = (("l", 120), ("m", 140))
+EXPIRED, NO_ROUTE = DropReason.HORIZON_EXPIRED, DropReason.NO_ROUTE
+
+
+def _rec(pid, send, recv=None, drop=None, hops=PATH, flow="f", payload=100):
+    return MetricsRecord(pid, flow, "a", "b", payload, send, recv, drop, hops)
+
+
+def test_table_of_packs_a_runs_shape():
+    # Delivered packets, then the horizon expiring the rest after fewer and
+    # fewer hops; a second flow ending in a drop before its sends tie.
+    records = [
+        _rec(0, 0.0, recv=1.0), _rec(1, 0.5, drop=NO_ROUTE, hops=(), flow="g"),
+        _rec(2, 1.0, recv=2.5), _rec(3, 2.0, drop=EXPIRED, hops=PATH[:1]),
+        _rec(4, 2.0, drop=EXPIRED, hops=(), flow="g"), _rec(5, 3.0, drop=EXPIRED, hops=()),
+    ]
+    table = table_of(records)
+    f, g = table.flows
+    assert (f.end, f.finished, f.crossed, list(f.receive)) == (None, 2, [4, 3, 2], [1.0, 2.5])
+    assert (g.end, g.finished, g.crossed, list(g.receive)) == (NO_ROUTE, 1, [2], [])
+    assert list(table) == records
+
+
+@pytest.mark.parametrize(
+    "records, needle",
+    [
+        ([_rec(0, 0.0, recv=1.0, drop=NO_ROUTE)], "packet_id=0"),
+        ([_rec(0, 0.0, hops=())], "packet_id=0"),
+        ([_rec(0, 1.0, recv=2.0), _rec(1, 0.5, recv=2.5)], "sends go back"),
+        # Tied sends in another order than the flows' columns.
+        ([_rec(0, 0.0, recv=1.0), _rec(1, 0.0, recv=1.0, flow="g"),
+          _rec(2, 1.0, recv=2.0, flow="g"), _rec(3, 1.0, recv=2.0)], "sends go back"),
+        ([_rec(0, 0.0, recv=1.0), _rec(1, 1.0, recv=2.0, payload=64)], "mixes frames"),
+        ([_rec(0, 0.0, drop=NO_ROUTE), _rec(1, 1.0, drop=DropReason.TTL_EXPIRED)], "ends twice"),
+        ([_rec(0, 0.0, recv=1.0), _rec(1, 1.0, drop=NO_ROUTE)], "ends twice"),
+        ([_rec(0, 0.0, drop=EXPIRED), _rec(1, 1.0, recv=2.0)], "ends after an expiry"),
+        ([_rec(0, 0.0, drop=EXPIRED), _rec(1, 1.0, drop=NO_ROUTE)], "ends after an expiry"),
+        ([_rec(0, 0.0, recv=1.0), _rec(1, 1.0, recv=2.0, hops=PATH[:1])], "ends short"),
+        ([_rec(0, 0.0, drop=EXPIRED, hops=PATH[:1]), _rec(1, 1.0, drop=EXPIRED)], "not a prefix"),
+        ([_rec(0, 0.0, drop=EXPIRED), _rec(1, 1.0, drop=EXPIRED, hops=PATH[:1]),
+          _rec(2, 2.0, drop=EXPIRED)], "not a prefix"),
+        ([_rec(0, 0.0, drop=EXPIRED), _rec(1, 1.0, drop=EXPIRED, hops=PATH[1:])], "not a prefix"),
+    ],
+)
+def test_table_of_rejects_what_no_run_gives(records, needle):
+    with pytest.raises(AssertionError, match=needle):
+        table_of(records)

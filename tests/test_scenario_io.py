@@ -251,6 +251,20 @@ def test_override_section_values():
     assert node.processing_delay == 0.0
 
 
+def test_override_empty_value_removes_the_key():
+    # The key is gone, so the model's default holds, as if the text left it out.
+    s = load_text(MINIMAL, overrides=["horizon=0.25", "horizon=", "name="], default_name="file")
+    assert (s.name, s.horizon) == ("file", None)
+    s = load_text(TUNNEL_TEXT, overrides=["node.R2.processing_delay=", "interface.R1.eth0.v6="])
+    r1, r2 = (next(n for n in s.topology.nodes if n.id == name) for name in ("R1", "R2"))
+    assert r2.processing_delay == 0.0 and r1.interfaces[0].v6 == []
+    with pytest.raises(ScenarioValidationError, match="missing required key 'local_v4'"):
+        load_text(TUNNEL_TEXT, overrides=["tunnel.R1.tun0.local_v4="])
+    for override in ("horizon=", "node.R2.processing_dely="):
+        with pytest.raises(ScenarioValidationError, match="removes a key that is not set"):
+            load_text(TUNNEL_TEXT, overrides=[override])
+
+
 def test_override_list_key_replaces_list():
     s = load_text(MINIMAL, overrides=["interface.a.eth0.v6=2001::33"])
     iface = s.topology.nodes[0].interfaces[0]

@@ -34,6 +34,7 @@ from transit6 import simcore, transition
 from transit6.metrics import summarize
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import (
+    MAX_COUNT,
     MAX_SECONDS,
     DropReason,
     ForwardAction,
@@ -700,15 +701,16 @@ def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
 
 
 # Peak tracemalloc bytes per packet of summarize(run_simulation(...)) on the
-# built-in 6to4 at 3000 packets. Measured 24.5 on CPython 3.11 (x86-64
-# Linux): the run's columns and its send array. It was 54.7 while summarize
+# built-in 6to4 at 3000 packets. Measured 22.4 on CPython 3.11 (x86-64
+# Linux): the run's send and receive arrays. It was 24.5 while each packet's
+# end and hop count took a byte in a column, 54.7 while summarize
 # held its delays in a list and _draw_sends its send times in another, 61.4
 # while a one-flow run also copied its sends into a schedule list, and ~216
 # with a MetricsRecord kept per packet. One list of floats per send, 32 B
 # each, takes it past the bound.
 PEAK_BYTES_PER_PACKET = 32
 # Peak tracemalloc bytes of the same run with count 10**6 and a 1 s horizon:
-# its ~1000 sends before the horizon, whatever the count. Measured 27.6 KB on
+# its ~1000 sends before the horizon, whatever the count. Measured 24.5 KB on
 # CPython 3.11 (x86-64 Linux); drawing every send and then cutting them held
 # 40 MB.
 PEAK_BYTES_HORIZON_CUT = 128 * 1024
@@ -727,14 +729,16 @@ PEAK_BYTES_HORIZON_CUT_JITTERED = 128 * 1024
 PEAK_BYTES_PER_PACKET_SORTED = 80
 # The same shape with each flow's payload one byte apart, so its eight paths
 # share the r1-r2 queue and are timed on the heap, over the merge of every
-# flow's sends. Measured 88.4-88.6 on CPython 3.11 (x86-64 Linux) over four
-# seeds; 101.3-101.4 while the merge held an index object per send.
+# flow's sends. Measured 83.4-85.1 on CPython 3.11 (x86-64 Linux) over four
+# seeds; 88.4-88.6 while each send appended a byte of end and hop count to
+# its flow's columns, 101.3-101.4 while the merge held an index object per
+# send.
 PEAK_BYTES_PER_PACKET_HEAP = 96
 
 
 def test_peak_memory_per_packet_stays_bounded():
-    # Packets end in per-flow columns of a few bytes each, and summarize
-    # reads the columns: no record object is kept per packet.
+    # A run keeps per-flow send and delivered times and a few counts, and
+    # summarize reads them: no record object is kept per packet.
     summaries, peak = peak_per_packet(*one_flow_shape())
     assert summaries[0].delivered_count == 3000
     assert peak < PEAK_BYTES_PER_PACKET
@@ -1230,3 +1234,16 @@ def test_validate_traffic_rejections():
         validate_traffic(topo, [replace(ok, **{key: MAX_SECONDS})])
     # The biggest legal payload still fits after one encapsulation.
     validate_traffic(topo, [TrafficSpec("g", "h1", "h2", payload_bytes=65475)])
+
+
+def test_run_takes_the_largest_count_and_rejects_more():
+    # A count past sys.maxsize once made the horizon's bisection over the
+    # send indexes raise OverflowError. A horizon keeps the run to the few
+    # sends due by it; without one, the largest count would never end.
+    topo = _valid_topology()
+    flow = TrafficSpec("f", "h1", "h2", count=MAX_COUNT, gap=1e-3)
+    records = run_simulation(topo, [flow], horizon=0.01)
+    assert len(records) == 11
+    for count in (MAX_COUNT + 1, 10**20):
+        with pytest.raises(InvalidTrafficError, match=f"f: count over {MAX_COUNT}"):
+            run_simulation(topo, [replace(flow, count=count)], horizon=0.01)

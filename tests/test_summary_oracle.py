@@ -11,11 +11,11 @@ matches in order, on:
   of ``tests/test_engine_golden.py`` and a tunnel loop cut by a horizon,
   traced and untraced;
 - tables packed by ``record_tables.table_of`` from hand-built records with
-  tied send times, numbered as a table numbers them, arbitrary hop tuples
-  and every drop reason;
+  tied send times, numbered as a table numbers them, arbitrary paths, every
+  drop reason, and horizons that cut each flow anywhere, in a run's shape;
 - one-flow tables built by hand around the one-pass delay statistics: the
   minimum delay after the maximum, all delays equal, one delivery,
-  deliveries only after drops, and none.
+  deliveries before expiries, and none.
 """
 
 import random
@@ -80,16 +80,26 @@ def test_summaries_match_oracle_on_tunnel_loop():
 
 
 def test_summaries_match_oracle_on_hand_built_records():
-    # Few distinct times, so sends tie; hop tuples drawn from a few links,
-    # some empty; every drop reason; one payload size per flow. A table
-    # numbers tied sends in the order of its columns, which come in
-    # first-seen order, so the records are numbered that way: flows by first
-    # send and then by name, and each flow's sends in the order drawn.
+    # Few distinct times, so sends tie; each flow's path drawn from a few
+    # links, some empty, and ending in a delivery or any drop reason; one
+    # payload size per flow. As in a run, a flow's packets end as its path
+    # does until the first that the horizon expires, after some hops, and
+    # no packet crosses more hops than the one before it. A table numbers
+    # tied sends in the order of its columns, which come in first-seen
+    # order, so the records are numbered that way: flows by first send and
+    # then by name, and each flow's sends in the order drawn.
     rng = random.Random(5)
     hop_choices = [("l", 120), ("m", 140), ("n", 1060), ("l", 1040)]
+    ends = [None, *(r for r in DropReason if r is not DropReason.HORIZON_EXPIRED)]
     seen = set()
     for case in range(200):
         payloads = {flow: rng.choice([0, 64, 1000]) for flow in "xyz"}
+        paths = {flow: tuple(rng.choice(hop_choices) for _ in range(rng.randrange(4))) for flow in "xyz"}
+        path_ends = {flow: rng.choice(ends) for flow in "xyz"}
+        # The most hops each flow's next packet may cross, and the flows
+        # that the horizon has begun to expire.
+        most = {flow: len(path) for flow, path in paths.items()}
+        expired = set()
         sends = sorted(
             rng.choice([0.0, 0.1, 0.2, 0.3, rng.uniform(0.0, 1.0)])
             for _ in range(rng.randrange(1, 30))
@@ -97,8 +107,13 @@ def test_summaries_match_oracle_on_hand_built_records():
         records = []
         for pid, send in enumerate(sends):
             flow = rng.choice("xyz")
-            delivered = rng.random() < 0.7
-            drop = None if delivered else rng.choice(list(DropReason))
+            if flow not in expired and rng.random() < 0.7:
+                drop, hops = path_ends[flow], paths[flow]
+            else:
+                expired.add(flow)
+                drop = DropReason.HORIZON_EXPIRED
+                most[flow] = rng.randrange(most[flow] + 1)
+                hops = paths[flow][: most[flow]]
             seen.add(drop)
             records.append(
                 MetricsRecord(
@@ -109,11 +124,9 @@ def test_summaries_match_oracle_on_hand_built_records():
                     payload_bytes=payloads[flow],
                     send_time=send,
                     receive_time=send + rng.choice([0.1, 0.2, rng.uniform(0.0, 0.5)])
-                    if delivered else None,
+                    if drop is None else None,
                     drop_reason=drop,
-                    wire_bytes_per_hop=tuple(
-                        rng.choice(hop_choices) for _ in range(rng.randrange(4))
-                    ),
+                    wire_bytes_per_hop=hops,
                 )
             )
         first: dict[str, int] = {}
@@ -132,13 +145,13 @@ def test_summaries_match_oracle_on_delay_edge_cases():
     # Each case is one flow's packets in send order: (send time, delay) for
     # a delivery, (send time, drop reason) for a drop. The one pass must
     # take its minimum and maximum as min() and max() do, and start both
-    # sums at the first delivery, wherever that is.
+    # sums at the first delivery.
     lost, unrouted = DropReason.HORIZON_EXPIRED, DropReason.NO_ROUTE
     cases = {
         "minimum after maximum": [(0.0, 0.3), (0.1, 0.7), (0.2, 0.25), (0.3, 0.1), (0.4, 0.2)],
         "all delays equal": [(0.1 * k, 0.2) for k in range(6)],
-        "one delivered": [(0.0, lost), (0.1, 0.3), (0.2, lost)],
-        "deliveries after drops": [(0.0, unrouted), (0.1, lost), (0.2, 0.3), (0.3, 0.1)],
+        "one delivered": [(0.0, 0.3), (0.1, lost), (0.2, lost)],
+        "deliveries before expiries": [(0.0, 0.3), (0.1, 0.1), (0.2, lost), (0.3, lost)],
         "none delivered": [(0.0, unrouted), (0.1, lost)],
     }
     for name, packets in cases.items():
