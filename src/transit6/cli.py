@@ -20,10 +20,12 @@ from typing import Optional, Sequence
 
 from .addressing import derive_6to4_prefix, make_ipv4_compatible
 from .codec import (
+    IPV6_HEADER_LEN,
     FrameKind,
     Ipv4Address,
-    parse_frame,
-    verify_ipv4_checksum,
+    Ipv6Address,
+    check_frame,
+    internet_checksum,
 )
 from .metrics import FlowSummary, compare_scenarios, summarize
 from .scenario_io import load_text, serialize_model
@@ -224,6 +226,50 @@ def _cmd_derive(args) -> int:
     return 0
 
 
+# Each header field as (name, first byte, end byte, right shift, mask), read
+# big-endian from the header's first byte; an address has no mask. IPv4 is
+# RFC 791 section 3.1, which the 6in4 outer header follows (RFC 4213 section
+# 3.5); IPv6 is RFC 8200 section 3.
+_IPV4_FIELDS = (
+    ("version", 0, 1, 4, 0xF),
+    ("ihl", 0, 1, 0, 0xF),
+    ("dscp_ecn", 1, 2, 0, 0xFF),
+    ("total_length", 2, 4, 0, 0xFFFF),
+    ("identification", 4, 6, 0, 0xFFFF),
+    ("flags", 6, 7, 5, 0x7),
+    ("fragment_offset", 6, 8, 0, 0x1FFF),
+    ("ttl", 8, 9, 0, 0xFF),
+    ("protocol", 9, 10, 0, 0xFF),
+    ("checksum", 10, 12, 0, 0xFFFF),
+    ("src", 12, 16, 0, None),
+    ("dst", 16, 20, 0, None),
+)
+_IPV6_FIELDS = (
+    ("version", 0, 1, 4, 0xF),
+    ("traffic_class", 0, 2, 4, 0xFF),
+    ("flow_label", 1, 4, 0, 0xFFFFF),
+    ("payload_length", 4, 6, 0, 0xFFFF),
+    ("next_header", 6, 7, 0, 0xFF),
+    ("hop_limit", 7, 8, 0, 0xFF),
+    ("src", 8, 24, 0, None),
+    ("dst", 24, 40, 0, None),
+)
+
+
+def _fields(header: bytes, table: tuple, address: type, checksum: str = "") -> str:
+    """``name=value`` for each field of ``table``; ``checksum`` says if it verifies."""
+    words = []
+    for name, first, end, shift, mask in table:
+        raw = header[first:end]
+        if mask is None:
+            words.append(f"{name}={address(raw)}")
+        elif name == "checksum":
+            words.append(f"{name}=0x{int.from_bytes(raw, 'big'):04x} ({checksum})")
+        else:
+            words.append(f"{name}={int.from_bytes(raw, 'big') >> shift & mask}")
+    return " ".join(words)
+
+
 def _cmd_decode(args) -> int:
     # The whole argument as hex, or else its last field: a trace line ends
     # with the frame's hex (see simcore).
@@ -235,28 +281,18 @@ def _cmd_decode(args) -> int:
             data = bytes.fromhex(fields[-1])
         except ValueError:
             raise ValueError(f"not a hex string: {args.hex[:60]!r}") from None
-    p = parse_frame(data)
-    print(f"frame: {p.frame_kind.value}")
-    if p.outer_v4 is not None:
-        h = p.outer_v4
-        valid = "valid" if verify_ipv4_checksum(data[: h.header_len()]) else "BAD"
-        print(
-            f"outer: version={h.version} ihl={h.ihl} dscp_ecn={h.dscp_ecn} "
-            f"total_length={h.total_length} identification={h.identification} "
-            f"flags={h.flags} fragment_offset={h.fragment_offset} ttl={h.ttl} "
-            f"protocol={h.protocol} checksum=0x{h.checksum:04x} ({valid}) "
-            f"src={h.src} dst={h.dst}"
-        )
-    if p.v6 is not None:
-        h6 = p.v6
-        label = "inner" if p.frame_kind is FrameKind.V6_IN_V4 else "ipv6"
-        print(
-            f"{label}: version={h6.version} traffic_class={h6.traffic_class} "
-            f"flow_label={h6.flow_label} payload_length={h6.payload_length} "
-            f"next_header={h6.next_header} hop_limit={h6.hop_limit} "
-            f"src={h6.src} dst={h6.dst}"
-        )
-    print(f"payload: {len(p.payload)} bytes")
+    kind = check_frame(data)
+    print(f"frame: {kind.value}")
+    start = 0
+    if kind is not FrameKind.V6:
+        start = (data[0] & 0x0F) * 4
+        valid = "BAD" if internet_checksum(data[:start]) else "valid"
+        print(f"outer: {_fields(data, _IPV4_FIELDS, Ipv4Address, valid)}")
+    if kind is not FrameKind.V4:
+        label = "inner" if kind is FrameKind.V6_IN_V4 else "ipv6"
+        print(f"{label}: {_fields(data[start:], _IPV6_FIELDS, Ipv6Address)}")
+        start += IPV6_HEADER_LEN
+    print(f"payload: {len(data) - start} bytes")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation of frames crossing a topology.
 
 The engine moves real wire bytes between nodes. Every hop checks the
-frame's structure as ``parse_frame`` would, applies the node's forwarding
+frame's structure with ``codec.check_frame``, applies the node's forwarding
 rules (family filter, local delivery, hop decrement, longest-prefix routing,
 tunnel entry and exit) and edits the bytes it must: the hop count and the
 IPv4 checksum, or a 6in4 outer header added or stripped. Frames are never
@@ -103,6 +103,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -118,13 +119,10 @@ from .addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
 from .codec import (
     FrameKind,
     Ipv4Address,
-    Ipv4Header,
     Ipv6Address,
-    Ipv6Header,
-    Packet,
     check_frame,
-    frame_packet,
     internet_checksum,
+    ipv4_header,
 )
 from .transition import (
     NoEndpointError,
@@ -414,7 +412,7 @@ def forward(node: Node, frame: bytes, in_if: Optional[str]) -> ForwardResult:
     A tunnel whose remote endpoint is one of the node's own IPv4 addresses
     would hand the frame straight back to the node; it is dropped instead.
 
-    A malformed frame raises what ``dual_stack_dispatch`` or ``parse_frame``
+    A malformed frame raises what ``dual_stack_dispatch`` or ``check_frame``
     would raise for it, and a 6in4 frame for this node whose outer checksum
     fails raises BadChecksumError. A delivered result carries the delivered
     frame (the inner frame after decapsulation).
@@ -485,6 +483,22 @@ MAX_SECONDS = 2.0**32
 # keeps the send indexes ``_draw_sends`` bisects within a 64-bit ``range``.
 MAX_COUNT = 2**53
 
+# The most sends a run makes, over every flow: those due by the horizon. A
+# run holds its sends until it ends, and the run shapes that
+# ``tests/peak_memory.py`` measures peak at 22-84 B of traced memory per
+# send, so a run at this bound peaks under ~0.7 GB. A count of 10**9 with no
+# horizon would ask for 8 GB of send times alone. A shorter horizon cuts the
+# sends due by it.
+MAX_SENDS = 2**23
+
+# The most draws a run skips: the sends of a jittered flow that the horizon
+# cut, which the generator must pass before a later jittered flow draws.
+# Skipping takes ~13.5 ns per draw (getrandbits, CPython 3.11 on a 2-core
+# x86-64 host) and no memory, so a run at this bound skips for ~15 s; a count
+# near MAX_COUNT would skip for years. A longer horizon or a lower count
+# cuts the draws skipped.
+MAX_SKIPS = 2**30
+
 
 def validate_topology(topology: Topology) -> None:
     """Raise InvalidTopologyError on the first structural rule violation."""
@@ -527,13 +541,23 @@ def validate_topology(topology: Topology) -> None:
             raise InvalidTopologyError(f"{node.id}: IPv4-only node holds IPv6 routes")
         if node.kind is NodeKind.IPV6_ONLY and node.v4_routes:
             raise InvalidTopologyError(f"{node.id}: IPv6-only node holds IPv4 routes")
+        # route_lookup would raise FamilyMismatchError on a prefix of the
+        # other family mid-run; one type test per route refuses it here.
         for entry in node.v4_routes:
+            if type(entry.prefix) is not Ipv4Prefix:
+                raise InvalidTopologyError(
+                    f"{node.id}: IPv4 route table holds {entry.prefix}, not an IPv4 prefix"
+                )
             if entry.out_if not in if_names:
                 raise InvalidTopologyError(
                     f"{node.id}: IPv4 route {entry.prefix} leaves through "
                     f"unknown interface {entry.out_if!r}"
                 )
         for entry in node.v6_routes:
+            if type(entry.prefix) is not Ipv6Prefix:
+                raise InvalidTopologyError(
+                    f"{node.id}: IPv6 route table holds {entry.prefix}, not an IPv6 prefix"
+                )
             if entry.out_if not in if_names and entry.out_if not in node.tunnels:
                 raise InvalidTopologyError(
                     f"{node.id}: IPv6 route {entry.prefix} leaves through "
@@ -691,33 +715,57 @@ def _draw_sends(traffic: Sequence[TrafficSpec], seed: int, limit: float) -> list
     A jittered flow's undrawn sends still move the generator on before the
     next jittered flow draws, through ``getrandbits(64 * m)``, which leaves
     it where ``m`` calls to ``random()`` would (two 32-bit words each).
-    That is still unbounded: ~13 ns per skipped draw, since the standard
-    library's Mersenne Twister cannot jump ahead. The undrawn sends of the
-    last jittered flow cost nothing.
+    That costs ~13 ns per skipped draw, since the standard library's
+    Mersenne Twister cannot jump ahead. The undrawn sends of the last
+    jittered flow cost nothing.
+
+    Before anything is made or drawn, the run's sends and skipped draws are
+    summed: over ``MAX_SENDS`` or ``MAX_SKIPS``, InvalidTrafficError names
+    the flow that takes the sum past its bound.
     """
-    draw = None
-    # Draws of undrawn sends that the next jittered flow must skip first.
-    owed = 0
-    flow_sends: list[array] = []
+    # Per flow, its sends due and the draws to skip before it draws.
+    plan: list[tuple[int, int]] = []
+    sends = skips = owed = 0
     for flow in traffic:
         start, gap, n = flow.start, flow.gap, flow.count
         if start + (n - 1) * gap > limit:
             n = bisect_right(range(n), limit, key=lambda i: start + i * gap)
+        sends += n
+        if sends > MAX_SENDS:
+            raise InvalidTrafficError(
+                f"{flow.flow_id}: count {flow.count} takes the sends due by the horizon "
+                f"over {MAX_SENDS}; a shorter --horizon cuts them"
+            )
+        skip = 0
+        if flow.jitter > 0:
+            skip = owed
+            skips += skip
+            if skips > MAX_SKIPS:
+                raise InvalidTrafficError(
+                    f"{owing.flow_id}: count {owing.count} takes the draws skipped past the "
+                    f"horizon over {MAX_SKIPS}; a lower count cuts them"
+                )
+            owed, owing = flow.count - n, flow
+        plan.append((n, skip))
+
+    draw = None
+    flow_sends: list[array] = []
+    for flow, (n, skip) in zip(traffic, plan):
+        start, gap = flow.start, flow.gap
         if flow.jitter > 0:
             if draw is None:
                 rng = random.Random(seed)
                 # ``b * draw()`` is the float that ``Random.uniform(0.0, b)`` returns.
                 draw = rng.random
-            while owed:
-                skip = min(owed, _SKIP_DRAWS)
-                rng.getrandbits(64 * skip)
-                owed -= skip
+            while skip:
+                chunk = min(skip, _SKIP_DRAWS)
+                rng.getrandbits(64 * chunk)
+                skip -= chunk
             spread = flow.jitter * gap
             drawn = [start + i * gap + spread * draw() for i in range(n)]
             drawn.sort()
             del drawn[bisect_right(drawn, limit):]
             flow_sends.append(array("d", drawn))
-            owed = flow.count - n
         else:
             flow_sends.append(array("d", (start + i * gap for i in range(n))))
     return flow_sends
@@ -961,27 +1009,27 @@ def _merge(flow_sends: Sequence[array], flows: Sequence[int]) -> tuple[array, Se
     return array("d", sorted(chain.from_iterable(sends))), owners
 
 
+# An IPv6 header (RFC 8200 section 3): version, traffic class and flow label
+# in one word | payload length, next header, hop limit | src | dst.
+_IPV6_HEADER = struct.Struct("!IHBB16s16s")
+
+
 def _flow_frame(src_node: Node, dst_node: Node, flow: TrafficSpec) -> bytes:
+    """The frame every packet of ``flow`` leaves its source with.
+
+    An ICMP (protocol 1) or ICMPv6 (next header 58) frame between the nodes'
+    primary addresses, whose payload is ``payload_bytes`` zero bytes and
+    whose ttl or hop limit is the flow's; every other field is zero.
+    Validation has bounded the payload size and hop limit, so each fits.
+    """
     payload = bytes(flow.payload_bytes)
     if flow.family == "v6":
-        h6 = Ipv6Header(
-            src=_primary_address(src_node, "v6"),
-            dst=_primary_address(dst_node, "v6"),
-            payload_length=len(payload),
-            next_header=58,
-            hop_limit=flow.hop_limit,
-        )
-        return frame_packet(Packet(FrameKind.V6, payload=payload, v6=h6))
-    h4 = Ipv4Header(
-        src=_primary_address(src_node, "v4"),
-        dst=_primary_address(dst_node, "v4"),
-        total_length=20 + len(payload),
-        ttl=flow.hop_limit,
-        protocol=1,
-    )
-    return frame_packet(
-        Packet(FrameKind.V4, payload=payload, outer_v4=h4), recompute_checksum=True
-    )
+        src, dst = _primary_address(src_node, "v6"), _primary_address(dst_node, "v6")
+        return _IPV6_HEADER.pack(
+            6 << 28, len(payload), 58, flow.hop_limit, src.octets, dst.octets
+        ) + payload
+    src, dst = _primary_address(src_node, "v4"), _primary_address(dst_node, "v4")
+    return ipv4_header(src, dst, 20 + len(payload), flow.hop_limit, 1) + payload
 
 
 def run_simulation(

@@ -25,12 +25,11 @@ from .codec import (
     IPV6_HEADER_LEN,
     PROTO_IPV6_IN_IPV4,
     Ipv4Address,
-    Ipv4Header,
     Ipv6Address,
     TooShortError,
     check_frame,
-    serialize_ipv4_header,
-    verify_ipv4_checksum,
+    internet_checksum,
+    ipv4_header,
 )
 
 
@@ -113,19 +112,14 @@ def encapsulate_6in4(inner: bytes, src_v4: Ipv4Address, dst_v4: Ipv4Address, ttl
     zero), carries the given ttl, and gets a valid checksum (RFC 4213 3.5).
     Encapsulation adds exactly 20 bytes in front of the frame, which is not
     touched. ``inner`` must be a well-formed IPv6 frame; one whose outer
-    total_length would not fit in 16 bits is rejected.
+    total_length would not fit in 16 bits, or a ttl outside 0..255, raises
+    InvalidHeaderError.
     """
     if not inner or inner[0] >> 4 != 6:
         raise InvalidInnerError("can only encapsulate native IPv6 frames")
     check_frame(inner)
-    outer = Ipv4Header(
-        src_v4,
-        dst_v4,
-        total_length=IPV4_HEADER_LEN + len(inner),
-        ttl=ttl,
-        protocol=PROTO_IPV6_IN_IPV4,
-    )
-    return serialize_ipv4_header(outer, recompute_checksum=True) + inner
+    total_length = IPV4_HEADER_LEN + len(inner)
+    return ipv4_header(src_v4, dst_v4, total_length, ttl, PROTO_IPV6_IN_IPV4) + inner
 
 
 def decapsulate_6in4(frame: bytes) -> bytes:
@@ -142,7 +136,8 @@ def decapsulate_6in4(frame: bytes) -> bytes:
     hlen = (frame[0] & 0x0F) * 4
     if not IPV4_HEADER_LEN <= hlen <= n:
         raise NotTunneledError(f"outer header of {hlen} bytes does not fit a {n}-byte frame")
-    if not verify_ipv4_checksum(frame[:hlen]):
+    # A header whose checksum field is right sums to 0 with it.
+    if internet_checksum(frame[:hlen]):
         raise BadChecksumError("outer IPv4 checksum does not verify")
     total_length = frame[2] << 8 | frame[3]
     if total_length != n:

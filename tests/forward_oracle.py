@@ -15,13 +15,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Union
 
-from transit6.codec import (
-    IPV6_HEADER_LEN,
-    PROTO_IPV6_IN_IPV4,
-    FrameKind,
-    Ipv4Address,
+from codec_oracle import (
     Ipv4Header,
-    Ipv6Address,
     Packet,
     frame_packet,
     parse_frame,
@@ -29,6 +24,8 @@ from transit6.codec import (
     serialize_ipv4_header,
     verify_ipv4_checksum,
 )
+
+from transit6.codec import IPV6_HEADER_LEN, PROTO_IPV6_IN_IPV4, FrameKind, Ipv4Address, Ipv6Address
 from transit6.simcore import (
     DropReason,
     ForwardAction,

@@ -11,17 +11,10 @@ comparisons use a relative tolerance of 1e-9, pinned in REL_TOL.
 
 import random
 
-from test_scenarios import ISP_LINKS, LINK_IDS, closed_form_delay
-
-from transit6.cli import main
-from transit6.codec import (
-    FrameKind,
-    Ipv4Address,
+from codec_oracle import (
     Ipv4Header,
-    Ipv6Address,
     Ipv6Header,
     Packet,
-    TooShortError,
     frame_packet,
     parse_frame,
     parse_ipv4_header,
@@ -29,6 +22,10 @@ from transit6.codec import (
     serialize_ipv4_header,
     serialize_ipv6_header,
 )
+from test_scenarios import ISP_LINKS, LINK_IDS, closed_form_delay
+
+from transit6.cli import main
+from transit6.codec import FrameKind, Ipv4Address, Ipv6Address, TooShortError
 from transit6.addressing import Ipv4Prefix, Ipv6Prefix
 from transit6.metrics import summarize
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack

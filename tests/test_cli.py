@@ -9,17 +9,10 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
+from codec_oracle import Ipv6Header, Packet, decode_text, frame_packet, parse_frame
 
 from transit6.cli import main
-from transit6.codec import (
-    FrameKind,
-    Ipv4Address,
-    Ipv6Address,
-    Ipv6Header,
-    Packet,
-    frame_packet,
-    parse_frame,
-)
+from transit6.codec import FrameKind, Ipv4Address, Ipv6Address
 from transit6.scenario_io import load_text, parse_text, serialize_model
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import DropReason, TrafficSpec, run_simulation
@@ -125,7 +118,8 @@ def test_decode_accepts_spaced_hex(capsys):
 
 def test_decode_reads_every_compare_trace_line(tmp_path, capsys):
     # Each line of a compare trace decodes, side prefix and all, to what
-    # its last field, the frame's hex, decodes to alone.
+    # its last field, the frame's hex, decodes to alone, and to what the
+    # reference codec prints for it. Side a is the pinned 6to4 trace.
     path = tmp_path / "frames.log"
     assert main(["compare", "6to4", "dualstack", "--trace", str(path)]) == 0
     capsys.readouterr()
@@ -138,6 +132,7 @@ def test_decode_reads_every_compare_trace_line(tmp_path, capsys):
         assert main(["decode", line.split()[-1]]) == 0
         assert got == capsys.readouterr()
         assert got.err == ""
+        assert got.out == decode_text(bytes.fromhex(line.split()[-1]))
         kinds.add(got.out.splitlines()[0])
     assert kinds == {"frame: v6", "frame: v6-in-v4"}
 

@@ -1,23 +1,15 @@
 import ipaddress
 import random
+import re
 from dataclasses import replace
 
 import pytest
-
-from transit6.codec import (
-    BadIhlError,
-    BadVersionError,
-    FrameKind,
-    InvalidHeaderError,
-    Ipv4Address,
+from codec_oracle import (
     Ipv4Header,
-    Ipv6Address,
     Ipv6Header,
-    LengthMismatchError,
     Packet,
-    TooShortError,
+    decode_text,
     frame_packet,
-    internet_checksum,
     parse_frame,
     parse_ipv4_header,
     parse_ipv6_header,
@@ -25,6 +17,23 @@ from transit6.codec import (
     serialize_ipv6_header,
     verify_ipv4_checksum,
 )
+
+from transit6 import simcore
+from transit6.cli import main
+from transit6.codec import (
+    BadIhlError,
+    BadVersionError,
+    CodecError,
+    FrameKind,
+    InvalidHeaderError,
+    Ipv4Address,
+    Ipv6Address,
+    LengthMismatchError,
+    TooShortError,
+    internet_checksum,
+)
+from transit6.simcore import Interface, Node, NodeKind, Role, TrafficSpec
+from transit6.transition import encapsulate_6in4
 
 
 def oracle_checksum(data: bytes) -> int:
@@ -437,6 +446,89 @@ def test_parse_frame_unknown_version_nibble():
         parse_frame(b"\x50" + bytes(19))
     with pytest.raises(TooShortError):
         parse_frame(b"")
+
+
+def _random_frame(rng: random.Random) -> bytes:
+    """A frame of each kind from the reference codec, often cut, bit-flipped or re-versioned."""
+    kind = rng.choice(list(FrameKind))
+    payload = rng.randbytes(rng.randrange(0, 64))
+    if kind is FrameKind.V6:
+        wire = frame_packet(Packet(kind, payload=payload, v6=_random_v6_header(rng, len(payload))))
+    else:
+        v6 = _random_v6_header(rng, len(payload)) if kind is FrameKind.V6_IN_V4 else None
+        h = _random_v4_header(rng)
+        h = replace(
+            h,
+            protocol=41 if v6 else 40 if h.protocol == 41 else h.protocol,
+            total_length=h.header_len() + len(payload) + (40 if v6 else 0),
+        )
+        wire = frame_packet(Packet(kind, payload, h, v6), recompute_checksum=rng.random() < 0.5)
+    mutation = rng.randrange(4)
+    if mutation == 0:
+        return wire[: rng.randrange(len(wire))]
+    if mutation == 1:
+        flipped = bytearray(wire)
+        flipped[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    if mutation == 2:
+        return bytes((rng.randrange(256),)) + wire[1:]
+    return wire
+
+
+def test_decode_prints_what_the_reference_parse_prints(capsys):
+    # `transit6 decode` reads each field by offset; the reference decodes the
+    # frame into header objects and prints their fields. Malformed frames
+    # must fail with the reference's error, as exit 2.
+    rng = random.Random(46)
+    for _ in range(800):
+        wire = _random_frame(rng)
+        try:
+            want = (0, decode_text(wire), "")
+        except CodecError as exc:
+            want = (2, "", f"error: {exc}\n")
+        code = main(["decode", wire.hex()])
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == want, wire.hex()
+
+
+def test_flow_frames_and_encapsulation_match_the_reference_codec():
+    # The program packs a flow's frame and a 6in4 outer header with struct;
+    # the reference serializes header objects. Their bytes must agree, and
+    # an outer ttl or total_length out of range must raise the same error.
+    rng = random.Random(47)
+    for _ in range(400):
+        ends = [
+            Node(node_id, NodeKind.DUAL_STACK, Role.HOST, interfaces=[Interface(
+                "eth0", v4=Ipv4Address(rng.randbytes(4)), v6=[Ipv6Address(rng.randbytes(16))]
+            )])
+            for node_id in "ab"
+        ]
+        src, dst = (node.interfaces[0] for node in ends)
+        size = rng.choice([0, 1, rng.randrange(2000), 65475])
+        hop_limit = rng.randrange(1, 256)
+        family = rng.choice(["v4", "v6"])
+        flow = TrafficSpec("f", "a", "b", payload_bytes=size, family=family, hop_limit=hop_limit)
+        if family == "v6":
+            h6 = Ipv6Header(src.v6[0], dst.v6[0], payload_length=size, next_header=58,
+                            hop_limit=hop_limit)
+            want = frame_packet(Packet(FrameKind.V6, payload=bytes(size), v6=h6))
+        else:
+            h4 = Ipv4Header(src.v4, dst.v4, total_length=20 + size, ttl=hop_limit, protocol=1)
+            want = frame_packet(Packet(FrameKind.V4, bytes(size), h4), recompute_checksum=True)
+        assert simcore._flow_frame(*ends, flow) == want
+
+        inner = _random_v6_packet(rng, max_payload=rng.choice([200, 65536]))
+        ttl = rng.choice([rng.randrange(256), rng.randrange(256), -1, 256])
+        outer = Ipv4Header(src.v4, dst.v4, total_length=60 + len(inner.payload), ttl=ttl,
+                           protocol=41)
+        tunneled = Packet(FrameKind.V6_IN_V4, inner.payload, outer, inner.v6)
+        try:
+            want = frame_packet(tunneled, recompute_checksum=True)
+        except InvalidHeaderError as exc:
+            with pytest.raises(InvalidHeaderError, match=f"^{re.escape(str(exc))}$"):
+                encapsulate_6in4(frame_packet(inner), src.v4, dst.v4, ttl)
+        else:
+            assert encapsulate_6in4(frame_packet(inner), src.v4, dst.v4, ttl) == want
 
 
 def test_ipv4_address_text_forms():

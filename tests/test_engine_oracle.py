@@ -16,7 +16,8 @@ from a seeded stdlib ``random``, so every run checks the same cases. Sends
 tied with heap entries and with the horizon get their own dyadic-time test.
 Every summary of a variant must hold finite floats only. A run of 300
 flows, more than a byte can index, is checked against the summary oracle
-too. Untraced runs of private paths only, the benchmark workloads' shapes
+too, as is a private group of 1000 one-packet flows of one header. Untraced
+runs of private paths only, the benchmark workloads' shapes
 among them, must never touch the heap, and runs whose paths share queues
 must use it. Two flows of one header get their own dyadic-time test of
 horizons that cut them at every hop, on a five-node chain and on a path of
@@ -454,6 +455,49 @@ def test_over_256_flows_match_reference_engine_and_summary_oracle():
             got = run_simulation(topology, flows, horizon, seed=9, trace=trace)
             owners = simcore._merge([c.send for c in got.flows], range(len(got.flows)))[1]
             assert type(owners) is array and owners.itemsize == 4
+            assert repr(list(got)) == repr(want), (horizon, trace)
+            if trace is not None:
+                assert trace == want_trace, horizon
+                audit(topology, trace, got)
+            assert repr(summarize(got)) == repr(oracle_summarize(want)), (horizon, trace)
+
+
+def _thousand_one_packet_flows():
+    """1000 one-packet flows of one header from H1 to H2 on the 6to4 chain.
+
+    Their sends come in a shuffled order over 10 ms, one in three jittered,
+    so the group's (time, seq) order is a sort, not the flows one after
+    another. One header gives one path, the only user of its queues.
+    """
+    s = build_scenario_6to4(payload_bytes=64)
+    flows = [
+        TrafficSpec(f"p{i}", "H1", "H2", payload_bytes=64, count=1, gap=1e-5,
+                    start=(i * 617 % 1000) * 1e-5, jitter=0.5 if i % 3 == 0 else 0.0)
+        for i in range(1000)
+    ]
+    return s.topology, flows
+
+
+def test_a_thousand_one_packet_flows_on_one_path_match_reference_engine(monkeypatch):
+    # A private group of 1000 flows: each send's owner index takes four
+    # bytes, and each flow's counts are read off the group's cuts. Untraced
+    # the group never touches the heap; traced, every flow takes it. Each
+    # horizon leaves flows that crossed every number of the path's 4 hops,
+    # and some delivered.
+    topology, flows = _thousand_one_packet_flows()
+    for horizon in (None, 5e-3, 8e-3):
+        want_trace: list[str] = []
+        want = _reference(topology, flows, horizon, seed=5, trace=want_trace)
+        if horizon is not None:
+            ends = {(len(r.wire_bytes_per_hop), r.drop_reason) for r in want}
+            assert len(ends) >= 5 and (4, None) in ends, horizon
+        for trace in (None, []):
+            shim = CountingHeapq()
+            monkeypatch.setattr(simcore, "heapq", shim)
+            got = run_simulation(topology, flows, horizon, seed=5, trace=trace)
+            owners = simcore._merge([c.send for c in got.flows], range(len(got.flows)))[1]
+            assert type(owners) is array and owners.itemsize == 4
+            assert (shim.pops > 0) is (trace is not None), (horizon, trace)
             assert repr(list(got)) == repr(want), (horizon, trace)
             if trace is not None:
                 assert trace == want_trace, horizon

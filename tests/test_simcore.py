@@ -8,6 +8,14 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
+from codec_oracle import (
+    Ipv4Header,
+    Ipv6Header,
+    Packet,
+    frame_packet,
+    parse_frame,
+    verify_ipv4_checksum,
+)
 from heap_counting import CountingHeapq
 from peak_memory import (
     horizon_cut_shape,
@@ -19,18 +27,9 @@ from peak_memory import (
 from test_engine_oracle import _congested_shape
 
 from transit6.addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
-from transit6.codec import (
-    FrameKind,
-    Ipv4Address,
-    Ipv4Header,
-    Ipv6Address,
-    Ipv6Header,
-    Packet,
-    frame_packet,
-    parse_frame,
-    verify_ipv4_checksum,
-)
+from transit6.codec import FrameKind, Ipv4Address, Ipv6Address
 from transit6 import simcore, transition
+from transit6.cli import main
 from transit6.metrics import summarize
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import (
@@ -648,7 +647,7 @@ def test_flows_that_send_the_same_frame_share_one_path(monkeypatch):
         monkeypatch.setattr(simcore, name, count)
 
     counting("forward")
-    counting("frame_packet")
+    counting("_flow_frame")
     s = build_scenario_6to4()
     (flow,) = s.traffic
     traffic = [
@@ -659,7 +658,7 @@ def test_flows_that_send_the_same_frame_share_one_path(monkeypatch):
     records = run_simulation(s.topology, traffic)
     assert len(records) == 30
     assert all(r.receive_time is not None for r in records)
-    assert calls == {"forward": 7 * 2, "frame_packet": 2}
+    assert calls == {"forward": 7 * 2, "_flow_frame": 2}
 
 
 def test_heap_holds_packets_in_flight_not_total_packets(monkeypatch):
@@ -1094,6 +1093,23 @@ def _expect_invalid(topo, needle):
         validate_topology(topo)
 
 
+def test_validate_topology_rejects_a_route_of_the_other_family():
+    # route_lookup raises FamilyMismatchError on a prefix of the other
+    # family, so validation refuses one, naming node, table and prefix,
+    # before a run can reach it.
+    for table, route, family, prefix in (
+        ("v6_routes", RouteEntry6(P4("10.0.0.0/8"), "eth0"), "IPv6", "10.0.0.0/8"),
+        ("v4_routes", RouteEntry4(P6("2001::/16"), "fa0"), "IPv4", "2001::/16"),
+    ):
+        s = build_scenario_dualstack()
+        r1 = s.topology.nodes[1]
+        getattr(r1, table).insert(0, route)
+        needle = f"^R1: {family} route table holds {prefix}, not an {family} prefix$"
+        _expect_invalid(s.topology, needle)
+        with pytest.raises(InvalidTopologyError, match=needle):
+            run_simulation(s.topology, s.traffic)
+
+
 def test_validate_topology_rejections():
     t = _valid_topology()
     t.nodes.append(t.nodes[0])
@@ -1239,7 +1255,8 @@ def test_validate_traffic_rejections():
 def test_run_takes_the_largest_count_and_rejects_more():
     # A count past sys.maxsize once made the horizon's bisection over the
     # send indexes raise OverflowError. A horizon keeps the run to the few
-    # sends due by it; without one, the largest count would never end.
+    # sends due by it; without one, the largest count is over the run's
+    # budget of sends.
     topo = _valid_topology()
     flow = TrafficSpec("f", "h1", "h2", count=MAX_COUNT, gap=1e-3)
     records = run_simulation(topo, [flow], horizon=0.01)
@@ -1247,3 +1264,69 @@ def test_run_takes_the_largest_count_and_rejects_more():
     for count in (MAX_COUNT + 1, 10**20):
         with pytest.raises(InvalidTrafficError, match=f"f: count over {MAX_COUNT}"):
             run_simulation(topo, [replace(flow, count=count)], horizon=0.01)
+    with pytest.raises(InvalidTrafficError, match=f"f: count {MAX_COUNT} takes the sends due"):
+        run_simulation(topo, [flow])
+
+
+def test_sends_due_by_the_horizon_are_budgeted_per_run(monkeypatch, capsys):
+    # The bound is patched down so that a run just over it stays small. The
+    # sends due by the horizon are summed over every flow before any is
+    # made, and the flow that takes the sum over the bound is named.
+    monkeypatch.setattr(simcore, "MAX_SENDS", 100)
+    topo = _valid_topology()
+    flow = TrafficSpec("f", "h1", "h2", count=60, gap=1e-3)
+    assert len(run_simulation(topo, [flow, replace(flow, flow_id="g", count=40)])) == 100
+    with monkeypatch.context() as m:
+        made = []
+        m.setattr(simcore, "array", lambda *args: made.append(args))
+        with pytest.raises(InvalidTrafficError, match=(
+            "^g: count 41 takes the sends due by the horizon over 100; "
+            "a shorter --horizon cuts them$"
+        )):
+            run_simulation(topo, [flow, replace(flow, flow_id="g", count=41)])
+        assert made == []
+    # A horizon that cuts the sends due to the bound is accepted.
+    assert len(run_simulation(topo, [replace(flow, count=10**6)], horizon=0.099)) == 100
+    with pytest.raises(InvalidTrafficError, match="^f: count 1000000 takes"):
+        run_simulation(topo, [replace(flow, count=10**6)], horizon=0.1)
+    # From the command line, under the real bound, a count of 10**9 with no
+    # horizon exits 2 before it asks for any memory.
+    monkeypatch.undo()
+    assert main(["run", "6to4", "--override", "flow.h1-to-h2.count=1000000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: h1-to-h2: count 1000000000 takes the sends due by the horizon over "
+        f"{simcore.MAX_SENDS}; a shorter --horizon cuts them\n"
+    )
+
+
+def test_draws_skipped_past_the_horizon_are_budgeted_per_run(monkeypatch):
+    # A jittered flow cut by the horizon leaves undrawn sends that a later
+    # jittered flow must skip. The skips are summed over the run, with the
+    # bound patched down, before the generator is made; the flow whose
+    # undrawn sends take the sum over the bound is named.
+    monkeypatch.setattr(simcore, "MAX_SKIPS", 50)
+    topo = _valid_topology()
+    horizon = 9.5e-3
+    # Ten sends of each flow are due by the horizon: a and a2 leave 25 each.
+    a = TrafficSpec("a", "h1", "h2", count=35, gap=1e-3, jitter=0.5)
+    flows = [a, replace(a, flow_id="a2"), replace(a, flow_id="a3")]
+    assert len(run_simulation(topo, flows, horizon, seed=1)) == 30
+    flows[1] = replace(a, flow_id="a2", count=36)
+    seeded = []
+    real_random = random.Random
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", lambda seed: seeded.append(seed) or real_random(seed))
+        with pytest.raises(InvalidTrafficError, match=(
+            "^a2: count 36 takes the draws skipped past the horizon over 50; "
+            "a lower count cuts them$"
+        )):
+            run_simulation(topo, flows, horizon, seed=1)
+    assert seeded == []
+    # Neither an unjittered flow's later sends nor the last jittered flow's
+    # undrawn sends are skipped.
+    flows = [
+        a,
+        replace(a, flow_id="u", count=10**6, jitter=0.0),
+        replace(a, flow_id="z", count=10**6),
+    ]
+    assert len(run_simulation(topo, flows, horizon, seed=1)) == 30

@@ -7,9 +7,9 @@ tunnel entry, inside the tunnel and tunnel exit.
 """
 
 import pytest
+from codec_oracle import parse_ipv4_header, serialize_ipv4_header
 from trace_audit import CHECKSUM, HOP_LIMIT, TTL, audit
 
-from transit6.codec import parse_ipv4_header, serialize_ipv4_header
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import run_simulation
 

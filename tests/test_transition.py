@@ -2,22 +2,18 @@ import random
 from dataclasses import replace
 
 import pytest
-
-from transit6.codec import (
-    FrameKind,
-    InvalidHeaderError,
-    Ipv4Address,
+from codec_oracle import (
     Ipv4Header,
-    Ipv6Address,
     Ipv6Header,
     Packet,
-    TooShortError,
     frame_packet,
     parse_frame,
     serialize_ipv4_header,
     serialize_ipv6_header,
     verify_ipv4_checksum,
 )
+
+from transit6.codec import FrameKind, InvalidHeaderError, Ipv4Address, Ipv6Address, TooShortError
 from transit6.transition import (
     BadChecksumError,
     BadConfigError,

@@ -29,7 +29,9 @@ left only at its end.
 
 from typing import Optional, Sequence
 
-from transit6.codec import FrameKind, Packet, parse_frame, verify_ipv4_checksum
+from codec_oracle import Packet, parse_frame, verify_ipv4_checksum
+
+from transit6.codec import FrameKind
 from transit6.simcore import MetricsRecord, Topology, node_v4_addresses
 
 # Offsets of the IPv4 TTL, the IPv4 checksum and the IPv6 hop limit.
