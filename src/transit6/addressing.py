@@ -12,7 +12,6 @@ IPv4 tunnel endpoint from a destination address.
 
 from __future__ import annotations
 
-import re
 import socket
 from dataclasses import dataclass, field
 
@@ -55,10 +54,10 @@ class Ipv4Prefix:
         """Read ``addr/len`` text.
 
         Text that is exactly address characters (``codec``'s alphabet), a '/'
-        and one to three ASCII digits takes a fast path if its address,
-        length and host bits pass. All other text takes the checked path,
-        which alone raises: AddressingError, or the address parser's
-        ValueError.
+        and a length as ``str`` writes it, at most the width, takes a fast
+        path if its address and host bits pass. All other text takes the
+        checked path, which alone raises: AddressingError, or the address
+        parser's ValueError.
         """
         return _parse_ipv4_prefix(text)
 
@@ -114,14 +113,18 @@ def _split_prefix(text: str) -> tuple[str, int]:
 def _prefix_parser(prefix_cls, address_cls, address_family: int, width: int, chars: str):
     """The ``parse`` of one prefix family, both paths of it.
 
-    The fast path matches the whole text once, calls ``inet_pton`` on the
-    address as the address parser would, and makes ``_network``'s length and
-    host-bit checks on the int. It then sets the slots of the address and the
-    prefix without ``__init__``, so it returns only what the checked path
-    would. Text it does not match, or that fails a call or a check, goes to
-    the checked path unchanged, so every message stays the same.
+    The fast path takes text that is address characters, a '/' and a
+    length written as ``str`` writes it, from 0 to ``width``: it splits at
+    the first '/', looks the length up in a dict of those strings (which
+    also bounds it), checks the address alphabet with ``str.strip``, calls
+    ``inet_pton`` on the address as the address parser would, and makes
+    ``_network``'s host-bit check on the int. It then sets the slots of the
+    address and the prefix without ``__init__``, so it returns only what the
+    checked path would. Any other text, or text that fails a call or a
+    check, goes to the checked path unchanged, so every message stays the
+    same.
     """
-    fullmatch = re.compile(f"([{re.escape(chars)}]+)/([0-9]{{1,3}})").fullmatch
+    lengths = {str(length): length for length in range(width + 1)}.get
     new = object.__new__
     set_octets = address_cls.octets.__set__
     set_address = prefix_cls.address.__set__
@@ -129,18 +132,17 @@ def _prefix_parser(prefix_cls, address_cls, address_family: int, width: int, cha
     set_network = prefix_cls.network.__set__
 
     def parse(text: str):
-        match = fullmatch(text)
-        if match is not None:
-            addr, length = match.groups()
+        addr, _, length = text.partition("/")
+        length = lengths(length)
+        if length is not None and addr and not addr.strip(chars):
             try:
                 octets = socket.inet_pton(address_family, addr)
             except OSError:
                 pass
             else:
-                length = int(length)
                 shift = width - length
                 value = int.from_bytes(octets, "big")
-                if shift >= 0 and (value >> shift) << shift == value:
+                if (value >> shift) << shift == value:
                     address = new(address_cls)
                     set_octets(address, octets)
                     prefix = new(prefix_cls)

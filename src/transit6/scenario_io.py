@@ -36,16 +36,21 @@ written down nowhere else. One table, ``_SECTIONS``, lists every section
 kind's keys, and the parser, the overrides, the model builder and the
 writer all read it.
 
-Route tables are the bulk of a large file, so two paths skip work there
-without changing any result or message. ``parse_text`` checks each distinct
-header text once per parse and reuses its kind, arguments and list keys when
-the header repeats; every section still gets its own ``args`` list.
+Route tables are the bulk of a large file, so three paths skip work there
+without changing any result, message or cited line. ``parse_text`` checks
+each distinct header text once per parse and reuses its kind, arguments and
+list keys when the header repeats; every section still gets its own
+``args`` list. Right after a route header, when the next two lines are
+exactly ``prefix = P`` and ``out_if = I`` as ``serialize_model`` writes
+them, with nothing to strip, ``parse_text`` stores both entries and skips
+the two lines; any other text goes through its line-by-line loop.
 ``build_model`` builds a route section that sets exactly ``prefix`` and
 ``out_if`` directly; any other route section, or one whose prefix is bad,
 goes through ``_read``, which gives the message. Either way the prefix is
 read by ``Ipv4Prefix.parse`` / ``Ipv6Prefix.parse``: their fast path takes
-plain ``addr/len`` text whose address, length and host bits pass, and any
-other text goes on to their checked path, the only one that raises.
+``addr/len`` text whose length is written as ``str`` writes it and whose
+address and host bits pass, and any other text goes on to their checked
+path, the only one that raises.
 """
 
 from __future__ import annotations
@@ -237,8 +242,9 @@ class RawScenario:
     sections: list[RawSection] = field(default_factory=list)
 
 
-def _header(stripped: str, lineno: int) -> tuple[str, list[str], Collection[str]]:
-    """The kind, arguments and list keys of the section header ``stripped``."""
+def _header(stripped: str, lineno: int) -> tuple[str, list[str], Collection[str], bool]:
+    """The kind, arguments and list keys of the section header ``stripped``,
+    and whether it opens a route section."""
     if not stripped.endswith("]"):
         raise ScenarioParseError(f"line {lineno}: unterminated section header")
     parts = stripped[1:-1].split()
@@ -256,7 +262,7 @@ def _header(stripped: str, lineno: int) -> tuple[str, list[str], Collection[str]
         raise ScenarioParseError(
             f"line {lineno}: [{kind}] takes {argc} argument(s), got {len(args)}"
         )
-    return kind, args, _LIST_KEYS[kind]
+    return kind, args, _LIST_KEYS[kind], kind in _ROUTE_TABLES
 
 
 def parse_text(text: str) -> RawScenario:
@@ -266,11 +272,15 @@ def parse_text(text: str) -> RawScenario:
     # Where the next key = value line goes, and which of its keys may repeat.
     entries: dict = raw.scenario
     list_keys: Collection[str] = ()
-    # Header text -> its kind, arguments and list keys, for headers already
-    # checked: in a large route table nearly every header repeats one.
-    headers: dict[str, tuple[str, list[str], Collection[str]]] = {}
+    # Header text -> its kind, arguments, list keys and route flag, for
+    # headers already checked: in a large route table nearly every header
+    # repeats one.
+    headers: dict[str, tuple[str, list[str], Collection[str], bool]] = {}
     lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    # The last line number after which two more lines follow.
+    last = len(lines) - 2
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
         stripped = line.strip()
         if not stripped:
             continue
@@ -281,10 +291,22 @@ def parse_text(text: str) -> RawScenario:
             header = headers.get(stripped)
             if header is None:
                 header = headers[stripped] = _header(stripped, lineno)
-            kind, args, list_keys = header
+            kind, args, list_keys, route = header
             current = RawSection(kind, args.copy(), lineno, {}, lines)
             raw.sections.append(current)
             entries = current.entries
+            # A route section as serialize_model writes it: its two lines
+            # are exactly ``prefix = V`` and ``out_if = W``, with nothing the
+            # loop below would strip, so they give the same two entries.
+            if route and lineno <= last:
+                key, sep, prefix = lines[lineno].partition(" = ")
+                if key == "prefix" and sep and prefix == prefix.strip():
+                    key, sep, out_if = lines[lineno + 1].partition(" = ")
+                    if key == "out_if" and sep and out_if == out_if.strip():
+                        entries["prefix"] = prefix
+                        entries["out_if"] = out_if
+                        next(numbered)
+                        next(numbered)
             continue
         key, sep, value = stripped.partition("=")
         if not sep:

@@ -491,6 +491,19 @@ MAX_COUNT = 2**53
 # sends due by it.
 MAX_SENDS = 2**23
 
+# The most bytes a traced run's lines hold. A traced run keeps one line per
+# transmission until it ends: its link label and frame hex, then its start
+# time, packet id and the objects that hold the line. On the built-in 6to4
+# traced at 2000 and 8000 transmissions, with payloads of 0 to 1400 bytes,
+# ``tracemalloc`` put the peak 192-197 B past the lines' characters per
+# transmission (CPython 3.11), and the time and id take under 50 characters.
+# So each transmission is counted as its label and hex plus
+# ``_TRACE_LINE_BYTES``, once per send due by the horizon on every hop of its
+# path that transmits. A run at this bound holds ~0.5 GB of trace beside its
+# sends. A shorter horizon cuts the sends due by it.
+MAX_TRACE_BYTES = 2**29
+_TRACE_LINE_BYTES = 256
+
 # The most draws a run skips: the sends of a jittered flow that the horizon
 # cut, which the generator must pass before a later jittered flow draws.
 # Skipping takes ~13.5 ns per draw (getrandbits, CPython 3.11 on a 2-core
@@ -807,6 +820,26 @@ def _path(
     return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
 
 
+def _check_trace_budget(
+    traffic: Sequence[TrafficSpec], flow_sends: Sequence[array], paths: Sequence[list[tuple]]
+) -> None:
+    """Refuse a traced run whose lines would hold over ``MAX_TRACE_BYTES``.
+
+    Every send due by the horizon is counted as if it crossed each hop of
+    its path that transmits; InvalidTrafficError names the flow that takes
+    the sum over the bound.
+    """
+    held = 0
+    for flow, sends, path in zip(traffic, flow_sends, paths):
+        line = sum(len(text[0]) + len(text[1]) + _TRACE_LINE_BYTES for *_, text in path if text)
+        held += len(sends) * line
+        if held > MAX_TRACE_BYTES:
+            raise InvalidTrafficError(
+                f"{flow.flow_id}: count {flow.count} takes the traced lines held over "
+                f"{MAX_TRACE_BYTES} bytes; a shorter --horizon cuts them"
+            )
+
+
 def _time_group(
     flow_sends: Sequence[array], limit: float, path: list[tuple], queued: int,
     end: Optional[DropReason], flows: list[int], columns: list[FlowColumns],
@@ -846,6 +879,25 @@ def _time_group(
         adds = [columns[f].receive.append for f in flows]
         for k, t in zip(owners, ready):
             adds[k](t)
+    if type(owners) is not bytearray:
+        # Past 256 flows each ``count`` would box every four-byte place
+        # once per flow, so each cut segment and the finished prefix are
+        # counted once, for every flow.
+        segments = []
+        first = 0
+        for h in range(queued, 0, -1):
+            segments.append((h, Counter(owners[first : cuts[h]])))
+            first = cuts[h]
+        finished = Counter(owners[:done])
+        for k, f in enumerate(flows):
+            c = columns[f]
+            crossed = c.crossed
+            n = 0
+            for h, counts in segments:
+                n += counts[k]
+                crossed[h] = n
+            c.finished = finished[k]
+        return
     for k, f in enumerate(flows):
         c = columns[f]
         crossed = c.crossed
@@ -1090,6 +1142,9 @@ def run_simulation(
                 array("d"), end, 0, [len(sends)] + [0] * (len(prefixes) - 1),
             )
         )
+
+    if trace is not None:
+        _check_trace_budget(traffic, flow_sends, paths)
 
     # A path is private when each of its queues occurs once in all the
     # paths: no other path uses it and it does not use it twice. Its

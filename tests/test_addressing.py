@@ -139,6 +139,27 @@ def test_prefix_parse_and_str():
         (Ipv6Prefix.parse, "2001::", "prefix must look like addr/len: '2001::'"),
         (Ipv6Prefix.parse, "2001:db8::/\u0663\u0662",
          "prefix must look like addr/len: '2001:db8::/\u0663\u0662'"),
+        # The fast path splits at the first '/' and takes only lengths
+        # written as str writes them; other text gives what the checked
+        # path gives.
+        (Ipv4Prefix.parse, "10.0.0.0/8/8", "prefix must look like addr/len: '10.0.0.0/8/8'"),
+        (Ipv4Prefix.parse, "10.0.0.0//8", "prefix must look like addr/len: '10.0.0.0//8'"),
+        (Ipv4Prefix.parse, "10.0.0.0/", "prefix must look like addr/len: '10.0.0.0/'"),
+        (Ipv4Prefix.parse, "10.0.0.0/+8", "prefix must look like addr/len: '10.0.0.0/+8'"),
+        (Ipv4Prefix.parse, "10.0.0.0/0008", "10.0.0.0/8"),
+        (Ipv4Prefix.parse, "10.0.0.0/8 ", "10.0.0.0/8"),
+        (Ipv4Prefix.parse, " 10.0.0.0/8", "10.0.0.0/8"),
+        (Ipv6Prefix.parse, "2001:db8::/032", "2001:db8::/32"),
+        (Ipv6Prefix.parse, "::/00", "::/0"),
+        (Ipv6Prefix.parse, "2001:DB8::/32", "2001:db8::/32"),
+        (Ipv6Prefix.parse, "fe80::1%eth0/64", "host bits set below /64: fe80::1"),
+        (Ipv6Prefix.parse, "fe80::%eth0/64", "fe80::/64"),
+        # inet_pton raises its own ValueError on NUL: only the address
+        # alphabet reaches it.
+        (Ipv4Prefix.parse, "10.0.0.0\x00/8", "bad IPv4 address '10.0.0.0\\x00'"),
+        (Ipv6Prefix.parse, "2001:db8::\x00/32",
+         "bad IPv6 address '2001:db8::\\x00': Only hex digits permitted in '\\x00'"
+         " in '2001:db8::\\x00'"),
     ],
 )
 def test_prefix_parse_edges(parse, text, expected):

@@ -568,6 +568,33 @@ def test_sections_with_the_same_header_do_not_share_args():
         # R3 is declared after R2's routes.
         (_V4_TARGET, "[route4 R3]\nprefix = 11.100.0.0/16\nout_if = fa0\n", ScenarioValidationError,
          "[route4 R3] (line 2501): node 'R3' has not been declared yet"),
+        # Route sections that are not exactly as serialize_model writes
+        # them go through the line loop, not the two-line step, and keep
+        # that loop's model or message.
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16 \nout_if = fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\t\n", None, None),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::/48 \nout_if = fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\nprefix =  11.100.0.0/16\nout_if = fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\nprefix=11.100.0.0/16\nout_if=fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\n prefix = 11.100.0.0/16\nout_if = fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\nout_if = fa0\nprefix = 11.100.0.0/16\n", None, None),
+        (_V4_TARGET, "[route4 R2]\n# filler\nprefix = 11.100.0.0/16\nout_if = fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\n\nprefix = 11.100.0.0/16\nout_if = fa0\n", None, None),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::/048\nout_if = fa0\n", None, None),
+        (_V4_TARGET, "[route4 R2]\nprefix = \nout_if = fa0\n", ScenarioValidationError,
+         "[route4 R2] (line 2502): prefix is not a valid IPv4 prefix: ''"
+         " (prefix must look like addr/len: '')"),
+        (_V4_TARGET, "[route4 R2]\nprefix =\nout_if = fa0\n", ScenarioValidationError,
+         "[route4 R2] (line 2502): prefix is not a valid IPv4 prefix: ''"
+         " (prefix must look like addr/len: '')"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = \n", InvalidTopologyError,
+         "R2: IPv4 route 11.100.0.0/16 leaves through unknown interface ''"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\nprefix = 11.101.0.0/16\n",
+         ScenarioParseError, "line 2504: duplicate key 'prefix' in [route4 R2] (line 2501)"),
+        (_V4_TARGET, "[route4 R2]\nprefix\nout_if = fa0\n", ScenarioParseError,
+         "line 2502: expected 'key = value' or a [section] header"),
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if\n", ScenarioParseError,
+         "line 2503: expected 'key = value' or a [section] header"),
     ],
 )
 def test_large_route_table_corruptions(target, section, error, message):
@@ -579,3 +606,55 @@ def test_large_route_table_corruptions(target, section, error, message):
         load_text(text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def _sections_line_by_line(text: str) -> list[tuple]:
+    """Each section's kind, arguments, line and entries, read one line at a
+    time as the format describes, with no step that reads two lines."""
+    sections = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped.startswith("["):
+            kind, *args = stripped[1:-1].split()
+            sections.append((kind, args, lineno, {}))
+        elif stripped and not stripped.startswith("#") and sections:
+            key, _, value = stripped.partition("=")
+            entries = sections[-1][3]
+            if key.strip() == "v6" and sections[-1][0] == "interface":
+                entries.setdefault("v6", []).append(value.strip())
+            else:
+                entries[key.strip()] = value.strip()
+    return sections
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        LARGE_TABLE,
+        LARGE_TABLE.replace("\n", "\r\n"),
+        LARGE_TABLE.replace(_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16 \nout_if = fa0\n", 1),
+        LARGE_TABLE.replace(_V4_TARGET, "[route4 R2]\nout_if = fa0\nprefix = 11.100.0.0/16\n", 1),
+        LARGE_TABLE.replace(_V4_TARGET, "[route4 R2]\n\nprefix = 11.100.0.0/16\nout_if = fa0\n", 1),
+        LARGE_TABLE + "[route4 R2]",
+        LARGE_TABLE + "[route4 R2]\nprefix = 11.200.0.0/16",
+        LARGE_TABLE + "[route4 R2]\nprefix = 11.200.0.0/16\nout_if = fa0",
+    ],
+    ids=["lf", "crlf", "trailing-space", "out-if-first", "blank-line", "last-line",
+         "one-line-after", "two-lines-after"],
+)
+def test_route_sections_read_in_one_step_hold_what_each_line_gives(text):
+    # parse_text reads a canonical route section's two lines in one step:
+    # every section keeps the kind, arguments, line and entries that
+    # reading each line on its own gives.
+    got = [(sec.kind, sec.args, sec.line, sec.entries) for sec in parse_text(text).sections]
+    assert got == _sections_line_by_line(text)
+
+
+def test_crlf_and_a_route_header_on_the_last_line_load_as_before():
+    assert load_text(LARGE_TABLE.replace("\n", "\r\n")) == load_text(LARGE_TABLE)
+    last = LARGE_TABLE.count("\n") + 1
+    for tail, key in (("[route4 R2]", "prefix"), ("[route4 R2]\n", "prefix"),
+                      ("[route4 R2]\nprefix = 11.200.0.0/16", "out_if")):
+        with pytest.raises(ScenarioValidationError) as info:
+            load_text(LARGE_TABLE + tail)
+        assert str(info.value) == f"[route4 R2] (line {last}): missing required key {key!r}"

@@ -1299,6 +1299,54 @@ def test_sends_due_by_the_horizon_are_budgeted_per_run(monkeypatch, capsys):
     )
 
 
+def test_traced_lines_are_budgeted_per_run(monkeypatch, capsys, tmp_path):
+    # A traced run holds each transmission's line until it ends. Once paths
+    # are compiled and before any is timed, every send due by the horizon is
+    # counted on each hop of its path that transmits, as its link label and
+    # hex plus a fixed overhead; the bound is patched down so that a run
+    # just over it stays small, and the flow that takes the sum over it is
+    # named.
+    s = build_scenario_6to4(count=1)
+    (flow,) = s.traffic
+    trace: list[str] = []
+    run_simulation(s.topology, [flow], trace=trace)
+    # A line reads START LINK FROM->TO pkt=ID HEX.
+    per_send = sum(
+        len(" ".join(line.split()[1:3])) + len(line.split()[-1]) + simcore._TRACE_LINE_BYTES
+        for line in trace
+    )
+    bound = 10 * per_send
+    monkeypatch.setattr(simcore, "MAX_TRACE_BYTES", bound)
+    six, five = replace(flow, count=6), replace(flow, flow_id="g", count=5)
+    assert len(run_simulation(s.topology, [six, replace(five, count=4)], trace=[])) == 10
+    shim = CountingHeapq()
+    with monkeypatch.context() as m:
+        m.setattr(simcore, "heapq", shim)
+        with pytest.raises(InvalidTrafficError, match=(
+            f"^g: count 5 takes the traced lines held over {bound} bytes; "
+            "a shorter --horizon cuts them$"
+        )):
+            run_simulation(s.topology, [six, five], trace=[])
+    assert (shim.peak, shim.pops) == (0, 0)
+    # Untraced runs hold no lines; a horizon that cuts the sends due to the
+    # bound is accepted.
+    assert len(run_simulation(s.topology, [six, five])) == 11
+    many = replace(flow, count=10**6)
+    assert len(run_simulation(s.topology, [many], horizon=9.5e-3, trace=[])) == 10
+    with pytest.raises(InvalidTrafficError, match="^h1-to-h2: count 1000000 takes the traced"):
+        run_simulation(s.topology, [many], horizon=10.5e-3, trace=[])
+    # From the command line it exits 2.
+    path = tmp_path / "t.txt"
+    args = ["run", "6to4", "--trace", str(path), "--override", "flow.h1-to-h2.count=11"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: h1-to-h2: count 11 takes the traced lines held over {bound} bytes; "
+        "a shorter --horizon cuts them\n"
+    )
+    assert main(args[:-1] + ["flow.h1-to-h2.count=10"]) == 0
+    assert len(path.read_text().splitlines()) == len(trace) * 10
+
+
 def test_draws_skipped_past_the_horizon_are_budgeted_per_run(monkeypatch):
     # A jittered flow cut by the horizon leaves undrawn sends that a later
     # jittered flow must skip. The skips are summed over the run, with the
