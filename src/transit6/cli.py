@@ -182,41 +182,32 @@ def _run_scenario(scenario: Scenario, args) -> tuple[list, list[str]]:
     return records, trace
 
 
-def _cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario, args.override)
-    records, trace = _run_scenario(scenario, args)
+def _cmd_simulate(args, sources: Sequence[str]) -> int:
+    """Run one source, or compare two and label their trace and drop lines ``a `` and ``b ``."""
+    labels = ("a ", "b ") if len(sources) == 2 else ("",)
+    scenarios = [_load_scenario(source, args.override) for source in sources]
+    runs = [_run_scenario(scenario, args) for scenario in scenarios]
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in trace)
-    summaries = summarize(records)
-    _report_drops(summaries)
-    _emit_rows(_summary_rows(summaries), args.format, sys.stdout)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    scenario_a = _load_scenario(args.scenario_a, args.override)
-    scenario_b = _load_scenario(args.scenario_b, args.override)
-    records_a, trace_a = _run_scenario(scenario_a, args)
-    records_b, trace_b = _run_scenario(scenario_b, args)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.writelines(f"a {line}\n" for line in trace_a)
-            fh.writelines(f"b {line}\n" for line in trace_b)
-    summaries_a, summaries_b = summarize(records_a), summarize(records_b)
-    _report_drops(summaries_a, "a ")
-    _report_drops(summaries_b, "b ")
-    rows = [
-        {
-            "flow": r.flow_id,
-            "mean_delay_a_s": r.mean_delay_a,
-            "mean_delay_b_s": r.mean_delay_b,
-            "delay_delta_s": r.delay_delta,
-            "goodput_ratio": r.goodput_ratio,
-            "overhead_ratio": r.overhead_ratio,
-        }
-        for r in compare_scenarios(summaries_a, summaries_b)
-    ]
+            for label, (_, trace) in zip(labels, runs):
+                fh.writelines(f"{label}{line}\n" for line in trace)
+    summaries = [summarize(records) for records, _ in runs]
+    for label, flows in zip(labels, summaries):
+        _report_drops(flows, label)
+    if len(summaries) == 1:
+        rows = _summary_rows(summaries[0])
+    else:
+        rows = [
+            {
+                "flow": r.flow_id,
+                "mean_delay_a_s": r.mean_delay_a,
+                "mean_delay_b_s": r.mean_delay_b,
+                "delay_delta_s": r.delay_delta,
+                "goodput_ratio": r.goodput_ratio,
+                "overhead_ratio": r.overhead_ratio,
+            }
+            for r in compare_scenarios(*summaries)
+        ]
     _emit_rows(rows, args.format, sys.stdout)
     return 0
 
@@ -307,9 +298,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            return _cmd_simulate(args, [args.scenario])
         if args.command == "compare":
-            return _cmd_compare(args)
+            return _cmd_simulate(args, [args.scenario_a, args.scenario_b])
         if args.command == "derive":
             return _cmd_derive(args)
         return _cmd_decode(args)

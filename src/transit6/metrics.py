@@ -81,16 +81,16 @@ def summarize(records: RecordTable) -> list[FlowSummary]:
     # A flow's first send is its earliest, and sends at one time go in flow
     # order, so a stable sort by first send is first-seen order.
     for c in sorted((c for c in records.flows if c.send), key=lambda c: c.send[0]):
-        receive, crossed, payload_bytes = c.receive, c.crossed, c.payload_bytes
+        receive, crossed, payload_bytes = c.receive, c.crossed, c.flow.payload_bytes
         injected = len(c.send)
-        s = FlowSummary(flow_id=c.flow_id, injected=injected)
+        s = FlowSummary(flow_id=c.flow.flow_id, injected=injected)
         s.delivered_count = delivered = len(receive)
         s.dropped_count = injected - delivered
         for end, n in ((c.end, c.finished), (DropReason.HORIZON_EXPIRED, injected - c.finished)):
             if n and end is not None:
                 s.drop_reasons[end.value] = n
         wire, payload = s.wire_bytes_by_link, s.payload_bytes_by_link
-        for h, (link_id, size) in enumerate(c.prefixes[-1], 1):
+        for h, (link_id, size) in enumerate(c.hops, 1):
             if count := crossed[h]:
                 wire[link_id] = wire.get(link_id, 0) + size * count
                 payload[link_id] = payload.get(link_id, 0) + payload_bytes * count

@@ -103,6 +103,12 @@ def _enum_conv(enum_cls):
     return conv
 
 
+def _name(value: str) -> str:
+    if not value:
+        raise ValueError("must not be empty")
+    return value
+
+
 def _port(value: str) -> tuple[str, str]:
     node, sep, if_name = value.partition(":")
     if not sep or not node or not if_name:
@@ -131,7 +137,7 @@ _ENUM_VALUE = attrgetter("value")
 def _route_rows(parse_prefix, parse_hop, family: str) -> list:
     return [
         ("prefix", "prefix", parse_prefix, f"{family} prefix", str),
-        ("out_if", "out_if", str, "interface name", _emit_name),
+        ("out_if", "out_if", _name, "interface name", _emit_name),
         # Checked, then dropped: every link is point-to-point.
         ("next_hop", None, parse_hop, f"{family} address", None),
     ]
@@ -168,8 +174,8 @@ _SECTIONS = {
         ("mtu", "mtu", int, "integer", str),
     ]),
     "flow": (TrafficSpec, 1, [
-        ("src", "src", str, "node id", _emit_name),
-        ("dst", "dst", str, "node id", _emit_name),
+        ("src", "src", _name, "node id", _emit_name),
+        ("dst", "dst", _name, "node id", _emit_name),
         ("family", "family", str, "family", str),
         ("payload_bytes", "payload_bytes", int, "integer", str),
         ("count", "count", int, "integer", str),
@@ -426,12 +432,12 @@ _ROUTE_READERS = {
 
 def _read_route(sec: RawSection):
     """A route section's entry, built directly when it sets exactly
-    ``prefix`` and ``out_if``; any other section, or a bad prefix, goes
-    through _read, which gives the message."""
+    ``prefix`` and a non-empty ``out_if``; any other section, or a bad
+    prefix, goes through _read, which gives the message."""
     entries = sec.entries
     if len(entries) == 2:
         prefix, out_if = entries.get("prefix"), entries.get("out_if")
-        if prefix is not None and out_if is not None:
+        if prefix is not None and out_if:
             cls, parse_prefix = _ROUTE_READERS[sec.kind]
             try:
                 return cls(parse_prefix(prefix), out_if)

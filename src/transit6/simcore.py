@@ -13,9 +13,9 @@ it came in on. So each run frames and walks the path of each distinct flow
 header (source, destination, family, payload size, hop limit) once, calling
 ``forward`` once per hop; flows with the same header send the same bytes
 from one node and share it. A path records every hop's outgoing link
-direction, frame size and trace hex, the tuples of its (link, size) hop
-prefixes, and how it ends (delivered, or dropped with a reason); timing
-never touches a frame.
+direction, frame size and trace hex, one tuple of the (link, size) of the
+hops it transmits on, and how it ends (delivered, or dropped with a
+reason); timing never touches a frame.
 The walk ends because every hop a frame arrives on spends one ttl or
 hop_limit, and a tunnel copies the inner hop_limit into the outer ttl. Precondition: a
 frame's bytes are the same for every packet of its flow. A per-packet field
@@ -90,12 +90,12 @@ A run builds no record per packet. A flow sends one frame along one path,
 and its packets keep their send order at every queue, so they end as a
 prefix that ends as the path does and a suffix that the horizon expires,
 and none crosses more hops than the one before it. A flow's result
-(``FlowColumns``) is thus its send times, its delivered arrivals, its
-path's end and a few counts; a packet's hops are a prefix of its path's,
-whose tuples the path keeps. ``run_simulation`` returns them as a
+(``FlowColumns``) is thus the flow it was given, its path's hop tuple and
+end, its send times, its delivered arrivals and a few counts; a packet's
+hops are a prefix of its path's. ``run_simulation`` returns them as a
 ``RecordTable``, which ``metrics.summarize`` reads flow by flow. Iterating
-it builds one ``MetricsRecord`` per packet; it is not a sequence and
-equals no list.
+it builds one ``MetricsRecord`` per packet, and the prefix tuples those
+records share; it is not a sequence and equals no list.
 """
 
 from __future__ import annotations
@@ -253,11 +253,12 @@ class MetricsRecord:
     """Everything the simulator knows about one injected packet.
 
     ``wire_bytes_per_hop`` is the (link id, frame size) of every link the
-    packet was transmitted on, in order. The engine fills it with an
-    immutable tuple shared by every record that crossed the same hops of
-    the same path. Iterating a ``RecordTable`` builds each record as it
-    goes, so editing one, hops included, changes nothing in the table.
-    ``metrics.summarize`` reads the table's counts, never its records.
+    packet was transmitted on, in order: a prefix of its path's hops.
+    Iterating a ``RecordTable`` builds each record as it goes, with that
+    prefix as an immutable tuple shared by the records of the iteration
+    that crossed the same hops, so editing one, hops included, changes
+    nothing in the table. ``metrics.summarize`` reads the table's counts,
+    never its records.
     """
 
     packet_id: int
@@ -275,19 +276,18 @@ class MetricsRecord:
 class FlowColumns:
     """One flow's packets as counts, in send order (that is, packet-id order).
 
-    ``send`` holds their send times. The first ``finished`` ended as the
-    path does, ``end`` (None for delivered, else the drop reason), and the
-    rest expired at the horizon; ``receive`` holds the delivered ones'
-    arrivals. ``crossed[h]`` counts the packets sent on at least h hops,
-    and ``prefixes[h]`` is the ``wire_bytes_per_hop`` they share if they
-    crossed h. A ``RecordTable`` keeps one per flow; iterating it yields records.
+    ``flow`` is the ``TrafficSpec`` the run was given, and ``hops`` the
+    (link id, frame size) of each hop its path transmits on, one tuple that
+    every flow of the same header shares. ``send`` holds the send times.
+    The first ``finished`` packets ended as the path does, ``end`` (None
+    for delivered, else the drop reason), and the rest expired at the
+    horizon; ``receive`` holds the delivered ones' arrivals. ``crossed[h]``
+    counts the packets sent on at least h hops, that is on ``hops[:h]``. A
+    ``RecordTable`` keeps one per flow; iterating it yields records.
     """
 
-    flow_id: str
-    src: str
-    dst: str
-    payload_bytes: int
-    prefixes: list[tuple[tuple[str, int], ...]]
+    flow: TrafficSpec
+    hops: tuple[tuple[str, int], ...]
     send: array
     receive: array
     end: Optional[DropReason]
@@ -300,8 +300,10 @@ class RecordTable:
 
     Iterating it yields one ``MetricsRecord`` per packet in packet-id order,
     deriving that order from the send columns and building each record as
-    it goes, so editing a record changes nothing in the table. It is not a
-    sequence and equals no list: ``list(table)`` is its records.
+    it goes, so editing a record changes nothing in the table. Each path's
+    hop prefixes are built once per iteration, and the records that crossed
+    the same hops of it share one tuple. It is not a sequence and equals no
+    list: ``list(table)`` is its records.
     """
 
     __slots__ = ("flows",)
@@ -314,16 +316,20 @@ class RecordTable:
 
     def __iter__(self) -> Iterator[MetricsRecord]:
         flows = self.flows
+        # Each path's hop prefixes, built once for the records of this pass.
+        shared = {h: [h[:n] for n in range(len(h) + 1)] for h in {c.hops for c in flows}}
+        prefixes = [shared[c.hops] for c in flows]
         taken = [0] * len(flows)
         for p, a in enumerate(_merge([c.send for c in flows], range(len(flows)))[1]):
             c = flows[a]
+            flow = c.flow
             j = taken[a]
             taken[a] = j + 1
             yield MetricsRecord(
-                p, c.flow_id, c.src, c.dst, c.payload_bytes, c.send[j],
+                p, flow.flow_id, flow.src, flow.dst, flow.payload_bytes, c.send[j],
                 c.receive[j] if j < len(c.receive) else None,
                 c.end if j < c.finished else DropReason.HORIZON_EXPIRED,
-                c.prefixes[bisect_left(c.crossed, -j, key=neg) - 1],
+                prefixes[a][bisect_left(c.crossed, -j, key=neg) - 1],
             )
 
 
@@ -786,18 +792,17 @@ def _draw_sends(traffic: Sequence[TrafficSpec], seed: int, limit: float) -> list
 
 def _path(
     ports: dict[tuple[str, str], _Port], traced: bool, fwd, node: Node, frame: bytes
-) -> tuple[list[tuple], list[tuple], Optional[DropReason]]:
-    """Every hop a frame takes from ``node``, its hop prefixes, and its end.
+) -> tuple[list[tuple], tuple[tuple[str, int], ...], Optional[DropReason]]:
+    """Every hop a frame takes from ``node``, the hops it is sent on, and its end.
 
     Each hop is (processing delay before it, queue, serialization time,
     propagation delay, trace text if ``traced``), and the end is None for a
     delivery or the drop reason. A frame too big for its next link ends the
     path on a hop with no queue: it is dropped once that node has processed
-    it. Prefix n is the tuple of the (link id, size) of the first n hops
-    transmitted, for n from 0 to all of them: what a record holds.
+    it. The hops sent on are the (link id, size) of each hop transmitted.
     """
     path: list[tuple] = []
-    crossed: list[tuple[str, int]] = []
+    hops: list[tuple[str, int]] = []
     in_if = None
     while True:
         res = fwd(node, frame, in_if)
@@ -815,9 +820,9 @@ def _path(
         text = (f"{link.id} {node.id}->{port.peer.id}", frame.hex()) if traced else None
         ser = nbytes * 8 / link.bandwidth
         path.append((node.processing_delay, port.queue, ser, link.propagation_delay, text))
-        crossed.append((link.id, nbytes))
+        hops.append((link.id, nbytes))
         node, in_if = port.peer, port.peer_if
-    return path, [tuple(crossed[:n]) for n in range(len(crossed) + 1)], end
+    return path, tuple(hops), end
 
 
 def _check_trace_budget(
@@ -1121,7 +1126,7 @@ def run_simulation(
     # What a node does with a frame depends only on the node, the frame
     # and where it came in, so each distinct flow header is framed and
     # walked once, here, and the timing below only follows its path.
-    # Each header's path, hop prefixes, end and flows.
+    # Each header's path, hops sent on, end and flows.
     compiled: dict[tuple, tuple] = {}
     paths: list[list[tuple]] = []
     columns: list[FlowColumns] = []
@@ -1129,18 +1134,15 @@ def run_simulation(
         key = (flow.src, flow.dst, flow.family, flow.payload_bytes, flow.hop_limit)
         if key not in compiled:
             src = nodes[flow.src]
-            path, prefixes, end = _path(
+            path, hops, end = _path(
                 ports, trace is not None, fwd, src, _flow_frame(src, nodes[flow.dst], flow)
             )
-            compiled[key] = path, prefixes, end, []
-        path, prefixes, end, flows = compiled[key]
+            compiled[key] = path, hops, end, []
+        path, hops, end, flows = compiled[key]
         flows.append(f)
         paths.append(path)
         columns.append(
-            FlowColumns(
-                flow.flow_id, flow.src, flow.dst, flow.payload_bytes, prefixes, sends,
-                array("d"), end, 0, [len(sends)] + [0] * (len(prefixes) - 1),
-            )
+            FlowColumns(flow, hops, sends, array("d"), end, 0, [len(sends)] + [0] * len(hops))
         )
 
     if trace is not None:

@@ -11,7 +11,7 @@ import gc
 import tracemalloc
 from dataclasses import replace
 
-from test_engine_oracle import _congested_shape
+from test_engine_oracle import _congested_shape, _route_shape
 
 from transit6.metrics import summarize
 from transit6.scenarios import build_scenario_6to4
@@ -75,6 +75,7 @@ SHAPES = {
     "6to4, one jittered flow, 10**6 sends cut at 1 s": jittered_horizon_cut_shape,
     "congested-native, 400 packets a flow": lambda: _congested_shape(400),
     "congested-native, payloads one byte apart (heap)": shared_queue_shape,
+    "auto-6to4, 8 flows of 10 packets both ways": _route_shape,
 }
 
 

@@ -11,7 +11,7 @@ from array import array
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from transit6.simcore import DropReason, FlowColumns, MetricsRecord, RecordTable
+from transit6.simcore import DropReason, FlowColumns, MetricsRecord, RecordTable, TrafficSpec
 
 
 def table_of(records: Iterable[MetricsRecord], flow_ids: Sequence[str] = ()) -> RecordTable:
@@ -30,8 +30,9 @@ def table_of(records: Iterable[MetricsRecord], flow_ids: Sequence[str] = ()) -> 
     with equal send times come in column order, the only order a run can
     give them. Columns come in the order of ``flow_ids``, as a run keeps
     its traffic's, then in first-seen order, and the table numbers the
-    packets from 0. A flow's ``prefixes`` are those of its first
-    record's hop tuple, the longest.
+    packets from 0. A flow's ``flow`` is a ``TrafficSpec`` of its first
+    record's id, end nodes and payload size, and its ``hops`` that record's
+    hop tuple, the longest.
     """
     flows = {flow_id: a for a, flow_id in enumerate(flow_ids)}
     columns: dict[int, FlowColumns] = {}
@@ -44,24 +45,24 @@ def table_of(records: Iterable[MetricsRecord], flow_ids: Sequence[str] = ()) -> 
         hops = tuple(rec.wire_bytes_per_hop)
         if a not in columns:
             columns[a] = FlowColumns(
-                rec.flow_id, rec.src_node, rec.dst_node, rec.payload_bytes,
-                [hops[:n] for n in range(len(hops) + 1)], array("d"), array("d"),
-                None, 0, [0] * (len(hops) + 1),
+                TrafficSpec(rec.flow_id, rec.src_node, rec.dst_node, rec.payload_bytes),
+                hops, array("d"), array("d"), None, 0, [0] * (len(hops) + 1),
             )
         c = columns[a]
+        flow = c.flow
         assert (rec.src_node, rec.dst_node, rec.payload_bytes) == (
-            c.src, c.dst, c.payload_bytes
-        ), f"flow {c.flow_id} mixes frames at {rec}"
+            flow.src, flow.dst, flow.payload_bytes
+        ), f"flow {flow.flow_id} mixes frames at {rec}"
         n = len(hops)
         sent = len(c.send)
         # Every packet before this one crossed at least n hops.
-        assert c.prefixes[n : n + 1] == [hops] and c.crossed[n] == sent, (
-            f"flow {c.flow_id}: hops not a prefix of the last packet's at {rec}"
+        assert c.hops[:n] == hops and c.crossed[n : n + 1] == [sent], (
+            f"flow {flow.flow_id}: hops not a prefix of the last packet's at {rec}"
         )
         if rec.drop_reason is not DropReason.HORIZON_EXPIRED:
-            assert c.finished == sent, f"flow {c.flow_id} ends after an expiry at {rec}"
-            assert not c.finished or rec.drop_reason is c.end, f"flow {c.flow_id} ends twice at {rec}"
-            assert n == len(c.prefixes) - 1, f"flow {c.flow_id} ends short of its path at {rec}"
+            assert c.finished == sent, f"flow {flow.flow_id} ends after an expiry at {rec}"
+            assert not c.finished or rec.drop_reason is c.end, f"flow {flow.flow_id} ends twice at {rec}"
+            assert n == len(c.hops), f"flow {flow.flow_id} ends short of its path at {rec}"
             c.end = rec.drop_reason
             c.finished += 1
             if rec.receive_time is not None:

@@ -30,6 +30,9 @@ COMPARE_SHA256 = "873b27207f53d32a9b285f3e26ce5764abf704666cb7a83420b9ee779020c8
 # SHA-256 of the file `transit6 run 6to4 --trace FILE` writes: every frame's
 # bytes and start time, in the order a traced run's heap transmits them.
 TRACE_6TO4_SHA256 = "6978dec5dba934948701e1c9d0ee997de11e1dd41149533fb3f22c74c9031d2f"
+# SHA-256 of the file `transit6 compare 6to4 dualstack --trace FILE` writes:
+# the 6to4 run's lines labelled `a `, then the dual-stack run's labelled `b `.
+COMPARE_TRACE_SHA256 = "ed28e3d8c4223c2bff8e980cef94c52e918b1d0026f7a170fb315dc216206296"
 
 SUMMARY_HEADER = (
     "flow,injected,delivered,dropped,mean_delay_s,min_delay_s,max_delay_s,"
@@ -441,6 +444,13 @@ def test_compare_trace_file_prefixes_sides(tmp_path, capsys):
     assert len(lines) == 80
     assert sum(1 for line in lines if line.startswith("a ")) == 40
     assert sum(1 for line in lines if line.startswith("b ")) == 40
+
+
+def test_compare_trace_file_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "frames.log"
+    assert main(["compare", "6to4", "dualstack", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COMPARE_TRACE_SHA256
 
 
 def test_compare_output_values(capsys):

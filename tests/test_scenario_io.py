@@ -468,6 +468,8 @@ LARGE_TABLE = _large_route_table_text()
 # times above them.
 _V4_TARGET = "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\n"
 _V6_TARGET = "[route6 R2]\nprefix = 2001:db8:64::/48\nout_if = fa0\n"
+# The one flow, after every route section.
+_FLOW_TARGET = "[flow h1-to-h2]\nsrc = H1\ndst = H2\n"
 
 
 def test_large_route_table_round_trips():
@@ -587,8 +589,15 @@ def test_sections_with_the_same_header_do_not_share_args():
         (_V4_TARGET, "[route4 R2]\nprefix =\nout_if = fa0\n", ScenarioValidationError,
          "[route4 R2] (line 2502): prefix is not a valid IPv4 prefix: ''"
          " (prefix must look like addr/len: '')"),
-        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = \n", InvalidTopologyError,
-         "R2: IPv4 route 11.100.0.0/16 leaves through unknown interface ''"),
+        # An empty name is refused where it is read, citing its line.
+        (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = \n", ScenarioValidationError,
+         "[route4 R2] (line 2503): out_if is not a valid interface name: '' (must not be empty)"),
+        (_V6_TARGET, "[route6 R2]\nprefix = 2001:db8:64::/48\nout_if =\n", ScenarioValidationError,
+         "[route6 R2] (line 3535): out_if is not a valid interface name: '' (must not be empty)"),
+        (_FLOW_TARGET, "[flow h1-to-h2]\nsrc = \ndst = H2\n", ScenarioValidationError,
+         "[flow h1-to-h2] (line 6281): src is not a valid node id: '' (must not be empty)"),
+        (_FLOW_TARGET, "[flow h1-to-h2]\nsrc = H1\ndst =\n", ScenarioValidationError,
+         "[flow h1-to-h2] (line 6282): dst is not a valid node id: '' (must not be empty)"),
         (_V4_TARGET, "[route4 R2]\nprefix = 11.100.0.0/16\nout_if = fa0\nprefix = 11.101.0.0/16\n",
          ScenarioParseError, "line 2504: duplicate key 'prefix' in [route4 R2] (line 2501)"),
         (_V4_TARGET, "[route4 R2]\nprefix\nout_if = fa0\n", ScenarioParseError,

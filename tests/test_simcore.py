@@ -24,7 +24,7 @@ from peak_memory import (
     peak_per_packet,
     shared_queue_shape,
 )
-from test_engine_oracle import _congested_shape
+from test_engine_oracle import _congested_shape, _route_shape
 
 from transit6.addressing import FamilyMismatchError, Ipv4Prefix, Ipv6Prefix
 from transit6.codec import FrameKind, Ipv4Address, Ipv6Address
@@ -733,6 +733,12 @@ PEAK_BYTES_PER_PACKET_SORTED = 80
 # its flow's columns, 101.3-101.4 while the merge held an index object per
 # send.
 PEAK_BYTES_PER_PACKET_HEAP = 96
+# The route-heavy shape without its filler routes: 8 jittered flows of 10
+# packets, four each way, on the built-in auto-6to4, so two paths of four
+# hops. Measured 214.5-216.6 on CPython 3.11 (x86-64 Linux), and 224.1-226.2
+# while each flow's result copied four fields of its flow and each path kept
+# a tuple per hop prefix that only the record view reads.
+PEAK_BYTES_PER_PACKET_FIXED = 220
 
 
 def test_peak_memory_per_packet_stays_bounded():
@@ -777,6 +783,16 @@ def test_peak_memory_per_packet_of_a_heap_run_stays_bounded(monkeypatch):
     assert len(summaries) == 8
     assert all(summary.delivered_count and summary.dropped_count for summary in summaries)
     assert peak < PEAK_BYTES_PER_PACKET_HEAP
+
+
+def test_peak_memory_per_packet_of_a_small_run_stays_bounded():
+    # At 80 packets, what a run holds whatever its packet count (ports,
+    # paths, columns and summaries) outweighs its send and receive times.
+    # The first run is not measured: it also fills the interpreter's caches.
+    summarize(run_simulation(*_route_shape()))
+    summaries, peak = peak_per_packet(*_route_shape())
+    assert [summary.delivered_count for summary in summaries] == [10] * 8
+    assert peak < PEAK_BYTES_PER_PACKET_FIXED
 
 
 def _draw_sends_reference(traffic, seed, limit):
@@ -1048,17 +1064,29 @@ def test_records_share_their_paths_hop_tuples():
             assert type(rec.wire_bytes_per_hop) is tuple
             assert rec.wire_bytes_per_hop == full.wire_bytes_per_hop[:hops]
 
-    # One path of four hops has five prefixes, traced (every packet on the
-    # heap) or not (the flow timed hop by hop). Giving one record
-    # other hops touches no other record and no later run.
+    # A run's columns refer to the flows they were given, and the flows of
+    # one header to their path's one hop tuple. One path of four hops has
+    # five prefixes, traced (every packet on the heap) or not (the flows
+    # timed together), which one pass over the table builds and its records
+    # of equal hops share. Giving one record other hops touches no other
+    # record and no later run.
+    shapes = []
     for build in (build_scenario_6to4, build_scenario_dualstack):
         s = build(count=6, gap=1e-4)
-        for horizon in (None, 1.5e-3):
+        shapes.append((s.topology, s.traffic, (None, 1.5e-3)))
+    topology, flows, horizon = _congested_shape(10)
+    shapes.append((topology, flows, (None, horizon)))
+    for topology, flows, horizons in shapes:
+        for horizon in horizons:
             for trace in (None, []):
-                records = run_simulation(s.topology, s.traffic, horizon=horizon, trace=trace)
+                records = run_simulation(topology, flows, horizon=horizon, trace=trace)
+                assert len(records.flows) == len(flows)
+                assert all(c.flow is flow for c, flow in zip(records.flows, flows))
+                assert len({id(c.hops) for c in records.flows}) == 1
+                path = records.flows[0].hops
                 before = [repr(r) for r in records]
                 hops = [r.wire_bytes_per_hop for r in records]
-                assert all(type(h) is tuple for h in hops)
+                assert all(type(h) is tuple and h == path[: len(h)] for h in hops)
                 assert len({id(h) for h in hops}) == len(set(hops)) <= 5
                 if horizon is None:
                     assert len(set(hops)) == 1
@@ -1067,7 +1095,8 @@ def test_records_share_their_paths_hop_tuples():
                     others = [repr(r) for j, r in enumerate(records) if j != i]
                     assert others == before[:i] + before[i + 1:]
                     rec.wire_bytes_per_hop = hops[i]
-                again = run_simulation(s.topology, s.traffic, horizon=horizon, trace=trace)
+                assert records.flows[0].hops is path
+                again = run_simulation(topology, flows, horizon=horizon, trace=trace)
                 assert [repr(r) for r in again] == before
 
 
