@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -166,10 +165,6 @@ def _report_drops(summaries: Sequence[FlowSummary], prefix: str = "") -> None:
 
 
 def _run_scenario(scenario: Scenario, args) -> tuple[list, list[str]]:
-    if args.horizon is not None and not math.isfinite(args.horizon):
-        raise ValueError(f"--horizon must be a finite number, got {args.horizon!r}")
-    if args.horizon is not None and args.horizon < 0:
-        raise ValueError(f"--horizon must not be negative, got {args.horizon!r}")
     trace: list[str] = []
     horizon = args.horizon if args.horizon is not None else scenario.horizon
     records = run_simulation(

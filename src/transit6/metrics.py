@@ -34,7 +34,7 @@ class FlowMismatchError(MetricsError):
     """Comparison sides do not contain the same flow ids."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSummary:
     flow_id: str
     injected: int = 0

@@ -55,7 +55,6 @@ path, the only one that raises.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
@@ -462,10 +461,6 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
             raise ScenarioValidationError(
                 f"horizon is not a number: {raw.scenario['horizon']!r}"
             ) from None
-        if not math.isfinite(horizon) or horizon < 0:
-            raise ScenarioValidationError(
-                f"horizon must be a finite, non-negative number, got {raw.scenario['horizon']!r}"
-            )
 
     nodes: dict[str, Node] = {}
     links: list[Link] = []
@@ -497,7 +492,7 @@ def build_model(raw: RawScenario, default_name: str = "scenario") -> Scenario:
 
     topology = Topology(nodes=list(nodes.values()), links=links)
     validate_topology(topology)
-    validate_traffic(topology, flows)
+    validate_traffic(topology, flows, horizon)
     return Scenario(name=name, topology=topology, traffic=flows, horizon=horizon)
 
 

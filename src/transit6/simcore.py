@@ -519,6 +519,16 @@ _TRACE_LINE_BYTES = 256
 MAX_SKIPS = 2**30
 
 
+def _check_seconds(error: type[SimError], owner: str, key: str, value: float) -> None:
+    """Raise ``error`` unless ``value`` is a finite time in [0, MAX_SECONDS]."""
+    if not math.isfinite(value):
+        raise error(f"{owner}: {key} must be finite")
+    if value < 0:
+        raise error(f"{owner}: negative {key}")
+    if value > MAX_SECONDS:
+        raise error(f"{owner}: {key} over {MAX_SECONDS:.0f} s")
+
+
 def validate_topology(topology: Topology) -> None:
     """Raise InvalidTopologyError on the first structural rule violation."""
     # Node id -> its interface names: the duplicate-id check here, the port check below.
@@ -526,12 +536,7 @@ def validate_topology(topology: Topology) -> None:
     for node in topology.nodes:
         if node.id in if_names_by_node:
             raise InvalidTopologyError(f"duplicate node id {node.id!r}")
-        if not math.isfinite(node.processing_delay):
-            raise InvalidTopologyError(f"{node.id}: processing_delay must be finite")
-        if node.processing_delay < 0:
-            raise InvalidTopologyError(f"{node.id}: negative processing_delay")
-        if node.processing_delay > MAX_SECONDS:
-            raise InvalidTopologyError(f"{node.id}: processing_delay over {MAX_SECONDS:.0f} s")
+        _check_seconds(InvalidTopologyError, node.id, "processing_delay", node.processing_delay)
         if_names: set[str] = set()
         for iface in node.interfaces:
             if iface.name in if_names:
@@ -589,17 +594,13 @@ def validate_topology(topology: Topology) -> None:
         if link.id in link_ids:
             raise InvalidTopologyError(f"duplicate link id {link.id!r}")
         link_ids.add(link.id)
-        for key in ("bandwidth", "propagation_delay"):
-            if not math.isfinite(getattr(link, key)):
-                raise InvalidTopologyError(f"link {link.id}: {key} must be finite")
+        if not math.isfinite(link.bandwidth):
+            raise InvalidTopologyError(f"link {link.id}: bandwidth must be finite")
         if link.bandwidth <= 0:
             raise InvalidTopologyError(f"link {link.id}: bandwidth must be positive")
-        if link.propagation_delay < 0:
-            raise InvalidTopologyError(f"link {link.id}: negative propagation delay")
-        if link.propagation_delay > MAX_SECONDS:
-            raise InvalidTopologyError(
-                f"link {link.id}: propagation_delay over {MAX_SECONDS:.0f} s"
-            )
+        _check_seconds(
+            InvalidTopologyError, f"link {link.id}", "propagation_delay", link.propagation_delay
+        )
         if link.mtu < 60:
             raise InvalidTopologyError(f"link {link.id}: mtu below 60 bytes")
         # Validation caps payloads so that no frame, even encapsulated, is longer.
@@ -639,8 +640,19 @@ def _primary_address(node: Node, family: str) -> Union[Ipv4Address, Ipv6Address]
     raise InvalidTrafficError(f"{node.id} has no {family} address")
 
 
-def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None:
-    """Raise InvalidTrafficError on the first flow rule violation."""
+def validate_traffic(
+    topology: Topology, traffic: Sequence[TrafficSpec], horizon: Optional[float] = None
+) -> None:
+    """Raise InvalidTrafficError on the first flow rule violation.
+
+    A ``horizon`` other than None must be finite and not negative. It gets no
+    ``MAX_SECONDS`` bound: it only cuts a run short, and no time is formed
+    from it.
+    """
+    if horizon is not None and not 0 <= horizon < math.inf:
+        raise InvalidTrafficError(
+            f"horizon must be a finite, non-negative number, got {horizon!r}"
+        )
     nodes_by_id = {n.id: n for n in topology.nodes}
     seen: set[str] = set()
     for flow in traffic:
@@ -663,16 +675,12 @@ def validate_traffic(topology: Topology, traffic: Sequence[TrafficSpec]) -> None
             raise InvalidTrafficError(f"{flow.flow_id}: count must be at least 1")
         if flow.count > MAX_COUNT:
             raise InvalidTrafficError(f"{flow.flow_id}: count over {MAX_COUNT}")
-        for key in ("gap", "start", "jitter"):
-            if not math.isfinite(getattr(flow, key)):
-                raise InvalidTrafficError(f"{flow.flow_id}: {key} must be finite")
-        if flow.gap < 0 or flow.start < 0:
-            raise InvalidTrafficError(f"{flow.flow_id}: negative start or gap")
-        for key in ("gap", "start"):
-            if getattr(flow, key) > MAX_SECONDS:
-                raise InvalidTrafficError(f"{flow.flow_id}: {key} over {MAX_SECONDS:.0f} s")
+        _check_seconds(InvalidTrafficError, flow.flow_id, "gap", flow.gap)
+        _check_seconds(InvalidTrafficError, flow.flow_id, "start", flow.start)
         if not 1 <= flow.hop_limit <= 255:
             raise InvalidTrafficError(f"{flow.flow_id}: hop_limit outside 1..255")
+        if not math.isfinite(flow.jitter):
+            raise InvalidTrafficError(f"{flow.flow_id}: jitter must be finite")
         if not 0 <= flow.jitter < 1:
             raise InvalidTrafficError(f"{flow.flow_id}: jitter must be in [0, 1)")
 
@@ -1099,6 +1107,8 @@ def run_simulation(
 ) -> RecordTable:
     """Validate, then run to quiescence (or ``horizon``) and return records.
 
+    ``validate_traffic`` checks the horizon with the flows.
+
     The result is a ``RecordTable`` of per-flow columns. Its length is the
     number of injected packets, and iterating it builds one ``MetricsRecord``
     per packet in packet-id order; it is not a sequence and equals no list.
@@ -1107,11 +1117,7 @@ def run_simulation(
     receives one line of hex per frame transmission.
     """
     validate_topology(topology)
-    validate_traffic(topology, traffic)
-    if horizon is not None and not math.isfinite(horizon):
-        raise InvalidTrafficError("horizon must be finite")
-    if horizon is not None and horizon < 0:
-        raise InvalidTrafficError("horizon must not be negative")
+    validate_traffic(topology, traffic, horizon)
     limit = math.inf if horizon is None else horizon
     nodes = {n.id: n for n in topology.nodes}
     ports, queue_count = _ports(topology.links, nodes)

@@ -342,17 +342,61 @@ def test_run_rejects_non_finite_override(override, needle, capsys):
     assert needle in captured.err
 
 
+def _horizon_errors(value: str, tmp_path, capsys) -> dict[str, str]:
+    """The error text a horizon of ``value`` gives through each way it comes in.
+
+    The CLI ways must exit 2 and print nothing to stdout.
+    """
+    scenario = build_scenario_6to4()
+    path = tmp_path / "horizon.scenario"
+    path.write_text(serialize_model(replace(scenario, horizon=float(value))), encoding="utf-8")
+    errors = {}
+    for way, argv in (
+        ("file key", ["run", str(path)]),
+        ("--override", ["run", "6to4", "--override", f"horizon={value}"]),
+        ("--horizon", ["run", "6to4", f"--horizon={value}"]),
+    ):
+        assert main(argv) == 2, way
+        captured = capsys.readouterr()
+        assert captured.out == "", way
+        errors[way] = captured.err
+    with pytest.raises(ValueError) as excinfo:
+        run_simulation(scenario.topology, scenario.traffic, horizon=float(value))
+    errors["run_simulation"] = str(excinfo.value)
+    return errors
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_run_rejects_non_finite_horizon_option(value, capsys):
-    assert main(["run", "6to4", f"--horizon={value}"]) == 2
-    assert "--horizon must be a finite number" in capsys.readouterr().err
+def test_run_rejects_non_finite_horizon_option(value, tmp_path, capsys):
+    # One rule with one message, whichever way the horizon comes in.
+    message = f"horizon must be a finite, non-negative number, got {float(value)!r}"
+    for way, err in _horizon_errors(value, tmp_path, capsys).items():
+        assert message in err, (way, err)
 
 
 def test_run_rejects_negative_horizon_option(capsys):
     assert main(["run", "6to4", "--horizon", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--horizon must not be negative" in captured.err
+    assert "horizon must be a finite, non-negative number" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "1e308"])
+def test_run_accepts_zero_and_huge_horizons(value, capsys):
+    # The horizon only cuts a run, so it has no upper bound but finiteness,
+    # and one past every arrival changes nothing.
+    assert main(["run", "6to4"]) == 0
+    unbounded = capsys.readouterr().out
+    for argv in (
+        ["run", "6to4", f"--horizon={value}"],
+        ["run", "6to4", "--override", f"horizon={value}"],
+    ):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if value == "1e308":
+            assert out == unbounded, argv
+    scenario = build_scenario_6to4()
+    run_simulation(scenario.topology, scenario.traffic, horizon=float(value))
 
 
 def test_run_tunnel_loop_scenario_drops_instead_of_crashing(capsys):

@@ -34,7 +34,7 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from engine_oracle import reference_run
 from heap_counting import CountingHeapq
@@ -290,7 +290,8 @@ def test_engine_matches_reference_engine():
             assert arrivals == sorted(arrivals), (case, base, flow.flow_id)
         # Validation bounds every input time, so no summary float is inf or nan.
         for summary in summarize(untraced):
-            floats = [v for v in vars(summary).values() if isinstance(v, float)]
+            values = (getattr(summary, f.name) for f in fields(summary))
+            floats = [v for v in values if isinstance(v, float)]
             assert all(map(math.isfinite, floats)), (case, base, summary)
         for rec in records:
             assert (rec.receive_time is None) != (rec.drop_reason is None), (case, rec)

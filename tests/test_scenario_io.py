@@ -137,7 +137,7 @@ def test_validation_bad_horizon():
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_validation_horizon_must_be_finite_and_non_negative(value):
-    with pytest.raises(ScenarioValidationError, match="horizon must be a finite, non-negative number"):
+    with pytest.raises(InvalidTrafficError, match="horizon must be a finite, non-negative number"):
         load_text(f"horizon = {value}\n" + MINIMAL)
 
 

@@ -592,7 +592,7 @@ def test_horizon_closes_in_flight_packets():
     with pytest.raises(InvalidTrafficError):
         run_simulation(topo, [flow], horizon=-1.0)
     for horizon in (float("nan"), float("inf")):
-        with pytest.raises(InvalidTrafficError, match="horizon must be finite"):
+        with pytest.raises(InvalidTrafficError, match="horizon must be a finite, non-negative number"):
             run_simulation(topo, [flow], horizon=horizon)
 
 
@@ -735,10 +735,11 @@ PEAK_BYTES_PER_PACKET_SORTED = 80
 PEAK_BYTES_PER_PACKET_HEAP = 96
 # The route-heavy shape without its filler routes: 8 jittered flows of 10
 # packets, four each way, on the built-in auto-6to4, so two paths of four
-# hops. Measured 214.5-216.6 on CPython 3.11 (x86-64 Linux), and 224.1-226.2
-# while each flow's result copied four fields of its flow and each path kept
-# a tuple per hop prefix that only the record view reads.
-PEAK_BYTES_PER_PACKET_FIXED = 220
+# hops. Measured 208.9 on CPython 3.11 (x86-64 Linux); 214.5-216.6 while
+# each FlowSummary kept a __dict__, and 224.1-226.2 while each flow's result
+# also copied four fields of its flow and each path kept a tuple per hop
+# prefix that only the record view reads.
+PEAK_BYTES_PER_PACKET_FIXED = 212
 
 
 def test_peak_memory_per_packet_stays_bounded():
@@ -1265,8 +1266,8 @@ def test_validate_traffic_rejections():
     expect(TrafficSpec("f", "h1", "h2", payload_bytes=-1), "negative payload")
     expect(TrafficSpec("f", "h1", "h2", payload_bytes=65476), "over 65475")
     expect(TrafficSpec("f", "h1", "h2", count=0), "count")
-    expect(TrafficSpec("f", "h1", "h2", gap=-1.0), "negative start or gap")
-    expect(TrafficSpec("f", "h1", "h2", start=-1.0), "negative start or gap")
+    expect(TrafficSpec("f", "h1", "h2", gap=-1.0), "f: negative gap")
+    expect(TrafficSpec("f", "h1", "h2", start=-1.0), "f: negative start")
     expect(TrafficSpec("f", "h1", "h2", hop_limit=0), "hop_limit")
     expect(TrafficSpec("f", "h1", "h2", hop_limit=256), "hop_limit")
     expect(TrafficSpec("f", "h1", "h2", jitter=1.0), "jitter")
