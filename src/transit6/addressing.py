@@ -1,12 +1,8 @@
-"""Routing prefixes and the address derivations of the tunneling mechanisms.
+"""Routing prefixes and the 6to4 address derivation.
 
-The derivations embed an IPv4 address into well-known IPv6 layouts:
-
-* 6to4: ``2002::/16`` followed by the 32-bit IPv4 address, giving a /48 site
-  prefix (bits 16..47 carry the IPv4 address).
-* IPv4-compatible: 96 zero bits followed by the IPv4 address (``::a.b.c.d``).
-
-Each embedding has an exact inverse, used by automatic tunnels to recover the
+6to4 embeds an IPv4 address in IPv6 as ``2002::/16`` followed by the 32-bit
+IPv4 address, giving a /48 site prefix (bits 16..47 carry the IPv4 address).
+The embedding has an exact inverse, which a 6to4 tunnel uses to recover the
 IPv4 tunnel endpoint from a destination address.
 """
 
@@ -26,10 +22,6 @@ class AddressingError(ValueError):
 
 class Not6to4Error(AddressingError):
     """Address does not start with the 2002::/16 prefix."""
-
-
-class NotCompatibleError(AddressingError):
-    """Address does not have 96 zero bits in front."""
 
 
 class FamilyMismatchError(AddressingError):
@@ -170,15 +162,3 @@ def extract_6to4_ipv4(addr: Ipv6Address) -> Ipv4Address:
     if addr.octets[:2] != SIX_TO_FOUR_PREFIX_BYTES:
         raise Not6to4Error(f"{addr} is not under 2002::/16")
     return Ipv4Address(addr.octets[2:6])
-
-
-def make_ipv4_compatible(v4: Ipv4Address) -> Ipv6Address:
-    """IPv4-compatible IPv6 address: 96 zero bits then the IPv4 address."""
-    return Ipv6Address(bytes(12) + v4.octets)
-
-
-def extract_compatible_ipv4(addr: Ipv6Address) -> Ipv4Address:
-    """Recover the IPv4 address from an IPv4-compatible IPv6 address."""
-    if addr.octets[:12] != bytes(12):
-        raise NotCompatibleError(f"{addr} does not embed an IPv4 address under ::/96")
-    return Ipv4Address(addr.octets[12:])

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .addressing import derive_6to4_prefix, make_ipv4_compatible
+from .addressing import derive_6to4_prefix
 from .codec import (
     IPV6_HEADER_LEN,
     FrameKind,
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
 
     p_derive = sub.add_parser("derive", help="derive a transition address from an IPv4 address")
-    p_derive.add_argument("kind", choices=_DERIVATIONS)
+    p_derive.add_argument("kind", choices=["6to4"])
     p_derive.add_argument("address", help="IPv4 address, dotted decimal")
 
     p_decode = sub.add_parser("decode", help="decode a frame from hex and dump its fields")
@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _BUILTINS = {"6to4": build_scenario_6to4, "dualstack": build_scenario_dualstack}
-_DERIVATIONS = {"6to4": derive_6to4_prefix, "compatible": make_ipv4_compatible}
 
 
 def _load_scenario(source: str, overrides: Sequence[str]) -> Scenario:
@@ -208,7 +207,7 @@ def _cmd_simulate(args, sources: Sequence[str]) -> int:
 
 
 def _cmd_derive(args) -> int:
-    print(_DERIVATIONS[args.kind](Ipv4Address.parse(args.address)))
+    print(derive_6to4_prefix(Ipv4Address.parse(args.address)))
     return 0
 
 

@@ -131,7 +131,7 @@ class Ipv6Address:
 def internet_checksum(data: bytes) -> int:
     """One's-complement 16-bit checksum over ``data`` (odd tail zero-padded)."""
     if len(data) % 2:
-        data += b"\x00"
+        data = data + b"\x00"  # a copy: += would pad a caller's bytearray in place
     total = sum(struct.unpack(f"!{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)

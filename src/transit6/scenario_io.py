@@ -19,9 +19,9 @@ Section kinds and their arguments:
   link is point-to-point, so ``out_if`` alone picks the next hop:
   ``next_hop`` must be a valid address of the route's family, then is
   ignored.
-* ``[tunnel <node> <name>]`` with ``kind`` (configured | automatic-compatible
-  | 6to4), ``local_v4``, optional ``remote_v4`` (configured kind only) and
-  optional ``v6`` (the tunnel interface address).
+* ``[tunnel <node> <name>]`` with ``kind`` (configured | 6to4), ``local_v4``,
+  optional ``remote_v4`` (configured kind only) and optional ``v6`` (the
+  tunnel interface address).
 * ``[link <id>]`` with ``a`` and ``b`` (``Node:interface`` ports) and optional
   ``bandwidth`` (bit/s), ``propagation_delay`` (seconds), ``mtu`` (bytes).
 * ``[flow <id>]`` with ``src``, ``dst`` and optional ``family`` (v4 | v6),

@@ -161,13 +161,11 @@ def build_scenario_6to4(
         lans = (str(p1.address) + "1", str(p3.address) + "1")
         far1 = far3 = Ipv6Prefix.parse("2002::/16")
         remotes = (None, None)
-    elif tunnel_kind is TunnelKind.CONFIGURED:
+    else:
         hosts, lans = _HOSTS, _LANS
         p1, p3 = _HOST_PREFIXES
         far1, far3 = p3, p1
         remotes = (V4_R3, V4_R1)
-    else:
-        raise ValueError(f"unsupported tunnel kind for this scenario: {tunnel_kind}")
 
     # Without the tunnel, IPv6 is pointed at the IPv4-only middle instead.
     toward = "tun0" if with_tunnel else "fa0"

@@ -6,6 +6,10 @@ infrastructure; decapsulation strips that header after checking it. Both take
 and return wire bytes, since forwarding works on the frames themselves.
 Dispatch picks the protocol path a dual-stack node uses, from the version
 nibble of the first byte alone.
+
+A tunnel finds its remote IPv4 endpoint in one of two ways: a configured
+tunnel fixes it, and a 6to4 tunnel reads it from a ``2002::/16``
+destination. RFC 4213 keeps configured tunnelling only; 6to4 is RFC 3056.
 """
 
 from __future__ import annotations
@@ -14,12 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .addressing import (
-    Not6to4Error,
-    NotCompatibleError,
-    extract_6to4_ipv4,
-    extract_compatible_ipv4,
-)
+from .addressing import Not6to4Error, extract_6to4_ipv4
 from .codec import (
     IPV4_HEADER_LEN,
     IPV6_HEADER_LEN,
@@ -63,7 +62,6 @@ class BadConfigError(TransitionError):
 
 class TunnelKind(Enum):
     CONFIGURED = "configured"
-    AUTOMATIC_COMPATIBLE = "automatic-compatible"
     AUTO_6TO4 = "6to4"
 
 
@@ -71,7 +69,7 @@ class TunnelKind(Enum):
 class TunnelConfig:
     """One tunnel interface on a dual-stack node.
 
-    Configured tunnels know both IPv4 endpoints up front. Automatic kinds
+    Configured tunnels know both IPv4 endpoints up front. 6to4 tunnels
     derive the remote endpoint per packet from the destination address, so
     they must not carry a fixed remote.
     """
@@ -152,23 +150,11 @@ def decapsulate_6in4(frame: bytes) -> bytes:
     return inner
 
 
-# Destinations an automatic-compatible tunnel derives no endpoint from:
-# :: and ::1 would give 0.0.0.0 and 0.0.0.1.
-_V6_NO_ENDPOINT = (bytes(16), bytes(15) + b"\x01")
-
-
 def resolve_tunnel_endpoint(cfg: TunnelConfig, dst: Ipv6Address) -> Ipv4Address:
     """IPv4 address the outer header should be sent to for ``dst``."""
     if cfg.kind is TunnelKind.CONFIGURED:
         assert cfg.remote_v4 is not None
         return cfg.remote_v4
-    if cfg.kind is TunnelKind.AUTOMATIC_COMPATIBLE:
-        if dst.octets in _V6_NO_ENDPOINT:
-            raise NoEndpointError(f"{dst} names no IPv4 tunnel endpoint")
-        try:
-            return extract_compatible_ipv4(dst)
-        except NotCompatibleError as exc:
-            raise NoEndpointError(str(exc)) from None
     try:
         return extract_6to4_ipv4(dst)
     except Not6to4Error as exc:

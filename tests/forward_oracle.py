@@ -42,13 +42,9 @@ from transit6.transition import (
     NoEndpointError,
     NotTunneledError,
     PathKind,
-    TunnelKind,
     dual_stack_dispatch,
     resolve_tunnel_endpoint,
 )
-
-_V6_UNSPECIFIED = Ipv6Address(bytes(16))
-_V6_LOOPBACK = Ipv6Address(bytes(15) + b"\x01")
 
 
 def _with_checksum(h: Ipv4Header) -> Ipv4Header:
@@ -146,8 +142,6 @@ def reference_forward(node: Node, frame: bytes, in_if: Optional[str]) -> Forward
 
     if entry.out_if in node.tunnels:
         cfg = node.tunnels[entry.out_if]
-        if cfg.kind is TunnelKind.AUTOMATIC_COMPATIBLE and dst in (_V6_UNSPECIFIED, _V6_LOOPBACK):
-            return _drop(DropReason.NO_ENDPOINT)
         try:
             remote = resolve_tunnel_endpoint(cfg, dst)
         except NoEndpointError:

@@ -9,11 +9,8 @@ from transit6.addressing import (
     Ipv4Prefix,
     Ipv6Prefix,
     Not6to4Error,
-    NotCompatibleError,
     derive_6to4_prefix,
     extract_6to4_ipv4,
-    extract_compatible_ipv4,
-    make_ipv4_compatible,
 )
 from transit6.codec import Ipv4Address, Ipv6Address
 from transit6.simcore import NoRouteError, RouteEntry4, RouteEntry6, route_lookup
@@ -56,26 +53,11 @@ def test_6to4_extract_rejects_other_prefixes():
             extract_6to4_ipv4(A6(text))
 
 
-def test_compatible_goldens():
-    assert str(make_ipv4_compatible(A4("192.168.99.1"))) == "::c0a8:6301"
-    assert str(make_ipv4_compatible(A4("10.10.12.1"))) == "::a0a:c01"
-    assert make_ipv4_compatible(A4("0.0.0.0")).octets == bytes(16)
-    assert extract_compatible_ipv4(A6("::c0a8:6301")) == A4("192.168.99.1")
-    assert extract_compatible_ipv4(A6("::")) == A4("0.0.0.0")
-
-
-def test_compatible_extract_rejects_other_prefixes():
-    for text in ("2001::3", "2002:c0a8:6301::", "::1:0:0", "fe80::5efe:a0a:c01"):
-        with pytest.raises(NotCompatibleError):
-            extract_compatible_ipv4(A6(text))
-
-
 def test_embeddings_invert_randomized():
     rng = random.Random(60)
     for _ in range(100_000):
         v4 = Ipv4Address(rng.randbytes(4))
         assert extract_6to4_ipv4(derive_6to4_prefix(v4).address) == v4
-        assert extract_compatible_ipv4(make_ipv4_compatible(v4)) == v4
 
 
 def test_prefix_host_bits_must_be_zero():

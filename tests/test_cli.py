@@ -54,11 +54,6 @@ def test_derive_6to4_golden(capsys):
     assert capsys.readouterr().out == "2002:c0a8:6301::/48\n"
 
 
-def test_derive_compatible_golden(capsys):
-    assert main(["derive", "compatible", "192.168.99.1"]) == 0
-    assert capsys.readouterr().out == "::c0a8:6301\n"
-
-
 def test_derive_rejects_bad_address(capsys):
     assert main(["derive", "6to4", "192.168.99"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -66,11 +61,12 @@ def test_derive_rejects_bad_address(capsys):
 
 def test_derive_rejects_unknown_kind(capsys):
     # ISATAP is no kind: no tunnel the simulator runs uses its addresses.
-    for kind in ("teredo", "isatap"):
+    # IPv4-compatible addresses are deprecated (RFC 4291 section 2.5.5.1).
+    for kind in ("teredo", "isatap", "compatible"):
         assert main(["derive", kind, "192.168.99.1"]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err
-        assert "6to4" in err and "compatible" in err
+        assert "6to4" in err
 
 
 def test_decode_encapsulated_frame(capsys):
@@ -232,6 +228,29 @@ def test_bad_override_on_a_builtin_names_the_override(capsys):
         "kind is not a valid node kind: 'bogus'"
     )
     assert "line" not in captured.err
+
+
+def test_retired_tunnel_kind_refused_at_load(tmp_path, capsys):
+    # RFC 4213 removed automatic tunnelling over IPv4-compatible addresses.
+    text = serialize_model(build_scenario_6to4())
+    lines = text.splitlines(keepends=True)
+    assert lines[41:43] == ["[tunnel R1 tun0]\n", "kind = configured\n"]
+    lines[42] = "kind = automatic-compatible\n"
+    path = tmp_path / "retired-kind.scenario"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: [tunnel R1 tun0] (line 43): kind is not a valid tunnel kind: "
+        "'automatic-compatible' (expected one of: configured, 6to4)\n"
+    )
+
+    override = "tunnel.R1.tun0.kind=automatic-compatible"
+    assert main(["run", "6to4", "--override", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: 6to4: [tunnel R1 tun0] (--override {override}): ")
 
 
 def test_compare_load_error_names_failing_side(capsys):

@@ -104,6 +104,9 @@ def test_internet_checksum_against_oracle_randomized():
 def test_checksum_odd_length_pads_with_zero():
     assert internet_checksum(b"\x12") == oracle_checksum(b"\x12")
     assert internet_checksum(b"\x12") == internet_checksum(b"\x12\x00")
+    arg = bytearray(b"\x01\x02\x03")
+    assert internet_checksum(arg) == oracle_checksum(b"\x01\x02\x03")
+    assert arg == bytearray(b"\x01\x02\x03")
 
 
 def test_verify_all_zero_header_with_ffff_checksum():

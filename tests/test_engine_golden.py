@@ -6,7 +6,7 @@ record's times, drop reason and hops (written as a list). They pin event
 order, tie-breaks and float arithmetic, so a change to the engine's
 internals that moves any of them fails here. Engine output must not depend on str hash order; CI runs
 this file under two ``PYTHONHASHSEED`` values. Each digested trace's wire
-bytes pass ``trace_audit.audit`` first.
+bytes and queue times pass ``trace_audit.audit`` first.
 
 Update a digest only for a change that means to alter simulated results,
 and say so where the change is described.

@@ -7,7 +7,7 @@ times packets along it: on a heap, one entry per hop, when traced or when a
 queue is shared, and otherwise the flows of one private path at a time, hop
 by hop. On
 every variant below the two must give the same records, traced and
-untraced, and the same trace, byte for byte. Variants cover all three tunnel kinds, IPv6
+untraced, and the same trace, byte for byte. Variants cover both tunnel kinds, IPv6
 sent at an IPv4-only router, jitter, equal start times, small MTUs, low hop
 limits, slow links that queue, frames from two links meeting in one queue,
 frames that use one queue several times, several flows in both directions
@@ -22,7 +22,7 @@ among them, must never touch the heap, and runs whose paths share queues
 must use it. Two flows of one header get their own dyadic-time test of
 horizons that cut them at every hop, on a five-node chain and on a path of
 11 links, longer than one of the engine's passes. Last, a run must leave no
-cyclic garbage behind. Every traced run's wire bytes also pass
+cyclic garbage behind. Every traced run's wire bytes and queue times also pass
 ``trace_audit.audit``. Every reference run's records, traced and untraced,
 pack with ``record_tables.table_of`` into the engine's per-flow counts and
 back: one end per flow, met by a prefix of its packets, and hop tuples
@@ -67,27 +67,6 @@ A4 = Ipv4Address.parse
 A6 = Ipv6Address.parse
 P4 = Ipv4Prefix.parse
 P6 = Ipv6Prefix.parse
-
-
-def _compatible(**kw):
-    """The tunnel scenario on automatic-compatible tunnels.
-
-    Each host takes the IPv4-compatible address of its edge router, so a
-    packet for it is tunnelled to that router, decapsulated there and sent
-    on to the host.
-    """
-    s = build_scenario_6to4(**kw)
-    h1, r1, _, r3, h2 = s.topology.nodes
-    for host, router, addr in ((h1, r1, "::a0a:c01"), (h2, r3, "::a0a:1703")):
-        host.interfaces[0].v6 = [A6(addr)]
-        router.tunnels["tun0"] = replace(
-            router.tunnels["tun0"], kind=TunnelKind.AUTOMATIC_COMPATIBLE, remote_v4=None
-        )
-        router.v6_routes = [
-            RouteEntry6(P6(addr + "/128"), "eth0"),
-            RouteEntry6(P6("::/96"), "tun0"),
-        ]
-    return s
 
 
 def _fan_in(bandwidth, propagation_delay, mtu, processing_delay):
@@ -201,7 +180,6 @@ BASES = {
     "dualstack": build_scenario_dualstack,
     "configured": build_scenario_6to4,
     "6to4": lambda **kw: build_scenario_6to4(TunnelKind.AUTO_6TO4, **kw),
-    "compatible": _compatible,
     "no-tunnel": lambda **kw: build_scenario_6to4(with_tunnel=False, **kw),
     "fan-in": _fan_in,
     "loop": _loop,

@@ -4,7 +4,7 @@ Frames are drawn from a seeded stdlib ``random`` so every run checks the
 same cases. The generator aims at the places where editing bytes could part
 from parse -> replace -> serialize: IPv4 options, bad checksums at transit
 and at decapsulation, hop counts around expiry, malformed protocol-41
-payloads, all three tunnel kinds, tunnels that point back at the node, and
+payloads, both tunnel kinds, tunnels that point back at the node, and
 frames at the 16-bit length limits.
 """
 
@@ -77,7 +77,6 @@ def _random_node(rng: random.Random) -> Node:
         remote = A4("10.0.1.1") if rng.random() < 0.2 else A4("10.9.9.9")
         tunnels = {
             "tun6to4": TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.0.0.1")),
-            "tuncompat": TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.0.1.1")),
             "tuncfg": TunnelConfig(
                 TunnelKind.CONFIGURED, A4("10.0.0.1"), remote_v4=remote,
                 tunnel_if_addr=A6("2001:7::7") if rng.random() < 0.5 else None,
@@ -85,7 +84,6 @@ def _random_node(rng: random.Random) -> Node:
         }
         v6_routes += [
             RouteEntry6(Ipv6Prefix.parse("2002::/16"), "tun6to4"),
-            RouteEntry6(Ipv6Prefix.parse("::/96"), "tuncompat"),
             RouteEntry6(Ipv6Prefix.parse("2001:c::/32"), "tuncfg"),
         ]
     if has_v6:
@@ -107,7 +105,7 @@ def _v6_destination(rng: random.Random, node: Node) -> bytes:
         return rng.choice(OWN_V6)
     if pick == 1:  # 6to4, embedding this node's address or another's
         return b"\x20\x02" + rng.choice(OWN_V4 + OTHER_V4) + rng.randbytes(10)
-    if pick == 2:  # IPv4-compatible, including :: and ::1
+    if pick == 2:  # under ::/96, including :: and ::1: no route or the default route
         return bytes(12) + rng.choice(OWN_V4 + OTHER_V4 + (bytes(4), bytes(3) + b"\x01"))
     if pick == 3:
         return A6("2001:c::9").octets

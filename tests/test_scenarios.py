@@ -125,9 +125,18 @@ def test_builder_parameters_flow_through():
         assert abs(delay - expected) <= 1e-12 * expected
 
 
-def test_unsupported_builder_tunnel_kind():
-    with pytest.raises(ValueError):
-        build_scenario_6to4(tunnel_kind=TunnelKind.AUTOMATIC_COMPATIBLE)
+@pytest.mark.parametrize("kind", list(TunnelKind), ids=lambda kind: kind.value)
+def test_builder_tunnel_kind_reaches_both_edges(kind):
+    scenario = build_scenario_6to4(tunnel_kind=kind)
+    nodes = {n.id: n for n in scenario.topology.nodes}
+    r1, r3 = nodes["R1"].tunnels["tun0"], nodes["R3"].tunnels["tun0"]
+    assert (r1.kind, r3.kind) == (kind, kind)
+    # Configured edges name each other; 6to4 edges derive the remote per packet.
+    if kind is TunnelKind.CONFIGURED:
+        assert (r1.remote_v4, r3.remote_v4) == (r3.local_v4, r1.local_v4)
+    else:
+        assert (r1.remote_v4, r3.remote_v4) == (None, None)
+    assert all(r.receive_time is not None for r in _run(scenario))
 
 
 def test_hop_limit_budget_through_tunnel():

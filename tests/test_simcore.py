@@ -311,20 +311,6 @@ def test_forward_tunnel_entry_6to4_derives_endpoint():
     assert parse_frame(res.frame).outer_v4.dst == A4("10.10.23.3")
 
 
-def test_forward_tunnel_entry_compatible_guards():
-    cfg = TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.0.0.1"))
-    node = _dual_router(
-        tunnels={"tun0": cfg},
-        v6_routes=[RouteEntry6(P6("::/0"), "tun0")],
-    )
-    res = forward(node, _v6_frame("::a00:1", "::a0a:1703"), "eth0")
-    assert res.action is ForwardAction.FORWARD
-    assert parse_frame(res.frame).outer_v4.dst == A4("10.10.23.3")
-    for dst in ("::", "::1"):
-        res = forward(node, _v6_frame("::a00:1", dst), "eth0")
-        assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.NO_ENDPOINT)
-
-
 def test_forward_tunnel_no_endpoint():
     cfg = TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.0.0.1"))
     node = _dual_router(
@@ -332,6 +318,17 @@ def test_forward_tunnel_no_endpoint():
         v6_routes=[RouteEntry6(P6("::/0"), "tun0")],
     )
     res = forward(node, _v6_frame("2002:a00:1::9", "2001::9"), "eth0")
+    assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.NO_ENDPOINT)
+
+
+@pytest.mark.parametrize("dst", ["::a0a:1703", "::", "::1"])
+def test_forward_6to4_tunnel_drops_ipv4_compatible_destinations(dst):
+    cfg = TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.0.0.1"))
+    node = _dual_router(
+        tunnels={"tun0": cfg},
+        v6_routes=[RouteEntry6(P6("::/0"), "tun0")],
+    )
+    res = forward(node, _v6_frame("2002:a00:1::9", dst), "eth0")
     assert (res.action, res.drop_reason) == (ForwardAction.DROP, DropReason.NO_ENDPOINT)
 
 

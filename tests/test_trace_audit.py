@@ -1,9 +1,10 @@
-"""The trace audit fails a trace with one wrong byte, line or field.
+"""The trace audit fails a trace with one wrong byte, line, field or time.
 
 The golden and engine-oracle runs only ever give the audit good traces, so
 these cases break one hop of the built-in 6to4 run's first packet and check
 that the audit stops at that hop. The packet's four hops are native IPv6,
-tunnel entry, inside the tunnel and tunnel exit.
+tunnel entry, inside the tunnel and tunnel exit. The queue rules are broken
+on two packets that meet in one queue.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from codec_oracle import parse_ipv4_header, serialize_ipv4_header
 from trace_audit import CHECKSUM, HOP_LIMIT, TTL, audit
 
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
-from transit6.simcore import run_simulation
+from transit6.simcore import TrafficSpec, run_simulation
 
 
 def _traced(build):
@@ -102,3 +103,52 @@ def test_audit_rejects_missing_and_extra_lines():
         audit(topology, trace[:last] + trace[last + 1 :], records)
     with pytest.raises(AssertionError, match="more lines than hops for packet 0"):
         audit(topology, trace + [trace[last]], records)
+
+
+def _with_start(line: str, start: float) -> str:
+    return f"{start!r} {line.split(' ', 1)[1]}"
+
+
+def test_audit_rejects_a_late_start():
+    # The link is idle and the frame is ready, so a later start idles the link.
+    topology, trace, records = _traced(build_scenario_6to4)
+    i = _first_packet(trace)[1]
+    trace[i] = _with_start(trace[i], float(trace[i].split()[0]) + 1e-6)
+    with pytest.raises(AssertionError, match="queue faults.*start is not max.*pkt=0"):
+        audit(topology, trace, records)
+
+
+def _one_queue_for_two():
+    """A traced run of two 1000-byte packets on R1's queue to R2, the second
+    sent 1 us after the first, and the start times the audit derives."""
+    s = build_scenario_dualstack()
+    flows = [
+        TrafficSpec(name, "R1", "R2", payload_bytes=1000, count=1, start=start, family="v4")
+        for name, start in (("a", 0.0), ("b", 1e-6))
+    ]
+    trace: list[str] = []
+    records = run_simulation(s.topology, flows, trace=trace)
+    (r1,) = (node for node in s.topology.nodes if node.id == "R1")
+    (link,) = (link for link in s.topology.links if link.id == "r1-r2")
+    ready = [r.send_time + r1.processing_delay for r in records]
+    ser = len(bytes.fromhex(trace[0].split()[-1])) * 8 / link.bandwidth
+    # b waits for a.
+    assert [line.split()[0] for line in trace] == [repr(ready[0]), repr(ready[0] + ser)]
+    assert ready[1] < ready[0] + ser
+    return s.topology, trace, records, ready, ser
+
+
+def test_audit_rejects_an_early_start_in_a_queue():
+    topology, trace, records, ready, _ = _one_queue_for_two()
+    trace[1] = _with_start(trace[1], ready[1])
+    with pytest.raises(AssertionError, match="1 queue faults.*start is not max.*pkt=1"):
+        audit(topology, trace, records)
+
+
+def test_audit_rejects_a_queue_served_out_of_order():
+    # b goes first, at its ready time, and a right after it: each start
+    # follows from the one before, but a was ready first.
+    topology, trace, records, ready, ser = _one_queue_for_two()
+    trace = [_with_start(trace[1], ready[1]), _with_start(trace[0], ready[1] + ser)]
+    with pytest.raises(AssertionError, match="1 queue faults.*ready .* before the queue's last"):
+        audit(topology, trace, records)

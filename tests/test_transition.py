@@ -173,13 +173,10 @@ def test_decapsulate_rejects_inconsistent_length():
 def test_tunnel_config_rules():
     TunnelConfig(TunnelKind.CONFIGURED, A4("10.0.0.1"), remote_v4=A4("10.0.0.2"))
     TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.0.0.1"))
-    TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.0.0.1"))
     with pytest.raises(BadConfigError):
         TunnelConfig(TunnelKind.CONFIGURED, A4("10.0.0.1"))
     with pytest.raises(BadConfigError):
         TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.0.0.1"), remote_v4=A4("10.0.0.2"))
-    with pytest.raises(BadConfigError):
-        TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.0.0.1"), remote_v4=A4("10.0.0.2"))
 
 
 def test_resolve_endpoint_configured():
@@ -189,27 +186,27 @@ def test_resolve_endpoint_configured():
     assert resolve_tunnel_endpoint(cfg, A6("abcd::1")) == A4("10.10.23.3")
 
 
-def test_resolve_endpoint_compatible():
-    cfg = TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.10.12.1"))
-    assert resolve_tunnel_endpoint(cfg, A6("::a0a:1703")) == A4("10.10.23.3")
-    with pytest.raises(NoEndpointError):
-        resolve_tunnel_endpoint(cfg, A6("2001::4"))
-
-
-@pytest.mark.parametrize("dst", ["::", "::1"])
-def test_resolve_endpoint_compatible_rejects_unspecified_and_loopback(dst):
-    # Embedding rules alone would give 0.0.0.0 and 0.0.0.1; neither is an endpoint.
-    cfg = TunnelConfig(TunnelKind.AUTOMATIC_COMPATIBLE, A4("10.10.12.1"))
-    with pytest.raises(NoEndpointError):
-        resolve_tunnel_endpoint(cfg, A6(dst))
-    assert resolve_tunnel_endpoint(cfg, A6("::2")) == A4("0.0.0.2")
-
-
 def test_resolve_endpoint_6to4():
     cfg = TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.10.12.1"))
     assert resolve_tunnel_endpoint(cfg, A6("2002:a0a:1703::4")) == A4("10.10.23.3")
     with pytest.raises(NoEndpointError):
         resolve_tunnel_endpoint(cfg, A6("2001::4"))
+
+
+def test_tunnel_kinds_are_configured_and_6to4():
+    # RFC 4213 keeps configured tunnels; 6to4 is RFC 3056. Nothing else is modelled.
+    assert [kind.value for kind in TunnelKind] == ["configured", "6to4"]
+
+
+@pytest.mark.parametrize("dst", ["::a0a:1703", "::", "::1"])
+def test_resolve_endpoint_ipv4_compatible_destination_is_plain_ipv6(dst):
+    # ::a.b.c.d embeds no endpoint: 6to4 finds none in it, and a
+    # configured tunnel sends it to its fixed remote like any destination.
+    auto = TunnelConfig(TunnelKind.AUTO_6TO4, A4("10.10.12.1"))
+    with pytest.raises(NoEndpointError):
+        resolve_tunnel_endpoint(auto, A6(dst))
+    cfg = TunnelConfig(TunnelKind.CONFIGURED, A4("10.10.12.1"), remote_v4=A4("10.10.23.3"))
+    assert resolve_tunnel_endpoint(cfg, A6(dst)) == A4("10.10.23.3")
 
 
 def test_serialize_inner_unchanged_by_encapsulation():

@@ -25,6 +25,22 @@ The node a packet leaves on each line is the line's ``FROM``. It checks:
 
 So addresses change only where a tunnel is entered or left, and a tunnel is
 left only at its end.
+
+``queue_faults(topology, trace, records)`` checks the times, from the
+trace's start times, the records' send times and the topology's delays.
+A hop's ready time is when its node has processed the packet: its send time
+plus the node's processing delay at the first hop, else ``(start + ser) +
+prop`` of its previous hop plus the processing delay, in the engine's float
+order, where ``ser`` is its frame's bits over the link's bandwidth. Each
+(link, sending node) queue, taken in start order, must then:
+
+- start each transmission at exactly ``max(ready, previous start +
+  previous ser)``, or at its ready time if it is the first: the link idles
+  only while nothing is ready (work conservation, the local form of
+  Lindley's recursion);
+- take ready times that never decrease (FIFO).
+
+``audit`` fails a trace with any such fault after the byte checks.
 """
 
 from typing import Optional, Sequence
@@ -109,3 +125,31 @@ def audit(topology: Topology, trace: Sequence[str], records: Sequence[MetricsRec
         seen[pid] = k + 1
     for pid, k in seen.items():
         assert k == len(hops[pid]), f"packet {pid} has {k} lines for {len(hops[pid])} hops"
+    faults = queue_faults(topology, trace, records)
+    assert not faults, f"{len(faults)} queue faults, first: {faults[0]}"
+
+
+def queue_faults(topology: Topology, trace: Sequence[str], records: Sequence[MetricsRecord]) -> list[str]:
+    """Each trace line whose start time breaks a queue rule above, with why."""
+    links = {link.id: link for link in topology.links}
+    processing = {node.id: node.processing_delay for node in topology.nodes}
+    # Where each packet's next hop begins: its send, then each arrival.
+    arrived = {r.packet_id: r.send_time for r in records}
+    # Per queue, the ready time of its last transmission and when it ends.
+    queues: dict[tuple[str, str], tuple[float, float]] = {}
+    faults = []
+    for line in trace:
+        start_text, link_id, ends, pkt, hex_frame = line.split()
+        start, link, node = float(start_text), links[link_id], ends.split("->")[0]
+        pid = int(pkt.removeprefix("pkt="))
+        ser = len(hex_frame) // 2 * 8 / link.bandwidth
+        ready = arrived[pid] + processing[node]
+        last, idle = queues.get((link_id, node), (ready, 0.0))
+        at = line[:100]
+        if start != max(ready, idle):
+            faults.append(f"start is not max(ready {ready!r}, idle {idle!r}): {at}")
+        if ready < last:
+            faults.append(f"ready {ready!r} before the queue's last {last!r}: {at}")
+        queues[link_id, node] = ready, start + ser
+        arrived[pid] = start + ser + link.propagation_delay
+    return faults
