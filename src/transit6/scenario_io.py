@@ -45,7 +45,9 @@ exactly ``prefix = P`` and ``out_if = I`` as ``serialize_model`` writes
 them, with nothing to strip, ``parse_text`` stores both entries and skips
 the two lines; any other text goes through its line-by-line loop.
 ``build_model`` builds a route section that sets exactly ``prefix`` and
-``out_if`` directly; any other route section, or one whose prefix is bad,
+``out_if`` directly, without the entry's frozen ``__init__``, and appends
+it to the node's ``RouteTable``, which builds no index while loading; any
+other route section, or one whose prefix is bad,
 goes through ``_read``, which gives the message. Either way the prefix is
 read by ``Ipv4Prefix.parse`` / ``Ipv6Prefix.parse``: their fast path takes
 ``addr/len`` text whose length is written as ``str`` writes it and whose
@@ -422,26 +424,37 @@ def _read(sec: RawSection, **header_fields):
         raise ScenarioValidationError(f"{sec.label()}: {exc}") from None
 
 
-# Route section kind -> its model class and the reader of its prefix key.
+# Route section kind -> its model class, the reader of its prefix key and
+# the setters of the entry's two slots.
 _ROUTE_READERS = {
-    kind: (cls, {key: reader for key, _, reader, _ in rows}["prefix"])
+    kind: (cls, {key: reader for key, _, reader, _ in rows}["prefix"],
+           cls.prefix.__set__, cls.out_if.__set__)
     for kind, (cls, rows, _, _) in _READ.items() if kind in _ROUTE_TABLES
 }
+
+_new = object.__new__
 
 
 def _read_route(sec: RawSection):
     """A route section's entry, built directly when it sets exactly
     ``prefix`` and a non-empty ``out_if``; any other section, or a bad
-    prefix, goes through _read, which gives the message."""
+    prefix, goes through _read, which gives the message. The direct entry
+    is built without the frozen ``__init__``, as the prefix parsers build
+    prefixes, so it is the object that ``__init__`` would give."""
     entries = sec.entries
     if len(entries) == 2:
         prefix, out_if = entries.get("prefix"), entries.get("out_if")
         if prefix is not None and out_if:
-            cls, parse_prefix = _ROUTE_READERS[sec.kind]
+            cls, parse_prefix, set_prefix, set_out_if = _ROUTE_READERS[sec.kind]
             try:
-                return cls(parse_prefix(prefix), out_if)
+                prefix = parse_prefix(prefix)
             except ValueError:
                 pass
+            else:
+                entry = _new(cls)
+                set_prefix(entry, prefix)
+                set_out_if(entry, out_if)
+                return entry
     return _read(sec)
 
 

@@ -21,6 +21,16 @@ hop_limit, and a tunnel copies the inner hop_limit into the outer ttl. Precondit
 frame's bytes are the same for every packet of its flow. A per-packet field
 (an IPv4 identification, a sequence number in the payload) would break it.
 
+Routing is longest-prefix match. Each route table's ``RouteFacts`` hold
+one dict per distinct prefix length, from network bits to the first entry
+with that prefix, so a lookup probes one dict per length, longest first,
+and reads no entry it does not return. A ``RouteTable``, which every loaded
+table is, is indexed by the first run after validation and keeps its facts
+from one run to the next, together with a copy of the entries they were
+built from, and uses them only while the table still equals that copy;
+validation then checks the table's prefix types and interface names through
+them. Any other list of entries is indexed afresh for each lookup.
+
 Timing model per hop: a node that forwards a frame spends its
 ``processing_delay``, then the frame waits for the outgoing link direction to
 go idle (FIFO), is serialized for ``bytes * 8 / bandwidth`` seconds and
@@ -33,9 +43,10 @@ and the next node has processed the frame at ``start + serialization +
 propagation + processing``.
 
 ``run_simulation`` holds the run and reads top to bottom: it validates the
-model, builds the ports (``_ports``), draws the sends (``_draw_sends``),
-compiles each flow header's path (``_path``), times each private group
-(``_time_group``), walks the heap and returns the columns.
+model, indexes its loaded route tables, builds the ports (``_ports``),
+draws the sends (``_draw_sends``), compiles each flow header's path
+(``_path``), times each private group (``_time_group``), walks the heap and
+returns the columns.
 
 Send times are drawn up front, flow by flow, and a send's seq is its
 position in that draw order. Only sends up to the horizon are kept, and no
@@ -169,16 +180,82 @@ class Interface:
     v6: list[Ipv6Address] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RouteEntry4:
     prefix: Ipv4Prefix
     out_if: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RouteEntry6:
     prefix: Ipv6Prefix
     out_if: str
+
+
+RouteEntry = Union[RouteEntry4, RouteEntry6]
+
+
+class RouteFacts:
+    """What ``route_lookup`` and ``validate_topology`` read of a route table.
+
+    ``entries`` is a copy of the table's entries, and the rest is built from
+    it. ``lengths`` holds each distinct prefix length, longest first, with a
+    dict from the network bits of that length to the position of the first
+    entry with that prefix. ``types`` maps each prefix type present to the
+    position of its first prefix, and ``family`` is the one type if there is
+    one, else None. ``out_ifs`` is the set of interface names.
+    """
+
+    __slots__ = ("entries", "lengths", "types", "family", "out_ifs")
+
+    def __init__(self, entries: Iterable[RouteEntry]) -> None:
+        self.entries = entries = [*entries]
+        networks: dict[int, dict[int, int]] = {}
+        types: dict[type, int] = {}
+        # Backwards, so that the first entry of each prefix and type is the
+        # one left in place.
+        for pos in range(len(entries) - 1, -1, -1):
+            prefix = entries[pos].prefix
+            types[type(prefix)] = pos
+            by_network = networks.get(prefix.length)
+            if by_network is None:
+                by_network = networks[prefix.length] = {}
+            by_network[prefix.network] = pos
+        self.lengths = sorted(networks.items(), reverse=True)
+        self.types = types
+        self.family = next(iter(types)) if len(types) == 1 else None
+        self.out_ifs = {entry.out_if for entry in entries}
+
+
+class RouteTable(list):
+    """A route table that keeps its ``RouteFacts`` across runs.
+
+    Every table ``scenario_io`` loads is one. It is a list in every other
+    respect, and any list of entries is a route table too: ``route_lookup``
+    builds a throwaway ``RouteTable`` for one. The facts are built from a
+    copy of the entries on first use and are used only while the table
+    still equals that copy, so any change to the list, by any list method,
+    rebuilds them. Entries are frozen, so an equal list means equal
+    prefixes and interfaces.
+    """
+
+    __slots__ = ("_facts",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._facts: Optional[RouteFacts] = None
+
+    def facts(self) -> RouteFacts:
+        """The facts of the entries as they are now, rebuilt if they changed."""
+        facts = self._facts
+        if facts is None or facts.entries != self:
+            facts = self._facts = RouteFacts(self)
+        return facts
+
+    def current_facts(self) -> Optional[RouteFacts]:
+        """The stored facts if they are those of the entries now, else None."""
+        facts = self._facts
+        return facts if facts is not None and facts.entries == self else None
 
 
 @dataclass
@@ -189,8 +266,8 @@ class Node:
     kind: NodeKind
     role: Role
     interfaces: list[Interface] = field(default_factory=list)
-    v4_routes: list[RouteEntry4] = field(default_factory=list)
-    v6_routes: list[RouteEntry6] = field(default_factory=list)
+    v4_routes: list[RouteEntry4] = field(default_factory=RouteTable)
+    v6_routes: list[RouteEntry6] = field(default_factory=RouteTable)
     tunnels: dict[str, TunnelConfig] = field(default_factory=dict)
     processing_delay: float = 0.0
 
@@ -333,28 +410,31 @@ class RecordTable:
             )
 
 
-RouteEntry = Union[RouteEntry4, RouteEntry6]
+def route_lookup(routes: Iterable[RouteEntry], dst: Union[Ipv4Address, Ipv6Address]) -> RouteEntry:
+    """Longest-prefix match over ``routes``; first entry wins equal prefixes.
 
-
-def route_lookup(routes: Sequence[RouteEntry], dst: Union[Ipv4Address, Ipv6Address]) -> RouteEntry:
-    """Longest-prefix match over ``routes``; first entry wins equal lengths.
-
-    Raises FamilyMismatchError if any entry's prefix is of the other family.
+    Reads the table's ``RouteFacts``: one dict probe per distinct prefix
+    length, longest first (the per-length hash tables of Waldvogel et al.,
+    "Scalable High Speed IP Routing Lookups", SIGCOMM 1997, probed in turn
+    rather than by their binary search over the lengths).
+    A ``RouteTable`` keeps its facts across calls; any other iterable gets a
+    throwaway one. Raises FamilyMismatchError, naming the first such prefix,
+    if any entry's prefix is of the other family, and NoRouteError if no
+    entry matches.
     """
-    value = dst.to_int()
+    table = routes if isinstance(routes, RouteTable) else RouteTable(routes)
+    facts = table.facts()
     family = Ipv4Prefix if isinstance(dst, Ipv4Address) else Ipv6Prefix
+    if facts.family is not family and facts.types:
+        first = min(pos for kind, pos in facts.types.items() if kind is not family)
+        raise FamilyMismatchError(f"cannot match {table[first].prefix} against {dst}")
+    value = dst.to_int()
     width = 32 if family is Ipv4Prefix else 128
-    best: Optional[RouteEntry] = None
-    best_length = -1
-    for entry in routes:
-        prefix = entry.prefix
-        if type(prefix) is not family:
-            raise FamilyMismatchError(f"cannot match {prefix} against {dst}")
-        if value >> (width - prefix.length) == prefix.network and prefix.length > best_length:
-            best, best_length = entry, prefix.length
-    if best is None:
-        raise NoRouteError(f"no route for {dst}")
-    return best
+    for length, networks in facts.lengths:
+        pos = networks.get(value >> (width - length))
+        if pos is not None:
+            return table[pos]
+    raise NoRouteError(f"no route for {dst}")
 
 
 class ForwardAction(Enum):
@@ -529,8 +609,37 @@ def _check_seconds(error: type[SimError], owner: str, key: str, value: float) ->
         raise error(f"{owner}: {key} over {MAX_SECONDS:.0f} s")
 
 
+def _check_routes(node_id: str, routes: Sequence[RouteEntry], family: type, exits: set[str]) -> None:
+    """Raise InvalidTopologyError on the first route whose prefix is not of
+    ``family`` or that leaves through none of ``exits``.
+
+    A ``RouteTable`` whose current facts show every route valid is not read
+    entry by entry; any other table is, and names its first offender.
+    """
+    facts = routes.current_facts() if isinstance(routes, RouteTable) else None
+    if facts is not None and facts.family is family and facts.out_ifs <= exits:
+        return
+    name = "IPv4" if family is Ipv4Prefix else "IPv6"
+    for entry in routes:
+        if type(entry.prefix) is not family:
+            raise InvalidTopologyError(
+                f"{node_id}: {name} route table holds {entry.prefix}, not an {name} prefix"
+            )
+        if entry.out_if not in exits:
+            raise InvalidTopologyError(
+                f"{node_id}: {name} route {entry.prefix} leaves through "
+                f"unknown interface {entry.out_if!r}"
+            )
+
+
 def validate_topology(topology: Topology) -> None:
-    """Raise InvalidTopologyError on the first structural rule violation."""
+    """Raise InvalidTopologyError on the first structural rule violation.
+
+    A loaded route table keeps the ``RouteFacts`` that a run built for it,
+    and while they are current its routes are checked through them, with no
+    pass over its entries; any other table, or one that fails, is checked
+    entry by entry, which gives the first offender's message.
+    """
     # Node id -> its interface names: the duplicate-id check here, the port check below.
     if_names_by_node: dict[str, set[str]] = {}
     for node in topology.nodes:
@@ -567,26 +676,11 @@ def validate_topology(topology: Topology) -> None:
             raise InvalidTopologyError(f"{node.id}: IPv6-only node holds IPv4 routes")
         # route_lookup would raise FamilyMismatchError on a prefix of the
         # other family mid-run; one type test per route refuses it here.
-        for entry in node.v4_routes:
-            if type(entry.prefix) is not Ipv4Prefix:
-                raise InvalidTopologyError(
-                    f"{node.id}: IPv4 route table holds {entry.prefix}, not an IPv4 prefix"
-                )
-            if entry.out_if not in if_names:
-                raise InvalidTopologyError(
-                    f"{node.id}: IPv4 route {entry.prefix} leaves through "
-                    f"unknown interface {entry.out_if!r}"
-                )
-        for entry in node.v6_routes:
-            if type(entry.prefix) is not Ipv6Prefix:
-                raise InvalidTopologyError(
-                    f"{node.id}: IPv6 route table holds {entry.prefix}, not an IPv6 prefix"
-                )
-            if entry.out_if not in if_names and entry.out_if not in node.tunnels:
-                raise InvalidTopologyError(
-                    f"{node.id}: IPv6 route {entry.prefix} leaves through "
-                    f"unknown interface {entry.out_if!r}"
-                )
+        _check_routes(node.id, node.v4_routes, Ipv4Prefix, if_names)
+        _check_routes(
+            node.id, node.v6_routes, Ipv6Prefix,
+            if_names.union(node.tunnels) if node.tunnels else if_names,
+        )
 
     used_ports: set[tuple[str, str]] = set()
     link_ids: set[str] = set()
@@ -1120,6 +1214,14 @@ def run_simulation(
     validate_traffic(topology, traffic, horizon)
     limit = math.inf if horizon is None else horizon
     nodes = {n.id: n for n in topology.nodes}
+    # Index each loaded route table that holds a route, now that its routes
+    # are known valid, so that every lookup of the run only probes it; a
+    # table indexed by an earlier run and unchanged since costs one list
+    # compare.
+    for node in topology.nodes:
+        for routes in (node.v4_routes, node.v6_routes):
+            if routes and isinstance(routes, RouteTable):
+                routes.facts()
     ports, queue_count = _ports(topology.links, nodes)
     flow_sends = _draw_sends(traffic, seed, limit)
 

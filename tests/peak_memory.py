@@ -2,20 +2,29 @@
 
 Each shape is run once as ``summarize(run_simulation(...))`` under
 ``tracemalloc``, and its peak is divided by the packets injected. The bounds
-themselves are in ``tests/test_simcore.py``; this script prints only, so the
-figures of every Python version can be read side by side. Standard library
-only; run as ``PYTHONPATH=src python tests/peak_memory.py``.
+themselves are in ``tests/test_simcore.py``. Two figures follow for the
+route-heavy shape (``route_scaling.route_heavy`` at 256 fillers, with the
+route shape's flows): the bytes that the route tables of a loaded model keep
+for their lookup index, per route entry, and the cold cost, ``load_text``
+plus the first ``run_simulation`` and ``summarize``, which is where the
+index is built. This script prints only, so the figures of every Python
+version can be read side by side. Standard library only; run as
+``PYTHONPATH=src python tests/peak_memory.py``.
 """
 
 import gc
+import statistics
+import time
 import tracemalloc
 from dataclasses import replace
 
+from route_scaling import route_heavy
 from test_engine_oracle import _congested_shape, _route_shape
 
 from transit6.metrics import summarize
+from transit6.scenario_io import load_text, serialize_model
 from transit6.scenarios import build_scenario_6to4
-from transit6.simcore import run_simulation
+from transit6.simcore import RouteTable, run_simulation
 
 
 def peak_per_packet(topology, flows, horizon):
@@ -79,10 +88,49 @@ SHAPES = {
 }
 
 
+def route_heavy_text() -> str:
+    """The route-heavy shape's scenario text: 256 fillers, the route shape's flows."""
+    return serialize_model(route_heavy(256, _route_shape()[1]))
+
+
+def index_bytes(text: str) -> tuple[float, int]:
+    """The bytes the route tables of a model loaded from ``text`` keep for
+    their index, per route entry and in all."""
+    scenario = load_text(text)
+    tables = [
+        routes for node in scenario.topology.nodes for routes in (node.v4_routes, node.v6_routes)
+        if isinstance(routes, RouteTable) and routes
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for routes in tables:
+            routes.facts()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / sum(map(len, tables)), held
+
+
+def cold_seconds(text: str, repeat: int = 15) -> float:
+    """Median seconds of ``load_text`` plus the first run and its summaries."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        scenario = load_text(text)
+        summarize(run_simulation(scenario.topology, scenario.traffic, scenario.horizon))
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def main() -> None:
     for name, shape in SHAPES.items():
         _, peak = peak_per_packet(*shape())
         print(f"{peak:7.1f} B/packet  {name}")
+    text = route_heavy_text()
+    per_entry, held = index_bytes(text)
+    print(f"{per_entry:7.1f} B/route  route-heavy's route index, {held / 1024:.1f} KB in all")
+    print(f"{cold_seconds(text) * 1e3:7.2f} ms        route-heavy's load, first run and summaries")
 
 
 if __name__ == "__main__":

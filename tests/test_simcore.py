@@ -4,7 +4,7 @@ import textwrap
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import islice
 
 import pytest
@@ -31,6 +31,7 @@ from transit6.codec import FrameKind, Ipv4Address, Ipv6Address
 from transit6 import simcore, transition
 from transit6.cli import main
 from transit6.metrics import summarize
+from transit6.scenario_io import load_text, serialize_model
 from transit6.scenarios import build_scenario_6to4, build_scenario_dualstack
 from transit6.simcore import (
     MAX_COUNT,
@@ -47,6 +48,7 @@ from transit6.simcore import (
     Role,
     RouteEntry4,
     RouteEntry6,
+    RouteTable,
     Topology,
     TrafficSpec,
     forward,
@@ -84,40 +86,82 @@ def _random_route_table(rng: random.Random, v6: bool):
         width, addr_cls, pfx_cls, entry_cls = 128, Ipv6Address, Ipv6Prefix, RouteEntry6
     else:
         width, addr_cls, pfx_cls, entry_cls = 32, Ipv4Address, Ipv4Prefix, RouteEntry4
-    table = []
-    for i in range(rng.randrange(1, 11)):
-        length = rng.choice([0, 8, 16, 24, 32, 48, 64, 128] if v6 else [0, 8, 16, 24, 32])
+
+    def prefix(length):
         value = int.from_bytes(rng.randbytes(width // 8), "big")
         if length < width:
             value &= ~((1 << (width - length)) - 1)
-        prefix = pfx_cls(addr_cls(value.to_bytes(width // 8, "big")), length)
-        table.append(entry_cls(prefix, out_if=f"if{i}"))
+        return pfx_cls(addr_cls(value.to_bytes(width // 8, "big")), length)
+
+    table = []
+    for i in range(rng.randrange(1, 11)):
+        length = rng.choice([0, 8, 16, 24, 32, 48, 64, 128] if v6 else [0, 8, 16, 24, 32])
+        table.append(entry_cls(prefix(length), out_if=f"if{i}"))
+    # Rows for a /0 and a full-length route, and for an equal prefix placed
+    # anywhere in the table, where the first of the two wins.
+    if rng.random() < 0.3:
+        table.insert(rng.randrange(len(table) + 1), entry_cls(prefix(0), out_if="any"))
+    if rng.random() < 0.3:
+        table.insert(rng.randrange(len(table) + 1), entry_cls(prefix(width), out_if="host"))
+    if rng.random() < 0.3:
+        twin = entry_cls(rng.choice(table).prefix, out_if="twin")
+        table.insert(rng.randrange(len(table) + 1), twin)
     return table, width, addr_cls
 
 
+def _lookup(table, dst):
+    """What ``route_lookup`` returns, or the type and message of what it raises."""
+    try:
+        return route_lookup(table, dst)
+    except (NoRouteError, FamilyMismatchError) as exc:
+        return type(exc), str(exc)
+
+
 def test_route_lookup_matches_oracle_10000_lookups():
+    # Each table is looked up as a plain list, which gets a throwaway index
+    # per call, and as one RouteTable kept across its 20 lookups.
     rng = random.Random(80)
     lookups = 0
+    rows = Counter()
     while lookups < 10_000:
         v6 = rng.random() < 0.5
         table, width, addr_cls = _random_route_table(rng, v6)
+        # A row with a prefix of the other family, which fails every lookup.
+        if rng.random() < 0.1:
+            other = RouteEntry4(P4("10.0.0.0/8"), "v4") if v6 else RouteEntry6(P6("2001::/16"), "v6")
+            table.insert(rng.randrange(len(table) + 1), other)
+        family = Ipv6Prefix if v6 else Ipv4Prefix
+        own = [entry for entry in table if type(entry.prefix) is family]
+        stray = next((entry.prefix for entry in table if type(entry.prefix) is not family), None)
+        kept = RouteTable(table)
         for _ in range(20):
             if rng.random() < 0.5:
-                base = rng.choice(table).prefix
+                base = rng.choice(own).prefix
                 host = (
                     rng.getrandbits(width - base.length) if base.length < width else 0
                 )
                 dst = addr_cls((base.address.to_int() | host).to_bytes(width // 8, "big"))
             else:
                 dst = addr_cls(rng.randbytes(width // 8))
-            expected = oracle_lookup(table, dst)
-            if expected is None:
-                with pytest.raises(NoRouteError):
-                    route_lookup(table, dst)
+            if stray is not None:
+                expected = (FamilyMismatchError, f"cannot match {stray} against {dst}")
+                rows["other family"] += 1
             else:
-                assert route_lookup(table, dst) is expected
+                expected = oracle_lookup(table, dst)
+                if expected is None:
+                    expected = (NoRouteError, f"no route for {dst}")
+                else:
+                    rows[expected.out_if if expected.out_if in ("any", "host") else "match"] += 1
+                    if any(e.prefix == expected.prefix and e is not expected for e in table):
+                        rows["equal prefixes"] += 1
+            for got in (_lookup(table, dst), _lookup(kept, dst)):
+                if type(expected) is tuple:
+                    assert got == expected
+                else:
+                    assert got is expected
             lookups += 1
     assert lookups >= 10_000
+    assert min(rows[row] for row in ("other family", "any", "host", "match", "equal prefixes")) > 100, rows
 
 
 def test_route_lookup_prefers_longest():
@@ -150,6 +194,113 @@ def test_route_lookup_rejects_a_table_of_the_other_family():
     mixed = [RouteEntry6(P6("::/0"), "eth0"), RouteEntry4(P4("10.0.0.0/8"), "eth1")]
     with pytest.raises(FamilyMismatchError):
         route_lookup(mixed, A6("2001::1"))
+
+
+def test_loaded_route_tables_hold_frozen_entries_equal_to_built_ones():
+    # Loaded entries are built without __init__, yet are what it would build;
+    # entries are frozen, so a table equal to its index's copy routes alike.
+    built = build_scenario_dualstack()
+    loaded = load_text(serialize_model(built))
+    assert loaded.topology == built.topology
+    for node in loaded.topology.nodes:
+        for routes in (node.v4_routes, node.v6_routes):
+            assert type(routes) is RouteTable
+            for entry in routes:
+                again = type(entry)(entry.prefix, entry.out_if)
+                assert entry == again and hash(entry) == hash(again)
+    entry = loaded.topology.nodes[1].v6_routes[0]
+    with pytest.raises(FrozenInstanceError):
+        entry.out_if = "eth9"
+    assert replace(entry, out_if="eth9") == RouteEntry6(entry.prefix, "eth9")
+
+
+def _loaded_dualstack():
+    """The built-in dualstack as loaded from text, R2's IPv6 table edited.
+
+    R2 reaches H2 (2001::4) by the first of two equal /16 routes, out of
+    fa1 toward R3; the second, like the default route after it, sends it
+    back toward R1. The model has run once, so every table it looked up
+    keeps its index.
+    """
+    s = build_scenario_dualstack()
+    r2 = next(node for node in s.topology.nodes if node.id == "R2")
+    r2.v6_routes = [
+        RouteEntry6(P6("2001::3/128"), "fa0"),
+        RouteEntry6(P6("2001::/16"), "fa1"),
+        RouteEntry6(P6("2001::/16"), "fa0"),
+        RouteEntry6(P6("::/0"), "fa0"),
+    ]
+    loaded = load_text(serialize_model(s))
+    r2 = next(node for node in loaded.topology.nodes if node.id == "R2")
+    assert type(r2.v6_routes) is RouteTable
+    run_simulation(loaded.topology, loaded.traffic)
+    assert r2.v6_routes.current_facts() is not None
+    return loaded, r2
+
+
+def _records(scenario):
+    return list(run_simulation(scenario.topology, scenario.traffic, scenario.horizon))
+
+
+_BACK = RouteEntry6(P6("2001::4/128"), "fa0")
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: t.append(_BACK),
+    lambda t: t.insert(0, RouteEntry6(P6("2001::/16"), "fa0")),
+    lambda t: t.__setitem__(slice(1, 2), []),
+    lambda t: t.__setitem__(0, replace(t[0], prefix=P6("2001::4/128"))),
+    lambda t: t.__delitem__(1),
+    lambda t: t.sort(key=lambda entry: entry.out_if),
+    lambda t: t.reverse(),
+    lambda t: t.clear(),
+    lambda t: t.__iadd__([_BACK]),
+], ids=["append", "insert", "slice", "setitem", "del", "sort", "reverse", "clear", "iadd"])
+def test_a_changed_route_table_is_looked_up_as_it_is_now(change):
+    # A loaded table keeps its index across runs; after any change to the
+    # list, its lookups are those of the list as it is now, and the next run
+    # routes as a fresh load of the changed model does.
+    loaded, r2 = _loaded_dualstack()
+    before = _records(loaded)
+    change(r2.v6_routes)
+    for dst in map(A6, ("2001::3", "2001::4", "3000::1")):
+        expected = oracle_lookup(list(r2.v6_routes), dst)
+        if expected is None:
+            assert _lookup(r2.v6_routes, dst) == (NoRouteError, f"no route for {dst}")
+        else:
+            assert _lookup(r2.v6_routes, dst) is expected
+    after = _records(loaded)
+    assert after == _records(load_text(serialize_model(loaded)))
+    assert after != before
+
+
+def test_routes_changed_after_a_run_fail_validation_with_its_messages():
+    # Messages as validation gave them before route tables kept an index.
+    loaded, r2 = _loaded_dualstack()
+    r2.v6_routes.append(RouteEntry6(P6("2001:99::/32"), "nope"))
+    with pytest.raises(InvalidTopologyError) as exc:
+        run_simulation(loaded.topology, loaded.traffic)
+    assert str(exc.value) == "R2: IPv6 route 2001:99::/32 leaves through unknown interface 'nope'"
+
+    # An other-family entry, even once a lookup has indexed the table.
+    loaded, r2 = _loaded_dualstack()
+    r2.v6_routes.append(RouteEntry4(P4("10.0.0.0/8"), "fa0"))
+    with pytest.raises(FamilyMismatchError):
+        route_lookup(r2.v6_routes, A6("2001::4"))
+    assert r2.v6_routes.current_facts() is not None
+    with pytest.raises(InvalidTopologyError) as exc:
+        run_simulation(loaded.topology, loaded.traffic)
+    assert str(exc.value) == "R2: IPv6 route table holds 10.0.0.0/8, not an IPv6 prefix"
+
+    # A table whose index is current, routing out of a tunnel since removed.
+    loaded = load_text(serialize_model(build_scenario_6to4()))
+    run_simulation(loaded.topology, loaded.traffic)
+    r1 = next(node for node in loaded.topology.nodes if node.id == "R1")
+    assert r1.v6_routes.current_facts() is not None
+    del r1.tunnels["tun0"]
+    with pytest.raises(InvalidTopologyError) as exc:
+        run_simulation(loaded.topology, loaded.traffic)
+    assert str(exc.value) == "R1: IPv6 route 2001::4/128 leaves through unknown interface 'tun0'"
 
 
 # ------------------------------------------------------------------ forward()
